@@ -5,7 +5,22 @@ instruction stream mixing gates and channels; a channel always acts right
 where it sits in the stream.  The register is capped at 10 qubits because
 everything here is dense.
 
-Three derived circuits matter for purification work:
+``apply`` evolves a density matrix in three stages:
+
+* compile: every gate becomes its superoperator kron(U, conj(U)) and every
+  local channel the sum of K (x) conj(K) over its Kraus set, on the op's own
+  qubit tuple (first listed qubit = local MSB);
+* fuse: an op is multiplied into the latest block on its qubits when that
+  block acts on the same tuple and nothing has touched those qubits since,
+  so a gate absorbs the noise that follows it and a run of one-qubit ops
+  collapses into one 4x4;
+* apply: rho is held as a tensor with 2n axes (row bits, then column bits)
+  and each block is one ``tensordot`` over its 2k axes.
+
+Global depolarizing, register-wide or scoped, is no local superoperator: it
+stays one affine step through ``apply_channel`` and fences its qubits.
+
+Two derived circuits matter for purification work:
 
 * ``reversed_circuit``: the physical uncomputation.  Gates reversed and
   inverted, each still followed by its own noise.
@@ -18,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -198,97 +214,6 @@ def zero_vector(n: int) -> np.ndarray:
     return v
 
 
-def _left_mul_1q(mat: np.ndarray, u: np.ndarray, q: int, d: int) -> np.ndarray:
-    """U acting on the row index's bit q of a (d, m) matrix."""
-    m = mat.shape[1]
-    l = d >> (q + 1)
-    t = mat.reshape(l, 2, (1 << q) * m)
-    return np.matmul(u, t).reshape(mat.shape)
-
-
-def _right_mul_1q(mat: np.ndarray, u: np.ndarray, q: int, d: int) -> np.ndarray:
-    """U^dag acting on the column index's bit q of an (m, d) matrix."""
-    rows = mat.shape[0]
-    l = d >> (q + 1)
-    t = mat.reshape(rows * l, 2, 1 << q)
-    return np.matmul(u.conj(), t).reshape(mat.shape)
-
-
-def _apply_1q(rho: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    d = 1 << n
-    return _right_mul_1q(_left_mul_1q(rho, u, q, d), u, q, d)
-
-
-def _grouped_2q(mat: np.ndarray, qa: int, qb: int, d: int, rows: bool):
-    """Bit-slice views of (qa, qb) on the row or column index, qa the MSB."""
-    hi, lo = (qa, qb) if qa > qb else (qb, qa)
-    lh = d >> (hi + 1)
-    mid = (1 << hi) >> (lo + 1)
-    low = 1 << lo
-    if rows:
-        t = mat.reshape(lh, 2, mid, 2, low * mat.shape[1])
-        def grp(va: int, vb: int):
-            bh, bl = (va, vb) if qa > qb else (vb, va)
-            return t[:, bh, :, bl]
-    else:
-        t = mat.reshape(mat.shape[0] * lh, 2, mid, 2, low)
-        def grp(va: int, vb: int):
-            bh, bl = (va, vb) if qa > qb else (vb, va)
-            return t[:, bh, :, bl]
-    return grp
-
-
-def _apply_2q_side(mat: np.ndarray, u: np.ndarray, qa: int, qb: int, d: int,
-                   rows: bool) -> np.ndarray:
-    grp = _grouped_2q(mat, qa, qb, d, rows)
-    blocks = [grp((s >> 1) & 1, s & 1) for s in range(4)]
-    news = []
-    for so in range(4):
-        acc = None
-        for si in range(4):
-            c = u[so, si]
-            if c != 0:
-                acc = c * blocks[si] if acc is None else acc + c * blocks[si]
-        news.append(acc if acc is not None else np.zeros_like(blocks[0]))
-    out = np.empty_like(mat)
-    ogrp = _grouped_2q(out, qa, qb, d, rows)
-    for so in range(4):
-        ogrp((so >> 1) & 1, so & 1)[...] = news[so]
-    return out
-
-
-def _apply_2q(rho: np.ndarray, u: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
-    d = 1 << n
-    out = _apply_2q_side(rho, u, qa, qb, d, rows=True)
-    return _apply_2q_side(out, u.conj(), qa, qb, d, rows=False)
-
-
-def _apply_unitary(rho: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """U rho U^dag with U acting on the listed qubits (first = local MSB)."""
-    k = len(qubits)
-    if k == 1:
-        return _apply_1q(rho, u, qubits[0], n)
-    if k == 2:
-        return _apply_2q(rho, u, qubits[0], qubits[1], n)
-    t = rho.reshape((2,) * (2 * n))
-    u_t = u.reshape((2,) * (2 * k))
-    row_axes = [n - 1 - q for q in qubits]
-    t = np.tensordot(u_t, t, axes=(list(range(k, 2 * k)), row_axes))
-    t = np.moveaxis(t, list(range(k)), row_axes)
-    col_axes = [2 * n - 1 - q for q in qubits]
-    t = np.tensordot(t, u_t.conj(), axes=(col_axes, list(range(k, 2 * k))))
-    t = np.moveaxis(t, list(range(2 * n - k, 2 * n)), col_axes)
-    return t.reshape(rho.shape)
-
-
-def _apply_kraus_sum(rho: np.ndarray, ops: Sequence[np.ndarray], qubits: Sequence[int],
-                     n: int) -> np.ndarray:
-    out = np.zeros_like(rho)
-    for kmat in ops:
-        out += _apply_unitary(rho, kmat, qubits, n)
-    return out
-
-
 def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
     k = len(qubits)
     t = psi.reshape((2,) * n)
@@ -297,27 +222,6 @@ def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits: Sequence[int], 
     t = np.tensordot(u_t, t, axes=(list(range(k, 2 * k)), axes))
     t = np.moveaxis(t, list(range(k)), axes)
     return t.reshape(psi.shape)
-
-
-def _pauli_mix_1q(rho: np.ndarray, q: int, p: float, px: float, py: float,
-                  pz: float, n: int) -> np.ndarray:
-    """(1-p) rho + p (px X rho X + py Y rho Y + pz Z rho Z) on one qubit.
-
-    Sign flips and bit flips are cheaper than gate conjugations: Z dresses
-    the entries with (-1)^{row bit + col bit}, X reverses both bit axes, and
-    Y is the X-flip of the Z-dressed entries.
-    """
-    d = 1 << n
-    l = d >> (q + 1)
-    r = 1 << q
-    t = rho.reshape(l, 2, r, l, 2, r)
-    sign_row = np.array([1.0, -1.0]).reshape(1, 2, 1, 1, 1, 1)
-    sign_col = np.array([1.0, -1.0]).reshape(1, 1, 1, 1, 2, 1)
-    zz = t * (sign_row * sign_col)
-    xx = t[:, ::-1, :, :, ::-1, :]
-    yy = zz[:, ::-1, :, :, ::-1, :]
-    out = (1.0 - p) * t + (p * px) * xx + (p * py) * yy + (p * pz) * zz
-    return out.reshape(d, d)
 
 
 def _replace_with_mixed(rho: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
@@ -341,7 +245,85 @@ def _replace_with_mixed(rho: np.ndarray, qubits: Sequence[int], n: int) -> np.nd
     return out
 
 
+def _unitary_superop(u: np.ndarray) -> np.ndarray:
+    """kron(U, conj(U)), built as a broadcast outer product (np.kron is slower)."""
+    d = u.shape[0]
+    return (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(d * d, d * d)
+
+
+@lru_cache(maxsize=4096)
+def _channel_superop(kind: str, k: int, params: tuple, dualized: bool) -> np.ndarray:
+    """Superoperator of a local channel on k qubits; read-only, as it is shared.
+
+    Keyed by value without the qubit labels, so every placement of one
+    channel reuses it.  Local depolarizing replaces the k qubits with I/2^k;
+    the other kinds act on each qubit with ``single_qubit_kraus``, which
+    already adjoints a dualized set.
+    """
+    if kind == "local_depolarizing":
+        d = 1 << k
+        flat_eye = np.eye(d, dtype=complex).reshape(-1)
+        s = (1.0 - params[0]) * np.eye(d * d, dtype=complex) \
+            + (params[0] / d) * np.outer(flat_eye, flat_eye)
+    else:
+        one = single_qubit_kraus(Channel(kind, (0,), params, dualized))
+        kraus = one
+        for _ in range(k - 1):
+            kraus = [np.kron(a, b) for a in kraus for b in one]
+        s = sum(_unitary_superop(kmat) for kmat in kraus)
+    s.flags.writeable = False
+    return s
+
+
+def _superops(op) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
+    """(qubits, superoperator) pairs for a gate or a local channel."""
+    if isinstance(op, Gate):
+        yield op.qubits, _unitary_superop(op.matrix())
+    elif op.kind == "coherent_drift":
+        for gen, q, ang in op.params:
+            g = Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
+            yield (q,), _unitary_superop(g.matrix())
+    else:
+        yield op.qubits, _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
+
+
+def _apply_superop(t: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """One k-qubit superoperator on rho held as a tensor with 2n axes."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits] + [2 * n - 1 - q for q in qubits]
+    t = np.tensordot(s.reshape((2,) * (4 * k)), t, axes=(list(range(2 * k, 4 * k)), axes))
+    return np.moveaxis(t, list(range(2 * k)), axes)
+
+
+def _compile(circuit: Circuit) -> list[list]:
+    """Fuse the op stream into [qubits, superoperator] steps, in order.
+
+    An op is multiplied into the latest step on its qubits when that step
+    acts on the same qubit tuple and is still the latest on each of them:
+    every op between the two then acts on other qubits and commutes with it.
+    Global depolarizing stays one [None, channel] step that fences its qubits.
+    """
+    steps: list[list] = []
+    last: dict[int, int] = {}
+    for op in circuit.ops:
+        if isinstance(op, Channel) and op.kind == "global_depolarizing":
+            for q in op.qubits or range(circuit.n):
+                last[q] = len(steps)
+            steps.append([None, op])
+            continue
+        for qubits, s in _superops(op):
+            i = last.get(qubits[0], -1)
+            if i >= 0 and steps[i][0] == qubits and all(last[q] == i for q in qubits[1:]):
+                steps[i][1] = s @ steps[i][1]
+            else:
+                for q in qubits:
+                    last[q] = len(steps)
+                steps.append([qubits, s])
+    return steps
+
+
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
+    """One channel on a density matrix."""
     if ch.kind == "global_depolarizing":
         # scoped to its listed qubits; an empty tuple means the whole register
         p = ch.params[0]
@@ -350,42 +332,25 @@ def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
         d = rho.shape[0]
         tr = np.trace(rho)
         return (1.0 - p) * rho + p * tr * np.eye(d, dtype=complex) / d
-    if ch.kind == "local_depolarizing":
-        p = ch.params[0]
-        return (1.0 - p) * rho + p * _replace_with_mixed(rho, ch.qubits, n)
-    if ch.kind == "stochastic_pauli":
-        p, px, py, pz = ch.params
-        out = rho
-        for q in ch.qubits:
-            out = _pauli_mix_1q(out, q, p, px, py, pz, n)
-        return out
-    if ch.kind in ("amplitude_damping", "thermal_relaxation"):
-        ops = single_qubit_kraus(ch)
-        out = rho
-        for q in ch.qubits:
-            out = _apply_kraus_sum(out, ops, (q,), n)
-        return out
-    if ch.kind == "coherent_drift":
-        out = rho
-        for gen, q, ang in ch.params:
-            g = Gate("rx" if gen == "x" else "rz", (q,), -ang if ch.dualized else ang)
-            out = _apply_unitary(out, g.matrix(), (q,), n)
-        return out
-    raise ValueError(f"unknown channel kind {ch.kind}")
+    t = rho.reshape((2,) * (2 * n))
+    for qubits, s in _superops(ch):
+        t = _apply_superop(t, s, qubits, n)
+    return t.reshape(rho.shape)
 
 
 def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
     """Run the instruction stream on a density matrix."""
-    d = 1 << circuit.n
+    n = circuit.n
+    d = 1 << n
     if rho.shape != (d, d):
-        raise SizeMismatchError(f"state dim {rho.shape} vs {circuit.n}-qubit circuit")
-    out = rho.astype(complex, copy=True)
-    for op in circuit.ops:
-        if isinstance(op, Gate):
-            out = _apply_unitary(out, op.matrix(), op.qubits, circuit.n)
+        raise SizeMismatchError(f"state dim {rho.shape} vs {n}-qubit circuit")
+    t = rho.astype(complex, copy=True).reshape((2,) * (2 * n))
+    for qubits, step in _compile(circuit):
+        if qubits is None:
+            t = apply_channel(t.reshape(d, d), step, n).reshape((2,) * (2 * n))
         else:
-            out = apply_channel(out, op, circuit.n)
-    return out
+            t = _apply_superop(t, step, qubits, n)
+    return t.reshape(d, d)
 
 
 def apply_state(circuit: Circuit, psi: np.ndarray) -> np.ndarray:

@@ -21,9 +21,8 @@ from . import models
 from .channels import NoiseModel, noiseless
 from .circuits import attach_noise, build_ansatz, dual_state, run as run_circuit
 from .errors import ConfigError
-from .experiments import run_experiment, write_outputs
+from .experiments import query_table, run_experiment, write_outputs
 from .pauli import PauliTerm, build_ising, expect_pauli
-from .subspace import SubspaceSpec, plan_queries
 from .vqe import exact_ground, optimize
 
 
@@ -106,20 +105,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_queries(args) -> int:
     n, edges = models.graph(args.graph)
-    h = build_ising(edges, n)
-    rows = []
-    for kind in args.kinds:
-        for m in range(args.m_min, args.m_max + 1):
-            kwargs = {}
-            if kind == "dc":
-                kwargs["partition"] = models.partition(args.partition)
-                kwargs["boundary_state_only"] = args.state_only_boundary
-            spec = SubspaceSpec(kind, m, h, **kwargs)
-            for reuse in (False, True):
-                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
+    outputs = query_table(build_ising(edges, n), args.kinds,
+                          range(args.m_min, args.m_max + 1), args.partition,
+                          {"boundary_state_only": args.state_only_boundary})
     cfg = {"scenario": "queries", "graph": args.graph, "seed": 0}
-    write_outputs({"queries": (("kind", "m", "reuse", "q"), rows)}, cfg, args.out_dir)
-    for kind, m, reuse, q in rows:
+    write_outputs(outputs, cfg, args.out_dir)
+    for kind, m, reuse, q in outputs["queries"][1]:
         print(f"{kind:6s} M={m} reuse={reuse}: Q={q}")
     return 0
 
@@ -165,7 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--scenario", default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("sweep", help="run a config over a grid of overrides")

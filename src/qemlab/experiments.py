@@ -109,6 +109,28 @@ def _vqe_params(cfg: dict, n: int, layers: int, h, edges, block: str | None = No
     return res.params
 
 
+def subspace_spec(kind: str, m: int, h, partition: str, sub_cfg: dict) -> SubspaceSpec:
+    """Basis spec for (kind, M); the partition is read for the divided basis only."""
+    kwargs = {}
+    if kind == "dc":
+        kwargs["partition"] = models.partition(partition)
+        kwargs["boundary_state_only"] = sub_cfg.get("boundary_state_only", False)
+    if kind == "fault" and "lambdas" in sub_cfg:
+        kwargs["lambdas"] = tuple(sub_cfg["lambdas"])
+    return SubspaceSpec(kind, m, h, **kwargs)
+
+
+def query_table(h, kinds, m_values, partition: str, sub_cfg: dict) -> dict:
+    """Query counts Q without and with reuse, one row per (kind, M, reuse)."""
+    rows = []
+    for kind in kinds:
+        for m in m_values:
+            spec = subspace_spec(kind, m, h, partition, sub_cfg)
+            for reuse in (False, True):
+                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
+    return {"queries": (("kind", "m", "reuse", "q"), rows)}
+
+
 class Problem:
     """Everything derived from the graph/ansatz part of a config."""
 
@@ -156,14 +178,8 @@ class Problem:
         return sep_energy - self.e_true
 
     def spec(self, kind: str, m: int) -> SubspaceSpec:
-        sub_cfg = self.cfg.get("subspace", {})
-        kwargs = {}
-        if kind == "dc":
-            kwargs["partition"] = self.partition()
-            kwargs["boundary_state_only"] = sub_cfg.get("boundary_state_only", False)
-        if kind == "fault" and "lambdas" in sub_cfg:
-            kwargs["lambdas"] = tuple(sub_cfg["lambdas"])
-        return SubspaceSpec(kind, m, self.h, **kwargs)
+        return subspace_spec(kind, m, self.h, self.cfg.get("partition", "half-4-4"),
+                             self.cfg.get("subspace", {}))
 
     def build(self, kind: str, m: int, noise: NoiseModel, with_variances=True):
         spec = self.spec(kind, m)
@@ -287,17 +303,11 @@ def scenario_histogram(cfg: dict) -> dict:
 
 
 def scenario_queries(cfg: dict) -> dict:
-    prob = Problem(cfg)
-    kinds = cfg.get("kinds", ["power", "fault", "dc"])
-    m_values = cfg.get("m_values", [2, 3, 4, 5])
-    rows = []
-    for kind in kinds:
-        for m in m_values:
-            spec = prob.spec(kind, m)
-            for reuse in (False, True):
-                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
-    header = ("kind", "m", "reuse", "q")
-    return {"queries": (header, rows)}
+    """Query counts; needs only the Hamiltonian and the partition, so no VQE."""
+    n, edges = models.graph(cfg.get("graph", "path-8"))
+    return query_table(build_ising(edges, n), cfg.get("kinds", ["power", "fault", "dc"]),
+                       cfg.get("m_values", [2, 3, 4, 5]), cfg.get("partition", "half-4-4"),
+                       cfg.get("subspace", {}))
 
 
 def scenario_cost_metric(cfg: dict) -> dict:

@@ -63,11 +63,3 @@ def block_subproblem(edges: list[tuple[int, int]], block: tuple[int, ...]
                  if a in local and b in local]
     return build_ising(sub_edges, len(block)), sub_edges
 
-
-def cut_edges(edges: list[tuple[int, int]], part: SystemPartition) -> list[tuple[int, int]]:
-    """Edges crossing between partition blocks."""
-    owner = {}
-    for bi, block in enumerate(part.blocks):
-        for q in block:
-            owner[q] = bi
-    return [(a, b) for (a, b) in edges if owner[a] != owner[b]]

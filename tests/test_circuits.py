@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qemlab import channels as ch
 from qemlab.circuits import (
@@ -12,6 +13,7 @@ from qemlab.circuits import (
     attach_noise,
     build_ansatz,
     check_density,
+    dual_circuit,
     dual_state,
     expected_errors,
     gate_matrix,
@@ -68,6 +70,88 @@ def random_circuit(rng, n, depth, noise=None, seed=0):
                        ang if kind in ("rx", "rz") else None))
     if noise is not None:
         c = attach_noise(c, noise, seed=seed)
+    return c
+
+
+_PAULIS = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+           np.array([[0, -1j], [1j, 0]], dtype=complex), np.diag([1.0, -1.0]).astype(complex)]
+
+
+def dense_kraus(op, n):
+    """Kraus set of one circuit op as full-register matrices, built with ``embed``."""
+    if isinstance(op, Gate):
+        return [embed(gate_matrix(op), op.qubits, n)]
+    if op.kind == "coherent_drift":
+        u = np.eye(1 << n, dtype=complex)
+        for gen, q, ang in op.params:
+            g = Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
+            u = embed(gate_matrix(g), (q,), n) @ u
+        return [u]
+    if op.kind == "local_depolarizing" and len(op.qubits) == 2:
+        p = op.params[0]
+        paulis = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
+        weights = [1.0 - p + p / 16.0] + [p / 16.0] * 15
+        return [math.sqrt(w) * embed(m, op.qubits, n) for w, m in zip(weights, paulis)]
+    kraus = [np.eye(1 << n, dtype=complex)]
+    for q in op.qubits:
+        local = [embed(k, (q,), n) for k in ch.single_qubit_kraus(op)]
+        kraus = [a @ b for a in local for b in kraus]
+    return kraus
+
+
+def dense_apply(circuit, rho):
+    """Reference evolution: full-register Kraus sums, one op at a time."""
+    n = circuit.n
+    for op in circuit.ops:
+        if isinstance(op, ch.Channel) and op.kind == "global_depolarizing":
+            mixed = rho
+            for q in op.qubits or range(n):  # full depolarization, qubit by qubit
+                mixed = sum(embed(pm, (q,), n) @ mixed @ embed(pm, (q,), n).conj().T
+                            for pm in _PAULIS) / 4.0
+            rho = (1.0 - op.params[0]) * rho + op.params[0] * mixed
+        else:
+            rho = sum(k @ rho @ k.conj().T for k in dense_kraus(op, n))
+    return rho
+
+
+_GATE_ARITY = {"rx": 1, "rz": 1, "h": 1, "cx": 2, "cz": 2, "cv": 2, "swap": 2,
+               "cswap": 3, "cpauli": 2}
+_CHANNEL_KINDS = ["stochastic_pauli", "amplitude_damping", "thermal_relaxation",
+                  "local_depolarizing", "global_depolarizing", "coherent_drift"]
+
+
+@st.composite
+def noisy_circuits(draw):
+    """Gates, each followed by 0-2 channels of any kind; some channels dualized."""
+    n = draw(st.integers(1, 5))
+    rate = st.floats(0.0, 0.3)
+    c = Circuit(n)
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from([g for g, k in _GATE_ARITY.items() if k <= n]))
+        qs = tuple(draw(st.permutations(range(n)))[:_GATE_ARITY[name]])
+        angle = draw(st.floats(-math.pi, math.pi)) if name in ("rx", "rz") else None
+        payload = draw(st.sampled_from("XYZ")) if name == "cpauli" else None
+        c.add(Gate(name, qs, angle, payload))
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(_CHANNEL_KINDS))
+            where = qs[:2] if draw(st.booleans()) else qs[:1]
+            if kind == "stochastic_pauli":
+                chan = ch.stochastic_pauli(draw(rate), where, (0.1, 0.3, 0.6))
+            elif kind == "amplitude_damping":
+                chan = ch.amplitude_damping(draw(rate), where)
+            elif kind == "thermal_relaxation":
+                t1 = draw(st.floats(10e-6, 100e-6))
+                chan = ch.thermal_relaxation(t1, draw(st.floats(0.1, 2.0)) * t1, 2e-6, qs[0])
+            elif kind == "local_depolarizing":
+                chan = ch.local_depolarizing(draw(rate), where)
+            elif kind == "global_depolarizing":
+                scope = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+                chan = ch.Channel("global_depolarizing", draw(st.sampled_from([(), scope])),
+                                  (draw(rate),))
+            else:
+                chan = ch.coherent_drift(tuple(
+                    (draw(st.sampled_from("xz")), q, draw(st.floats(-1.0, 1.0))) for q in where))
+            c.add(chan.dual() if draw(st.booleans()) else chan)
     return c
 
 
@@ -132,6 +216,22 @@ class TestGateApplication:
             else:
                 j = i
             assert abs(out[j] - 1.0) < 1e-12
+
+
+class TestFusedKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(noisy_circuits(), st.integers(0, 2**32 - 1))
+    # the second cx must not join the first: rx(1) sits between them on qubit 1
+    @example(Circuit(2, [Gate("cx", (0, 1)), Gate("rx", (1,), 0.7),
+                         ch.stochastic_pauli(0.1, (1,)), Gate("cx", (0, 1))]), 0)
+    # a 3-qubit scope inside 5 qubits: ops on either side of it must not fuse
+    @example(Circuit(5, [Gate("cx", (0, 1)), Gate("rx", (2,), 0.4),
+                         ch.Channel("global_depolarizing", (1, 2, 4), (0.3,)),
+                         Gate("rz", (2,), -0.9), Gate("cz", (2, 3)), Gate("cx", (0, 1))]), 12)
+    def test_matches_dense_kraus_oracle(self, circuit, seed):
+        rho = random_density(np.random.default_rng(seed), circuit.n)
+        for c in (circuit, dual_circuit(circuit)):
+            np.testing.assert_allclose(apply(c, rho), dense_apply(c, rho), rtol=0, atol=1e-12)
 
 
 class TestChannels:

@@ -53,6 +53,22 @@ class TestRunScenarios:
         got = {tuple(r.split(",")[:3]): int(r.split(",")[3]) for r in rows}
         assert got[("fault", "2", "0")] == got[("fault", "2", "1")]
 
+    def test_queries_scenario_matches_command_without_vqe(self, tmp_path, monkeypatch):
+        def no_baseline(*a, **k):
+            raise AssertionError("query counting needs no VQE or exact ground state")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_baseline)
+        monkeypatch.setattr("qemlab.experiments.exact_ground", no_baseline)
+        cfg = {"scenario": "queries", "seed": 0, "graph": "path-8", "partition": "half-4-4",
+               "kinds": ["power", "dc"], "m_values": [2, 3],
+               "subspace": {"boundary_state_only": True}}
+        run_experiment(cfg, str(tmp_path / "scenario"))
+        rc = main(["queries", "--graph", "path-8", "--kinds", "power", "dc", "--m-min", "2",
+                   "--m-max", "3", "--state-only-boundary", "--out-dir", str(tmp_path / "cmd")])
+        assert rc == 0
+        assert (tmp_path / "scenario" / "queries.csv").read_bytes() == \
+               (tmp_path / "cmd" / "queries.csv").read_bytes()
+
     def test_shots_scenario_small(self, tmp_path):
         cfg = small_cfg(scenario="stddev-vs-shots")
         cfg["subspace"] = {"kind": "power", "m_values": [2]}
@@ -174,6 +190,10 @@ class TestCliEntry:
         assert rc == 0
         out = capsys.readouterr().out
         assert "Tr[sym-product P]" in out
+
+    def test_run_takes_no_threads_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["run", "--config", "c.json", "--out-dir", str(tmp_path), "--threads", "2"])
 
     def test_sweep_command(self, tmp_path):
         cfg = small_cfg()
