@@ -181,17 +181,15 @@ class Problem:
         return subspace_spec(kind, m, self.h, self.cfg.get("partition", "half-4-4"),
                              self.cfg.get("subspace", {}))
 
-    def build(self, kind: str, m: int, noise: NoiseModel, with_variances=True):
-        spec = self.spec(kind, m)
+    def build(self, kind: str, m_values, noise: NoiseModel, with_variances=True) -> list:
+        """(M, pencil) for each M, sliced from one build at the largest."""
+        if not m_values:
+            return []
+        spec = self.spec(kind, max(m_values))
         arg = self.block_ansatzes()[0] if kind == "dc" else self.ansatz
-        return spec, build(spec, arg, noise, seed=self.cfg.get("seed", 0),
-                           with_variances=with_variances)
-
-    def mitigated_energy(self, kind: str, m: int, noise: NoiseModel,
-                         threshold: float = 1e-10):
-        _, mats = self.build(kind, m, noise, with_variances=False)
-        sol = solve_pencil(mats.s, mats.h, self.window, threshold)
-        return sol
+        mats = build(spec, arg, noise, seed=self.cfg.get("seed", 0),
+                     with_variances=with_variances)
+        return [(m, mats.leading(m)) for m in m_values]
 
     def raw_noisy_energy(self, noise: NoiseModel) -> float:
         if self.cfg.get("subspace", {}).get("kind") == "dc":
@@ -226,8 +224,7 @@ def scenario_bias_vs_m(cfg: dict) -> dict:
         noise = _noise_model(cfg, p1)
         raw = prob.raw_noisy_energy(noise) if kind != "dc" else (
             prob.separable_bias() + prob.e_true if p1 == 0 else prob.raw_noisy_energy(noise))
-        for m in m_values:
-            _, mats = prob.build(kind, m, noise, with_variances=dump)
+        for m, mats in prob.build(kind, m_values, noise, with_variances=dump):
             try:
                 sol = solve_pencil(mats.s, mats.h, prob.window, threshold)
                 rows.append((kind, p1, m, sol.energy, sol.energy - prob.e_true,
@@ -265,8 +262,7 @@ def scenario_shots(cfg: dict) -> dict:
     noise = _noise_model(cfg, p1)
     seed = cfg.get("seed", 0)
     rows = []
-    for m in m_values:
-        spec, mats = prob.build(kind, m, noise, with_variances=True)
+    for m, mats in prob.build(kind, m_values, noise):
         q = len(mats.queries)
         exact_sol = solve_pencil(mats.s, mats.h, prob.window, 1e-10)
         bound = postselect_bound(mats.s, prob.h.weight(), m)
@@ -291,8 +287,7 @@ def scenario_histogram(cfg: dict) -> dict:
     p1 = cfg.get("noise", {}).get("p1", 2e-6)
     noise = _noise_model(cfg, p1)
     rows = []
-    for m in m_values:
-        _, mats = prob.build(kind, m, noise, with_variances=True)
+    for m, mats in prob.build(kind, m_values, noise):
         dist = sample_distribution(
             mats, ShotConfig(ns=ns, n_samples=n_samples, seed=cfg.get("seed", 0)),
             prob.window)
@@ -317,13 +312,12 @@ def scenario_cost_metric(cfg: dict) -> dict:
     rows = []
     for kind, m_values in (("power", cfg.get("power_m", [2, 3, 4, 5])),
                            ("dc", cfg.get("dc_m", list(range(2, 10))))):
-        for m in m_values:
-            spec, mats = prob.build(kind, m, noiseless(), with_variances=False)
+        for m, mats in prob.build(kind, m_values, noiseless(), with_variances=False):
             try:
                 sol = solve_pencil(mats.s, mats.h, prob.window, threshold)
             except (SelectionFailureError, EmptySubspaceError):
                 continue
-            q = plan_queries(spec, reuse=True).q
+            q = plan_queries(prob.spec(kind, m), reuse=True).q
             rows.append((kind, m, abs(sol.energy - prob.e_true), q,
                          dc_overhead(sol.alpha_prime),
                          cost_metric(m, q, sol.alpha_prime)))

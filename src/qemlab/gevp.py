@@ -26,6 +26,7 @@ class ReducedPencil:
     dscale: np.ndarray         # per-index 1/sqrt(S_ii) factors
     retained_dim: int
     lambda_min_raw: float      # smallest eigenvalue of the raw overlap
+    lambda_min_scaled: float   # smallest eigenvalue of the unit-diagonal overlap
 
 
 @dataclass
@@ -34,7 +35,8 @@ class GevpSolution:
     alpha: np.ndarray          # original-basis coefficients, alpha^dag S alpha = 1
     alpha_prime: np.ndarray    # coefficients in the unit-diagonal frame
     retained_dim: int
-    lambda_min_s: float
+    lambda_min_raw: float      # smallest eigenvalue of the raw overlap
+    lambda_min_scaled: float   # smallest eigenvalue of the unit-diagonal overlap
 
 
 def energy_window(e_true: float, frac: float = 0.1) -> tuple[float, float]:
@@ -86,7 +88,7 @@ def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
     h_red = basis.conj().T @ h_t @ basis
     h_red = 0.5 * (h_red + h_red.conj().T)
     return ReducedPencil(s_vals, h_red, basis, dscale, int(np.sum(keep)),
-                         lambda_min_raw)
+                         lambda_min_raw, float(vals[0]))
 
 
 def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
@@ -124,7 +126,7 @@ def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
         alpha = alpha / phase
         alpha_prime = alpha_prime / phase
     return GevpSolution(float(e), alpha, alpha_prime, reduced.retained_dim,
-                        reduced.lambda_min_raw)
+                        reduced.lambda_min_raw, reduced.lambda_min_scaled)
 
 
 def solve_pencil(s: np.ndarray, h: np.ndarray, window: tuple[float, float],

@@ -147,6 +147,10 @@ class PauliSum:
         for (x, z) in sorted(self._terms):
             yield PauliTerm(_masks_to_axes(x, z, self.n), self._terms[(x, z)])
 
+    def mask_items(self) -> list[tuple[int, int, complex]]:
+        """(x, z, coeff) of every string, in iteration order."""
+        return [(x, z, self._terms[(x, z)]) for (x, z) in sorted(self._terms)]
+
     def coefficient(self, axes: str) -> complex:
         return self._terms.get(_axes_to_masks(axes), 0.0)
 

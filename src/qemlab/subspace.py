@@ -1,22 +1,32 @@
 """Assembly of the generalized-eigenvalue pair (S, H) for the three bases.
 
-Three constructions share one bookkeeping scheme: every matrix element is a
-constant plus a sum of coefficient-weighted products of *query values*, a
-query being one (prepared state, Pauli observable) pair.  The ledger of
-unique queries is what shot-noise perturbation and measurement-cost counting
-operate on; assembling from the ledger and assembling exactly are the same
-code path, so the infinite-shot limit reproduces the exact matrices by
-construction.
+Every matrix element is a constant plus a sum of coefficient-weighted
+products of *query values*, a query being one (prepared state, Pauli
+observable) pair.  The ledger of unique queries is what shot-noise
+perturbation and measurement-cost counting operate on; assembling from the
+ledger and assembling exactly are the same code path, so the infinite-shot
+limit reproduces the exact matrices by construction.
 
-Power basis:   identity plus the state times Hamiltonian powers.
 Fault basis:   the state at software-amplified noise rates.
 Divided basis: per-block states tensored, powers of the Hamiltonian
                reintroducing the cross-block entanglement classically.
+Power basis:   identity plus the state times Hamiltonian powers, which is
+               the divided basis over a one-block partition.
+
+So there are two builders, ``build_fault`` and ``build_divided``.  The
+latter reads the Hamiltonian powers from a ``TermExpansion``, expanded once
+per (Hamiltonian, partition) and shared by every build and by
+``plan_queries``, which counts Q from the very term lists the builder
+assembles.  Element (i, j) of either basis does not depend on M, so one
+build at the largest M serves every smaller one through ``leading``.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,14 +35,7 @@ import numpy as np
 from .channels import NoiseModel
 from .circuits import Circuit, attach_noise, dual_state, reversed_circuit, run
 from .errors import ConfigError
-from .pauli import (
-    PauliSum,
-    PauliTerm,
-    PowerTable,
-    SystemPartition,
-    expect_pauli,
-    factorize,
-)
+from .pauli import PauliSum, PauliTerm, PowerTable, SystemPartition, expect_pauli
 from .purification import dsp_expectation
 from .shotnoise import var_dsp, var_pauli_state, var_product_chain
 
@@ -49,7 +52,6 @@ class SubspaceSpec:
     hamiltonian: PauliSum
     lambdas: tuple[float, ...] | None = None
     partition: SystemPartition | None = None
-    asymmetric: bool = False
     boundary_state_only: bool = False
     merge_identical_blocks: bool = True
 
@@ -73,6 +75,13 @@ class SubspaceSpec:
         if self.lambdas is not None:
             return self.lambdas
         return tuple(float(k) for k in range(1, self.m + 1))
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The partition of the power and divided bases; power has one block."""
+        if self.kind == "dc":
+            return self.partition.blocks
+        return (tuple(range(self.hamiltonian.n)),)
 
 
 @dataclass(frozen=True)
@@ -108,6 +117,27 @@ class SubspaceMatrices:
 
     def query_keys(self) -> list[QueryKey]:
         return sorted(self.queries.keys(), key=repr)
+
+    def leading(self, m: int) -> "SubspaceMatrices":
+        """The leading m x m pencil, with the ledger of the queries it reads.
+
+        Equal to a fresh build at m: the same matrices, variances and ledger,
+        so shot-noise draws and query counts stay per-m.
+        """
+        if not 1 <= m <= self.m:
+            raise ConfigError(f"leading block {m} outside 1..{self.m}")
+        s_terms, h_terms, s_const, h_const = (
+            {ij: v for ij, v in d.items() if max(ij) < m}
+            for d in (self.s_terms, self.h_terms, self.s_const, self.h_const))
+        used = {k for terms in (s_terms, h_terms) for entry in terms.values()
+                for _, keys in entry for k in keys}
+        out = copy.copy(self)
+        out.m = m
+        out.queries = {k: q for k, q in self.queries.items() if k in used}
+        out.s_terms, out.h_terms, out.s_const, out.h_const = s_terms, h_terms, s_const, h_const
+        for name in ("s", "h", "var_s", "var_h"):
+            setattr(out, name, getattr(self, name)[:m, :m].copy())
+        return out
 
     def assemble(self, lookup: Callable[[QueryKey], complex] | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,137 +198,151 @@ class SubspaceMatrices:
         return rows
 
 
-def _identity_axes(n: int) -> str:
-    return "I" * n
+class TermExpansion:
+    """Powers of one Hamiltonian, each string split across one partition.
 
-
-class _StateCache:
-    """Holds the evaluated states and their products for one builder call."""
-
-    def __init__(self, circ: Circuit, backend: str, asymmetric: bool):
-        self.circ = circ
-        self.backend = backend
-        self.rho = run(circ)
-        self.bar = dual_state(circ)
-        br = self.bar @ self.rho
-        self.sym = br if asymmetric else 0.5 * (br + br.conj().T)
-
-    def dsp(self, axes: str) -> complex:
-        if self.backend == "circuit":
-            res = dsp_expectation(self.circ, PauliTerm(axes, 1.0), mode="ancilla")
-            return complex(res.numerator)
-        return expect_pauli(self.sym, axes)
-
-
-def build_power(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
-                backend: str = "oracle", seed: int = 0,
-                with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the identity-plus-state-times-Hamiltonian-powers basis.
-
-    Bulk elements S_ij = Tr[sym * H^{i+j-4}], H_ij with one more power; the
-    first row and column read the plain and dual states against lower powers
-    and the corner is free: S_11 = Tr[I], H_11 = Tr[H].
+    ``power(k)`` lists (coeff, subs) in the Hamiltonian's iteration order,
+    subs holding the string's letters on each block's qubits, block by block.
+    Expansions are shared between scenario threads, so extending one is
+    serialized: two threads appending the same power would shift the rest.
     """
-    if spec.kind != "power":
-        raise ConfigError("spec kind must be power")
-    h = spec.hamiltonian
-    n = h.n
-    circ = attach_noise(ansatz, noise, seed=seed)
-    cache = _StateCache(circ, backend, spec.asymmetric)
-    rho, bar = cache.rho, cache.bar
-    rb = rho @ bar
-    table = PowerTable(h)
-    m = spec.m
-    queries: dict[QueryKey, Query] = {}
 
-    def dsp_key(axes: str) -> QueryKey:
-        key = ("power", "dsp", axes)
-        if key not in queries:
-            val = cache.dsp(axes)
-            var = var_dsp(rho, bar, axes, rb=rb) if with_variances else 0.0
-            queries[key] = Query(("power", "dsp"), axes, val, var)
-        return key
+    def __init__(self, h: PauliSum, blocks: tuple[tuple[int, ...], ...]):
+        self._lock = threading.Lock()
+        self._table = PowerTable(h)
+        self._blocks = [(b, sum(1 << q for q in b)) for b in blocks]
+        self._letters: dict[tuple[int, int, int], str] = {}
+        self._powers: list[list[tuple[complex, tuple[str, ...]]]] = []
 
-    def state_key(which: str, axes: str) -> QueryKey:
-        key = ("power", which, axes)
-        if key not in queries:
-            mat = rho if which == "rho" else bar
-            val = expect_pauli(mat, axes)
-            queries[key] = Query(("power", which), axes, val,
-                                 var_pauli_state(float(np.real(val))))
-        return key
+    def _sub(self, x: int, z: int, block: tuple[int, ...], mask: int) -> str:
+        key = (mask, x & mask, z & mask)
+        sub = self._letters.get(key)
+        if sub is None:
+            sub = "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in block)
+            self._letters[key] = sub
+        return sub
 
+    def power(self, k: int) -> list[tuple[complex, tuple[str, ...]]]:
+        with self._lock:
+            while len(self._powers) <= k:
+                p = self._table.power(len(self._powers))
+                self._powers.append([(c, tuple(self._sub(x, z, b, mask)
+                                                for b, mask in self._blocks))
+                                     for x, z, c in p.mask_items()])
+            return self._powers[k]
+
+
+_EXPANSIONS: OrderedDict = OrderedDict()
+_EXPANSIONS_LOCK = threading.Lock()
+
+
+def term_expansion(h: PauliSum, blocks: tuple[tuple[int, ...], ...]) -> TermExpansion:
+    """The shared expansion for (h, blocks); the last four stay memoized."""
+    key = (h.n, tuple(h.mask_items()), tuple(blocks))
+    with _EXPANSIONS_LOCK:
+        exp = _EXPANSIONS.pop(key, None) or TermExpansion(h, blocks)
+        _EXPANSIONS[key] = exp
+        if len(_EXPANSIONS) > 4:
+            _EXPANSIONS.popitem(last=False)
+    return exp
+
+
+def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]):
+    """Every ordered pair (input amplification, output amplification) is its
+    own prepared state; hermiticity comes from averaging the two orders."""
+    ident = "I" * h.n
     s_terms: dict[tuple[int, int], list[Term]] = {}
     h_terms: dict[tuple[int, int], list[Term]] = {}
-    s_const: dict[tuple[int, int], complex] = {}
-    h_const: dict[tuple[int, int], complex] = {}
+    for i in range(m):
+        for j in range(i, m):
+            pairs = ((1.0, i, i),) if i == j else ((0.5, i, j), (0.5, j, i))
+            s_terms[(i, j)] = [(w, (key(a, b, ident),)) for w, a, b in pairs]
+            h_terms[(i, j)] = [(w * t.coeff, (key(a, b, t.axes),))
+                               for t in h for w, a, b in pairs]
+    return s_terms, h_terms
 
-    tr_rho = complex(np.trace(rho))
-    tr_bar = complex(np.trace(bar))
-    avg_tr = tr_rho if spec.boundary_state_only else 0.5 * (tr_rho + tr_bar)
 
-    d = 1 << n
-    s_const[(0, 0)] = complex(d)
-    h_const[(0, 0)] = h.identity_coefficient * d
+def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
+                   tr_r: Sequence[complex], tr_b: Sequence[complex]):
+    """Term lists and constants of the power and divided bases.
 
-    def boundary_entry(power: int) -> tuple[complex, list[Term]]:
-        const = 0.0 + 0.0j
-        entry: list[Term] = []
-        for t in table.power(power):
-            if t.is_identity:
-                const += t.coeff * avg_tr
-            elif spec.boundary_state_only:
-                entry.append((t.coeff, (state_key("rho", t.axes),)))
-            else:
-                entry.append((0.5 * t.coeff, (state_key("rho", t.axes),)))
-                entry.append((0.5 * t.coeff, (state_key("dual", t.axes),)))
-        return const, entry
+    Bulk elements S_ij = Tr[sym * H^{i+j-2}] (0-based i, j >= 1), H_ij with
+    one more power, sym being each block's symmetrized product of dual and
+    state; the first row and column read the plain and dual states against
+    lower powers and the corner is free: S_11 = Tr[I], H_11 = Tr[H].  Each
+    string becomes a product of one query per block, key(which, block, sub)
+    with which in ("dsp", "rho", "dual"); an identity factor on the boundary
+    folds into the coefficient as that block's trace (tr_r, tr_b).  Elements
+    with equal i + j share one entry.
+    """
+    h = spec.hamiltonian
+    exp = term_expansion(h, spec.blocks)
+    bso = spec.boundary_state_only
+    nb = len(tr_r)
+    bulk: dict[int, list[Term]] = {}
+    boundary: dict[int, tuple[complex, list[Term]]] = {}
 
     def bulk_entry(power: int) -> list[Term]:
-        return [(t.coeff, (dsp_key(t.axes),)) for t in table.power(power)]
+        if power not in bulk:
+            bulk[power] = [(c, tuple(key("dsp", l, sub) for l, sub in enumerate(subs)))
+                           for c, subs in exp.power(power)]
+        return bulk[power]
 
-    for j in range(1, m):
-        cs, es = boundary_entry(j - 1)
-        s_const[(0, j)] = cs
-        s_terms[(0, j)] = es
-        ch, eh = boundary_entry(j)
-        h_const[(0, j)] = ch
-        h_terms[(0, j)] = eh
-    for i in range(1, m):
-        for j in range(i, m):
+    def boundary_entry(power: int) -> tuple[complex, list[Term]]:
+        if power in boundary:
+            return boundary[power]
+        const = 0.0 + 0.0j
+        entry: list[Term] = []
+        for c, subs in exp.power(power):
+            live = [l for l, sub in enumerate(subs) if sub.strip("I")]
+            if not live:
+                prod_r, prod_b = np.prod(tr_r), np.prod(tr_b)
+                const += c * (prod_r if bso else 0.5 * (prod_r + prod_b))
+                continue
+            fold_r = np.prod([tr_r[l] for l in range(nb) if l not in live] or [1.0])
+            keys_r = tuple(key("rho", l, subs[l]) for l in live)
+            if bso:
+                entry.append((c * fold_r, keys_r))
+            else:
+                fold_b = np.prod([tr_b[l] for l in range(nb) if l not in live] or [1.0])
+                keys_b = tuple(key("dual", l, subs[l]) for l in live)
+                entry.append((0.5 * c * fold_r, keys_r))
+                entry.append((0.5 * c * fold_b, keys_b))
+        boundary[power] = (const, entry)
+        return boundary[power]
+
+    d = 1 << h.n
+    s_terms: dict[tuple[int, int], list[Term]] = {}
+    h_terms: dict[tuple[int, int], list[Term]] = {}
+    s_const: dict[tuple[int, int], complex] = {(0, 0): complex(d)}
+    h_const: dict[tuple[int, int], complex] = {(0, 0): h.identity_coefficient * d}
+    for j in range(1, spec.m):
+        s_const[(0, j)], s_terms[(0, j)] = boundary_entry(j - 1)
+        h_const[(0, j)], h_terms[(0, j)] = boundary_entry(j)
+    for i in range(1, spec.m):
+        for j in range(i, spec.m):
             s_terms[(i, j)] = bulk_entry(i + j - 2)
             h_terms[(i, j)] = bulk_entry(i + j - 1)
-
-    return SubspaceMatrices("power", m, n, h.weight(), queries,
-                            s_terms, h_terms, s_const, h_const)
+    return s_terms, h_terms, s_const, h_const
 
 
 def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
                 backend: str = "oracle", seed: int = 0,
                 with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the noise-amplified-state basis.
-
-    Every ordered pair (input amplification, output amplification) is its own
-    prepared state; hermiticity comes from averaging the two orders.
-    """
+    """Pencil for the noise-amplified-state basis."""
     if spec.kind != "fault":
         raise ConfigError("spec kind must be fault")
     h = spec.hamiltonian
-    n = h.n
-    m = spec.m
     lams = spec.lambda_values
-    if len(lams) != m:
+    if len(lams) != spec.m:
         raise ConfigError("need one amplification factor per subspace")
-    ident = _identity_axes(n)
 
     circs = [attach_noise(ansatz, noise.amplified(l), seed=seed) for l in lams]
     rhos = [run(c) for c in circs]
     bars = [dual_state(c) for c in circs]
     rbs: dict[tuple[int, int], np.ndarray] = {}
-
-    queries: dict[QueryKey, Query] = {}
-
     syms: dict[tuple[int, int], np.ndarray] = {}
+    queries: dict[QueryKey, Query] = {}
 
     def pair_key(i: int, j: int, axes: str) -> QueryKey:
         key = ("fault", i, j, axes)
@@ -306,7 +350,7 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
             if (i, j) not in rbs:
                 rbs[(i, j)] = rhos[i] @ bars[j]
                 br = bars[j] @ rhos[i]
-                syms[(i, j)] = br if spec.asymmetric else 0.5 * (br + br.conj().T)
+                syms[(i, j)] = 0.5 * (br + br.conj().T)
             if backend == "circuit":
                 res = dsp_expectation(circs[i], PauliTerm(axes, 1.0), mode="ancilla",
                                       out_circuit=reversed_circuit(circs[j]))
@@ -317,24 +361,8 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
             queries[key] = Query(("fault", i, j), axes, val, var)
         return key
 
-    s_terms: dict[tuple[int, int], list[Term]] = {}
-    h_terms: dict[tuple[int, int], list[Term]] = {}
-
-    for i in range(m):
-        for j in range(i, m):
-            if i == j:
-                s_terms[(i, j)] = [(1.0, (pair_key(i, i, ident),))]
-                h_terms[(i, j)] = [(t.coeff, (pair_key(i, i, t.axes),)) for t in h]
-            else:
-                s_terms[(i, j)] = [(0.5, (pair_key(i, j, ident),)),
-                                   (0.5, (pair_key(j, i, ident),))]
-                entry: list[Term] = []
-                for t in h:
-                    entry.append((0.5 * t.coeff, (pair_key(i, j, t.axes),)))
-                    entry.append((0.5 * t.coeff, (pair_key(j, i, t.axes),)))
-                h_terms[(i, j)] = entry
-
-    return SubspaceMatrices("fault", m, n, h.weight(), queries,
+    s_terms, h_terms = _fault_terms(spec.m, h, pair_key)
+    return SubspaceMatrices("fault", spec.m, h.n, h.weight(), queries,
                             s_terms, h_terms, {}, {})
 
 
@@ -342,129 +370,69 @@ def _block_fingerprint(circ: Circuit) -> str:
     return hashlib.sha256(circ.dump().encode()).hexdigest()[:12]
 
 
-def build_dc(spec: SubspaceSpec, sub_ansatzes: Sequence[Circuit], noise: NoiseModel,
-             backend: str = "oracle", seed: int = 0,
-             with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the divided basis: per-block states, classical recombination.
+def _state_id(kind: str, which: str, block_key: str) -> tuple:
+    return ("power", which) if kind == "power" else ("dc", which, block_key)
 
-    Hamiltonian powers are factorized across the partition and each global
-    term becomes a product of one query per block.  Two blocks that prepare
-    bit-identical noisy circuits share their query ledger entries unless the
-    spec says otherwise.
+
+def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
+                  backend: str = "oracle", seed: int = 0,
+                  with_variances: bool = True) -> SubspaceMatrices:
+    """Pencil for the power basis (one circuit) or the divided basis (one per block).
+
+    Two blocks that prepare bit-identical noisy circuits share their query
+    ledger entries unless the spec says otherwise.
     """
-    if spec.kind != "dc":
-        raise ConfigError("spec kind must be dc")
-    part = spec.partition
+    if spec.kind not in ("power", "dc"):
+        raise ConfigError("spec kind must be power or dc")
     h = spec.hamiltonian
-    n = h.n
-    m = spec.m
-    if len(sub_ansatzes) != len(part.blocks):
-        raise ConfigError("need one sub-ansatz per partition block")
-    for circ, block in zip(sub_ansatzes, part.blocks):
+    if spec.kind == "power":
+        ansatzes = [ansatz]
+    else:
+        ansatzes = list(ansatz)
+        if len(ansatzes) != len(spec.blocks):
+            raise ConfigError("need one sub-ansatz per partition block")
+    for circ, block in zip(ansatzes, spec.blocks):
         if circ.n != len(block):
             raise ConfigError("sub-ansatz register does not match its block")
 
-    circs = [attach_noise(c, noise, seed=seed) for c in sub_ansatzes]
+    circs = [attach_noise(c, noise, seed=seed) for c in ansatzes]
     rhos = [run(c) for c in circs]
     bars = [dual_state(c) for c in circs]
-    syms = [(b @ r if spec.asymmetric else 0.5 * (b @ r + r @ b))
-            for r, b in zip(rhos, bars)]
     rbs = [r @ b for r, b in zip(rhos, bars)]
-    if spec.merge_identical_blocks:
+    syms = [0.5 * (b @ r + rb) for r, b, rb in zip(rhos, bars, rbs)]
+    if spec.kind == "dc" and spec.merge_identical_blocks:
         bkeys = [_block_fingerprint(c) for c in circs]
     else:
         bkeys = [str(l) for l in range(len(circs))]
-
-    table = PowerTable(h)
     queries: dict[QueryKey, Query] = {}
 
-    def dsp_key(l: int, axes: str) -> QueryKey:
-        key = ("dc", "dsp", bkeys[l], axes)
-        if key not in queries:
-            if backend == "circuit":
-                res = dsp_expectation(circs[l], PauliTerm(axes, 1.0), mode="ancilla")
-                val = complex(res.numerator)
+    def key(which: str, l: int, axes: str) -> QueryKey:
+        state = _state_id(spec.kind, which, bkeys[l])
+        k = state + (axes,)
+        if k not in queries:
+            if which != "dsp":
+                val = expect_pauli(rhos[l] if which == "rho" else bars[l], axes)
+                var = var_pauli_state(float(np.real(val)))
             else:
-                val = expect_pauli(syms[l], axes)
-            var = var_dsp(rhos[l], bars[l], axes, rb=rbs[l]) if with_variances else 0.0
-            queries[key] = Query(("dc", "dsp", bkeys[l]), axes, val, var)
-        return key
+                if backend == "circuit":
+                    res = dsp_expectation(circs[l], PauliTerm(axes, 1.0), mode="ancilla")
+                    val = complex(res.numerator)
+                else:
+                    val = expect_pauli(syms[l], axes)
+                var = var_dsp(rhos[l], bars[l], axes, rb=rbs[l]) if with_variances else 0.0
+            queries[k] = Query(state, axes, val, var)
+        return k
 
-    def state_block_key(which: str, l: int, axes: str) -> QueryKey:
-        key = ("dc", which, bkeys[l], axes)
-        if key not in queries:
-            mat = rhos[l] if which == "rho" else bars[l]
-            val = expect_pauli(mat, axes)
-            queries[key] = Query(("dc", which, bkeys[l]), axes, val,
-                                 var_pauli_state(float(np.real(val))))
-        return key
-
-    s_terms: dict[tuple[int, int], list[Term]] = {}
-    h_terms: dict[tuple[int, int], list[Term]] = {}
-    s_const: dict[tuple[int, int], complex] = {}
-    h_const: dict[tuple[int, int], complex] = {}
-
-    d = 1 << n
-    s_const[(0, 0)] = complex(d)
-    h_const[(0, 0)] = h.identity_coefficient * d
-    tr_rhos = [complex(np.trace(r)) for r in rhos]
-    tr_bars = [complex(np.trace(b)) for b in bars]
-
-    def bulk_entry(power: int) -> list[Term]:
-        entry: list[Term] = []
-        for t in table.power(power):
-            subs = factorize(t, part)
-            keys = tuple(dsp_key(l, subs[l].axes) for l in range(len(part.blocks)))
-            entry.append((t.coeff, keys))
-        return entry
-
-    def boundary_entry(power: int) -> tuple[complex, list[Term]]:
-        const = 0.0 + 0.0j
-        entry: list[Term] = []
-        for t in table.power(power):
-            subs = factorize(t, part)
-            if t.is_identity:
-                prod_r = np.prod(tr_rhos)
-                prod_b = np.prod(tr_bars)
-                const += t.coeff * (prod_r if spec.boundary_state_only
-                                    else 0.5 * (prod_r + prod_b))
-                continue
-            live = [l for l in range(len(part.blocks)) if not subs[l].is_identity]
-            fold_r = np.prod([tr_rhos[l] for l in range(len(part.blocks)) if l not in live] or [1.0])
-            fold_b = np.prod([tr_bars[l] for l in range(len(part.blocks)) if l not in live] or [1.0])
-            keys_r = tuple(state_block_key("rho", l, subs[l].axes) for l in live)
-            if spec.boundary_state_only:
-                entry.append((t.coeff * fold_r, keys_r))
-            else:
-                keys_b = tuple(state_block_key("dual", l, subs[l].axes) for l in live)
-                entry.append((0.5 * t.coeff * fold_r, keys_r))
-                entry.append((0.5 * t.coeff * fold_b, keys_b))
-        return const, entry
-
-    for j in range(1, m):
-        cs, es = boundary_entry(j - 1)
-        s_const[(0, j)] = cs
-        s_terms[(0, j)] = es
-        ch, eh = boundary_entry(j)
-        h_const[(0, j)] = ch
-        h_terms[(0, j)] = eh
-    for i in range(1, m):
-        for j in range(i, m):
-            s_terms[(i, j)] = bulk_entry(i + j - 2)
-            h_terms[(i, j)] = bulk_entry(i + j - 1)
-
-    return SubspaceMatrices("dc", m, n, h.weight(), queries,
-                            s_terms, h_terms, s_const, h_const)
+    terms = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
+                           [complex(np.trace(b)) for b in bars])
+    return SubspaceMatrices(spec.kind, spec.m, h.n, h.weight(), queries, *terms)
 
 
 def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, backend: str = "oracle",
           seed: int = 0, with_variances: bool = True) -> SubspaceMatrices:
     """Dispatch on the basis family (ansatz: one circuit, or one per block)."""
-    if spec.kind == "power":
-        return build_power(spec, ansatz, noise, backend, seed, with_variances)
-    if spec.kind == "fault":
-        return build_fault(spec, ansatz, noise, backend, seed, with_variances)
-    return build_dc(spec, ansatz, noise, backend, seed, with_variances)
+    builder = build_fault if spec.kind == "fault" else build_divided
+    return builder(spec, ansatz, noise, backend, seed, with_variances)
 
 
 @dataclass(frozen=True)
@@ -482,77 +450,35 @@ class QueryPlan:
         return ns / self.q
 
 
-def plan_queries(spec: SubspaceSpec, reuse: bool,
-                 block_keys: Sequence[str] | None = None) -> QueryPlan:
-    """Enumerate the (state, observable) pairs the matrix formulas consume.
+def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
+    """Count the (state, observable) pairs the builder's term lists consume.
 
     Without reuse every occurrence across every ordered matrix element is
     tallied; with reuse duplicates collapse.  Constants (the corner, identity
-    readings of plain states) are never queries.
+    readings of plain states) are never queries.  Each ordered fault pair is
+    its own prepared state, so no fault query repeats.  Equal-size blocks
+    count as one prepared state unless the spec turns merging off, whereas
+    the builder merges only bit-identical block circuits.
     """
-    h = spec.hamiltonian
-    table = PowerTable(h)
-    m = spec.m
-    ident = _identity_axes(h.n)
-    occurrences = 0
-    unique: set[QueryKey] = set()
-
     if spec.kind == "fault":
-        axes_list = [ident] + [t.axes for t in h if not t.is_identity]
-        for i in range(m):
-            for j in range(m):
-                for axes in axes_list:
-                    occurrences += 1
-                    unique.add(("fault", i, j, axes))
-    elif spec.kind == "power":
-        for i in range(1, m):
-            for j in range(1, m):
-                for power in (i + j - 2, i + j - 1):
-                    for t in table.power(power):
-                        occurrences += 1
-                        unique.add(("power", "dsp", t.axes))
-        # boundary row and column are distinct elements in the ordered tally
-        for _side in range(2):
-            for j in range(1, m):
-                for power in (j - 1, j):
-                    for t in table.power(power):
-                        if t.is_identity:
-                            continue
-                        occurrences += 1 if spec.boundary_state_only else 2
-                        unique.add(("power", "rho", t.axes))
-                        if not spec.boundary_state_only:
-                            unique.add(("power", "dual", t.axes))
+        s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian,
+                                        lambda i, j, axes: ("fault", i, j, axes))
     else:
-        part = spec.partition
-        nblocks = len(part.blocks)
-        if block_keys is None:
-            if spec.merge_identical_blocks and len({len(b) for b in part.blocks}) == 1:
-                block_keys = ["shared"] * nblocks
-            else:
-                block_keys = [str(l) for l in range(nblocks)]
-        for i in range(1, m):
-            for j in range(1, m):
-                for power in (i + j - 2, i + j - 1):
-                    for t in table.power(power):
-                        subs = factorize(t, part)
-                        for l in range(nblocks):
-                            occurrences += 1
-                            unique.add(("dc", "dsp", block_keys[l], subs[l].axes))
-        for _side in range(2):  # boundary row and column
-            for j in range(1, m):
-                for power in (j - 1, j):
-                    for t in table.power(power):
-                        if t.is_identity:
-                            continue
-                        subs = factorize(t, part)
-                        for l in range(nblocks):
-                            if subs[l].is_identity:
-                                continue
-                            occurrences += 1 if spec.boundary_state_only else 2
-                            unique.add(("dc", "rho", block_keys[l], subs[l].axes))
-                            if not spec.boundary_state_only:
-                                unique.add(("dc", "dual", block_keys[l], subs[l].axes))
-
+        nb = len(spec.blocks)
+        if spec.merge_identical_blocks and len({len(b) for b in spec.blocks}) == 1:
+            block_keys = ["shared"] * nb
+        else:
+            block_keys = [str(l) for l in range(nb)]
+        s_terms, h_terms, _, _ = _divided_terms(
+            spec, lambda which, l, axes: _state_id(spec.kind, which, block_keys[l]) + (axes,),
+            [1.0] * nb, [1.0] * nb)
+    unique: set[QueryKey] = set()
+    occurrences = 0
+    for terms in (s_terms, h_terms):
+        for (i, j), entry in terms.items():
+            for _, keys in entry:
+                unique.update(keys)
+                occurrences += len(keys) * (1 if i == j else 2)
     ordered = tuple(sorted(unique, key=repr))
-    q = len(ordered) if reuse else occurrences
+    q = len(ordered) if reuse or spec.kind == "fault" else occurrences
     return QueryPlan(spec.kind, reuse, ordered, q)

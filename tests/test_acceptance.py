@@ -262,9 +262,10 @@ class TestCriterion04PowerSuppression:
         for p1 in (2e-6, 2e-5, 2e-4):
             noise = NoiseModel(kind="stochastic_pauli", p1=p1)
             biases = []
+            full = build(SubspaceSpec("power", 5, path8["h"]), path8["ansatz"], noise,
+                         with_variances=False)
             for m in range(2, 6):
-                spec = SubspaceSpec("power", m, path8["h"])
-                mats = build(spec, path8["ansatz"], noise, with_variances=False)
+                mats = full.leading(m)
                 sol = solve_pencil(mats.s, mats.h, path8["window"], 1e-10)
                 biases.append(abs(sol.energy - path8["e_true"]))
             decreasing = all(b2 < b1 for b1, b2 in zip(biases, biases[1:]))
@@ -292,9 +293,10 @@ class TestCriterion05FaultBand:
         for p1 in (2e-6, 2e-5, 2e-4):
             noise = NoiseModel(kind="stochastic_pauli", p1=p1)
             biases = {}
+            full = build(SubspaceSpec("fault", 5, path8["h"]), path8["ansatz"], noise,
+                         with_variances=False)
             for m in range(1, 6):
-                spec = SubspaceSpec("fault", m, path8["h"])
-                mats = build(spec, path8["ansatz"], noise, with_variances=False)
+                mats = full.leading(m)
                 sol = solve_pencil(mats.s, mats.h, path8["window"], 1e-10)
                 biases[m] = abs(sol.energy - path8["e_true"])
             devs = {m: abs(b - base) for m, b in biases.items()}
@@ -322,10 +324,11 @@ class TestCriterion06DividedSuppression:
         for p1 in (2e-6, 2e-5, 2e-4):
             noise = NoiseModel(kind="stochastic_pauli", p1=p1)
             biases = {}
+            spec = SubspaceSpec("dc", 6, path8["h"], partition=blocks44["part"])
+            full = build(spec, [blocks44["sub"], blocks44["sub"]], noise,
+                         with_variances=False)
             for m in range(2, 7):
-                spec = SubspaceSpec("dc", m, path8["h"], partition=blocks44["part"])
-                mats = build(spec, [blocks44["sub"], blocks44["sub"]], noise,
-                             with_variances=False)
+                mats = full.leading(m)
                 sol = solve_pencil(mats.s, mats.h, path8["window"], 1e-10)
                 biases[m] = abs(sol.energy - path8["e_true"])
             m2_ok = abs(biases[2] - sep) <= 0.05 * sep

@@ -42,6 +42,18 @@ class TestRegularize:
         red = regularize(s, np.eye(2), threshold=1e-8)
         assert red.lambda_min_raw == pytest.approx(0.01)
 
+    def test_scaled_lambda_min_recorded(self):
+        # non-unit diagonal: the raw overlap's floor is (5 - sqrt(13)) / 2, the
+        # unit-diagonal overlap [[1, 1/2], [1/2, 1]] has floor 1/2
+        s = np.array([[4.0, 1.0], [1.0, 1.0]])
+        h = np.diag([-2.0, -1.0])
+        red = regularize(s, h, threshold=1e-8)
+        assert red.lambda_min_raw == pytest.approx((5.0 - np.sqrt(13.0)) / 2.0)
+        assert red.lambda_min_scaled == pytest.approx(0.5)
+        sol = solve(red, (-10.0, 0.0))
+        assert sol.lambda_min_raw == red.lambda_min_raw
+        assert sol.lambda_min_scaled == red.lambda_min_scaled
+
 
 class TestSolve:
     def test_window_selection(self):

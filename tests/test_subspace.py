@@ -1,5 +1,11 @@
+import json
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qemlab import models
 from qemlab.channels import NoiseModel, noiseless
@@ -10,10 +16,12 @@ from qemlab.pauli import (
     PowerTable,
     SystemPartition,
     build_ising,
+    sum_pow,
     term_matrix,
 )
 from qemlab.purification import dsp_expectation
-from qemlab.subspace import SubspaceSpec, build, plan_queries
+from qemlab.experiments import subspace_spec
+from qemlab.subspace import SubspaceSpec, build, plan_queries, term_expansion
 from qemlab.vqe import optimize
 
 PAULI = NoiseModel(kind="stochastic_pauli", p1=1e-3)
@@ -289,3 +297,102 @@ class TestQueryPlans:
         assert plan.shots_per_query(1e6) == pytest.approx(1e6 / plan.q)
         with pytest.raises(ValueError):
             plan.shots_per_query(1.0)
+
+
+class TestLeadingBlock:
+    """One build at M_max, sliced, against a fresh build at each M."""
+
+    M_MAX = 5
+
+    @staticmethod
+    def _case(kind, seed, bso):
+        h = build_ising(path(4), 4)
+        rng = np.random.default_rng(seed)
+        if kind == "dc":
+            part = SystemPartition(((0, 1), (2, 3)))
+            subs = [build_ansatz(2, 2, rng.uniform(-np.pi, np.pi, 12), path(2))
+                    for _ in range(2)]
+            return (lambda m: SubspaceSpec("dc", m, h, partition=part,
+                                           boundary_state_only=bso)), subs
+        ansatz = build_ansatz(4, 2, rng.uniform(-np.pi, np.pi, 24), path(4))
+        kwargs = {"boundary_state_only": bso} if kind == "power" else {}
+        return (lambda m: SubspaceSpec(kind, m, h, **kwargs)), ansatz
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["power", "fault", "dc"]),
+           noisy=st.booleans(),
+           bso=st.booleans(),
+           seed=st.integers(0, 2**16),
+           m=st.integers(1, M_MAX))
+    def test_slice_equals_fresh_build(self, kind, noisy, bso, seed, m):
+        spec_at, arg = self._case(kind, seed, bso)
+        noise = PAULI if noisy else noiseless()
+        got = build(spec_at(self.M_MAX), arg, noise).leading(m)
+        want = build(spec_at(m), arg, noise)
+        assert got.m == want.m == m
+        for name in ("s", "h", "var_s", "var_h"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.query_keys() == want.query_keys()
+        for key in want.query_keys():
+            assert got.queries[key].value == want.queries[key].value
+            assert got.queries[key].var == want.queries[key].var
+        assert got.ledger_rows() == want.ledger_rows()
+
+    def test_slice_bounds(self):
+        spec_at, arg = self._case("power", 0, False)
+        mats = build(spec_at(3), arg, noiseless())
+        assert mats.leading(3).m == 3
+        for m in (0, 4):
+            with pytest.raises(ConfigError):
+                mats.leading(m)
+
+
+# (Q without reuse, Q with reuse) per (kind, M): the counts that
+# configs/fig-queries.json writes to queries.csv, pinned
+FIG_QUERIES_Q = {
+    ("power", 2): (76, 46), ("power", 3): (1120, 618),
+    ("power", 4): (7619, 2811), ("power", 5): (28675, 6530),
+    ("fault", 2): (64, 64), ("fault", 3): (144, 144),
+    ("fault", 4): (256, 256), ("fault", 5): (400, 400),
+    ("dc", 2): (64, 19), ("dc", 3): (1640, 106),
+    ("dc", 4): (12870, 202), ("dc", 5): (50654, 292),
+}
+
+
+def test_fig_queries_counts_unchanged():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "fig-queries.json")) as fh:
+        cfg = json.load(fh)
+    n, edges = models.graph(cfg["graph"])
+    h = build_ising(edges, n)
+    got = {}
+    for kind in cfg["kinds"]:
+        for m in cfg["m_values"]:
+            spec = subspace_spec(kind, m, h, cfg["partition"], cfg["subspace"])
+            got[(kind, m)] = (plan_queries(spec, reuse=False).q,
+                              plan_queries(spec, reuse=True).q)
+    assert got == FIG_QUERIES_Q
+
+
+@pytest.mark.parametrize("scale", [1.25, 1.5, 1.75, 2.25, 2.5, 2.75])
+def test_shared_expansion_under_threads(scale):
+    # scenario threads of `qemlab sweep --threads` share one expansion; a lost
+    # race while extending it would file a power under the wrong exponent.
+    # Each scale is a Hamiltonian no other test expands, so the cache is cold.
+    h = build_ising(path(5), 5).scaled(scale)
+    blocks = ((0, 1), (2, 3, 4))
+    want = [[(t.coeff, tuple("".join(t.axes[q] for q in b) for b in blocks))
+             for t in sum_pow(h, k)] for k in range(8)]
+
+    def expand():
+        return [term_expansion(h, blocks).power(k) for k in range(8)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(expand) for _ in range(8)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(old)
+    assert all(g == want for g in got)
