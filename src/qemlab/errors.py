@@ -25,6 +25,14 @@ class EmptySubspaceError(ArithmeticError):
     """Regularization discarded every basis direction."""
 
 
+class NonFinitePencilError(ArithmeticError):
+    """A pencil entry is NaN or infinite."""
+
+
+class NonHermitianOverlapError(ValueError):
+    """The overlap matrix departs from hermiticity beyond rounding."""
+
+
 class SelectionFailureError(ArithmeticError):
     """No pencil eigenvalue inside the requested energy window."""
 

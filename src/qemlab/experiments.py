@@ -252,23 +252,23 @@ def scenario_bias_vs_m(cfg: dict) -> dict:
 
 def scenario_shots(cfg: dict) -> dict:
     """Energy distribution moments over a shot-budget grid."""
-    prob = Problem(cfg)
     kind = cfg.get("subspace", {}).get("kind", "power")
     m_values = cfg.get("subspace", {}).get("m_values", [2, 3])
     ns_values = cfg.get("shots", {}).get("ns_values",
                                          [1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
     n_samples = cfg.get("shots", {}).get("n_samples", 1000)
+    shot_cfgs = [ShotConfig(ns=ns, n_samples=n_samples, seed=cfg.get("seed", 0))
+                 for ns in ns_values]
+    prob = Problem(cfg)
     p1 = cfg.get("noise", {}).get("p1", 2e-6)
     noise = _noise_model(cfg, p1)
-    seed = cfg.get("seed", 0)
     rows = []
     for m, mats in prob.build(kind, m_values, noise):
         q = len(mats.queries)
         exact_sol = solve_pencil(mats.s, mats.h, prob.window, 1e-10)
         bound = postselect_bound(mats.s, prob.h.weight(), m)
-        for ns in ns_values:
-            dist = sample_distribution(
-                mats, ShotConfig(ns=ns, n_samples=n_samples, seed=seed), prob.window)
+        for ns, shot_cfg in zip(ns_values, shot_cfgs):
+            dist = sample_distribution(mats, shot_cfg, prob.window)
             ub = 4.0 * prob.h.weight() * q / max(bound.lambda_min, 1e-300) / np.sqrt(ns)
             rows.append((kind, m, ns, dist.mean, dist.stddev,
                          dist.mean - prob.e_true, dist.rejections, q,
@@ -279,18 +279,17 @@ def scenario_shots(cfg: dict) -> dict:
 
 
 def scenario_histogram(cfg: dict) -> dict:
-    prob = Problem(cfg)
     kind = cfg.get("subspace", {}).get("kind", "power")
     m_values = cfg.get("subspace", {}).get("m_values", [2, 3])
-    ns = cfg.get("shots", {}).get("ns", 1e8)
-    n_samples = cfg.get("shots", {}).get("n_samples", 1000)
+    shots = cfg.get("shots", {})
+    shot_cfg = ShotConfig(ns=shots.get("ns", 1e8), n_samples=shots.get("n_samples", 1000),
+                          seed=cfg.get("seed", 0))
+    prob = Problem(cfg)
     p1 = cfg.get("noise", {}).get("p1", 2e-6)
     noise = _noise_model(cfg, p1)
     rows = []
     for m, mats in prob.build(kind, m_values, noise):
-        dist = sample_distribution(
-            mats, ShotConfig(ns=ns, n_samples=n_samples, seed=cfg.get("seed", 0)),
-            prob.window)
+        dist = sample_distribution(mats, shot_cfg, prob.window)
         for idx, e in enumerate(dist.samples):
             rows.append((kind, m, idx, e))
     header = ("kind", "m", "sample_idx", "energy")

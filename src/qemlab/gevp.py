@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptySubspaceError, SelectionFailureError
+from .errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
+    SelectionFailureError
 
 
 @dataclass
@@ -51,16 +52,20 @@ def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
 
     The overlap is scaled to a unit diagonal first; eigenvalues of the scaled
     matrix above threshold * lambda_max are retained.  Indices whose diagonal
-    entry is not positive are discarded outright.
+    entry is not positive are discarded outright.  A NaN or infinite entry
+    raises NonFinitePencilError, a non-hermitian overlap
+    NonHermitianOverlapError.
     """
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
     m = s.shape[0]
     if s.shape != (m, m) or h.shape != (m, m):
         raise ValueError("pencil matrices must be square and equally sized")
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(h))):
+        raise NonFinitePencilError("pencil has a NaN or infinite entry")
     herm = np.max(np.abs(s - s.conj().T))
     if herm > 1e-8 * max(1.0, float(np.max(np.abs(s)))):
-        raise ValueError(f"overlap not hermitian (deviation {herm:.3e})")
+        raise NonHermitianOverlapError(f"overlap not hermitian (deviation {herm:.3e})")
     lambda_min_raw = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0])
 
     diag = np.real(np.diag(s)).copy()

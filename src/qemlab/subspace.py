@@ -3,9 +3,10 @@
 Every matrix element is a constant plus a sum of coefficient-weighted
 products of *query values*, a query being one (prepared state, Pauli
 observable) pair.  The ledger of unique queries is what shot-noise
-perturbation and measurement-cost counting operate on; assembling from the
-ledger and assembling exactly are the same code path, so the infinite-shot
-limit reproduces the exact matrices by construction.
+perturbation and measurement-cost counting operate on.  ``compile`` lowers
+it to a ``CompiledLedger``, whose one ``assemble`` builds the exact pencil
+and every stack of noisy samples, so the infinite-shot limit reproduces the
+exact matrices by construction.
 
 Fault basis:   the state at software-amplified noise rates.
 Divided basis: per-block states tensored, powers of the Hamiltonian
@@ -92,9 +93,48 @@ class Query:
     var: float
 
 
+@dataclass(frozen=True)
+class CompiledLedger:
+    """Term lists over the ledger's queries, in ``repr`` order (``keys``).
+
+    A slot is one reading, of a query or of one use of it; ``slot_query`` maps
+    slots to queries.  ``elements`` holds (which, i, j, const, [(coeff, slots)]),
+    which 0 for S and 1 for H."""
+
+    m: int
+    keys: list[QueryKey]
+    value: np.ndarray
+    var: np.ndarray
+    slot_query: np.ndarray
+    elements: list[tuple]
+
+    def assemble(self, re: Sequence, im: Sequence, n: int = 1
+                 ) -> tuple[np.ndarray, np.ndarray]:
+        """(n, m, m) stacks of S and H from slot readings re[k] + i im[k].
+
+        A reading is a float, or an array over n samples: the arithmetic runs
+        across samples, never across terms.  Terms add in list order and
+        multiply left to right in the textbook complex form, so each sample
+        rounds as a scalar assembly would (numpy's complex product may fuse)."""
+        out = np.zeros((2, n, self.m, self.m), dtype=complex)
+        for which, i, j, const, terms in self.elements:
+            vr, vi = const.real, const.imag
+            for coeff, slots in terms:
+                pr, pi = coeff.real, coeff.imag
+                for k in slots:
+                    pr, pi = pr * re[k] - pi * im[k], pr * im[k] + pi * re[k]
+                vr, vi = vr + pr, vi + pi
+            mat = out[which]
+            mat.real[:, i, j], mat.imag[:, i, j] = vr, vi
+            if i != j:
+                mat.real[:, j, i], mat.imag[:, j, i] = vr, -vi
+        return out[0], out[1]
+
+
 @dataclass
 class SubspaceMatrices:
-    """The pencil, its per-element variances, and the query ledger."""
+    """The pencil, its per-element variances (None if not asked for), and
+    the query ledger."""
 
     kind: str
     m: int
@@ -105,18 +145,47 @@ class SubspaceMatrices:
     h_terms: dict[tuple[int, int], list[Term]]
     s_const: dict[tuple[int, int], complex]
     h_const: dict[tuple[int, int], complex]
+    with_variances: bool = True
     s: np.ndarray = field(init=False)
     h: np.ndarray = field(init=False)
-    var_s: np.ndarray = field(init=False)
-    var_h: np.ndarray = field(init=False)
+    var_s: np.ndarray | None = field(init=False)
+    var_h: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
-        self.s, self.h = self.assemble()
-        self.var_s = self._variances(self.s_terms)
-        self.var_h = self._variances(self.h_terms)
+        ledger = self.compile()
+        s, h = ledger.assemble(ledger.value.real.tolist(), ledger.value.imag.tolist())
+        self.s, self.h = s[0], h[0]
+        self.var_s = self._variances(self.s_terms) if self.with_variances else None
+        self.var_h = self._variances(self.h_terms) if self.with_variances else None
 
     def query_keys(self) -> list[QueryKey]:
         return sorted(self.queries.keys(), key=repr)
+
+    def compile(self, per_use: bool = False) -> CompiledLedger:
+        """Lower the ledger; per_use gives every use of a query its own slot."""
+        keys = self.query_keys()
+        index = {k: q for q, k in enumerate(keys)}
+        slot_query = [] if per_use else list(range(len(keys)))
+
+        def slots(ks) -> tuple[int, ...]:
+            if not per_use:
+                return tuple(index[k] for k in ks)
+            slot_query.extend(index[k] for k in ks)
+            return tuple(range(len(slot_query) - len(ks), len(slot_query)))
+
+        elements, lowered = [], {}  # elements with equal i + j share one entry list
+        for which, terms, consts in ((0, self.s_terms, self.s_const),
+                                     (1, self.h_terms, self.h_const)):
+            for ij, entry in terms.items():
+                if per_use or id(entry) not in lowered:
+                    lowered[id(entry)] = [(complex(c), slots(ks)) for c, ks in entry]
+                elements.append((which, *ij, complex(consts.get(ij, 0.0)), lowered[id(entry)]))
+            elements += [(which, *ij, complex(c), []) for ij, c in consts.items()
+                         if ij not in terms]
+        qs = [self.queries[k] for k in keys]
+        return CompiledLedger(self.m, keys, np.array([q.value for q in qs], dtype=complex),
+                              np.array([q.var for q in qs], dtype=float),
+                              np.array(slot_query, dtype=int), elements)
 
     def leading(self, m: int) -> "SubspaceMatrices":
         """The leading m x m pencil, with the ledger of the queries it reads.
@@ -136,34 +205,9 @@ class SubspaceMatrices:
         out.queries = {k: q for k, q in self.queries.items() if k in used}
         out.s_terms, out.h_terms, out.s_const, out.h_const = s_terms, h_terms, s_const, h_const
         for name in ("s", "h", "var_s", "var_h"):
-            setattr(out, name, getattr(self, name)[:m, :m].copy())
+            mat = getattr(self, name)
+            setattr(out, name, None if mat is None else mat[:m, :m].copy())
         return out
-
-    def assemble(self, lookup: Callable[[QueryKey], complex] | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Build (S, H) from query values; lookup overrides the exact ones."""
-        if lookup is None:
-            lookup = lambda key: self.queries[key].value
-        out = []
-        for terms, consts in ((self.s_terms, self.s_const), (self.h_terms, self.h_const)):
-            mat = np.zeros((self.m, self.m), dtype=complex)
-            for (i, j), entry in terms.items():
-                val = consts.get((i, j), 0.0)
-                for coeff, keys in entry:
-                    prod = coeff
-                    for k in keys:
-                        prod *= lookup(k)
-                    val += prod
-                mat[i, j] = val
-                if i != j:
-                    mat[j, i] = np.conj(val)
-            for (i, j), cval in consts.items():
-                if (i, j) not in terms:
-                    mat[i, j] = cval
-                    if i != j:
-                        mat[j, i] = np.conj(cval)
-            out.append(mat)
-        return out[0], out[1]
 
     def _variances(self, terms: dict[tuple[int, int], list[Term]]) -> np.ndarray:
         var = np.zeros((self.m, self.m))
@@ -363,7 +407,7 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
 
     s_terms, h_terms = _fault_terms(spec.m, h, pair_key)
     return SubspaceMatrices("fault", spec.m, h.n, h.weight(), queries,
-                            s_terms, h_terms, {}, {})
+                            s_terms, h_terms, {}, {}, with_variances)
 
 
 def _block_fingerprint(circ: Circuit) -> str:
@@ -425,7 +469,8 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
 
     terms = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
                            [complex(np.trace(b)) for b in bars])
-    return SubspaceMatrices(spec.kind, spec.m, h.n, h.weight(), queries, *terms)
+    return SubspaceMatrices(spec.kind, spec.m, h.n, h.weight(), queries, *terms,
+                            with_variances)
 
 
 def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, backend: str = "oracle",
@@ -446,7 +491,7 @@ class QueryPlan:
 
     def shots_per_query(self, ns: float) -> float:
         if ns < self.q:
-            raise ValueError(f"budget {ns} below one shot per query ({self.q})")
+            raise ConfigError(f"budget {ns} below one shot per query ({self.q})")
         return ns / self.q
 
 

@@ -4,7 +4,8 @@ import scipy.linalg
 
 from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import build_ansatz
-from qemlab.errors import EmptySubspaceError, SelectionFailureError
+from qemlab.errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
+    SelectionFailureError
 from qemlab.gevp import energy_window, regularize, solve, solve_pencil
 from qemlab.pauli import build_ising
 from qemlab.subspace import SubspaceSpec, build
@@ -41,6 +42,22 @@ class TestRegularize:
         s = np.diag([4.0, 0.01])
         red = regularize(s, np.eye(2), threshold=1e-8)
         assert red.lambda_min_raw == pytest.approx(0.01)
+
+    @pytest.mark.parametrize("which,bad", [("s", np.nan), ("s", np.inf), ("h", np.nan),
+                                           ("h", -np.inf)])
+    def test_non_finite_entry_is_typed(self, which, bad):
+        # NaN > x is False, so a NaN overlap used to pass the hermiticity check
+        # and surface as an empty subspace
+        mats = {"s": np.eye(2, dtype=complex), "h": np.diag([-2.0, -1.0]).astype(complex)}
+        mats[which][0, 1] = bad
+        with pytest.raises(NonFinitePencilError):
+            regularize(mats["s"], mats["h"], threshold=1e-8)
+
+    def test_non_hermitian_overlap_is_typed(self):
+        s = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(NonHermitianOverlapError) as info:
+            regularize(s, np.eye(2), threshold=1e-8)
+        assert isinstance(info.value, ValueError)
 
     def test_scaled_lambda_min_recorded(self):
         # non-unit diagonal: the raw overlap's floor is (5 - sqrt(13)) / 2, the

@@ -1,11 +1,24 @@
+import functools
+import json
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from qemlab.channels import NoiseModel
+from qemlab import shotnoise, subspace
+from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import attach_noise, build_ansatz, dual_state, run
-from qemlab.errors import EmptyDistributionError
+from qemlab.cli import main
+from qemlab.errors import (
+    ConfigError,
+    EmptyDistributionError,
+    EmptySubspaceError,
+    NonFinitePencilError,
+    SelectionFailureError,
+)
 from qemlab.gevp import energy_window, solve_pencil
-from qemlab.pauli import PauliTerm, build_ising, term_matrix
+from qemlab.pauli import PauliTerm, SystemPartition, build_ising, term_matrix
 from qemlab.purification import dsp_circuit
 from qemlab.shotnoise import (
     ShotConfig,
@@ -242,3 +255,221 @@ class TestSampleDistribution:
             stds.append(dist.stddev)
         slope = np.polyfit(np.log10([1e7, 1e9, 1e11]), np.log10(stds), 1)[0]
         assert -0.55 <= slope <= -0.45
+
+
+# ---------------------------------------------------------------------------
+# the scalar sampling loop, kept as the oracle of the compiled ledger
+
+
+def oracle_pencil(mats, lookup):
+    """Scalar assembly: each element is its constant plus its terms in order,
+    each term the coefficient times its query values left to right."""
+    out = []
+    for terms, consts in ((mats.s_terms, mats.s_const), (mats.h_terms, mats.h_const)):
+        mat = np.zeros((mats.m, mats.m), dtype=complex)
+        for (i, j), entry in terms.items():
+            val = consts.get((i, j), 0.0)
+            for coeff, keys in entry:
+                prod = coeff
+                for k in keys:
+                    prod *= lookup(k)
+                val += prod
+            mat[i, j] = val
+            if i != j:
+                mat[j, i] = np.conj(val)
+        for (i, j), cval in consts.items():
+            if (i, j) not in terms:
+                mat[i, j] = cval
+                if i != j:
+                    mat[j, i] = np.conj(cval)
+        out.append(mat)
+    return out[0], out[1]
+
+
+def oracle_perturb(mats, cfg, rng):
+    """One scalar draw per query in repr order, or one per use in assembly order."""
+    keys = sorted(mats.queries, key=repr)
+    spq = cfg.ns / max(len(keys), 1)
+
+    def noisy(key):
+        qu = mats.queries[key]
+        return qu.value + rng.normal(0.0, np.sqrt(qu.var / spq))
+
+    if cfg.per_element:
+        return oracle_pencil(mats, noisy)
+    values = {key: noisy(key) for key in keys}
+    return oracle_pencil(mats, values.__getitem__)
+
+
+def oracle_samples(mats, cfg, window, threshold):
+    energies, rejections = [], 0
+    for k in range(cfg.n_samples):
+        s, h = oracle_perturb(mats, cfg, np.random.default_rng([cfg.seed, k]))
+        try:
+            energies.append(solve_pencil(s, h, window, threshold).energy)
+        except (SelectionFailureError, EmptySubspaceError):
+            rejections += 1
+    return np.array(energies), rejections
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(kind, noisy, m=3):
+    """A path-4 pencil per basis; dc has two distinct blocks, so its bulk
+    terms are products of two queries."""
+    h = build_ising(path(4), 4)
+    noise = PAULI if noisy else noiseless()
+    if kind == "dc":
+        part = SystemPartition(((0, 1), (2, 3)))
+        h2 = build_ising(path(2), 2)
+        subs = [build_ansatz(2, 2, optimize(2, 2, h2, iters=40, seed=s).params, path(2))
+                for s in (3, 4)]
+        mats = build(SubspaceSpec("dc", m, h, partition=part), subs, noise)
+    else:
+        res = optimize(4, 2, h, iters=40, seed=3)
+        mats = build(SubspaceSpec(kind, m, h), build_ansatz(4, 2, res.params, path(4)), noise)
+    # the window is centred on the pencil's own energy, so that narrow
+    # windows reject some samples and wide ones none
+    return mats, solve_pencil(mats.s, mats.h, (-100.0, 0.0), 1e-10).energy
+
+
+class TestCompiledLedger:
+    def test_exact_pencil_matches_scalar_assembly(self):
+        for kind in ("power", "fault", "dc"):
+            for noisy in (False, True):
+                mats, _ = oracle_case(kind, noisy)
+                s, h = oracle_pencil(mats, lambda k: mats.queries[k].value)
+                assert np.array_equal(mats.s, s) and np.array_equal(mats.h, h)
+                assert np.array_equal(np.signbit(mats.s.imag), np.signbit(s.imag))
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["power", "fault", "dc"]),
+           noisy=st.booleans(),
+           per_element=st.booleans(),
+           seed=st.integers(0, 2**31 - 1),
+           n_samples=st.integers(1, 24),
+           log_ns=st.floats(4.0, 12.0),
+           frac=st.sampled_from([0.1, 0.02, 0.002]))
+    @example(kind="power", noisy=True, per_element=False, seed=5, n_samples=24,
+             log_ns=5.0, frac=0.002)
+    def test_samples_equal_scalar_loop(self, kind, noisy, per_element, seed,
+                                       n_samples, log_ns, frac):
+        mats, e_mid = oracle_case(kind, noisy)
+        cfg = ShotConfig(ns=10.0 ** log_ns, n_samples=n_samples, seed=seed,
+                         per_element=per_element)
+        window = energy_window(e_mid, frac)
+        threshold = 10.0 / np.sqrt(cfg.ns)
+        want, want_rejected = oracle_samples(mats, cfg, window, threshold)
+        if len(want) == 0:
+            with pytest.raises(EmptyDistributionError):
+                sample_distribution(mats, cfg, window)
+            return
+        got = sample_distribution(mats, cfg, window)
+        assert np.array_equal(got.samples, want)
+        assert got.rejections == want_rejected
+
+    def test_window_rejects_some_samples(self):
+        # the explicit example above exercises rejections, not just acceptances
+        mats, e_mid = oracle_case("power", True)
+        cfg = ShotConfig(ns=1e5, n_samples=24, seed=5)
+        got = sample_distribution(mats, cfg, energy_window(e_mid, 0.002))
+        assert 0 < got.rejections < cfg.n_samples
+
+    def test_perturb_equals_scalar_draws(self):
+        for kind in ("power", "fault", "dc"):
+            mats, _ = oracle_case(kind, True)
+            for per_element in (False, True):
+                cfg = ShotConfig(ns=1e6, per_element=per_element)
+                s, h = perturb(mats, cfg, np.random.default_rng(4))
+                ws, wh = oracle_perturb(mats, cfg, np.random.default_rng(4))
+                assert np.array_equal(s, ws) and np.array_equal(h, wh)
+
+    def test_stacks_split_without_changing_samples(self, monkeypatch):
+        mats, e_mid = oracle_case("dc", True)
+        cfg = ShotConfig(ns=1e7, n_samples=10, seed=2)
+        window = energy_window(e_mid)
+        whole = sample_distribution(mats, cfg, window)
+        monkeypatch.setattr(shotnoise, "_STACK", 3)
+        split = sample_distribution(mats, cfg, window)
+        assert np.array_equal(whole.samples, split.samples)
+        assert whole.rejections == split.rejections
+
+    @pytest.mark.parametrize("kind", ["power", "fault", "dc"])
+    def test_leading_slice_samples_like_fresh_build(self, kind):
+        big, _ = oracle_case(kind, True, m=3)
+        fresh, e_mid = oracle_case(kind, True, m=2)
+        cfg = ShotConfig(ns=1e8, n_samples=30, seed=21)
+        window = energy_window(e_mid)
+        got = sample_distribution(big.leading(2), cfg, window)
+        want = sample_distribution(fresh, cfg, window)
+        assert np.array_equal(got.samples, want.samples)
+        assert got.rejections == want.rejections
+
+
+class TestNoVarianceBuild:
+    def test_variances_skipped_and_sampling_refused(self, monkeypatch):
+        def no_chain(*a, **k):
+            raise AssertionError("a build without variances computes none")
+
+        monkeypatch.setattr(subspace, "var_product_chain", no_chain)
+        h = build_ising(path(3), 3)
+        ansatz = build_ansatz(3, 1, np.full(12, 0.3), path(3))
+        mats = build(SubspaceSpec("power", 3, h), ansatz, PAULI, with_variances=False)
+        assert not mats.with_variances
+        assert mats.var_s is None and mats.var_h is None
+        part = mats.leading(2)
+        assert part.var_s is None and not part.with_variances
+        cfg = ShotConfig(ns=1e8, n_samples=5)
+        for target in (mats, part):
+            with pytest.raises(ConfigError):
+                sample_distribution(target, cfg, (-100.0, 0.0))
+            with pytest.raises(ConfigError):
+                perturb(target, cfg, np.random.default_rng(0))
+
+
+class TestShotSettings:
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, "10"])
+    def test_bad_sample_count(self, n_samples):
+        with pytest.raises(ConfigError):
+            ShotConfig(ns=1e8, n_samples=n_samples)
+
+    @pytest.mark.parametrize("ns", [float("nan"), 0.0, -1e6, "1e6", None])
+    def test_bad_budget(self, ns):
+        with pytest.raises(ConfigError):
+            ShotConfig(ns=ns)
+
+    def test_budget_below_one_shot_per_query_is_config_error(self):
+        mats = synthetic_matrices()
+        with pytest.raises(ConfigError):
+            sample_distribution(mats, ShotConfig(ns=0.5, n_samples=3), (-10.0, 10.0))
+        with pytest.raises(ConfigError):
+            perturb(mats, ShotConfig(ns=0.5), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("scenario,shots", [
+        ("stddev-vs-shots", {"ns_values": [1e6], "n_samples": 0}),
+        ("stddev-vs-shots", {"ns_values": [1e6], "n_samples": 2.5}),
+        ("stddev-vs-shots", {"ns_values": [float("nan")], "n_samples": 10}),
+        ("histogram", {"ns": -1.0, "n_samples": 10}),
+    ])
+    def test_run_exits_one(self, tmp_path, monkeypatch, scenario, shots):
+        def no_vqe(*a, **k):
+            raise AssertionError("malformed shot settings are rejected before any VQE")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_vqe)
+        cfg = {"scenario": scenario, "seed": 0, "graph": "path-4",
+               "vqe": {"layers": 1, "iters": 5, "seed": 1},
+               "noise": {"kind": "stochastic_pauli", "p1": 2e-4},
+               "subspace": {"kind": "power", "m_values": [2]}, "shots": shots}
+        path_cfg = tmp_path / "cfg.json"
+        path_cfg.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path_cfg), "--out-dir", str(tmp_path / "o")]) == 1
+
+
+class TestNonFiniteSample:
+    def test_nan_query_raises_instead_of_rejecting(self):
+        key = (("syn",), "Z")
+        queries = {key: Query(("syn",), "Z", complex(float("nan"), 0.0), 0.04)}
+        terms = {(0, 0): [(1.0, (key,))], (0, 1): [(0.1, (key,))], (1, 1): [(1.0, ())]}
+        h_terms = {(0, 0): [(-1.0, ())], (0, 1): [], (1, 1): [(-2.0, ())]}
+        mats = SubspaceMatrices("power", 2, 1, 1.0, queries, terms, h_terms, {}, {})
+        with pytest.raises(NonFinitePencilError):
+            sample_distribution(mats, ShotConfig(ns=1e6, n_samples=4), (-10.0, 0.0))
