@@ -50,11 +50,6 @@ def partition(name: str) -> SystemPartition:
     return PARTITIONS[name]
 
 
-def ising_hamiltonian(name: str) -> PauliSum:
-    n, edges = graph(name)
-    return build_ising(edges, n)
-
-
 def block_subproblem(edges: list[tuple[int, int]], block: tuple[int, ...]
                      ) -> tuple[PauliSum, list[tuple[int, int]]]:
     """Ising model restricted to one partition block, in block-local indices."""

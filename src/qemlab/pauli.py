@@ -158,9 +158,6 @@ class PauliSum:
     def identity_coefficient(self) -> complex:
         return self._terms.get((0, 0), 0.0)
 
-    def axes_patterns(self) -> list[str]:
-        return [_masks_to_axes(x, z, self.n) for (x, z) in sorted(self._terms)]
-
     def weight(self) -> float:
         """Sum of coefficient magnitudes."""
         return float(sum(abs(c) for c in self._terms.values()))

@@ -8,27 +8,30 @@ over the unique queries.  Sampling compiles the pencil's ledger once per call
 ``normal`` call from ``default_rng([seed, k])``, which consumes the stream as
 one scalar draw per slot would; a slot is a query, so reused queries move
 together, or in the per-element mode one use.  A stack of samples is
-assembled in one pass over the terms and each sample is solved on its own.
-The arithmetic runs across samples, never across terms: a sum over terms
-rounds in another order, and the ill-conditioned pencils (unit-diagonal
-lambda_min 1.76e-5 at M = 3 on path-8) carry that into the 12 digits the CSVs
-print.  The exact pencil is the same assembly over the exact values.
+assembled in one pass over the terms and solved by ``gevp.stack_energies``:
+scaling and the overlap ``eigh`` run over the stack, the threshold cut and
+the reduced solve per sample.  The arithmetic runs across samples, never
+across terms: a sum over terms rounds in another order, and the
+ill-conditioned pencils (unit-diagonal lambda_min 1.76e-5 at M = 3 on path-8)
+carry that into the 12 digits the CSVs print.  The exact pencil is the same
+assembly over the exact values.
+
+The DSP variances of one state pair are computed in one pass
+(``var_dsp_many``): the trace product behind each is formed once per X mask
+and only re-signed per string, which leaves every summand and the order of
+the sum, and so the rounding, as in the dense sandwich.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDistributionError, EmptySubspaceError, \
-    SelectionFailureError
-from .gevp import solve_pencil
-from .pauli import expect_pauli, sandwich_pauli
-
-
-def _tr_prod(a: np.ndarray, b: np.ndarray) -> complex:
-    return complex(np.sum(a * b.T))
+from .errors import ConfigError, EmptyDistributionError
+from .gevp import stack_energies
+from .pauli import _axes_to_masks, bit_parity, expect_pauli
 
 
 def var_dsp(rho: np.ndarray, bar: np.ndarray, axes: str,
@@ -36,15 +39,53 @@ def var_dsp(rho: np.ndarray, bar: np.ndarray, axes: str,
     """Single-shot variance of one Pauli reading through the uncompute test.
 
     Var = Tr[(rho bar + rho P bar P)/2] - Tr[(bar rho + rho bar)/2 P]^2.
-    Callers evaluating many observables against one state pair can pass the
-    product rho @ bar to avoid recomputing it.
+    The one-string case of ``var_dsp_many``; rb is the product rho @ bar.
+    """
+    return var_dsp_many(rho, bar, [axes], rb)[0]
+
+
+def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
+                 rb: np.ndarray | None = None) -> list[float]:
+    """``var_dsp`` of every string in axes_list against one (rho, bar) pair.
+
+    Tr[rho P bar P] sums rho[i, j] bar[j^x, i^x] s_i s_j over (i, j), with
+    s_i = (-1)^{|i & z|}: the Y phases of P bar P cancel against s_{j^x}.  So
+    the product is formed once per X mask, and each string sums a copy of it
+    with its signs flipped.  Flipping a sign is exact, so every summand and
+    the pairwise order of ``np.sum`` are those of the dense sandwich.
     """
     if rb is None:
         rb = rho @ bar
-    mean = float(np.real(expect_pauli(rb, axes)))
-    second = 0.5 * float(np.real(np.trace(rb))
-                         + np.real(_tr_prod(rho, sandwich_pauli(bar, axes))))
-    return float(max(second - mean * mean, 0.0))
+    trace = np.real(np.trace(rb))
+    d = rho.shape[0]
+    n = d.bit_length() - 1
+    idx = np.arange(d)
+    sign = (1 - 2 * bit_parity(idx)).astype(float)  # (-1)^{|i & z|} is sign[i & z]
+    by_mask: dict[int, list[tuple[int, int]]] = {}
+    for k, axes in enumerate(axes_list):
+        x, z = _axes_to_masks(axes)
+        by_mask.setdefault(x, []).append((k, z))
+    # as tensors with one axis per bit (qubit n-1 first), XOR by x reverses
+    # the axes of x's bits and the transpose swaps row and column bits, so
+    # bar[j^x, i^x] is a view and the two buffers are the only d x d arrays
+    shape, swap = (2,) * (2 * n), [*range(n, 2 * n), *range(n)]
+    prod, signed = np.empty((d, d), dtype=complex), np.empty((d, d), dtype=complex)
+    out = [0.0] * len(axes_list)
+    for x, group in by_mask.items():
+        flip = tuple(slice(None, None, -1) if x >> (n - 1 - a) & 1 else slice(None)
+                     for a in range(n))
+        # rho stays the left factor, as in the dense form: numpy's complex
+        # product is not bitwise commutative
+        np.multiply(rho.reshape(shape), bar.reshape(shape)[flip + flip].transpose(swap),
+                    out=prod.reshape(shape))
+        for k, z in group:
+            s = sign[idx & z]
+            np.multiply(prod, s[:, None], out=signed)
+            signed *= s
+            mean = float(np.real(expect_pauli(rb, axes_list[k])))
+            second = 0.5 * float(trace + np.real(complex(np.sum(signed))))
+            out[k] = float(max(second - mean * mean, 0.0))
+    return out
 
 
 def var_pauli_state(value: float) -> float:
@@ -137,26 +178,22 @@ def sample_distribution(matrices, cfg: ShotConfig, window: tuple[float, float],
                         threshold: float | None = None) -> EnergyDistribution:
     """Sample the mitigated-energy distribution under finite shots.
 
-    Sample k draws from ``default_rng([seed, k])`` and is solved on its own;
-    failed window selections and empty truncations are counted as rejections
-    and excluded from the moments.
+    Sample k draws from ``default_rng([seed, k])`` and is solved as
+    ``solve_pencil`` would solve it alone; failed window selections and empty
+    truncations are counted as rejections and excluded from the moments.
     """
     if threshold is None:
         threshold = 10.0 / np.sqrt(cfg.ns)
     ledger, sd = _compile(matrices, cfg)
     energies = []
-    rejections = 0
     for start in range(0, cfg.n_samples, _STACK):
         rngs = [np.random.default_rng([cfg.seed, k])
                 for k in range(start, min(start + _STACK, cfg.n_samples))]
-        for s, h in zip(*_draw(ledger, sd, rngs)):
-            try:
-                sol = solve_pencil(s, h, window, threshold)
-            except (SelectionFailureError, EmptySubspaceError):
-                rejections += 1
-                continue
-            energies.append(sol.energy)
-    if not energies:
+        energies.append(stack_energies(*_draw(ledger, sd, rngs), window, threshold))
+    arr = np.concatenate(energies)
+    solved = ~np.isnan(arr)
+    if not np.any(solved):
         raise EmptyDistributionError("every sample was rejected")
-    arr = np.array(energies)
-    return EnergyDistribution(arr, float(arr.mean()), float(arr.std()), rejections)
+    arr = arr[solved]
+    return EnergyDistribution(arr, float(arr.mean()), float(arr.std()),
+                              int(np.sum(~solved)))

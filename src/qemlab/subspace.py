@@ -25,6 +25,7 @@ build at the largest M serves every smaller one through ``leading``.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
@@ -38,7 +39,7 @@ from .circuits import Circuit, attach_noise, dual_state, reversed_circuit, run
 from .errors import ConfigError
 from .pauli import PauliSum, PauliTerm, PowerTable, SystemPartition, expect_pauli
 from .purification import dsp_expectation
-from .shotnoise import var_dsp, var_pauli_state, var_product_chain
+from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 
 QueryKey = tuple
 Term = tuple  # (coeff, (key, key, ...))
@@ -90,7 +91,7 @@ class Query:
     state: tuple
     axes: str
     value: complex
-    var: float
+    var: float | None  # None: a DSP reading on a build without variances
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ class CompiledLedger:
     m: int
     keys: list[QueryKey]
     value: np.ndarray
-    var: np.ndarray
+    var: np.ndarray  # NaN where a query carries no variance
     slot_query: np.ndarray
     elements: list[tuple]
 
@@ -224,20 +225,21 @@ class SubspaceMatrices:
         return var
 
     def matrix_rows(self) -> list[tuple]:
-        """CSV rows: which, i, j, re, im, var."""
+        """CSV rows: which, i, j, re, im, var (empty on a build without variances)."""
         rows = []
         for name, mat, var in (("S", self.s, self.var_s), ("H", self.h, self.var_h)):
             for i in range(self.m):
                 for j in range(self.m):
                     rows.append((name, i + 1, j + 1, mat[i, j].real, mat[i, j].imag,
-                                 var[i, j]))
+                                 "" if var is None else var[i, j]))
         return rows
 
     def ledger_rows(self, shots_per_query: float | None = None) -> list[tuple]:
+        """CSV rows: state, axes, value, var (empty where not computed), shots."""
         rows = []
         for key in self.query_keys():
             q = self.queries[key]
-            rows.append((repr(q.state), q.axes, q.value.real, q.var,
+            rows.append((repr(q.state), q.axes, q.value.real, "" if q.var is None else q.var,
                          shots_per_query if shots_per_query is not None else ""))
         return rows
 
@@ -384,15 +386,14 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
     circs = [attach_noise(ansatz, noise.amplified(l), seed=seed) for l in lams]
     rhos = [run(c) for c in circs]
     bars = [dual_state(c) for c in circs]
-    rbs: dict[tuple[int, int], np.ndarray] = {}
     syms: dict[tuple[int, int], np.ndarray] = {}
     queries: dict[QueryKey, Query] = {}
+    dsp_keys: dict[tuple[int, int], list[QueryKey]] = {}
 
     def pair_key(i: int, j: int, axes: str) -> QueryKey:
         key = ("fault", i, j, axes)
         if key not in queries:
-            if (i, j) not in rbs:
-                rbs[(i, j)] = rhos[i] @ bars[j]
+            if (i, j) not in syms:
                 br = bars[j] @ rhos[i]
                 syms[(i, j)] = 0.5 * (br + br.conj().T)
             if backend == "circuit":
@@ -401,13 +402,25 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
                 val = complex(res.numerator)
             else:
                 val = expect_pauli(syms[(i, j)], axes)
-            var = var_dsp(rhos[i], bars[j], axes, rb=rbs[(i, j)]) if with_variances else 0.0
-            queries[key] = Query(("fault", i, j), axes, val, var)
+            queries[key] = Query(("fault", i, j), axes, val, None)
+            dsp_keys.setdefault((i, j), []).append(key)
         return key
 
     s_terms, h_terms = _fault_terms(spec.m, h, pair_key)
+    if with_variances:
+        for (i, j), keys in dsp_keys.items():
+            _fill_dsp_variances(queries, keys, rhos[i], bars[j])
     return SubspaceMatrices("fault", spec.m, h.n, h.weight(), queries,
                             s_terms, h_terms, {}, {}, with_variances)
+
+
+def _fill_dsp_variances(queries: dict[QueryKey, Query], keys: list[QueryKey],
+                        rho: np.ndarray, bar: np.ndarray,
+                        rb: np.ndarray | None = None) -> None:
+    """Set the variance of the DSP queries keys, all read on (rho, bar), in one pass."""
+    variances = var_dsp_many(rho, bar, [queries[k].axes for k in keys], rb)
+    for k, var in zip(keys, variances):
+        queries[k] = dataclasses.replace(queries[k], var=var)
 
 
 def _block_fingerprint(circ: Circuit) -> str:
@@ -449,6 +462,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
     else:
         bkeys = [str(l) for l in range(len(circs))]
     queries: dict[QueryKey, Query] = {}
+    dsp_keys: dict[int, list[QueryKey]] = {}  # by the block that first read them
 
     def key(which: str, l: int, axes: str) -> QueryKey:
         state = _state_id(spec.kind, which, bkeys[l])
@@ -463,12 +477,16 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
                     val = complex(res.numerator)
                 else:
                     val = expect_pauli(syms[l], axes)
-                var = var_dsp(rhos[l], bars[l], axes, rb=rbs[l]) if with_variances else 0.0
+                var = None
+                dsp_keys.setdefault(l, []).append(k)
             queries[k] = Query(state, axes, val, var)
         return k
 
     terms = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
                            [complex(np.trace(b)) for b in bars])
+    if with_variances:
+        for l, keys in dsp_keys.items():
+            _fill_dsp_variances(queries, keys, rhos[l], bars[l], rbs[l])
     return SubspaceMatrices(spec.kind, spec.m, h.n, h.weight(), queries, *terms,
                             with_variances)
 

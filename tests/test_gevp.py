@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import build_ansatz
 from qemlab.errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
     SelectionFailureError
-from qemlab.gevp import energy_window, regularize, solve, solve_pencil
+from qemlab.gevp import energy_window, regularize, solve, solve_pencil, stack_energies
 from qemlab.pauli import build_ising
 from qemlab.subspace import SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
@@ -174,3 +176,209 @@ class TestOnSubspaceMatrices:
         sol = solve_pencil(mats.s, mats.h, energy_window(e_true), threshold=1e-10)
         dvec = np.sqrt(np.real(np.diag(mats.s)))
         np.testing.assert_allclose(sol.alpha_prime, dvec * sol.alpha, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the one-pencil regularize + solve, frozen as the oracle of the stacked solve
+
+
+def oracle_regularize(s, h, threshold):
+    """(s_eigvals, h_reduced, basis, dscale, retained_dim, lambda_min_raw,
+    lambda_min_scaled), one pencil at a time."""
+    s = np.asarray(s, dtype=complex)
+    h = np.asarray(h, dtype=complex)
+    m = s.shape[0]
+    if not (np.all(np.isfinite(s)) and np.all(np.isfinite(h))):
+        raise NonFinitePencilError("pencil has a NaN or infinite entry")
+    herm = np.max(np.abs(s - s.conj().T))
+    if herm > 1e-8 * max(1.0, float(np.max(np.abs(s)))):
+        raise NonHermitianOverlapError(f"overlap not hermitian (deviation {herm:.3e})")
+    lambda_min_raw = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0])
+    diag = np.real(np.diag(s)).copy()
+    alive = diag > 0.0
+    if not np.any(alive):
+        raise EmptySubspaceError("all overlap diagonal entries non-positive")
+    dscale = np.zeros(m)
+    dscale[alive] = 1.0 / np.sqrt(diag[alive])
+    d = np.diag(dscale)
+    s_t = d @ s @ d
+    h_t = d @ h @ d
+    s_t = 0.5 * (s_t + s_t.conj().T)
+    h_t = 0.5 * (h_t + h_t.conj().T)
+    vals, vecs = np.linalg.eigh(s_t)
+    cutoff = threshold * float(vals[-1])
+    keep = vals > max(cutoff, 0.0)
+    if not np.any(keep):
+        raise EmptySubspaceError("no overlap eigenvalue above threshold")
+    basis = vecs[:, keep]
+    h_red = basis.conj().T @ h_t @ basis
+    h_red = 0.5 * (h_red + h_red.conj().T)
+    return (vals[keep], h_red, basis, dscale, int(np.sum(keep)), lambda_min_raw,
+            float(vals[0]))
+
+
+def oracle_solve(reduced, window):
+    """(energy, alpha, alpha_prime) of the minimal in-window eigenvalue."""
+    s_eigvals, h_reduced, basis, dscale = reduced[:4]
+    lo, hi = window
+    s_red = np.diag(s_eigvals.astype(complex))
+    vals, vecs = scipy.linalg.eigh(h_reduced, s_red)
+    candidates = [(float(v), vecs[:, i]) for i, v in enumerate(vals)
+                  if np.isfinite(v) and lo <= float(v) <= hi]
+    if not candidates:
+        raise SelectionFailureError("no eigenvalue in window")
+    candidates.sort(key=lambda t: t[0])
+    best = [c for c in candidates if c[0] <= candidates[0][0] + 1e-12]
+    if len(best) > 1:
+        best.sort(key=lambda t: -abs((basis @ t[1])[0]))
+    e, beta = best[0]
+    alpha_prime = basis @ beta
+    alpha = dscale * alpha_prime
+    norm = np.real(np.vdot(beta, s_red @ beta))
+    if norm > 0:
+        alpha = alpha / np.sqrt(norm)
+        alpha_prime = alpha_prime / np.sqrt(norm)
+    k = int(np.argmax(np.abs(alpha))) if np.any(np.abs(alpha) > 0) else 0
+    if abs(alpha[k]) > 0:
+        phase = alpha[k] / abs(alpha[k])
+        alpha = alpha / phase
+        alpha_prime = alpha_prime / phase
+    return float(e), alpha, alpha_prime
+
+
+def oracle_energies(s, h, window, threshold):
+    out = []
+    for sk, hk in zip(s, h):
+        try:
+            out.append(oracle_solve(oracle_regularize(sk, hk, threshold), window)[0])
+        except (SelectionFailureError, EmptySubspaceError):
+            out.append(np.nan)
+    return np.array(out)
+
+
+def random_pencil(rng, m, style):
+    """A hermitian pencil: well conditioned, near singular, with a dead
+    diagonal index, or with no positive diagonal entry at all."""
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    h = -5.0 * np.eye(m) + 0.5 * (b + b.conj().T)
+    if style == "near_singular":
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        s = np.outer(v, v.conj()) + 10.0 ** rng.uniform(-9, -3) * (a @ a.conj().T)
+    else:
+        s = a @ a.conj().T + 0.1 * np.eye(m)
+    s = 10.0 ** rng.uniform(-2, 3) * s
+    if style == "dead_index":
+        k = int(rng.integers(m))
+        s[k, :] = s[:, k] = 0.0
+        s[k, k] = -abs(s[k, k]) if rng.random() < 0.5 else 0.0
+    elif style == "no_positive_diagonal":
+        s = -s
+    return 0.5 * (s + s.conj().T), h
+
+
+STYLES = ["plain", "near_singular", "dead_index", "no_positive_diagonal"]
+
+
+class TestStackedSolve:
+    """stack_energies and regularize/solve against the frozen one-pencil code."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5), n=st.integers(1, 12),
+           log_threshold=st.floats(-12.0, -1.0),
+           window=st.sampled_from([(-100.0, 100.0), (-8.0, -4.0), (-5.2, -4.8)]))
+    def test_energies_equal_one_pencil_oracle(self, seed, m, n, log_threshold, window):
+        rng = np.random.default_rng(seed)
+        pencils = [random_pencil(rng, m, STYLES[int(rng.integers(len(STYLES)))])
+                   for _ in range(n)]
+        s = np.array([p[0] for p in pencils])
+        h = np.array([p[1] for p in pencils])
+        threshold = 10.0 ** log_threshold
+        want = oracle_energies(s, h, window, threshold)
+        got = stack_energies(s, h, window, threshold)
+        assert np.array_equal(got, want, equal_nan=True)
+        for sk, hk in zip(s, h):
+            try:
+                want_red = oracle_regularize(sk, hk, threshold)
+            except EmptySubspaceError:
+                with pytest.raises(EmptySubspaceError):
+                    regularize(sk, hk, threshold)
+                continue
+            red = regularize(sk, hk, threshold)
+            for got_f, want_f in zip((red.s_eigvals, red.h_reduced, red.basis, red.dscale,
+                                      red.retained_dim, red.lambda_min_raw,
+                                      red.lambda_min_scaled), want_red):
+                assert np.array_equal(got_f, want_f)
+            try:
+                want_sol = oracle_solve(want_red, window)
+            except SelectionFailureError:
+                with pytest.raises(SelectionFailureError):
+                    solve(red, window)
+                continue
+            sol = solve(red, window)
+            assert sol.energy == want_sol[0]
+            assert np.array_equal(sol.alpha, want_sol[1])
+            assert np.array_equal(sol.alpha_prime, want_sol[2])
+
+    def test_mixed_stack_counts_rejections(self):
+        rng = np.random.default_rng(11)
+        pencils = [random_pencil(rng, 3, style) for style in STYLES * 3]
+        s = np.array([p[0] for p in pencils])
+        h = np.array([p[1] for p in pencils])
+        want = oracle_energies(s, h, (-8.0, -4.0), 1e-6)
+        got = stack_energies(s, h, (-8.0, -4.0), 1e-6)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert 3 <= np.sum(np.isnan(got)) < len(got)
+
+    def test_each_sample_cuts_at_its_own_largest_eigenvalue(self):
+        # the unit-diagonal overlaps have lambda_max 1 + 2 * 0.95 and 1: a
+        # cutoff of 0.5 * lambda_max taken over the stack would empty the second
+        s = np.array([np.full((3, 3), 0.95) + 0.05 * np.eye(3), np.eye(3)], dtype=complex)
+        h = np.array([np.diag([-3.0, -2.0, -1.0])] * 2, dtype=complex)
+        got = stack_energies(s, h, (-10.0, 0.0), 0.5)
+        assert np.array_equal(got, oracle_energies(s, h, (-10.0, 0.0), 0.5))
+        assert got[1] == -3.0
+
+    def test_degenerate_pair_takes_the_tie_rule(self):
+        # eigenvalues e and e + 5e-13 are one tie; the upper one's eigenvector
+        # leans harder on the first basis element, so it is selected
+        c, sn = np.cos(0.1), np.sin(0.1)
+        u = np.array([[sn, c, 0.0], [c, -sn, 0.0], [0.0, 0.0, 1.0]])
+        h = u @ np.diag([-4.0, -4.0 + 5e-13, -1.0]) @ u.T
+        s = np.eye(3)
+        want = oracle_solve(oracle_regularize(s, h, 1e-10), (-5.0, -3.0))
+        sol = solve_pencil(s, h, (-5.0, -3.0), 1e-10)
+        assert sol.energy == want[0] > -4.0
+        assert np.array_equal(sol.alpha, want[1])
+        got = stack_energies(np.array([s, s]), np.array([h, h]), (-5.0, -3.0), 1e-10)
+        assert np.array_equal(got, [want[0], want[0]])
+
+    def test_non_positive_diagonal_rejects_one_sample(self):
+        s = np.array([np.eye(2), np.diag([-1.0, 0.0]), np.diag([1.0, -1.0])], dtype=complex)
+        h = np.array([np.diag([-2.0, -1.0])] * 3, dtype=complex)
+        got = stack_energies(s, h, (-10.0, 0.0), 1e-8)
+        assert np.array_equal(got, [-2.0, np.nan, -2.0], equal_nan=True)
+        assert np.array_equal(got, oracle_energies(s, h, (-10.0, 0.0), 1e-8), equal_nan=True)
+
+    @pytest.mark.parametrize("first,error", [("nan", NonFinitePencilError),
+                                             ("skew", NonHermitianOverlapError)])
+    def test_earliest_malformed_sample_raises(self, first, error):
+        s = np.array([np.eye(2)] * 5, dtype=complex)
+        h = np.array([np.diag([-2.0, -1.0])] * 5, dtype=complex)
+        s[1, 0, 0] = -1.0  # an earlier rejection does not stop the stack
+        bad = {"nan": (0, 1, np.nan), "skew": (1, 0, 0.5)}
+        for k, kind in ((2, first), (4, "skew" if first == "nan" else "nan")):
+            i, j, v = bad[kind]
+            s[k, i, j] = v
+        with pytest.raises(error, match="2 of 5"):
+            stack_energies(s, h, (-10.0, 0.0), 1e-8)
+
+    def test_hermiticity_is_judged_at_each_sample_scale(self):
+        # 1e-6 off hermitian is rounding next to entries of 1e4 but not next
+        # to entries of 1: a stack-wide scale would let the second pass
+        s = np.array([1e4 * np.eye(2), [[1.0, 1e-6], [0.0, 1.0]]], dtype=complex)
+        h = np.array([np.diag([-2.0, -1.0])] * 2, dtype=complex)
+        with pytest.raises(NonHermitianOverlapError):
+            oracle_regularize(s[1], h[1], 1e-8)
+        with pytest.raises(NonHermitianOverlapError, match="1 of 2"):
+            stack_energies(s, h, (-10.0, 0.0), 1e-8)

@@ -18,13 +18,16 @@ from qemlab.errors import (
     SelectionFailureError,
 )
 from qemlab.gevp import energy_window, solve_pencil
-from qemlab.pauli import PauliTerm, SystemPartition, build_ising, term_matrix
+from qemlab.pauli import PauliTerm, SystemPartition, build_ising, expect_pauli, \
+    sandwich_pauli, term_matrix
 from qemlab.purification import dsp_circuit
 from qemlab.shotnoise import (
     ShotConfig,
     perturb,
     sample_distribution,
     var_dsp,
+    var_dsp_many,
+    var_pauli_state,
     var_product,
     var_product_chain,
 )
@@ -52,6 +55,77 @@ def random_noisy_circuit(rng, n, depth, noise, seed=0):
             c.add(Gate(kind if kind != "cz" else "rx", (q,),
                        float(rng.uniform(-np.pi, np.pi))))
     return attach_noise(c, noise, seed=seed)
+
+
+def oracle_var_dsp(rho, bar, axes, rb=None):
+    """The scalar variance: one dense sandwich and trace product per string."""
+    if rb is None:
+        rb = rho @ bar
+    mean = float(np.real(expect_pauli(rb, axes)))
+    second = 0.5 * float(np.real(np.trace(rb))
+                         + np.real(complex(np.sum(rho * sandwich_pauli(bar, axes).T))))
+    return float(max(second - mean * mean, 0.0))
+
+
+NOISE_KINDS = ["stochastic_pauli", "global_depolarizing", "local_depolarizing",
+               "amplitude_damping", "thermal_relaxation", "coherent_drift"]
+
+
+def masks_to_axes(x, z, n):
+    return "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n))
+
+
+class TestVarDspMany:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 5), kind=st.sampled_from(NOISE_KINDS),
+           seed=st.integers(0, 2**31 - 1), n_masks=st.integers(1, 4),
+           per_mask=st.integers(1, 5))
+    def test_equals_scalar_oracle(self, n, kind, seed, n_masks, per_mask):
+        rng = np.random.default_rng(seed)
+        c = random_noisy_circuit(rng, n, 3 * n + 2, NoiseModel(kind=kind, p1=0.02),
+                                 seed=seed)
+        rho, bar = run(c), dual_state(c)
+        # strings sharing X masks, Y letters included, and the identity
+        d = 1 << n
+        axes = ["I" * n] + [masks_to_axes(x, int(z), n)
+                            for x in rng.integers(d, size=n_masks)
+                            for z in rng.choice(d, size=min(per_mask, d), replace=False)]
+        axes = list(dict.fromkeys(axes))
+        want = [oracle_var_dsp(rho, bar, a) for a in axes]
+        assert np.array_equal(var_dsp_many(rho, bar, axes), want)
+        assert np.array_equal([var_dsp(rho, bar, a) for a in axes], want)
+
+    @pytest.mark.parametrize("kind", ["power", "fault", "dc"])
+    def test_ledger_variances_equal_oracle(self, kind):
+        h = build_ising(path(4), 4)
+        rng = np.random.default_rng(8)
+        if kind == "dc":
+            part = SystemPartition(((0, 1), (2, 3)))
+            subs = [build_ansatz(2, 2, rng.uniform(-np.pi, np.pi, 12), path(2))
+                    for _ in range(2)]
+            spec = SubspaceSpec("dc", 3, h, partition=part, merge_identical_blocks=False)
+            mats = build(spec, subs, PAULI)
+            circs = [attach_noise(sub, PAULI) for sub in subs]
+            pair = {("dc", "dsp", str(l)): (run(c), dual_state(c)) for l, c in enumerate(circs)}
+        else:
+            ansatz = build_ansatz(4, 2, rng.uniform(-np.pi, np.pi, 24), path(4))
+            spec = SubspaceSpec(kind, 3, h)
+            mats = build(spec, ansatz, PAULI)
+            if kind == "power":
+                c = attach_noise(ansatz, PAULI)
+                pair = {("power", "dsp"): (run(c), dual_state(c))}
+            else:
+                circs = [attach_noise(ansatz, PAULI.amplified(l)) for l in spec.lambda_values]
+                pair = {("fault", i, j): (run(circs[i]), dual_state(circs[j]))
+                        for i in range(3) for j in range(3)}
+        checked = 0
+        for q in mats.queries.values():
+            if q.state in pair:
+                assert q.var == oracle_var_dsp(*pair[q.state], q.axes), (q.state, q.axes)
+                checked += 1
+            else:
+                assert q.var == var_pauli_state(float(np.real(q.value)))
+        assert checked >= 20
 
 
 class TestVarDsp:
@@ -424,6 +498,22 @@ class TestNoVarianceBuild:
                 sample_distribution(target, cfg, (-100.0, 0.0))
             with pytest.raises(ConfigError):
                 perturb(target, cfg, np.random.default_rng(0))
+
+    def test_rows_leave_missing_variances_empty(self):
+        h = build_ising(path(3), 3)
+        ansatz = build_ansatz(3, 1, np.full(12, 0.3), path(3))
+        spec = SubspaceSpec("power", 2, h)
+        mats = build(spec, ansatz, noiseless(), with_variances=False)
+        full = build(spec, ansatz, noiseless())
+        rows, full_rows = mats.matrix_rows(), full.matrix_rows()
+        assert len(rows) == 8 and all(r[5] == "" for r in rows)
+        assert [r[:5] for r in rows] == [r[:5] for r in full_rows]
+        ledger, full_ledger = mats.ledger_rows(), full.ledger_rows()
+        assert len(ledger) == len(full_ledger) == len(mats.queries)
+        for key, got, want in zip(mats.query_keys(), ledger, full_ledger):
+            assert got[:3] == want[:3]
+            assert got[3] == ("" if key[1] == "dsp" else want[3])
+        assert sum(key[1] == "dsp" for key in mats.query_keys()) > 0
 
 
 class TestShotSettings:
