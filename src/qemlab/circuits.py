@@ -5,7 +5,7 @@ instruction stream mixing gates and channels; a channel always acts right
 where it sits in the stream.  The register is capped at 10 qubits because
 everything here is dense.
 
-``apply`` evolves a density matrix in three stages:
+``apply`` evolves a density matrix in four stages:
 
 * compile: every gate becomes its superoperator kron(U, conj(U)) and every
   local channel the sum of K (x) conj(K) over its Kraus set, on the op's own
@@ -14,8 +14,19 @@ everything here is dense.
   block acts on the same tuple and nothing has touched those qubits since,
   so a gate absorbs the noise that follows it and a run of one-qubit ops
   collapses into one 4x4;
-* apply: rho is held as a tensor with 2n axes (row bits, then column bits)
-  and each block is one ``tensordot`` over its 2k axes.
+* fold 1q into 2q: a one-qubit block is folded into the next multi-qubit
+  block on its qubit, or, when a fence or the end comes first, into the
+  multi-qubit block before it.  A noisy 2q gate with per-qubit noise is then
+  one step, and an rx/rz rank rides inside the cz blocks around it;
+* contract: rho is held as a tensor with 2n axes (row bits, then column
+  bits) and each block is one ``_contract`` over its 2k axes.
+
+``_contract`` is the one kernel: statevector gates, the VQE sweeps and the
+folds go through it too.  It makes the transpose -> reshape -> ``np.dot``
+call that ``np.tensordot`` makes and returns the view ``np.moveaxis`` would,
+so it rounds bit for bit like that pair and only skips their per-call
+bookkeeping.  Fusing and folding reorder products, so ``apply`` agrees with
+op-by-op application to rounding, not bit for bit.
 
 Global depolarizing, register-wide or scoped, is no local superoperator: it
 stays one affine step through ``apply_channel`` and fences its qubits.
@@ -175,13 +186,6 @@ class Circuit:
     def channels(self) -> Iterator[Channel]:
         return (op for op in self.ops if isinstance(op, Channel))
 
-    def gate_counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for g in self.gates():
-            key = "2q" if len(g.qubits) == 2 else ("1q" if len(g.qubits) == 1 else f"{len(g.qubits)}q")
-            out[key] = out.get(key, 0) + 1
-        return out
-
     def dump(self) -> str:
         """One op per line, for debugging."""
         lines = []
@@ -214,14 +218,35 @@ def zero_vector(n: int) -> np.ndarray:
     return v
 
 
+@lru_cache(maxsize=4096)
+def _perms(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Listed axes first, their inverse, and the all-2 shape of an ndim tensor."""
+    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+    return perm, tuple(int(a) for a in np.argsort(perm)), (2,) * ndim
+
+
+def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+    """A 2^j x 2^j matrix m on the j listed size-2 axes of t (first = local MSB).
+
+    The one simulation kernel.  It makes the transpose -> reshape -> ``np.dot``
+    call that ``np.tensordot(m.reshape((2,) * 2j), t, (range(j, 2j), axes))``
+    makes, and hands back the transposed view that ``np.moveaxis`` would, so
+    it rounds exactly like that pair; only the bookkeeping is cached.
+    """
+    perm, inverse, shape = _perms(t.ndim, axes)
+    out = np.dot(m, t.transpose(perm).reshape(m.shape[1], -1))
+    return out.reshape(shape).transpose(inverse)
+
+
+def _rho_axes(qubits: Sequence[int], n: int) -> tuple[int, ...]:
+    """Row then column axes of the listed qubits in rho's 2n-axis tensor."""
+    return tuple(n - 1 - q for q in qubits) + tuple(2 * n - 1 - q for q in qubits)
+
+
 def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    k = len(qubits)
-    t = psi.reshape((2,) * n)
-    u_t = u.reshape((2,) * (2 * k))
-    axes = [n - 1 - q for q in qubits]
-    t = np.tensordot(u_t, t, axes=(list(range(k, 2 * k)), axes))
-    t = np.moveaxis(t, list(range(k)), axes)
-    return t.reshape(psi.shape)
+    """U on the listed qubits of a flat statevector."""
+    axes = tuple(n - 1 - q for q in qubits)
+    return _contract(psi.reshape((2,) * n), u, axes).reshape(psi.shape)
 
 
 def _replace_with_mixed(rho: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
@@ -287,39 +312,84 @@ def _superops(op) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
         yield op.qubits, _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
 
 
-def _apply_superop(t: np.ndarray, s: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """One k-qubit superoperator on rho held as a tensor with 2n axes."""
-    k = len(qubits)
-    axes = [n - 1 - q for q in qubits] + [2 * n - 1 - q for q in qubits]
-    t = np.tensordot(s.reshape((2,) * (4 * k)), t, axes=(list(range(2 * k, 4 * k)), axes))
-    return np.moveaxis(t, list(range(2 * k)), axes)
+def _fold(block: np.ndarray, s1: np.ndarray, p: int, left: bool) -> np.ndarray:
+    """s1 @ block (left) or block @ s1, with s1 a 1q superop on local qubit p.
 
-
-def _compile(circuit: Circuit) -> list[list]:
-    """Fuse the op stream into [qubits, superoperator] steps, in order.
-
-    An op is multiplied into the latest step on its qubits when that step
-    acts on the same qubit tuple and is still the latest on each of them:
-    every op between the two then acts on other qubits and commutes with it.
-    Global depolarizing stays one [None, channel] step that fences its qubits.
+    As a tensor with 4k axes (output row bits, output column bits, input row
+    bits, input column bits), the block takes s1 on its two output axes of
+    qubit p, or s1's transpose on the two input axes.
     """
-    steps: list[list] = []
-    last: dict[int, int] = {}
+    k = (block.shape[0].bit_length() - 1) // 2
+    axes = (p, k + p) if left else (2 * k + p, 3 * k + p)
+    t = block.reshape((2,) * (4 * k))
+    return _contract(t, s1 if left else s1.T, axes).reshape(block.shape)
+
+
+def _compile(circuit: Circuit) -> list[tuple]:
+    """Fuse and fold the op stream into (rho axes, superoperator) steps, in order.
+
+    A 1q op joins the 1q block on its qubit when that block is the latest
+    step there, and opens one otherwise.  A multi-qubit op first folds in the
+    1q blocks waiting on its qubits (from the right: they act first).  It is
+    then multiplied into the step before them when that step acts on the same
+    qubit tuple and is the latest on each of its qubits.  A 1q block that
+    meets a fence or the end instead folds from the left into the
+    multi-qubit block before it.  Whatever a fold or a fusion moves past acts
+    on other qubits and commutes with it.  Global depolarizing stays one
+    (None, channel) step that fences its qubits.
+    """
+    n = circuit.n
+    steps: list = []             # [qubits, s], [None, channel] or None once folded away
+    last: dict[int, int] = {}    # qubit -> its latest step
+    before: dict[int, int] = {}  # qubit -> the step before its 1q block
+
+    def pending(q: int) -> int:
+        i = last.get(q, -1)
+        return i if i >= 0 and steps[i][0] == (q,) else -1
+
+    def settle(q: int) -> None:
+        i, j = pending(q), before.get(q, -1)
+        if i >= 0 and j >= 0 and steps[j][0] is not None:
+            steps[j][1] = _fold(steps[j][1], steps[i][1], steps[j][0].index(q), left=True)
+            steps[i], last[q] = None, j
+
     for op in circuit.ops:
         if isinstance(op, Channel) and op.kind == "global_depolarizing":
-            for q in op.qubits or range(circuit.n):
+            for q in op.qubits or range(n):
+                settle(q)
                 last[q] = len(steps)
             steps.append([None, op])
             continue
         for qubits, s in _superops(op):
-            i = last.get(qubits[0], -1)
-            if i >= 0 and steps[i][0] == qubits and all(last[q] == i for q in qubits[1:]):
-                steps[i][1] = s @ steps[i][1]
+            if len(qubits) == 1:
+                i = pending(qubits[0])
+                if i >= 0:
+                    steps[i][1] = s @ steps[i][1]
+                    continue
+                before[qubits[0]] = last.get(qubits[0], -1)
             else:
-                for q in qubits:
-                    last[q] = len(steps)
-                steps.append([qubits, s])
-    return steps
+                base = []
+                for p, q in enumerate(qubits):
+                    i = pending(q)
+                    if i >= 0:
+                        s = _fold(s, steps[i][1], p, left=False)
+                        steps[i] = None
+                        base.append(before[q])
+                    else:
+                        base.append(last.get(q, -1))
+                i = base[0]
+                if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
+                    steps[i][1] = s @ steps[i][1]
+                    for q in qubits:
+                        last[q] = i
+                    continue
+            for q in qubits:
+                last[q] = len(steps)
+            steps.append([qubits, s])
+    for q in range(n):
+        settle(q)
+    return [(None, st[1]) if st[0] is None else (_rho_axes(st[0], n), st[1])
+            for st in steps if st is not None]
 
 
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
@@ -334,7 +404,7 @@ def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
         return (1.0 - p) * rho + p * tr * np.eye(d, dtype=complex) / d
     t = rho.reshape((2,) * (2 * n))
     for qubits, s in _superops(ch):
-        t = _apply_superop(t, s, qubits, n)
+        t = _contract(t, s, _rho_axes(qubits, n))
     return t.reshape(rho.shape)
 
 
@@ -345,11 +415,11 @@ def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (d, d):
         raise SizeMismatchError(f"state dim {rho.shape} vs {n}-qubit circuit")
     t = rho.astype(complex, copy=True).reshape((2,) * (2 * n))
-    for qubits, step in _compile(circuit):
-        if qubits is None:
+    for axes, step in _compile(circuit):
+        if axes is None:
             t = apply_channel(t.reshape(d, d), step, n).reshape((2,) * (2 * n))
         else:
-            t = _apply_superop(t, step, qubits, n)
+            t = _contract(t, step, axes)
     return t.reshape(d, d)
 
 
@@ -491,17 +561,3 @@ def purity(rho: np.ndarray) -> float:
 def expected_errors(circuit: Circuit) -> float:
     """Sum of expected error events over all attached channels."""
     return float(sum(ch.expected_errors() for ch in circuit.channels()))
-
-
-def check_density(rho: np.ndarray, atol_herm: float = 1e-10, atol_tr: float = 1e-10,
-                  atol_psd: float = 1e-9) -> None:
-    """Raise if rho is not a valid density matrix to tolerance."""
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > atol_herm:
-        raise AssertionError(f"hermiticity violated by {herm:.3e}")
-    tr = abs(np.trace(rho) - 1.0)
-    if tr > atol_tr:
-        raise AssertionError(f"trace deviates by {tr:.3e}")
-    lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if lam.min() < -atol_psd:
-        raise AssertionError(f"negative eigenvalue {lam.min():.3e}")

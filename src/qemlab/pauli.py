@@ -12,6 +12,7 @@ adjoint and keeps products down to integer xors plus a phase exponent.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -304,14 +305,20 @@ def term_matrix(axes: str) -> np.ndarray:
     return m
 
 
-def bit_parity(v: np.ndarray) -> np.ndarray:
-    """Bit parity of each entry of an integer array."""
-    v = v.copy()
-    out = np.zeros_like(v)
+@lru_cache(maxsize=16)
+def parity_signs(n: int) -> np.ndarray:
+    """(-1)^{popcount(i)} as integers for every n-qubit index i; read-only.
+
+    Indexed by ``i & z`` it gives the Z signs of a Pauli string.
+    """
+    v = np.arange(1 << n)
+    parity = np.zeros_like(v)
     while np.any(v):
-        out ^= v & 1
+        parity ^= v & 1
         v >>= 1
-    return out
+    signs = 1 - 2 * parity
+    signs.flags.writeable = False
+    return signs
 
 
 def expect_pauli(rho: np.ndarray, axes: str) -> complex:
@@ -327,7 +334,7 @@ def expect_pauli(rho: np.ndarray, axes: str) -> complex:
     x, z = _axes_to_masks(axes)
     ny = (x & z).bit_count()
     idx = np.arange(d)
-    signs = 1 - 2 * bit_parity(idx & z)
+    signs = parity_signs(n)[idx & z]
     phase = _I_POW[ny % 4]
     return complex(phase * np.sum(signs * rho[idx, idx ^ x]))
 
@@ -340,7 +347,7 @@ def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:
         raise SizeMismatchError(f"operator dim {a.shape} vs {n} qubits")
     x, z = _axes_to_masks(axes)
     idx = np.arange(d)
-    signs = (1 - 2 * bit_parity(idx & z)).astype(complex)
+    signs = parity_signs(n)[idx & z].astype(complex)
     perm = idx ^ x
     # (P A P)_{ij} = i^{2#Y} (-1)^{|(i^x)&z| + |j&z|} A[i^x, j^x]
     out = a[np.ix_(perm, perm)] * np.outer(signs[perm], signs)

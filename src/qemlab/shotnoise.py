@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDistributionError
 from .gevp import stack_energies
-from .pauli import _axes_to_masks, bit_parity, expect_pauli
+from .pauli import _axes_to_masks, expect_pauli, parity_signs
 
 
 def var_dsp(rho: np.ndarray, bar: np.ndarray, axes: str,
@@ -60,7 +60,7 @@ def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
     d = rho.shape[0]
     n = d.bit_length() - 1
     idx = np.arange(d)
-    sign = (1 - 2 * bit_parity(idx)).astype(float)  # (-1)^{|i & z|} is sign[i & z]
+    sign = parity_signs(n).astype(float)  # (-1)^{|i & z|} is sign[i & z]
     by_mask: dict[int, list[tuple[int, int]]] = {}
     for k, axes in enumerate(axes_list):
         x, z = _axes_to_masks(axes)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Gate, _apply_unitary_state, build_ansatz, zero_vector
+from .circuits import Gate, _apply_unitary_state, apply_state, build_ansatz, zero_vector
 from .errors import RegisterCapError
 from .pauli import PauliSum
 
@@ -48,10 +48,7 @@ class AnsatzCircuit:
         return build_ansatz(self.n, self.layers, params, self.edges)
 
     def state(self, params) -> np.ndarray:
-        psi = zero_vector(self.n)
-        for g in self.circuit(params).gates():
-            psi = _apply_unitary_state(psi, g.matrix(), g.qubits, self.n)
-        return psi
+        return apply_state(self.circuit(params), zero_vector(self.n))
 
 
 def energy(h_mat: np.ndarray, psi: np.ndarray) -> float:

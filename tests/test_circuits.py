@@ -5,14 +5,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qemlab import channels as ch
+from qemlab import purification as pur
 from qemlab.circuits import (
     Circuit,
     Gate,
+    _apply_unitary_state,
+    _compile,
+    _contract,
+    _rho_axes,
     apply,
     apply_state,
     attach_noise,
     build_ansatz,
-    check_density,
     dual_circuit,
     dual_state,
     expected_errors,
@@ -46,6 +50,47 @@ def embed(u, qubits, n):
                 j |= ((loc_out >> (k - 1 - pos)) & 1) << q
             m[j, i] += u[loc_out, loc_in]
     return m
+
+
+def oracle_apply_superop(t, s, qubits, n):
+    """The tensordot kernel that ``_contract`` replaced, for rho as a 2n-axis tensor."""
+    k = len(qubits)
+    axes = [n - 1 - q for q in qubits] + [2 * n - 1 - q for q in qubits]
+    t = np.tensordot(s.reshape((2,) * (4 * k)), t, axes=(list(range(2 * k, 4 * k)), axes))
+    return np.moveaxis(t, list(range(2 * k)), axes)
+
+
+def oracle_apply_unitary_state(psi, u, qubits, n):
+    """The tensordot kernel that ``_contract`` replaced, for a flat statevector."""
+    k = len(qubits)
+    t = psi.reshape((2,) * n)
+    u_t = u.reshape((2,) * (2 * k))
+    axes = [n - 1 - q for q in qubits]
+    t = np.tensordot(u_t, t, axes=(list(range(k, 2 * k)), axes))
+    t = np.moveaxis(t, list(range(k)), axes)
+    return t.reshape(psi.shape)
+
+
+def check_density(rho, atol_herm=1e-10, atol_tr=1e-10, atol_psd=1e-9):
+    """Raise if rho is not a valid density matrix to tolerance."""
+    herm = np.max(np.abs(rho - rho.conj().T))
+    if herm > atol_herm:
+        raise AssertionError(f"hermiticity violated by {herm:.3e}")
+    tr = abs(np.trace(rho) - 1.0)
+    if tr > atol_tr:
+        raise AssertionError(f"trace deviates by {tr:.3e}")
+    lam = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
+    if lam.min() < -atol_psd:
+        raise AssertionError(f"negative eigenvalue {lam.min():.3e}")
+
+
+def gate_counts(circuit):
+    """Gates per arity: "1q", "2q", "3q"."""
+    out = {}
+    for g in circuit.gates():
+        key = f"{len(g.qubits)}q"
+        out[key] = out.get(key, 0) + 1
+    return out
 
 
 def random_density(rng, n):
@@ -218,6 +263,42 @@ class TestGateApplication:
             assert abs(out[j] - 1.0) < 1e-12
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@st.composite
+def qubit_tuples(draw, n):
+    """1q, 2q or 3q tuples in any qubit order."""
+    k = draw(st.integers(1, min(3, n)))
+    return tuple(draw(st.permutations(range(n)))[:k])
+
+
+class TestContract:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_rho_equals_tensordot_oracle(self, data, n, seed):
+        rng = np.random.default_rng(seed)
+        got = want = _complex(rng, 1 << n, 1 << n).reshape((2,) * (2 * n))
+        for _ in range(2):  # the second step reads the transposed view the first hands on
+            qubits = data.draw(qubit_tuples(n))
+            s = _complex(rng, 4 ** len(qubits), 4 ** len(qubits))
+            got = _contract(got, s, _rho_axes(qubits, n))
+            want = oracle_apply_superop(want, s, qubits, n)
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 10), st.integers(0, 2**32 - 1))
+    def test_state_equals_tensordot_oracle(self, data, n, seed):
+        rng = np.random.default_rng(seed)
+        psi = _complex(rng, 1 << n)
+        qubits = data.draw(qubit_tuples(n))
+        u = _complex(rng, 2 ** len(qubits), 2 ** len(qubits))
+        for m in (u, u.conj().T):  # the adjoint sweep passes a transposed view
+            assert np.array_equal(_apply_unitary_state(psi, m, qubits, n),
+                                  oracle_apply_unitary_state(psi, m, qubits, n))
+
+
 class TestFusedKernel:
     @settings(max_examples=60, deadline=None)
     @given(noisy_circuits(), st.integers(0, 2**32 - 1))
@@ -228,10 +309,46 @@ class TestFusedKernel:
     @example(Circuit(5, [Gate("cx", (0, 1)), Gate("rx", (2,), 0.4),
                          ch.Channel("global_depolarizing", (1, 2, 4), (0.3,)),
                          Gate("rz", (2,), -0.9), Gate("cz", (2, 3)), Gate("cx", (0, 1))]), 12)
+    # a 1q block after the cx, with cx(1, 2) on the cx's other qubit in between:
+    # h(1) folds into cx(1, 2), the trailing rx(0) back into the first cx
+    @example(Circuit(3, [Gate("cx", (0, 1)), Gate("h", (1,)), ch.amplitude_damping(0.2, (1,)),
+                         Gate("cx", (1, 2)), Gate("rx", (0,), 0.7),
+                         ch.amplitude_damping(0.3, (0,))]), 1)
+    # 1q blocks on both qubits fold into cv, which then fuses into the cx block
+    @example(Circuit(2, [Gate("cx", (0, 1)), ch.thermal_relaxation(30e-6, 20e-6, 2e-6, 0),
+                         Gate("h", (1,)), ch.amplitude_damping(0.2, (1,)), Gate("cv", (0, 1)),
+                         ch.stochastic_pauli(0.1, (0, 1))]), 2)
+    # a scoped fence between a 1q block and a 2q op: the block must not pass it
+    @example(Circuit(3, [Gate("rx", (1,), 0.4), ch.amplitude_damping(0.3, (1,)),
+                         ch.Channel("global_depolarizing", (1, 2), (0.3,)),
+                         Gate("cx", (1, 0))]), 3)
+    # a trailing 1q block on qubit 2, after its last 2q op cx(0, 2) and cz(0, 1)
+    @example(Circuit(3, [Gate("cx", (0, 2)), ch.stochastic_pauli(0.1, (0, 2)),
+                         Gate("cz", (0, 1)), Gate("h", (2,)),
+                         ch.thermal_relaxation(30e-6, 20e-6, 2e-6, 2),
+                         Gate("rz", (2,), -0.5)]), 4)
     def test_matches_dense_kraus_oracle(self, circuit, seed):
         rho = random_density(np.random.default_rng(seed), circuit.n)
         for c in (circuit, dual_circuit(circuit)):
             np.testing.assert_allclose(apply(c, rho), dense_apply(c, rho), rtol=0, atol=1e-12)
+
+    def test_step_counts(self, monkeypatch):
+        nm = ch.NoiseModel(kind="thermal_relaxation", p1=1e-3, thermal_with_pauli=True)
+        noisy_cx = attach_noise(Circuit(2, [Gate("cx", (0, 1))]), nm)
+        assert len(noisy_cx.ops) == 4  # cx, thermal on each qubit, then 2q Pauli
+        assert len(_compile(noisy_cx)) == 1
+        # both rx/rz ranks ride in the cz blocks: the first folds forward, the last back
+        ansatz = build_ansatz(4, 1, np.full(16, 0.3), [(0, 1), (1, 2), (2, 3)])
+        assert len(_compile(ansatz)) == 3
+        # the prefix of a two-copy ESD estimator of a noisy 1-layer path-4 ansatz
+        seen = []
+        monkeypatch.setattr(pur, "run", lambda c: seen.append(c) or run(c))
+        params = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
+        circ = attach_noise(build_ansatz(4, 1, params, [(0, 1), (1, 2), (2, 3)]), nm, seed=3)
+        pur.EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=5)
+        prefix, = seen
+        assert (prefix.n, len(prefix.ops)) == (9, 202)
+        assert len(_compile(prefix)) <= 34
 
 
 class TestChannels:
@@ -304,13 +421,13 @@ class TestAnsatz:
         edges = [(i, i + 1) for i in range(7)]
         params = np.zeros(2 * n * (layers + 1))
         c = build_ansatz(n, layers, params, edges)
-        counts = c.gate_counts()
+        counts = gate_counts(c)
         assert counts["1q"] == 144
         assert counts["2q"] == 56
 
     def test_zero_layers(self):
         c = build_ansatz(3, 0, np.zeros(6), [(0, 1), (1, 2)])
-        assert c.gate_counts() == {"1q": 6}
+        assert gate_counts(c) == {"1q": 6}
 
     def test_zero_angles_give_zero_state(self):
         c = build_ansatz(3, 2, np.zeros(18), [(0, 1), (1, 2)])

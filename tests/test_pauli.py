@@ -205,7 +205,46 @@ class TestBuildIsing:
             build_ising([(0, 5)], 3)
 
 
+def oracle_signs(idx, z):
+    """(-1)^{|i & z|} by the per-call bit loop that the parity table replaced."""
+    v = idx & z
+    parity = np.zeros_like(v)
+    while np.any(v):
+        parity ^= v & 1
+        v >>= 1
+    return 1 - 2 * parity
+
+
+def oracle_expect_pauli(rho, axes):
+    n = len(axes)
+    x = sum(1 << q for q, c in enumerate(axes) if c in "XY")
+    z = sum(1 << q for q, c in enumerate(axes) if c in "YZ")
+    idx = np.arange(1 << n)
+    phase = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)[(x & z).bit_count() % 4]
+    return complex(phase * np.sum(oracle_signs(idx, z) * rho[idx, idx ^ x]))
+
+
 class TestFastExpectations:
+    def test_parity_table_equals_bit_loop(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 11):
+            d = 1 << n
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for _ in range(12):
+                axes = random_term(rng, n).axes
+                assert expect_pauli(a, axes) == oracle_expect_pauli(a, axes)
+            for _ in range(3):
+                t = random_term(rng, n, unit=True)
+                x = sum(1 << q for q, c in enumerate(t.axes) if c in "XY")
+                z = sum(1 << q for q, c in enumerate(t.axes) if c in "YZ")
+                idx = np.arange(d)
+                signs = oracle_signs(idx, z).astype(complex)
+                want = a[np.ix_(idx ^ x, idx ^ x)] * np.outer(signs[idx ^ x], signs)
+                if (x & z).bit_count() % 2:
+                    want = -want
+                assert np.array_equal(sandwich_pauli(a, t.axes), want)
+
+
     def test_expect_pauli_matches_dense(self):
         rng = np.random.default_rng(3)
         for n in (1, 2, 3, 4):

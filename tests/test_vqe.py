@@ -44,6 +44,29 @@ class TestExactGround:
         assert e < 0
 
 
+def oracle_state(ansatz, params):
+    """The ansatz state gate by gate through np.tensordot, as before apply_state."""
+    n = ansatz.n
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    for g in ansatz.circuit(params).gates():
+        k = len(g.qubits)
+        axes = [n - 1 - q for q in g.qubits]
+        t = np.tensordot(g.matrix().reshape((2,) * (2 * k)), psi.reshape((2,) * n),
+                         axes=(list(range(k, 2 * k)), axes))
+        psi = np.moveaxis(t, list(range(k)), axes).reshape(psi.shape)
+    return psi
+
+
+class TestState:
+    def test_bit_equal_to_gate_loop_oracle(self):
+        rng = np.random.default_rng(2)
+        for n, layers in ((1, 0), (3, 2), (8, 2), (10, 1)):
+            ansatz = AnsatzCircuit(n, layers, tuple(path_edges(n)))
+            x = rng.uniform(-np.pi, np.pi, size=ansatz.num_params)
+            assert np.array_equal(ansatz.state(x), oracle_state(ansatz, x))
+
+
 class TestGradients:
     def test_parameter_shift_matches_finite_differences(self):
         rng = np.random.default_rng(0)
