@@ -5,11 +5,18 @@ the eigenvectors whose eigenvalues clear a relative threshold; the pencil is
 solved on that span and the minimal eigenvalue inside the physical window is
 reported.  Near-singular pencils therefore never reach the dense solver.
 
+The reduced overlap is diagonal, diag(s), so the reduced pencil is solved as
+the standard problem of w h w with w = 1/sqrt(s), and its eigenvectors y map
+back as beta = w y, which keeps beta^dag S_red beta = 1.
+
 A stack of sampled pencils (``stack_energies``) is validated, scaled and
-diagonalized in one batched ``eigh``; the threshold cut, the reduced solve
-and the window selection stay per pencil.  Batched ``matmul`` and ``eigh``
-call the same routine per matrix, so the rounding is that of one pencil
-solved alone, and ``regularize`` is the one-pencil case of the same code.
+diagonalized in one batched ``eigh``.  The retained set is the top-r suffix
+of the ascending overlap eigenvalues, so the samples are grouped by r and
+each group is projected and solved with one stacked ``matmul`` and one
+``eigh``; the window selection is an array operation, and only a tie falls
+back to a loop.  Batched ``matmul`` and ``eigh`` call the same routine per
+matrix, so the rounding is that of one pencil solved alone, and
+``regularize`` and ``solve`` are the one-pencil case of the same code.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
     SelectionFailureError
@@ -91,41 +97,51 @@ def _unit_diagonal(s: np.ndarray, h: np.ndarray):
     return alive.any(axis=1), dscale, vals, vecs, h_t
 
 
-def _retain(vals: np.ndarray, vecs: np.ndarray, h_t: np.ndarray, threshold: float):
-    """The eigenvectors of one scaled overlap above threshold * lambda_max,
-    and H projected on them: (retained eigenvalues, reduced H, basis)."""
-    cutoff = threshold * float(vals[-1])
-    keep = vals > max(cutoff, 0.0)
-    # dead diagonal indices only support spurious null directions; eigh of the
-    # scaled matrix already sends them to zero eigenvalues, dropped here
-    if not np.any(keep):
-        raise EmptySubspaceError(
-            f"no overlap eigenvalue above threshold {threshold:.3e}")
-    basis = vecs[:, keep]
-    h_red = basis.conj().T @ h_t @ basis
-    return vals[keep], 0.5 * (h_red + h_red.conj().T), basis
+def _retained_dims(vals: np.ndarray, threshold: float) -> np.ndarray:
+    """How many eigenvalues of each scaled overlap clear threshold * lambda_max.
+
+    ``eigh`` returns them ascending, so the retained ones are the top-r suffix.
+    Dead diagonal indices only support spurious null directions; the scaling
+    already sends them to zero eigenvalues, which never clear the cut.
+    """
+    cutoff = np.maximum(threshold * vals[:, -1], 0.0)
+    return np.sum(vals > cutoff[:, None], axis=1)
 
 
-def _lowest_in_window(s_red: np.ndarray, h_red: np.ndarray, basis: np.ndarray,
-                      window: tuple[float, float]) -> tuple[float, np.ndarray]:
-    """Minimal in-window eigenpair of the reduced pencil (h_red, s_red).
+def _retain(vals: np.ndarray, vecs: np.ndarray, h_t: np.ndarray, r: int):
+    """Stacks of the top-r eigenvectors of each scaled overlap and H projected
+    on them: (retained eigenvalues, reduced H, basis)."""
+    # each basis column-major, the layout that masking vecs[:, keep] gives:
+    # basis @ beta rounds differently on a row-major copy, which would move
+    # the last digits of alpha
+    basis = np.ascontiguousarray(vecs[:, :, -r:].swapaxes(1, 2)).swapaxes(1, 2)
+    h_red = basis.conj().swapaxes(1, 2) @ h_t @ basis
+    return vals[:, -r:], 0.5 * (h_red + h_red.conj().swapaxes(1, 2)), basis
 
-    Ties within 1e-12 go to the candidate whose coefficient vector leans
-    hardest on the first basis element.  Raises SelectionFailureError when
-    nothing lands in the window.
+
+def _lowest_in_window(s_vals: np.ndarray, h_red: np.ndarray, basis: np.ndarray,
+                      window: tuple[float, float]):
+    """Minimal in-window eigenpair of each reduced pencil (h_red, diag(s_vals)).
+
+    Takes stacks of one retained dimension r and returns (pick, vals, beta):
+    the eigenvalues and eigenvectors of every pencil, and per pencil the
+    index of the selected one, or -1 when nothing lands in the window.  Ties
+    within 1e-12 go to the candidate whose coefficient vector leans hardest
+    on the first basis element.
     """
     lo, hi = window
-    vals, vecs = scipy.linalg.eigh(h_red, s_red)
-    candidates = [(float(v), vecs[:, i]) for i, v in enumerate(vals)
-                  if np.isfinite(v) and lo <= float(v) <= hi]
-    if not candidates:
-        raise SelectionFailureError(
-            f"no eigenvalue in window [{lo:.6g}, {hi:.6g}]")
-    candidates.sort(key=lambda t: t[0])
-    best = [c for c in candidates if c[0] <= candidates[0][0] + 1e-12]
-    if len(best) > 1:
-        best.sort(key=lambda t: -abs((basis @ t[1])[0]))
-    return best[0]
+    w = 1.0 / np.sqrt(s_vals)
+    vals, y = np.linalg.eigh(w[:, :, None] * h_red * w[:, None, :])
+    beta = w[:, :, None] * y
+    inside = np.isfinite(vals) & (lo <= vals) & (vals <= hi)
+    pick = np.where(inside.any(axis=1), np.argmax(inside, axis=1), -1)
+    lowest = vals[np.arange(len(vals)), pick]
+    near = inside & (vals <= lowest[:, None] + 1e-12)
+    for k in np.flatnonzero(near.sum(axis=1) > 1):
+        cand = np.flatnonzero(near[k])
+        lean = [abs((basis[k] @ beta[k][:, i])[0]) for i in cand]
+        pick[k] = cand[int(np.argmax(lean))]
+    return pick, vals, beta
 
 
 def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
@@ -146,8 +162,12 @@ def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
     lambda_min_raw = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0])
     if not alive[0]:
         raise EmptySubspaceError("all overlap diagonal entries non-positive")
-    s_vals, h_red, basis = _retain(vals[0], vecs[0], h_t[0], threshold)
-    return ReducedPencil(s_vals, h_red, basis, dscale[0], len(s_vals),
+    r = int(_retained_dims(vals, threshold)[0])
+    if r == 0:
+        raise EmptySubspaceError(
+            f"no overlap eigenvalue above threshold {threshold:.3e}")
+    s_vals, h_red, basis = _retain(vals, vecs, h_t, r)
+    return ReducedPencil(s_vals[0], h_red[0], basis[0], dscale[0], r,
                          lambda_min_raw, float(vals[0][0]))
 
 
@@ -158,12 +178,20 @@ def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
     candidate whose coefficient vector leans hardest on the first basis
     element.  Raises SelectionFailureError when nothing lands in the window.
     """
-    s_red = np.diag(reduced.s_eigvals.astype(complex))
-    e, beta = _lowest_in_window(s_red, reduced.h_reduced, reduced.basis, window)
+    pick, vals, betas = _lowest_in_window(reduced.s_eigvals[None], reduced.h_reduced[None],
+                                          reduced.basis[None], window)
+    i = int(pick[0])
+    if i < 0:
+        lo, hi = window
+        raise SelectionFailureError(
+            f"no eigenvalue in window [{lo:.6g}, {hi:.6g}]")
+    e, beta = vals[0, i], betas[0, :, i]
 
+    s_red = np.diag(reduced.s_eigvals.astype(complex))
     alpha_prime = reduced.basis @ beta
     alpha = reduced.dscale * alpha_prime
-    # scipy normalizes beta^dag S_red beta = 1 already; renormalize defensively
+    # beta = w y has beta^dag S_red beta = 1 only up to rounding; dropping the
+    # renormalization would move alpha's last digits
     norm = np.real(np.vdot(beta, s_red @ beta))
     if norm > 0:
         alpha = alpha / np.sqrt(norm)
@@ -190,18 +218,17 @@ def stack_energies(s: np.ndarray, h: np.ndarray, window: tuple[float, float],
 
     NaN marks a pencil whose truncation came out empty or whose window held
     no eigenvalue (a solved energy is always finite).  Validation, scaling
-    and the overlap ``eigh`` run once over the stack; the threshold cut, the
-    reduced solve and the selection run per pencil.  Each result is bit-equal
-    to the one-pencil solve, and the earliest malformed pencil raises its
-    typed error.
+    and the overlap ``eigh`` run once over the stack; the pencils are then
+    grouped by retained dimension, and each group is projected, solved and
+    selected as one stack.  Each result is bit-equal to the one-pencil
+    solve, and the earliest malformed pencil raises its typed error.
     """
     alive, _, vals, vecs, h_t = _unit_diagonal(s, h)
+    dims = np.where(alive, _retained_dims(vals, threshold), 0)
     out = np.full(len(s), np.nan)
-    for k in np.flatnonzero(alive):
-        try:
-            s_vals, h_red, basis = _retain(vals[k], vecs[k], h_t[k], threshold)
-            e, _ = _lowest_in_window(np.diag(s_vals.astype(complex)), h_red, basis, window)
-        except (SelectionFailureError, EmptySubspaceError):
-            continue
-        out[k] = e
+    for r in np.unique(dims[dims > 0]):
+        rows = np.flatnonzero(dims == r)
+        pick, e, _ = _lowest_in_window(*_retain(vals[rows], vecs[rows], h_t[rows], r), window)
+        hit = np.flatnonzero(pick >= 0)
+        out[rows[hit]] = e[hit, pick[hit]]
     return out

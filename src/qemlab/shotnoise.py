@@ -9,8 +9,9 @@ over the unique queries.  Sampling compiles the pencil's ledger once per call
 one scalar draw per slot would; a slot is a query, so reused queries move
 together, or in the per-element mode one use.  A stack of samples is
 assembled in one pass over the terms and solved by ``gevp.stack_energies``:
-scaling and the overlap ``eigh`` run over the stack, the threshold cut and
-the reduced solve per sample.  The arithmetic runs across samples, never
+scaling and the overlap ``eigh`` run over the stack, and the reduced solve
+over each group of samples that keep the same retained dimension, each
+sample rounding as it would alone.  The arithmetic runs across samples, never
 across terms: a sum over terms rounds in another order, and the
 ill-conditioned pencils (unit-diagonal lambda_min 1.76e-5 at M = 3 on path-8)
 carry that into the 12 digits the CSVs print.  The exact pencil is the same

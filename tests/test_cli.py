@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -205,3 +207,23 @@ class TestCliEntry:
         assert rc == 0
         assert (tmp_path / "grid" / "point-000" / "bias_vs_m.csv").exists()
         assert (tmp_path / "grid" / "point-001" / "bias_vs_m.csv").exists()
+
+    def test_cli_and_solves_load_no_scipy(self):
+        # numpy alone is the runtime: importing scipy.linalg would cost more
+        # than the rest of the import of qemlab.cli
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "import qemlab.cli",
+            "from qemlab.gevp import solve_pencil, stack_energies",
+            "s, h = np.eye(2), np.diag([-2.0, -1.0])",
+            "assert solve_pencil(s, h, (-10.0, 0.0), 1e-8).energy == -2.0",
+            "assert list(stack_energies(np.array([s, s]), np.array([h, h]),"
+            " (-10.0, 0.0), 1e-8)) == [-2.0, -2.0]",
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')",
+            "assert 'scipy' not in sys.modules, loaded",
+        ])
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -218,11 +218,17 @@ def oracle_regularize(s, h, threshold):
 
 
 def oracle_solve(reduced, window):
-    """(energy, alpha, alpha_prime) of the minimal in-window eigenvalue."""
+    """(energy, alpha, alpha_prime) of the minimal in-window eigenvalue.
+
+    The reduced overlap is diag(s_eigvals): the pencil is solved as the
+    standard problem of w h w with w = 1/sqrt(s_eigvals), and beta = w y.
+    """
     s_eigvals, h_reduced, basis, dscale = reduced[:4]
     lo, hi = window
     s_red = np.diag(s_eigvals.astype(complex))
-    vals, vecs = scipy.linalg.eigh(h_reduced, s_red)
+    w = 1.0 / np.sqrt(s_eigvals)
+    vals, y = np.linalg.eigh(w[:, None] * h_reduced * w[None, :])
+    vecs = w[:, None] * y
     candidates = [(float(v), vecs[:, i]) for i, v in enumerate(vals)
                   if np.isfinite(v) and lo <= float(v) <= hi]
     if not candidates:
@@ -278,6 +284,17 @@ def random_pencil(rng, m, style):
 
 
 STYLES = ["plain", "near_singular", "dead_index", "no_positive_diagonal"]
+
+
+def pencil_of_rank(rng, m, r):
+    """A hermitian pencil whose overlap has r directions of order one and
+    m - r near 1e-14 of them, so a cut at 1e-8 keeps r; H sits around -5."""
+    v = rng.standard_normal((m, r)) + 1j * rng.standard_normal((m, r))
+    a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    b = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    s = 10.0 ** rng.uniform(-2, 3) * (v @ v.conj().T + 1e-14 * (a @ a.conj().T))
+    h = -5.0 * np.eye(m) + 0.5 * (b + b.conj().T)
+    return 0.5 * (s + s.conj().T), h
 
 
 class TestStackedSolve:
@@ -353,6 +370,42 @@ class TestStackedSolve:
         got = stack_energies(np.array([s, s]), np.array([h, h]), (-5.0, -3.0), 1e-10)
         assert np.array_equal(got, [want[0], want[0]])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5), n=st.integers(1, 24))
+    def test_grouped_solve_equals_one_pencil_oracle(self, seed, m, n):
+        # sample i keeps r = 1 + i % m, so a stack of m or more holds every
+        # retained dimension; some lose a diagonal index, some miss the window
+        rng = np.random.default_rng(seed)
+        s, h = np.zeros((2, n, m, m), dtype=complex)
+        for i in range(n):
+            s[i], h[i] = pencil_of_rank(rng, m, 1 + i % m)
+            if rng.random() < 0.25:
+                k = int(rng.integers(m))
+                s[i, k, :] = s[i, :, k] = 0.0
+            if rng.random() < 0.25:
+                h[i] += 20.0 * np.eye(m)
+        want = oracle_energies(s, h, (-8.0, -4.0), 1e-8)
+        assert np.array_equal(stack_energies(s, h, (-8.0, -4.0), 1e-8), want, equal_nan=True)
+
+    def test_tie_sample_among_clean_samples_of_its_dimension(self):
+        # the tie pencil of test_degenerate_pair_takes_the_tie_rule, solved in
+        # one group with four clean pencils that also keep all three directions
+        c, sn = np.cos(0.1), np.sin(0.1)
+        u = np.array([[sn, c, 0.0], [c, -sn, 0.0], [0.0, 0.0, 1.0]])
+        tie = u @ np.diag([-4.0, -4.0 + 5e-13, -1.0]) @ u.T
+        rng = np.random.default_rng(5)
+        clean = []
+        for _ in range(4):
+            q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+            clean.append(q @ np.diag([-4.5, -2.0, -1.0]) @ q.conj().T)
+        h = np.array(clean[:2] + [tie] + clean[2:])
+        s = np.array([np.eye(3)] * 5, dtype=complex)
+        want = oracle_solve(oracle_regularize(s[2], h[2], 1e-10), (-5.0, -3.0))[0]
+        got = stack_energies(s, h, (-5.0, -3.0), 1e-10)
+        assert got[2] == want > -4.0
+        assert np.array_equal(got, oracle_energies(s, h, (-5.0, -3.0), 1e-10))
+        assert np.allclose(np.delete(got, 2), -4.5)
+
     def test_non_positive_diagonal_rejects_one_sample(self):
         s = np.array([np.eye(2), np.diag([-1.0, 0.0]), np.diag([1.0, -1.0])], dtype=complex)
         h = np.array([np.diag([-2.0, -1.0])] * 3, dtype=complex)
@@ -382,3 +435,38 @@ class TestStackedSolve:
             oracle_regularize(s[1], h[1], 1e-8)
         with pytest.raises(NonHermitianOverlapError, match="1 of 2"):
             stack_energies(s, h, (-10.0, 0.0), 1e-8)
+
+
+class TestAgainstScipy:
+    """The scaled standard eigh against scipy's generalized one, to tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5))
+    def test_plain_pencils_agree_with_generalized_eigh(self, seed, m):
+        s, h = random_pencil(np.random.default_rng(seed), m, "plain")
+        sol = solve_pencil(s, h, (-1e9, 1e9), threshold=1e-12)
+        assert sol.retained_dim == m
+        vals, vecs = scipy.linalg.eigh(h, s)
+        assert abs(sol.energy - vals[0]) <= 1e-12 * abs(vals[0])
+        k = int(np.argmax(np.abs(sol.alpha)))
+        want = vecs[:, 0] / (vecs[k, 0] / abs(vecs[k, 0]))
+        np.testing.assert_allclose(sol.alpha, want, rtol=0,
+                                   atol=1e-10 * np.linalg.norm(want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5),
+           style=st.sampled_from(STYLES),
+           log_threshold=st.floats(-12.0, -1.0))
+    def test_reduced_residual(self, seed, m, style, log_threshold):
+        s, h = random_pencil(np.random.default_rng(seed), m, style)
+        if style == "no_positive_diagonal" or (style == "dead_index" and m == 1):
+            with pytest.raises(EmptySubspaceError):
+                regularize(s, h, 10.0 ** log_threshold)
+            return
+        red = regularize(s, h, 10.0 ** log_threshold)
+        sol = solve(red, (-1e9, 1e9))
+        beta = red.basis.conj().T @ sol.alpha_prime
+        s_red, h_red = np.diag(red.s_eigvals), red.h_reduced
+        resid = np.linalg.norm(h_red @ beta - sol.energy * s_red @ beta)
+        assert resid <= 1e-9 * (np.linalg.norm(h_red) + abs(sol.energy) * np.linalg.norm(s_red))
+        assert np.real(np.vdot(beta, s_red @ beta)) == pytest.approx(1.0, abs=1e-9)
