@@ -117,14 +117,19 @@ class Gate:
         return tuple("z" for _ in self.qubits)
 
 
+def rotation(name: str, angle: float) -> np.ndarray:
+    """The rx or rz matrix exp(-i angle P / 2), P = X or Z."""
+    if name == "rx":
+        c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
+        return np.array([[c, -1.0j * s], [-1.0j * s, c]], dtype=complex)
+    return np.array([[np.exp(-0.5j * angle), 0.0], [0.0, np.exp(0.5j * angle)]], dtype=complex)
+
+
 def gate_matrix(g: Gate) -> np.ndarray:
     if g.name in _FIXED_1Q:
         return _FIXED_1Q[g.name]
-    if g.name == "rx":
-        c, s = math.cos(g.angle / 2.0), math.sin(g.angle / 2.0)
-        return np.array([[c, -1.0j * s], [-1.0j * s, c]], dtype=complex)
-    if g.name == "rz":
-        return np.diag([np.exp(-0.5j * g.angle), np.exp(0.5j * g.angle)]).astype(complex)
+    if g.name in ("rx", "rz"):
+        return rotation(g.name, g.angle)
     if g.name == "phase":
         return np.diag([1.0, np.exp(1.0j * g.angle)]).astype(complex)
     if g.name == "cz":
@@ -219,22 +224,31 @@ def zero_vector(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=4096)
-def _perms(ndim: int, axes: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Listed axes first, their inverse, and the all-2 shape of an ndim tensor."""
-    perm = axes + tuple(a for a in range(ndim) if a not in axes)
+def _perms(ndim: int, axes: tuple[int, ...], stack: bool = False) -> tuple[tuple[int, ...], ...]:
+    """Stack axis, listed axes, the rest; its inverse; the all-2 shape of an ndim tensor."""
+    first = ((0,) if stack else ()) + axes
+    perm = first + tuple(a for a in range(ndim) if a not in first)
     return perm, tuple(int(a) for a in np.argsort(perm)), (2,) * ndim
 
 
-def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
+def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool = False) -> np.ndarray:
     """A 2^j x 2^j matrix m on the j listed size-2 axes of t (first = local MSB).
 
     The one simulation kernel.  It makes the transpose -> reshape -> ``np.dot``
     call that ``np.tensordot(m.reshape((2,) * 2j), t, (range(j, 2j), axes))``
     makes, and hands back the transposed view that ``np.moveaxis`` would, so
     it rounds exactly like that pair; only the bookkeeping is cached.
+
+    With ``stack`` the first axis of t (size 2) holds two tensors, and one
+    ``np.matmul`` makes for each the gemm call that ``np.dot`` makes on its
+    own, so each rounds as in a call of its own.
     """
-    perm, inverse, shape = _perms(t.ndim, axes)
-    out = np.dot(m, t.transpose(perm).reshape(m.shape[1], -1))
+    perm, inverse, shape = _perms(t.ndim, axes, stack)
+    t = t.transpose(perm)
+    if stack:
+        out = np.matmul(m, t.reshape(2, m.shape[1], -1))
+    else:
+        out = np.dot(m, t.reshape(m.shape[1], -1))
     return out.reshape(shape).transpose(inverse)
 
 

@@ -35,7 +35,7 @@ from .pauli import PauliTerm, build_ising, expect_pauli
 from .purification import EsdEvaluator, dsp_expectation
 from .shotnoise import ShotConfig, sample_distribution
 from .subspace import SubspaceSpec, build, plan_queries
-from .vqe import exact_ground, optimize
+from .vqe import check_sizes, exact_ground, optimize
 
 FMT = "%.12g"
 
@@ -139,7 +139,9 @@ class Problem:
         gname = cfg.get("graph", "path-8")
         self.n, self.edges = models.graph(gname)
         self.h = build_ising(self.edges, self.n)
-        self.layers = cfg.get("vqe", {}).get("layers", 8)
+        vqe_cfg = cfg.get("vqe", {})
+        self.layers = vqe_cfg.get("layers", 8)
+        check_sizes(self.layers, vqe_cfg.get("iters", 500))
         self.e_true, _ = exact_ground(self.h)
         self.window = energy_window(self.e_true, cfg.get("window_frac", 0.1))
         self.params = _vqe_params(cfg, self.n, self.layers, self.h, self.edges)

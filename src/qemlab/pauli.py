@@ -178,10 +178,13 @@ class PauliSum:
         return sum_mul(self, other)
 
     def matrix(self) -> np.ndarray:
+        """Dense matrix: per string one scatter of c i^{#Y} (-1)^{|j & z|} to [j ^ x, j]."""
         d = 1 << self.n
         m = np.zeros((d, d), dtype=complex)
-        for t in self:
-            m += t.matrix()
+        idx = np.arange(d)
+        signs = parity_signs(self.n)
+        for x, z, c in self.mask_items():
+            m[idx ^ x, idx] += c * (_I_POW[(x & z).bit_count() % 4] * signs[idx & z])
         return m
 
     def serialize(self) -> str:
@@ -338,19 +341,3 @@ def expect_pauli(rho: np.ndarray, axes: str) -> complex:
     phase = _I_POW[ny % 4]
     return complex(phase * np.sum(signs * rho[idx, idx ^ x]))
 
-
-def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:
-    """P a P for a unit-coefficient string, by index gathers."""
-    n = len(axes)
-    d = 1 << n
-    if a.shape != (d, d):
-        raise SizeMismatchError(f"operator dim {a.shape} vs {n} qubits")
-    x, z = _axes_to_masks(axes)
-    idx = np.arange(d)
-    signs = parity_signs(n)[idx & z].astype(complex)
-    perm = idx ^ x
-    # (P A P)_{ij} = i^{2#Y} (-1)^{|(i^x)&z| + |j&z|} A[i^x, j^x]
-    out = a[np.ix_(perm, perm)] * np.outer(signs[perm], signs)
-    if (x & z).bit_count() % 2:
-        out = -out
-    return out

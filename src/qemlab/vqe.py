@@ -5,23 +5,42 @@ residual bias is the baseline every experiment is judged against.  Gradients
 are analytic: the parameter-shift rule is the reference implementation and a
 two-sweep adjoint pass computes the identical vector at a fraction of the
 cost, which is what the quasi-Newton loop consumes.
+
+The adjoint pass runs on a sweep plan: ``_plan`` compiles (n, layers, edges)
+once into read-only steps, cached in a bounded ``lru_cache``, each holding
+the gate's tensor axes, the index of the parameter it consumes, and for cz
+the fixed matrix and its adjoint.  A gradient builds each rx/rz matrix once
+through ``circuits.rotation`` (the formula ``gate_matrix`` uses) and reuses
+its adjoint on the way back.  psi stays a tensor between ``_contract`` steps,
+and the backward sweep carries psi and lambda as one (2, 2^n) tensor, so one
+call undoes a gate on both.  ``optimize`` runs only the forward sweep for a
+line-search candidate and the backward sweep for the one Armijo accepts.
+Each step makes the floating-point operations of the gate-by-gate sweep, so
+energies, gradients and optimizer results are bit-equal to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Gate, _apply_unitary_state, apply_state, build_ansatz, zero_vector
-from .errors import RegisterCapError
+from .circuits import _contract, apply_state, build_ansatz, rotation, zero_vector
+from .errors import ConfigError, RegisterCapError
 from .pauli import PauliSum
 
-_GEN = {"rx": "x", "rz": "z"}
 _PAULI_VEC = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "rx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "rz": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+
+
+def check_sizes(layers, iters) -> None:
+    """ConfigError unless both are non-negative ints (bools are not sizes)."""
+    for key, v in (("layers", layers), ("iters", iters)):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+            raise ConfigError(f"vqe.{key} must be a non-negative integer, got {v!r}")
 
 
 def exact_ground(h: PauliSum) -> tuple[float, np.ndarray]:
@@ -40,6 +59,9 @@ class AnsatzCircuit:
     layers: int
     edges: tuple[tuple[int, int], ...]
 
+    def __post_init__(self) -> None:
+        self.edges = tuple(map(tuple, self.edges))  # hashable: it keys the sweep plan
+
     @property
     def num_params(self) -> int:
         return 2 * self.n * (self.layers + 1)
@@ -55,19 +77,70 @@ def energy(h_mat: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(np.vdot(psi, h_mat @ psi)))
 
 
-def _gate_sequence(ansatz: AnsatzCircuit, params) -> list[tuple[Gate, int | None]]:
-    """Gates paired with the index of the parameter they consume."""
-    seq = []
+@lru_cache(maxsize=32)
+def _plan(n: int, layers: int, edges: tuple) -> tuple:
+    """The ansatz as read-only sweep steps (name, axes, stacked axes, param, u, u_dag).
+
+    A rotation carries its parameter index and no matrix; a cz carries None
+    and its fixed matrix with the adjoint.  Parameters are consumed in gate
+    order.  Stacked axes address the same qubits behind a leading stack axis.
+    """
+    steps = []
     k = 0
-    c = ansatz.circuit(params)
-    for g in c.gates():
-        if g.name in ("rx", "rz"):
-            seq.append((g, k))
+    for g in build_ansatz(n, layers, np.zeros(2 * n * (layers + 1)), edges).gates():
+        axes = tuple(n - 1 - q for q in g.qubits)
+        stacked = tuple(a + 1 for a in axes)
+        if g.name in _PAULI_VEC:
+            steps.append((g.name, axes, stacked, k, None, None))
             k += 1
         else:
-            seq.append((g, None))
-    assert k == ansatz.num_params
-    return seq
+            u = g.matrix()
+            u_dag = u.conj().T
+            u.flags.writeable = u_dag.flags.writeable = False
+            steps.append((g.name, axes, stacked, None, u, u_dag))
+    return tuple(steps)
+
+
+@dataclass
+class _Sweep:
+    """A forward sweep: the energy, psi, H psi and the rotation matrices in parameter order."""
+
+    energy: float
+    psi: np.ndarray
+    hpsi: np.ndarray
+    rots: list
+
+
+def _forward(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> _Sweep:
+    params = np.asarray(params, dtype=float)
+    if len(params) != ansatz.num_params:
+        raise ValueError(f"need {ansatz.num_params} parameters, got {len(params)}")
+    n = ansatz.n
+    rots = []
+    t = zero_vector(n).reshape((2,) * n)
+    for name, axes, _, k, u, _ in _plan(n, ansatz.layers, ansatz.edges):
+        if u is None:
+            u = rotation(name, params[k])
+            rots.append(u)
+        t = _contract(t, u, axes)
+    psi = t.reshape(-1)
+    hpsi = h_mat @ psi
+    return _Sweep(float(np.real(np.vdot(psi, hpsi))), psi, hpsi, rots)
+
+
+def _backward(ansatz: AnsatzCircuit, sweep: _Sweep) -> np.ndarray:
+    """dE/dtheta from psi and lambda = H psi, undone gate by gate as one stack."""
+    n = ansatz.n
+    grad = np.zeros(ansatz.num_params)
+    t = np.stack((sweep.psi, sweep.hpsi)).reshape((2,) * (n + 1))
+    for name, axes, stacked, k, _, u_dag in reversed(_plan(n, ansatz.layers, ansatz.edges)):
+        if k is not None:
+            # dU/dtheta = -(i/2) P U, so dE/dtheta = Im <lam|P|psi>
+            ppsi = _contract(t[0], _PAULI_VEC[name], axes)
+            grad[k] = float(np.imag(np.vdot(t[1], ppsi)))
+            u_dag = sweep.rots[k].conj().T
+        t = _contract(t, u_dag, stacked, stack=True)
+    return grad
 
 
 def parameter_shift_gradient(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> np.ndarray:
@@ -89,24 +162,8 @@ def adjoint_gradient(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> tuple[
 
     Produces the same vector as the shift rule to machine precision.
     """
-    params = np.asarray(params, dtype=float)
-    seq = _gate_sequence(ansatz, params)
-    psi = zero_vector(ansatz.n)
-    for g, _ in seq:
-        psi = _apply_unitary_state(psi, g.matrix(), g.qubits, ansatz.n)
-    e = energy(h_mat, psi)
-    lam = h_mat @ psi
-    grad = np.zeros_like(params)
-    for g, idx in reversed(seq):
-        if idx is not None:
-            p = _PAULI_VEC[_GEN[g.name]]
-            # dU/dtheta = -(i/2) P U, so dE/dtheta = Im <lam|P|psi>
-            ppsi = _apply_unitary_state(psi, p, g.qubits, ansatz.n)
-            grad[idx] = float(np.imag(np.vdot(lam, ppsi)))
-        u_dag = g.matrix().conj().T
-        psi = _apply_unitary_state(psi, u_dag, g.qubits, ansatz.n)
-        lam = _apply_unitary_state(lam, u_dag, g.qubits, ansatz.n)
-    return e, grad
+    sweep = _forward(ansatz, h_mat, params)
+    return sweep.energy, _backward(ansatz, sweep)
 
 
 @dataclass
@@ -125,9 +182,10 @@ def optimize(n: int, layers: int, h: PauliSum, iters: int = 500, seed: int = 0,
     capped at ``iters`` quasi-Newton steps; non-convergence just leaves a
     larger residual bias, which the experiments treat as the baseline.
     """
+    check_sizes(layers, iters)
     if edges is None:
         edges = [(i, i + 1) for i in range(n - 1)]
-    ansatz = AnsatzCircuit(n, layers, tuple(edges))
+    ansatz = AnsatzCircuit(n, layers, edges)
     h_mat = h.matrix()
     rng = np.random.default_rng(seed)
     x = rng.uniform(-0.1, 0.1, size=ansatz.num_params)
@@ -151,9 +209,9 @@ def optimize(n: int, layers: int, h: PauliSum, iters: int = 500, seed: int = 0,
         f_new = None
         for _ in range(40):
             cand = x + t * p
-            f_cand, g_cand = adjoint_gradient(ansatz, h_mat, cand)
-            if f_cand <= f + 1e-4 * t * slope:
-                f_new, g_new, x_new = f_cand, g_cand, cand
+            sweep = _forward(ansatz, h_mat, cand)
+            if sweep.energy <= f + 1e-4 * t * slope:
+                f_new, g_new, x_new = sweep.energy, _backward(ansatz, sweep), cand
                 break
             t *= 0.5
         if f_new is None:

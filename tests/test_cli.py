@@ -171,6 +171,38 @@ class TestCliEntry:
         rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path)])
         assert rc == 1
 
+    @pytest.mark.parametrize("key, value", [
+        ("layers", -1), ("layers", 1.5), ("layers", True), ("layers", "2"),
+        ("iters", 2.5), ("iters", -3), ("iters", False), ("iters", None),
+    ])
+    def test_malformed_vqe_size_exit_code(self, tmp_path, capsys, key, value):
+        cfg = small_cfg()
+        cfg["vqe"][key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"vqe.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--layers", "--iters"])
+    def test_negative_vqe_size_flag_exit_code(self, tmp_path, flag):
+        rc = main(["vqe", "--graph", "path-4", flag, "-2", "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+
+    def test_zero_vqe_sizes_are_valid(self, tmp_path):
+        params_path = str(tmp_path / "params.json")
+        rc = main(["vqe", "--graph", "path-4", "--layers", "0", "--iters", "0",
+                   "--out", params_path])
+        assert rc == 0
+        assert len(json.load(open(params_path))) == 2 * 4
+        cfg = small_cfg()
+        cfg["vqe"].update(layers=0, iters=0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 0
+
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = small_cfg()
         cfg["vqe"]["params_file"] = str(tmp_path / "missing.json")

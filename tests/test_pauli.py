@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qemlab.errors import PartitionError, SizeMismatchError
 from qemlab.pauli import (
@@ -11,11 +13,12 @@ from qemlab.pauli import (
     expect_pauli,
     factorize,
     pauli_mul,
-    sandwich_pauli,
     sum_mul,
     sum_pow,
     term_matrix,
 )
+
+from oracles import sandwich_pauli
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -107,6 +110,42 @@ class TestPauliSum:
     def test_weight(self):
         h = build_ising([(0, 1), (1, 2)], 3)
         assert h.weight() == pytest.approx(5.0)
+
+
+def kron_sum_matrix(h):
+    """The dense matrix as the sum of every term's Kronecker product, in term order."""
+    m = np.zeros((1 << h.n, 1 << h.n), dtype=complex)
+    for t in h:
+        m += t.matrix()
+    return m
+
+
+def assert_bit_equal(a, b):
+    assert np.array_equal(a, b)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(a)), np.signbit(part(b)))
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    terms = draw(st.lists(st.tuples(st.text("IXYZ", min_size=n, max_size=n),
+                                    st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                                                       allow_infinity=False)),
+                          min_size=1, max_size=12))
+    return PauliSum(n, [PauliTerm(axes, c) for axes, c in terms])
+
+
+class TestSumMatrix:
+    @pytest.mark.parametrize("n", [4, 8, 10])
+    def test_ising_bit_equal_to_kron_sum(self, n):
+        h = build_ising([(i, i + 1) for i in range(n - 1)], n)
+        assert_bit_equal(h.matrix(), kron_sum_matrix(h))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pauli_sums())
+    def test_bit_equal_to_kron_sum(self, h):
+        assert_bit_equal(h.matrix(), kron_sum_matrix(h))
 
 
 class TestSumPow:

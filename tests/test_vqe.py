@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qemlab import vqe
+from qemlab.circuits import _apply_unitary_state, zero_vector
 from qemlab.pauli import PauliSum, PauliTerm, build_ising
 from qemlab.vqe import (
     AnsatzCircuit,
@@ -131,3 +135,177 @@ class TestOptimize:
         for seed in range(4):
             res = optimize(3, 1, h, iters=40, seed=seed)
             assert res.energy >= e_true - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The per-gate adjoint sweep and the BFGS loop on top of it, frozen as oracles
+# for the sweep plan: every Gate rebuilt per call, psi flattened after every
+# gate, psi and lambda undone separately, a full gradient per candidate.
+
+ORACLE_PAULI = {
+    "rx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "rz": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+}
+
+
+def oracle_gate_sequence(ansatz, params):
+    """Gates paired with the index of the parameter they consume."""
+    seq = []
+    k = 0
+    for g in ansatz.circuit(params).gates():
+        if g.name in ("rx", "rz"):
+            seq.append((g, k))
+            k += 1
+        else:
+            seq.append((g, None))
+    assert k == ansatz.num_params
+    return seq
+
+
+def oracle_adjoint_gradient(ansatz, h_mat, params):
+    params = np.asarray(params, dtype=float)
+    seq = oracle_gate_sequence(ansatz, params)
+    psi = zero_vector(ansatz.n)
+    for g, _ in seq:
+        psi = _apply_unitary_state(psi, g.matrix(), g.qubits, ansatz.n)
+    e = energy(h_mat, psi)
+    lam = h_mat @ psi
+    grad = np.zeros_like(params)
+    for g, idx in reversed(seq):
+        if idx is not None:
+            ppsi = _apply_unitary_state(psi, ORACLE_PAULI[g.name], g.qubits, ansatz.n)
+            grad[idx] = float(np.imag(np.vdot(lam, ppsi)))
+        u_dag = g.matrix().conj().T
+        psi = _apply_unitary_state(psi, u_dag, g.qubits, ansatz.n)
+        lam = _apply_unitary_state(lam, u_dag, g.qubits, ansatz.n)
+    return e, grad
+
+
+def oracle_optimize(n, layers, h, iters, seed, edges=None, grad_tol=1e-9):
+    if edges is None:
+        edges = path_edges(n)
+    ansatz = AnsatzCircuit(n, layers, tuple(edges))
+    h_mat = h.matrix()
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-0.1, 0.1, size=ansatz.num_params)
+    f, g = oracle_adjoint_gradient(ansatz, h_mat, x)
+    m = len(x)
+    b_inv = np.eye(m)
+    best_f, best_x = f, x.copy()
+    history = [f]
+    stalled = 0
+    it = 0
+    for it in range(1, iters + 1):
+        if np.linalg.norm(g) < grad_tol or stalled >= 20:
+            break
+        p = -b_inv @ g
+        slope = float(g @ p)
+        if slope >= 0.0:
+            p = -g
+            slope = float(g @ p)
+        t = 1.0
+        f_new = None
+        for _ in range(40):
+            cand = x + t * p
+            f_cand, g_cand = oracle_adjoint_gradient(ansatz, h_mat, cand)
+            if f_cand <= f + 1e-4 * t * slope:
+                f_new, g_new, x_new = f_cand, g_cand, cand
+                break
+            t *= 0.5
+        if f_new is None:
+            break
+        s = x_new - x
+        y = g_new - g
+        sy = float(s @ y)
+        if sy > 1e-12:
+            rho_k = 1.0 / sy
+            v = np.eye(m) - rho_k * np.outer(s, y)
+            b_inv = v @ b_inv @ v.T + rho_k * np.outer(s, s)
+        x, f, g = x_new, f_new, g_new
+        if f < best_f - 1e-13:
+            best_f, best_x, stalled = f, x.copy(), 0
+        else:
+            stalled += 1
+            if f < best_f:
+                best_f, best_x = f, x.copy()
+        history.append(best_f)
+    return best_x, best_f, history, it
+
+
+@st.composite
+def ansatz_cases(draw):
+    n = draw(st.integers(1, 6))
+    layers = draw(st.integers(0, 3))
+    if n > 1 and draw(st.booleans()):
+        pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+        edges = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    else:
+        edges = path_edges(n)
+    ansatz = AnsatzCircuit(n, layers, tuple(edges))
+    angle = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+    x = np.array(draw(st.lists(angle, min_size=ansatz.num_params,
+                               max_size=ansatz.num_params)), dtype=float)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = 1 << n
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return ansatz, a + a.conj().T, x
+
+
+class TestSweepPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(ansatz_cases())
+    def test_bit_equal_to_per_gate_sweep(self, case):
+        ansatz, h_mat, x = case
+        e, grad = adjoint_gradient(ansatz, h_mat, x)
+        e_want, grad_want = oracle_adjoint_gradient(ansatz, h_mat, x)
+        assert np.array_equal(np.array(e), np.array(e_want))
+        assert np.array_equal(grad, grad_want)
+        assert np.array_equal(np.signbit(grad), np.signbit(grad_want))
+
+    def test_bit_equal_on_path8(self):
+        rng = np.random.default_rng(4)
+        h_mat = build_ising(path_edges(8), 8).matrix()
+        for layers in (2, 8):
+            ansatz = AnsatzCircuit(8, layers, tuple(path_edges(8)))
+            x = rng.uniform(-np.pi, np.pi, size=ansatz.num_params)
+            e, grad = adjoint_gradient(ansatz, h_mat, x)
+            e_want, grad_want = oracle_adjoint_gradient(ansatz, h_mat, x)
+            assert e == e_want
+            assert np.array_equal(grad, grad_want)
+
+    def test_wrong_parameter_count(self):
+        ansatz = AnsatzCircuit(3, 1, tuple(path_edges(3)))
+        with pytest.raises(ValueError):
+            adjoint_gradient(ansatz, np.eye(8), np.zeros(ansatz.num_params - 1))
+
+    @pytest.mark.parametrize("n, layers, iters, seed, edges", [
+        (8, 2, 60, 7, None),
+        (4, 8, 500, 7, None),
+        (3, 2, 60, 11, None),
+        (4, 2, 80, 3, [(0, 2), (1, 3), (0, 3)]),
+    ])
+    def test_optimize_equals_per_gate_loop(self, monkeypatch, n, layers, iters, seed, edges):
+        calls = {"forward": 0, "backward": 0}
+
+        def counted(name):
+            fn = getattr(vqe, name)
+
+            def wrapper(*a, **k):
+                calls[name.strip("_")] += 1
+                return fn(*a, **k)
+            return wrapper
+
+        monkeypatch.setattr(vqe, "_forward", counted("_forward"))
+        monkeypatch.setattr(vqe, "_backward", counted("_backward"))
+        h = build_ising(edges or path_edges(n), n)
+        res = optimize(n, layers, h, iters=iters, seed=seed, edges=edges)
+        params, e, history, iterations = oracle_optimize(n, layers, h, iters, seed, edges)
+        assert np.array_equal(res.params, params)
+        assert res.energy == e
+        assert res.history == history
+        assert res.iterations == iterations
+        # one gradient per accepted step, plus the starting point
+        assert calls["backward"] == len(history)
+        if (n, layers) == (4, 8):
+            # the stalled case: most line-search candidates are rejected
+            assert calls["forward"] > 2 * calls["backward"]
