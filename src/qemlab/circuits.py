@@ -9,7 +9,7 @@ everything here is dense.
 
 * compile: every gate becomes its superoperator kron(U, conj(U)) and every
   local channel the sum of K (x) conj(K) over its Kraus set, on the op's own
-  qubit tuple (first listed qubit = local MSB);
+  qubit tuple (first listed qubit = local MSB), each cached by value;
 * fuse: an op is multiplied into the latest block on its qubits when that
   block acts on the same tuple and nothing has touched those qubits since,
   so a gate absorbs the noise that follows it and a run of one-qubit ops
@@ -314,14 +314,36 @@ def _channel_superop(kind: str, k: int, params: tuple, dualized: bool) -> np.nda
     return s
 
 
+@lru_cache(maxsize=1 << 14)
+def _cached_gate_superop(name: str, angle, negative: bool, payload) -> np.ndarray:
+    """kron(U, conj(U)) of a gate by value; read-only, as it is shared.
+
+    ``negative`` is the angle's sign bit: 0.0 == -0.0 as a key, but rx(-0.0)
+    has zeros of the other sign, so it must not reuse rx(0.0).  The size lets
+    ``run`` and ``dual_state`` of one depth-1000 path-4 ansatz (8008 distinct
+    rotations) share entries; a full cache holds about 14 MiB.
+    """
+    s = _unitary_superop(gate_matrix(Gate(name, (), angle, payload)))
+    s.flags.writeable = False
+    return s
+
+
+def _gate_superop(g: Gate) -> np.ndarray:
+    """The gate's superoperator, cached unless its payload is a matrix (u)."""
+    if g.name == "u":
+        return _unitary_superop(g.matrix())
+    negative = g.angle is not None and math.copysign(1.0, g.angle) < 0.0
+    return _cached_gate_superop(g.name, g.angle, negative, g.payload)
+
+
 def _superops(op) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """(qubits, superoperator) pairs for a gate or a local channel."""
     if isinstance(op, Gate):
-        yield op.qubits, _unitary_superop(op.matrix())
+        yield op.qubits, _gate_superop(op)
     elif op.kind == "coherent_drift":
         for gen, q, ang in op.params:
-            g = Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
-            yield (q,), _unitary_superop(g.matrix())
+            yield (q,), _gate_superop(Gate("rx" if gen == "x" else "rz", (q,),
+                                           -ang if op.dualized else ang))
     else:
         yield op.qubits, _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
 

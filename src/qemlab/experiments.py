@@ -32,10 +32,10 @@ from .cost import cost_metric, dc_overhead, postselect_bound
 from .errors import ConfigError, SelectionFailureError, EmptySubspaceError
 from .gevp import energy_window, solve_pencil
 from .pauli import PauliTerm, build_ising, expect_pauli
-from .purification import EsdEvaluator, dsp_expectation
+from .purification import DspEvaluator, EsdEvaluator
 from .shotnoise import ShotConfig, sample_distribution
 from .subspace import SubspaceSpec, build, plan_queries
-from .vqe import check_sizes, exact_ground, optimize
+from .vqe import check_count, check_sizes, exact_ground, optimize
 
 FMT = "%.12g"
 
@@ -141,7 +141,7 @@ class Problem:
         self.h = build_ising(self.edges, self.n)
         vqe_cfg = cfg.get("vqe", {})
         self.layers = vqe_cfg.get("layers", 8)
-        check_sizes(self.layers, vqe_cfg.get("iters", 500))
+        check_sizes(self.layers, vqe_cfg.get("iters", 500), vqe_cfg.get("seed", 7))
         self.e_true, _ = exact_ground(self.h)
         self.window = energy_window(self.e_true, cfg.get("window_frac", 0.1))
         self.params = _vqe_params(cfg, self.n, self.layers, self.h, self.edges)
@@ -338,13 +338,11 @@ def scenario_esd_vs_dsp(cfg: dict) -> dict:
             nm = NoiseModel(kind=nk, p1=p1,
                             thermal_with_pauli=(nk == "thermal_relaxation"))
             circ = attach_noise(prob.ansatz, nm, seed=seed)
+            dsp = DspEvaluator(circ, gadget_noise=nm, gadget_seed=seed)
             num = 0.0
             for t in prob.h:
-                r = dsp_expectation(circ, PauliTerm(t.axes, 1.0), gadget_noise=nm,
-                                    gadget_seed=seed)
-                num += float(np.real(t.coeff)) * r.numerator
-            p0 = dsp_expectation(circ, PauliTerm("I" * prob.n, 1.0),
-                                 gadget_noise=nm).p0
+                num += float(np.real(t.coeff)) * dsp.numerator(PauliTerm(t.axes, 1.0))
+            p0 = dsp.result(PauliTerm("I" * prob.n, 1.0)).p0  # raises on a vanishing p0
             e_dsp = num / p0
             ev = EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=seed)
             e_esd = sum(float(np.real(t.coeff)) * ev.expectation(PauliTerm(t.axes, 1.0))
@@ -402,5 +400,6 @@ def run_experiment(cfg: dict, out_dir: str) -> list[str]:
     name = cfg.get("scenario")
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
+    check_count("seed", cfg.get("seed", 0))
     outputs = SCENARIOS[name](cfg)
     return write_outputs(outputs, cfg, out_dir)

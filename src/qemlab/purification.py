@@ -1,13 +1,29 @@
 """Circuit-level purification estimators and the exact trace oracle.
 
 Everything here evaluates traces of products of noisy states and their dual
-states two ways: an exact dense-matrix oracle, and full register-level
+states two ways: an exact dense-matrix oracle, and register-level
 simulations of the measurement circuits (ancilla Hadamard tests, mid-circuit
 branching, controlled derangements built from explicit gate decompositions).
 The two routes agreeing is the correctness contract for this module.
 
 Register layout for multi-copy circuits: copy k occupies qubits
 [k*w, (k+1)*w) and the single ancilla is always the top qubit.
+
+The two evaluators do each observable-independent part once:
+
+* ``EsdEvaluator`` runs the copy circuit once on its own w qubits and
+  tensors rho^(x)n with the ancilla's |0><0|; only the gadget (the noisy
+  ancilla Hadamard and the controlled shift) runs on the full register.
+  Copies carry no gadget noise, so this is exact.  A register-wide channel
+  left unpinned in the copy circuit therefore acts on its own copy, as
+  ``attach_noise`` already pins it to.  Every readout leaves the register
+  qubits free, so a qubit of copies 1..n-1 is traced out after the last
+  gadget op on it, and each observable's controlled-Pauli tail runs on the
+  reduced state of the ancilla and the copy-0 qubits it touches (all that
+  are left, if the tail holds a register-wide channel).
+* ``DspEvaluator`` computes p0 from the gadget-free pass once and runs the
+  ancilla prefix (Hadamard, its noise, the compute block) once; each
+  observable appends only its own conjugator, cz and uncompute tail.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ from .circuits import (
     dual_state,
     reversed_circuit,
     run,
+    zero_state,
 )
 from .errors import DegenerateNormalizationError, RegisterCapError
 from .pauli import PauliSum, PauliTerm
@@ -68,15 +85,66 @@ def oracle_trace(factors: Sequence, obs=None) -> complex:
 # gadget emission
 
 
-def _offset_ops(circuit: Circuit, offset: int) -> list:
+def _remap_ops(ops, qmap) -> list:
+    """The ops with every qubit index q replaced by qmap(q).
+
+    Coherent drift carries its rotation qubits in params too, so those are
+    remapped with the channel's own qubits.  A register-wide channel (no
+    qubits) stays register-wide.
+    """
     out = []
-    for op in circuit.ops:
+    for op in ops:
+        qubits = tuple(qmap(q) for q in op.qubits)
         if isinstance(op, Gate):
-            out.append(Gate(op.name, tuple(q + offset for q in op.qubits),
-                            op.angle, op.payload))
+            out.append(Gate(op.name, qubits, op.angle, op.payload))
+        elif op.kind == "coherent_drift":
+            params = tuple((gen, qmap(q), ang) for gen, q, ang in op.params)
+            out.append(replace(op, qubits=qubits, params=params))
         else:
-            out.append(replace(op, qubits=tuple(q + offset for q in op.qubits)))
+            out.append(replace(op, qubits=qubits))
     return out
+
+
+def _offset_ops(circuit: Circuit, offset: int) -> list:
+    return _remap_ops(circuit.ops, lambda q: q + offset)
+
+
+def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
+    """Reduced state on the listed qubits (ascending; keep[i] becomes qubit i)."""
+    rows = [n - 1 - q for q in reversed(keep)]
+    gone = [a for a in range(n) if a not in rows]
+    perm = rows + gone + [n + a for a in rows] + [n + a for a in gone]
+    dk, dt = 1 << len(keep), 1 << (n - len(keep))
+    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dt, dk, dt)
+    return np.trace(t, axis1=1, axis2=3)
+
+
+def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
+    """The ops on rho, each qubit outside keep traced out after the last op on it.
+
+    live lists the qubit labels rho holds, ascending (live[i] is its qubit
+    i); the ops address those labels, and a register-wide channel acts on
+    all of them.  Returns the reduced state on keep (ascending).  No later op
+    acts on a traced qubit, so this is exact, and a qubit no op touches is
+    traced out before the first.
+    """
+    live = list(live)
+    last = dict.fromkeys(live, -1)
+    for i, op in enumerate(ops):
+        for q in op.qubits or live:
+            last[q] = i
+    start = 0
+    for cut in sorted({last[q] for q in live if q not in keep} | {len(ops) - 1}):
+        index = {q: i for i, q in enumerate(live)}
+        seg = _remap_ops(ops[start:cut + 1], index.__getitem__)
+        if seg:
+            rho = apply(Circuit(len(live), seg), rho)
+        start = cut + 1
+        kept = [i for i, q in enumerate(live) if q in keep or last[q] > cut]
+        if len(kept) < len(live):
+            rho = _partial_trace(rho, kept, len(live))
+            live = [live[i] for i in kept]
+    return rho
 
 
 class _Builder:
@@ -185,15 +253,9 @@ def _anc_xy(rho: np.ndarray, total: int, free_qubits: Sequence[int]) -> complex:
     Pi projects every register qubit not listed in free_qubits onto |0>.
     """
     d_reg = 1 << (total - 1)
-    free = sorted(free_qubits)
-    idxs = []
-    for combo in range(1 << len(free)):
-        r = 0
-        for pos, q in enumerate(free):
-            if (combo >> pos) & 1:
-                r |= 1 << q
-        idxs.append(r)
-    idxs = np.array(idxs, dtype=int)
+    idxs = np.zeros(1, dtype=int)
+    for q in sorted(free_qubits):
+        idxs = np.concatenate([idxs, idxs | (1 << q)])
     w = np.sum(rho[d_reg + idxs, idxs])
     return complex(2.0 * w)
 
@@ -222,12 +284,62 @@ def dsp_circuit(circ: Circuit, obs: PauliTerm, out_circuit: Circuit | None = Non
     anc = w
     b = _Builder(w + 1, gadget_noise, gadget_seed)
     b.hadamard(anc)
-    b.raw(_offset_ops(circ, 0))
+    b.raw(circ.ops)
     root = b.u_obs(obs, 0, inverse=True)
     b.gate(Gate("cz", (anc, root)))
     b.u_obs(obs, 0, inverse=False)
-    b.raw(_offset_ops(out_circuit, 0))
+    b.raw(out_circuit.ops)
     return b.circ
+
+
+def _checked_p0(p0: float) -> float:
+    if p0 < 1e-12:
+        raise DegenerateNormalizationError(f"p0 = {p0:.3e} too small to normalize")
+    return p0
+
+
+class DspEvaluator:
+    """Uncompute-based estimator with p0 and the ancilla prefix evaluated once.
+
+    p0 is the all-zeros return probability of the gadget-free pass,
+    Tr[dual * state].  The prefix (ancilla Hadamard, its gadget noise, the
+    compute block) does not depend on the observable, so its state is
+    simulated once, on first use; each observable's circuit is still
+    assembled whole from the same seed, so its gadget-noise draws are the
+    ones a separate run would make, and only the part after the prefix runs.
+    """
+
+    def __init__(self, circ: Circuit, gadget_noise: NoiseModel | None = None,
+                 out_circuit: Circuit | None = None, gadget_seed: int = 0):
+        self.circ = circ
+        self.out = reversed_circuit(circ) if out_circuit is None else out_circuit
+        self.noise = gadget_noise
+        self.seed = gadget_seed
+        bare = Circuit(circ.n, list(circ.ops) + list(self.out.ops))
+        self.p0 = _zeros_probability(run(bare))
+        self._pre: tuple[int, np.ndarray] | None = None
+
+    def _prefix(self) -> tuple[int, np.ndarray]:
+        if self._pre is None:
+            b = _Builder(self.circ.n + 1, self.noise, self.seed)
+            b.hadamard(self.circ.n)
+            b.raw(self.circ.ops)
+            self._pre = (len(b.circ.ops), run(b.circ))
+        return self._pre
+
+    def numerator(self, obs: PauliTerm) -> float:
+        """Tr[(dual*state + state*dual)/2 * obs], coefficient included."""
+        coeff = complex(obs.coeff)
+        if obs.is_identity:
+            return float(np.real(coeff)) * self.p0
+        full = dsp_circuit(self.circ, obs, self.out, self.noise, self.seed)
+        cut, rho = self._prefix()
+        rho = apply(Circuit(full.n, full.ops[cut:]), rho)
+        return float((coeff * np.real(_anc_xy(rho, full.n, ()))).real)
+
+    def result(self, obs: PauliTerm) -> DspResult:
+        numerator = self.numerator(obs)
+        return DspResult(numerator, self.p0, numerator / _checked_p0(self.p0))
 
 
 def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
@@ -238,43 +350,29 @@ def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
 
     numerator estimates Tr[(dual*state + state*dual)/2 * obs]; p0 is the
     all-zeros return probability of the gadget-free pass, Tr[dual * state];
-    value is their ratio.
+    value is their ratio.  The ancilla mode is one ``DspEvaluator`` reading;
+    the direct mode branches on a mid-circuit measurement of the root qubit.
     """
-    w = circ.n
-    if out_circuit is None:
-        out_circuit = reversed_circuit(circ)
-    coeff = complex(obs.coeff)
-
-    # gadget-free pass: p0
-    bare = Circuit(w, list(circ.ops) + list(out_circuit.ops))
-    p0 = _zeros_probability(run(bare))
-
-    if obs.is_identity:
-        numerator = float(np.real(coeff)) * p0
-    elif mode == "ancilla":
-        full = dsp_circuit(circ, obs, out_circuit, gadget_noise, gadget_seed)
-        rho = run(full)
-        numerator = float((coeff * np.real(_anc_xy(rho, full.n, ()))).real)
-    elif mode == "direct":
-        b_pre = _Builder(w, gadget_noise, gadget_seed)
-        b_pre.raw(_offset_ops(circ, 0))
-        root = b_pre.u_obs(obs, 0, inverse=True)
-        sigma = run(b_pre.circ)
-        nums = []
-        for outcome in (0, 1):
-            proj = _project_qubit(sigma, root, outcome, w)
-            b_post = _Builder(w, gadget_noise, gadget_seed + 1)
-            b_post.u_obs(obs, 0, inverse=False)
-            b_post.raw(_offset_ops(out_circuit, 0))
-            after = apply(b_post.circ, proj)
-            nums.append(_zeros_probability(after))
-        numerator = float(np.real(coeff)) * (nums[0] - nums[1])
-    else:
+    if mode not in ("ancilla", "direct"):
         raise ValueError(f"unknown mode {mode!r}")
-
-    if p0 < 1e-12:
-        raise DegenerateNormalizationError(f"p0 = {p0:.3e} too small to normalize")
-    return DspResult(numerator, p0, numerator / p0)
+    ev = DspEvaluator(circ, gadget_noise, out_circuit, gadget_seed)
+    if mode == "ancilla" or obs.is_identity:
+        return ev.result(obs)
+    w = circ.n
+    b_pre = _Builder(w, gadget_noise, gadget_seed)
+    b_pre.raw(circ.ops)
+    root = b_pre.u_obs(obs, 0, inverse=True)
+    sigma = run(b_pre.circ)
+    nums = []
+    for outcome in (0, 1):
+        proj = _project_qubit(sigma, root, outcome, w)
+        b_post = _Builder(w, gadget_noise, gadget_seed + 1)
+        b_post.u_obs(obs, 0, inverse=False)
+        b_post.raw(ev.out.ops)
+        after = apply(b_post.circ, proj)
+        nums.append(_zeros_probability(after))
+    numerator = float(np.real(complex(obs.coeff))) * (nums[0] - nums[1])
+    return DspResult(numerator, ev.p0, numerator / _checked_p0(ev.p0))
 
 
 def _project_qubit(rho: np.ndarray, q: int, outcome: int, n: int) -> np.ndarray:
@@ -290,9 +388,15 @@ def _project_qubit(rho: np.ndarray, q: int, outcome: int, n: int) -> np.ndarray:
 class EsdEvaluator:
     """Copy-based estimator with the shared prefix evaluated once.
 
-    The preparation of all copies and the controlled derangement do not
-    depend on the observable, so their simulated state is cached; each
-    observable only pays for its own controlled-Pauli tail.
+    The copies and the controlled derangement do not depend on the
+    observable.  The copy circuit runs once on its own w qubits, and the
+    start state rho^(x)n (x) |0><0|_anc is a Kronecker product (ancilla
+    first, then copy n-1 down to copy 0, as qubit 0 is the least significant
+    bit).  Only the gadget runs on the full register, and each qubit of
+    copies 1..n-1 is traced out after the last gadget op on it, since every
+    readout leaves those qubits free.  Each observable then pays for its own
+    controlled-Pauli tail on the reduced state of the ancilla and the copy-0
+    qubits that tail touches.
     """
 
     def __init__(self, circ: Circuit, n_copies: int,
@@ -304,11 +408,14 @@ class EsdEvaluator:
         self.noise = gadget_noise
         self.seed = gadget_seed
         b = _Builder(self.total, gadget_noise, gadget_seed)
-        for k in range(n_copies):
-            b.raw(_offset_ops(circ, k * self.w))
         b.hadamard(self.anc)
         b.controlled_shift(self.anc, n_copies, self.w)
-        self._mid = run(b.circ)
+        rho = run(circ)
+        start = zero_state(1)
+        for _ in range(n_copies):
+            start = np.kron(start, rho)
+        self._live = list(range(self.w)) + [self.anc]
+        self._mid = _run_traced(b.circ.ops, start, range(self.total), self._live)
 
     def numerator(self, obs: PauliTerm | None) -> float:
         """<X on the ancilla> with the controlled observable appended."""
@@ -316,9 +423,10 @@ class EsdEvaluator:
         if obs is not None and not obs.is_identity:
             b = _Builder(self.total, self.noise, self.seed + 1)
             b.controlled_pauli(self.anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
-            rho = apply(b.circ, rho)
-        free = list(range(self.total - 1))
-        return float(np.real(_anc_xy(rho, self.total, free)))
+            keep = {self.anc}.union(*(op.qubits or self._live for op in b.circ.ops))
+            rho = _run_traced(b.circ.ops, rho, self._live, keep)
+        n = rho.shape[0].bit_length() - 1
+        return float(np.real(_anc_xy(rho, n, range(n - 1))))
 
     def expectation(self, obs: PauliTerm) -> float:
         den = self.numerator(None)
@@ -336,12 +444,6 @@ def esd_expectation(circ: Circuit, n_copies: int, obs: PauliTerm,
     preparations, with each controlled swap expanded into two-qubit gates.
     """
     return EsdEvaluator(circ, n_copies, gadget_noise, gadget_seed).expectation(obs)
-
-
-def esd_purity(circ: Circuit, n_copies: int = 2,
-               gadget_noise: NoiseModel | None = None, gadget_seed: int = 0) -> float:
-    """The denominator estimate alone (Tr[rho^n])."""
-    return EsdEvaluator(circ, n_copies, gadget_noise, gadget_seed).numerator(None)
 
 
 def re_purification(circ: Circuit, n: int, obs: PauliTerm,

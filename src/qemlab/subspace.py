@@ -38,7 +38,7 @@ from .channels import NoiseModel
 from .circuits import Circuit, attach_noise, dual_state, reversed_circuit, run
 from .errors import ConfigError
 from .pauli import PauliSum, PauliTerm, PowerTable, SystemPartition, expect_pauli
-from .purification import dsp_expectation
+from .purification import DspEvaluator
 from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 
 QueryKey = tuple
@@ -389,6 +389,7 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
     syms: dict[tuple[int, int], np.ndarray] = {}
     queries: dict[QueryKey, Query] = {}
     dsp_keys: dict[tuple[int, int], list[QueryKey]] = {}
+    evs: dict[tuple[int, int], DspEvaluator] = {}  # circuit backend: one per state pair
 
     def pair_key(i: int, j: int, axes: str) -> QueryKey:
         key = ("fault", i, j, axes)
@@ -397,9 +398,9 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
                 br = bars[j] @ rhos[i]
                 syms[(i, j)] = 0.5 * (br + br.conj().T)
             if backend == "circuit":
-                res = dsp_expectation(circs[i], PauliTerm(axes, 1.0), mode="ancilla",
-                                      out_circuit=reversed_circuit(circs[j]))
-                val = complex(res.numerator)
+                if (i, j) not in evs:
+                    evs[(i, j)] = DspEvaluator(circs[i], out_circuit=reversed_circuit(circs[j]))
+                val = complex(evs[(i, j)].result(PauliTerm(axes, 1.0)).numerator)
             else:
                 val = expect_pauli(syms[(i, j)], axes)
             queries[key] = Query(("fault", i, j), axes, val, None)
@@ -463,6 +464,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
         bkeys = [str(l) for l in range(len(circs))]
     queries: dict[QueryKey, Query] = {}
     dsp_keys: dict[int, list[QueryKey]] = {}  # by the block that first read them
+    evs: dict[int, DspEvaluator] = {}  # circuit backend: one per block
 
     def key(which: str, l: int, axes: str) -> QueryKey:
         state = _state_id(spec.kind, which, bkeys[l])
@@ -473,8 +475,9 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
                 var = var_pauli_state(float(np.real(val)))
             else:
                 if backend == "circuit":
-                    res = dsp_expectation(circs[l], PauliTerm(axes, 1.0), mode="ancilla")
-                    val = complex(res.numerator)
+                    if l not in evs:
+                        evs[l] = DspEvaluator(circs[l])
+                    val = complex(evs[l].result(PauliTerm(axes, 1.0)).numerator)
                 else:
                     val = expect_pauli(syms[l], axes)
                 var = None

@@ -36,11 +36,16 @@ _PAULI_VEC = {
 }
 
 
-def check_sizes(layers, iters) -> None:
-    """ConfigError unless both are non-negative ints (bools are not sizes)."""
-    for key, v in (("layers", layers), ("iters", iters)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
-            raise ConfigError(f"vqe.{key} must be a non-negative integer, got {v!r}")
+def check_count(key: str, v) -> None:
+    """ConfigError naming key unless v is a non-negative int (a bool is not)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 0:
+        raise ConfigError(f"{key} must be a non-negative integer, got {v!r}")
+
+
+def check_sizes(layers, iters, seed) -> None:
+    """``check_count`` on the VQE sizes and seed."""
+    for key, v in (("layers", layers), ("iters", iters), ("seed", seed)):
+        check_count(f"vqe.{key}", v)
 
 
 def exact_ground(h: PauliSum) -> tuple[float, np.ndarray]:
@@ -182,7 +187,7 @@ def optimize(n: int, layers: int, h: PauliSum, iters: int = 500, seed: int = 0,
     capped at ``iters`` quasi-Newton steps; non-convergence just leaves a
     larger residual bias, which the experiments treat as the baseline.
     """
-    check_sizes(layers, iters)
+    check_sizes(layers, iters, seed)
     if edges is None:
         edges = [(i, i + 1) for i in range(n - 1)]
     ansatz = AnsatzCircuit(n, layers, edges)

@@ -12,7 +12,9 @@ from qemlab.circuits import (
     _apply_unitary_state,
     _compile,
     _contract,
+    _gate_superop,
     _rho_axes,
+    _unitary_superop,
     apply,
     apply_state,
     attach_noise,
@@ -332,6 +334,29 @@ class TestFusedKernel:
         for c in (circuit, dual_circuit(circuit)):
             np.testing.assert_allclose(apply(c, rho), dense_apply(c, rho), rtol=0, atol=1e-12)
 
+    def test_cached_gate_superops_equal_fresh_ones(self):
+        def same_bits(a, b):
+            return (np.array_equal(a, b)
+                    and np.array_equal(np.signbit(a.real), np.signbit(b.real))
+                    and np.array_equal(np.signbit(a.imag), np.signbit(b.imag)))
+
+        gates = [Gate(name, (0,), angle) for name in ("rx", "rz", "phase")
+                 for angle in (0.0, -0.0, 0.7, -0.7, math.pi)]
+        gates += [Gate(name, (0,)) for name in ("h", "x", "y", "z", "s", "sdg", "v", "vdg")]
+        gates += [Gate(name, (0, 1)) for name in ("cx", "cy", "cz", "cv", "cvdg", "swap")]
+        gates += [Gate("cpauli", (0, 1), payload=p) for p in "XYZ"]
+        gates += [Gate("cswap", (0, 1, 2))]
+        for _ in range(2):  # the second pass reads the cache
+            for g in gates:
+                got = _gate_superop(g)
+                assert same_bits(got, _unitary_superop(gate_matrix(g))), (g.name, g.angle)
+                assert not got.flags.writeable
+        # rx(0.0) and rx(-0.0) compare equal but differ in the signs of zeros
+        pos, neg = _gate_superop(Gate("rx", (0,), 0.0)), _gate_superop(Gate("rx", (0,), -0.0))
+        assert np.array_equal(pos, neg) and not same_bits(pos, neg)
+        u = Gate("u", (0,), payload=gate_matrix(Gate("h", (0,))))
+        assert _gate_superop(u).flags.writeable  # an explicit matrix is never cached
+
     def test_step_counts(self, monkeypatch):
         nm = ch.NoiseModel(kind="thermal_relaxation", p1=1e-3, thermal_with_pauli=True)
         noisy_cx = attach_noise(Circuit(2, [Gate("cx", (0, 1))]), nm)
@@ -340,15 +365,19 @@ class TestFusedKernel:
         # both rx/rz ranks ride in the cz blocks: the first folds forward, the last back
         ansatz = build_ansatz(4, 1, np.full(16, 0.3), [(0, 1), (1, 2), (2, 3)])
         assert len(_compile(ansatz)) == 3
-        # the prefix of a two-copy ESD estimator of a noisy 1-layer path-4 ansatz
-        seen = []
+        # a two-copy ESD estimator of a noisy 1-layer path-4 ansatz runs the
+        # copy once on its 4 qubits; only the gadget (114 ops) sees more, on
+        # a register that loses a copy-1 qubit after each controlled swap
+        seen, gadget = [], []
         monkeypatch.setattr(pur, "run", lambda c: seen.append(c) or run(c))
+        monkeypatch.setattr(pur, "apply", lambda c, r: gadget.append(c) or apply(c, r))
         params = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
         circ = attach_noise(build_ansatz(4, 1, params, [(0, 1), (1, 2), (2, 3)]), nm, seed=3)
         pur.EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=5)
-        prefix, = seen
-        assert (prefix.n, len(prefix.ops)) == (9, 202)
-        assert len(_compile(prefix)) <= 34
+        assert seen == [circ]
+        assert [c.n for c in gadget] == [9, 8, 7, 6]
+        assert sum(len(c.ops) for c in gadget) == 114
+        assert all(len(_compile(c)) <= 7 for c in gadget)
 
 
 class TestChannels:

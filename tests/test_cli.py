@@ -185,6 +185,31 @@ class TestCliEntry:
         assert f"vqe.{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key", ["seed", "vqe.seed"])
+    @pytest.mark.parametrize("value", [1.5, -1, "3", True])
+    def test_malformed_seed_exit_code(self, tmp_path, capsys, key, value):
+        cfg = small_cfg()
+        if key == "seed":
+            cfg["seed"] = value
+        else:
+            cfg["vqe"]["seed"] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"config error: {key} must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_flag_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_cfg()))
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out"),
+                   "--seed", "-2"])
+        assert rc == 1
+        rc = main(["vqe", "--graph", "path-4", "--seed", "-2", "--out", str(tmp_path / "p.json")])
+        assert rc == 1
+        assert "vqe.seed" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--layers", "--iters"])
     def test_negative_vqe_size_flag_exit_code(self, tmp_path, flag):
         rc = main(["vqe", "--graph", "path-4", flag, "-2", "--out", str(tmp_path / "p.json")])

@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import FullRegisterEsd, dsp_whole_circuit
+from qemlab import channels as ch
+from qemlab import purification as pur
 from qemlab.channels import NoiseModel
 from qemlab.circuits import (
     Circuit,
     Gate,
+    apply,
     dual_state,
     gate_matrix,
     run,
@@ -12,11 +17,12 @@ from qemlab.circuits import (
 from qemlab.errors import DegenerateNormalizationError, RegisterCapError
 from qemlab.pauli import PauliTerm, term_matrix
 from qemlab.purification import (
+    DspEvaluator,
+    EsdEvaluator,
     GeneralFactor,
     _Builder,
     dsp_expectation,
     esd_expectation,
-    esd_purity,
     execute_plan,
     oracle_trace,
     plan_general,
@@ -26,6 +32,14 @@ from qemlab.purification import (
 
 PAULI_NOISE = NoiseModel(kind="stochastic_pauli", p1=0.02)
 DEPOL = NoiseModel(kind="global_depolarizing", p1=0.05)
+GADGET_NOISE = [
+    NoiseModel(kind="stochastic_pauli", p1=0.01),
+    NoiseModel(kind="thermal_relaxation", p1=0.01, thermal_with_pauli=True),
+    NoiseModel(kind="global_depolarizing", p1=0.01),
+    NoiseModel(kind="local_depolarizing", p1=0.01),
+    NoiseModel(kind="amplitude_damping", p1=0.01),
+    NoiseModel(kind="coherent_drift", p1=0.2),
+]
 
 
 def random_circuit(rng, n, depth, noise=None, seed=0):
@@ -43,6 +57,19 @@ def random_circuit(rng, n, depth, noise=None, seed=0):
                        ang if kind in ("rx", "rz") else None))
     if noise is not None:
         c = attach_noise(c, noise, seed=seed)
+    return c
+
+
+def drifted_circuit():
+    """A noisy 2-qubit circuit closed by a hand-built drift channel on both qubits.
+
+    The drift channel carries its rotation qubits in params, so a copy on
+    other qubits must move those too.  It is the only channel after its gate,
+    so the dual state does not depend on the order of a gate's channels.
+    """
+    rng = np.random.default_rng(30)
+    c = random_circuit(rng, 2, 6, PAULI_NOISE, seed=30)
+    c.ops += [Gate("h", (1,)), ch.coherent_drift((("x", 0, 0.9), ("x", 1, 0.5)))]
     return c
 
 
@@ -266,7 +293,8 @@ class TestEsd:
         rng = np.random.default_rng(14)
         c = random_circuit(rng, 2, 8, DEPOL)
         rho = run(c)
-        assert esd_purity(c, 2) == pytest.approx(float(np.real(np.trace(rho @ rho))), abs=1e-10)
+        got = EsdEvaluator(c, 2).numerator(None)
+        assert got == pytest.approx(float(np.real(np.trace(rho @ rho))), abs=1e-10)
 
     def test_register_cap(self):
         rng = np.random.default_rng(15)
@@ -281,6 +309,52 @@ class TestEsd:
         e = esd_expectation(c, 2, obs)
         d = dsp_expectation(c, obs).value
         assert e == pytest.approx(d, abs=1e-12)
+
+    def test_coherent_drift_stays_on_each_copy(self):
+        c = drifted_circuit()
+        rho = run(c)
+        obs = PauliTerm("ZI")
+        want = float(np.real(np.trace(rho @ rho @ obs.matrix()) / np.trace(rho @ rho)))
+        assert want == pytest.approx(0.8715, abs=1e-4)
+        assert esd_expectation(c, 2, obs) == pytest.approx(want, abs=1e-10)
+
+    def test_unpinned_register_wide_channel_acts_on_its_copy(self):
+        rng = np.random.default_rng(26)
+        c = random_circuit(rng, 2, 6, PAULI_NOISE, seed=26)
+        c.ops.insert(3, ch.global_depolarizing(0.2))  # no qubits: the whole register
+        rho = run(c)
+        for n_copies in (2, 3):
+            ev = EsdEvaluator(c, n_copies)
+            rn = np.linalg.matrix_power(rho, n_copies)
+            assert ev.numerator(None) == pytest.approx(float(np.real(np.trace(rn))), abs=1e-12)
+            for axes in ("ZI", "XY", "IZ"):
+                want = float(np.real(np.trace(rn @ PauliTerm(axes).matrix())))
+                assert ev.numerator(PauliTerm(axes)) == pytest.approx(want, abs=1e-12)
+
+    def test_registers_shrink_to_what_the_readout_needs(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        c = random_circuit(rng, 4, 10, PAULI_NOISE, seed=27)
+        oracles = {m: FullRegisterEsd(c, 2, gadget_noise=m, gadget_seed=1)
+                   for m in (PAULI_NOISE, DEPOL)}
+        sizes = []
+        monkeypatch.setattr(pur, "apply", lambda circ, r: sizes.append(circ.n) or apply(circ, r))
+        ev = EsdEvaluator(c, 2, gadget_noise=PAULI_NOISE, gadget_seed=1)
+        assert sizes == [9, 8, 7, 6]  # a copy-1 qubit leaves after its controlled swap
+        for axes, n in (("ZZII", 3), ("IXII", 2), ("IIZZ", 3), ("XIIY", 3)):
+            sizes.clear()
+            got = ev.numerator(PauliTerm(axes))
+            assert sizes == [n]  # the ancilla and the copy-0 qubits the tail touches
+            assert got == pytest.approx(oracles[PAULI_NOISE].numerator(PauliTerm(axes)),
+                                        abs=1e-12)
+        # a register-wide gadget channel touches every qubit: nothing leaves early,
+        # and a tail keeps the ancilla and all of copy 0
+        sizes.clear()
+        ev = EsdEvaluator(c, 2, gadget_noise=DEPOL, gadget_seed=1)
+        assert sizes == [9]
+        sizes.clear()
+        got = ev.numerator(PauliTerm("ZIII"))
+        assert sizes == [5]
+        assert got == pytest.approx(oracles[DEPOL].numerator(PauliTerm("ZIII")), abs=1e-12)
 
 
 class TestRePurification:
@@ -323,6 +397,51 @@ class TestRePurification:
         got = re_purification(c, 2, obs, drop_last_uncompute=True)
         want = np.trace(rho @ bar @ rho @ obs.matrix())
         assert got == pytest.approx(complex(want), abs=1e-10)
+
+    def test_coherent_drift_stays_on_each_copy(self):
+        c = drifted_circuit()
+        rho, bar = run(c), dual_state(c)
+        obs = PauliTerm("XZ")
+        br, rb = bar @ rho, rho @ bar
+        want = 0.5 * np.real(np.trace((br @ br + rb @ rb) @ obs.matrix()))
+        assert want == pytest.approx(-0.0346, abs=1e-4)
+        assert re_purification(c, 2, obs) == pytest.approx(complex(want), abs=1e-10)
+
+
+class TestEvaluatorsAgainstWholeCircuits:
+    """The shared-prefix evaluators against every circuit run whole."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.integers(1, 3), n_copies=st.sampled_from([2, 3]),
+           circ_noise=st.sampled_from(GADGET_NOISE), gadget_noise=st.sampled_from(GADGET_NOISE),
+           seed=st.integers(0, 2**31 - 1))
+    def test_esd_numerators(self, w, n_copies, circ_noise, gadget_noise, seed):
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, w, 2 * w + 2, circ_noise, seed=seed % 1000)
+        ev = EsdEvaluator(c, n_copies, gadget_noise=gadget_noise, gadget_seed=seed % 7)
+        oracle = FullRegisterEsd(c, n_copies, gadget_noise=gadget_noise, gadget_seed=seed % 7)
+        for obs in (None, random_pauli(rng, w), random_pauli(rng, w)):
+            assert abs(ev.numerator(obs) - oracle.numerator(obs)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(w=st.integers(1, 3), circ_noise=st.sampled_from(GADGET_NOISE),
+           gadget_noise=st.sampled_from(GADGET_NOISE), own_out=st.booleans(),
+           seed=st.integers(0, 2**31 - 1))
+    def test_dsp_numerators_and_p0(self, w, circ_noise, gadget_noise, own_out, seed):
+        from qemlab.circuits import attach_noise, reversed_circuit
+        rng = np.random.default_rng(seed)
+        base = random_circuit(rng, w, 3 * w + 2)
+        c = attach_noise(base, circ_noise, seed=seed % 1000)
+        out = reversed_circuit(attach_noise(base, circ_noise.amplified(2.0), seed=1)) \
+            if own_out else None
+        ev = DspEvaluator(c, gadget_noise, out, seed % 7)
+        for obs in (PauliTerm("I" * w, -0.5), random_pauli(rng, w), random_pauli(rng, w)):
+            want_num, want_p0 = dsp_whole_circuit(c, obs, gadget_noise, out, seed % 7)
+            assert ev.p0 == want_p0
+            assert abs(ev.numerator(obs) - want_num) <= 1e-12
+            res = dsp_expectation(c, obs, gadget_noise=gadget_noise, out_circuit=out,
+                                  gadget_seed=seed % 7)
+            assert (res.numerator, res.p0) == (ev.numerator(obs), ev.p0)
 
 
 class TestPlanner:
