@@ -37,7 +37,8 @@ Two derived circuits matter for purification work:
   inverted, each still followed by its own noise.
 * ``dual_circuit``: adjoint-Kraus dual of the uncomputation.  Gates return
   to the original order and sense, but each gate is now preceded by the
-  dual of its noise.  Running it on |0..0> produces the dual state.
+  duals of its noise, last channel first.  Running it on |0..0> produces
+  the dual state.
 """
 
 from __future__ import annotations
@@ -561,11 +562,12 @@ def dual_circuit(circuit: Circuit) -> Circuit:
     """Adjoint-Kraus dual of the uncomputation of ``circuit``.
 
     Applying this to |0..0><0..0| yields the dual state: original gate order
-    and sense, each gate preceded by the dual of its noise.
+    and sense, each gate preceded by the duals of its noise in reverse
+    order, as the adjoint of a composition reverses it.
     """
     out = Circuit(circuit.n)
     for gate, chans in _paired(circuit):
-        for ch in chans:
+        for ch in reversed(chans):
             out.ops.append(ch.dual())
         out.ops.append(gate)
     return out

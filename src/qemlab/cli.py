@@ -13,7 +13,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -81,24 +80,11 @@ def _cmd_sweep(args) -> int:
     grid = cfg.pop("grid", None)
     if not grid:
         raise ConfigError("sweep config needs a 'grid' mapping of dotted keys")
-    points = _grid_points(grid)
-
-    def one(idx_point):
-        idx, point = idx_point
+    for idx, point in enumerate(_grid_points(grid)):
         sub = json.loads(json.dumps(cfg))
         for key, val in point.items():
             _apply_override(sub, key, val)
-        out = os.path.join(args.out_dir, f"point-{idx:03d}")
-        return run_experiment(sub, out)
-
-    results = []
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(one, enumerate(points)))
-    else:
-        results = [one(p) for p in enumerate(points)]
-    for written in results:
-        for path in written:
+        for path in run_experiment(sub, os.path.join(args.out_dir, f"point-{idx:03d}")):
             print(path)
     return 0
 
@@ -161,7 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="run a config over a grid of overrides")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("queries", help="emit measurement-count tables")

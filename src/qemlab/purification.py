@@ -9,21 +9,21 @@ The two routes agreeing is the correctness contract for this module.
 Register layout for multi-copy circuits: copy k occupies qubits
 [k*w, (k+1)*w) and the single ancilla is always the top qubit.
 
-The two evaluators do each observable-independent part once:
+One rule places every copy, in every estimator: ``_place`` puts a copy's
+ops, compute and uncompute blocks alike, on its own w qubits and pins a
+register-wide channel to them, as ``attach_noise`` does.  A copy's noise
+therefore means the same whatever register it sits in.
 
-* ``EsdEvaluator`` runs the copy circuit once on its own w qubits and
-  tensors rho^(x)n with the ancilla's |0><0|; only the gadget (the noisy
-  ancilla Hadamard and the controlled shift) runs on the full register.
-  Copies carry no gadget noise, so this is exact.  A register-wide channel
-  left unpinned in the copy circuit therefore acts on its own copy, as
-  ``attach_noise`` already pins it to.  Every readout leaves the register
-  qubits free, so a qubit of copies 1..n-1 is traced out after the last
-  gadget op on it, and each observable's controlled-Pauli tail runs on the
-  reduced state of the ancilla and the copy-0 qubits it touches (all that
-  are left, if the tail holds a register-wide channel).
-* ``DspEvaluator`` computes p0 from the gadget-free pass once and runs the
-  ancilla prefix (Hadamard, its noise, the compute block) once; each
-  observable appends only its own conjugator, cz and uncompute tail.
+One engine runs every copy register (``execute_plan``, ``re_purification``
+through it, and ``EsdEvaluator``): each copy is prepared by ``run`` on its
+own w qubits, the start state is the Kronecker product of the ancilla's
+|0><0| and the copies, and only the gadget and the uncompute blocks run on
+the register, each qubit the readout leaves free traced out after the last
+op on it.  ``EsdEvaluator`` stops before the observable and runs each
+observable's controlled-Pauli tail on the ancilla and the copy-0 qubits it
+touches.  ``DspEvaluator`` computes p0 from the gadget-free pass once and
+runs the ancilla prefix (Hadamard, its noise, the compute block) once; each
+observable appends only its own conjugator, cz and uncompute tail.
 """
 
 from __future__ import annotations
@@ -105,8 +105,16 @@ def _remap_ops(ops, qmap) -> list:
     return out
 
 
-def _offset_ops(circuit: Circuit, offset: int) -> list:
-    return _remap_ops(circuit.ops, lambda q: q + offset)
+def _place(circuit: Circuit, offset: int) -> list:
+    """A copy's ops on qubits [offset, offset + w), register-wide channels pinned there."""
+    scope = tuple(range(circuit.n))
+    ops = [op if op.qubits else replace(op, qubits=scope) for op in circuit.ops]
+    return _remap_ops(ops, lambda q: q + offset) if offset else ops
+
+
+def _prepare(circuit: Circuit) -> np.ndarray:
+    """One copy's state, run on its own w qubits."""
+    return run(Circuit(circuit.n, _place(circuit, 0)))
 
 
 def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
@@ -145,6 +153,18 @@ def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
             rho = _partial_trace(rho, kept, len(live))
             live = [live[i] for i in kept]
     return rho
+
+
+def _copy_register(states: Sequence[np.ndarray], ops, keep) -> np.ndarray:
+    """The ops on |0><0|_anc (x) states[-1] (x) ... (x) states[0], reduced to keep.
+
+    states[k] is copy k's state; qubit 0 is the least significant bit, so
+    the ancilla comes first in the product and copy 0 last.
+    """
+    rho = zero_state(1)
+    for state in reversed(states):
+        rho = np.kron(rho, state)
+    return _run_traced(ops, rho, range(rho.shape[0].bit_length() - 1), keep)
 
 
 class _Builder:
@@ -278,17 +298,23 @@ def dsp_circuit(circ: Circuit, obs: PauliTerm, out_circuit: Circuit | None = Non
     Reading X on the ancilla jointly with all-zeros on the register gives the
     symmetrized numerator for the observable's axes pattern.
     """
-    w = circ.n
     if out_circuit is None:
         out_circuit = reversed_circuit(circ)
+    return _dsp_ops(circ.n, _place(circ, 0), obs, _place(out_circuit, 0),
+                    gadget_noise, gadget_seed)
+
+
+def _dsp_ops(w: int, compute: list, obs: PauliTerm, uncompute: list,
+             gadget_noise: NoiseModel | None, gadget_seed: int) -> Circuit:
+    """``dsp_circuit`` from compute and uncompute blocks already placed."""
     anc = w
     b = _Builder(w + 1, gadget_noise, gadget_seed)
     b.hadamard(anc)
-    b.raw(circ.ops)
+    b.raw(compute)
     root = b.u_obs(obs, 0, inverse=True)
     b.gate(Gate("cz", (anc, root)))
     b.u_obs(obs, 0, inverse=False)
-    b.raw(out_circuit.ops)
+    b.raw(uncompute)
     return b.circ
 
 
@@ -301,12 +327,13 @@ def _checked_p0(p0: float) -> float:
 class DspEvaluator:
     """Uncompute-based estimator with p0 and the ancilla prefix evaluated once.
 
-    p0 is the all-zeros return probability of the gadget-free pass,
-    Tr[dual * state].  The prefix (ancilla Hadamard, its gadget noise, the
-    compute block) does not depend on the observable, so its state is
-    simulated once, on first use; each observable's circuit is still
-    assembled whole from the same seed, so its gadget-noise draws are the
-    ones a separate run would make, and only the part after the prefix runs.
+    The compute and uncompute blocks are placed once.  p0 is the all-zeros
+    return probability of the gadget-free pass, Tr[dual * state].  The
+    prefix (ancilla Hadamard, its gadget noise, the compute block) does not
+    depend on the observable, so its state is simulated once, on first use;
+    each observable's circuit is still assembled whole from the same seed,
+    so its gadget-noise draws are the ones a separate run would make, and
+    only the part after the prefix runs.
     """
 
     def __init__(self, circ: Circuit, gadget_noise: NoiseModel | None = None,
@@ -315,15 +342,15 @@ class DspEvaluator:
         self.out = reversed_circuit(circ) if out_circuit is None else out_circuit
         self.noise = gadget_noise
         self.seed = gadget_seed
-        bare = Circuit(circ.n, list(circ.ops) + list(self.out.ops))
-        self.p0 = _zeros_probability(run(bare))
+        self.compute, self.uncompute = _place(circ, 0), _place(self.out, 0)
+        self.p0 = _zeros_probability(run(Circuit(circ.n, self.compute + self.uncompute)))
         self._pre: tuple[int, np.ndarray] | None = None
 
     def _prefix(self) -> tuple[int, np.ndarray]:
         if self._pre is None:
             b = _Builder(self.circ.n + 1, self.noise, self.seed)
             b.hadamard(self.circ.n)
-            b.raw(self.circ.ops)
+            b.raw(self.compute)
             self._pre = (len(b.circ.ops), run(b.circ))
         return self._pre
 
@@ -332,7 +359,7 @@ class DspEvaluator:
         coeff = complex(obs.coeff)
         if obs.is_identity:
             return float(np.real(coeff)) * self.p0
-        full = dsp_circuit(self.circ, obs, self.out, self.noise, self.seed)
+        full = _dsp_ops(self.circ.n, self.compute, obs, self.uncompute, self.noise, self.seed)
         cut, rho = self._prefix()
         rho = apply(Circuit(full.n, full.ops[cut:]), rho)
         return float((coeff * np.real(_anc_xy(rho, full.n, ()))).real)
@@ -360,7 +387,7 @@ def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
         return ev.result(obs)
     w = circ.n
     b_pre = _Builder(w, gadget_noise, gadget_seed)
-    b_pre.raw(circ.ops)
+    b_pre.raw(ev.compute)
     root = b_pre.u_obs(obs, 0, inverse=True)
     sigma = run(b_pre.circ)
     nums = []
@@ -368,7 +395,7 @@ def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
         proj = _project_qubit(sigma, root, outcome, w)
         b_post = _Builder(w, gadget_noise, gadget_seed + 1)
         b_post.u_obs(obs, 0, inverse=False)
-        b_post.raw(ev.out.ops)
+        b_post.raw(ev.uncompute)
         after = apply(b_post.circ, proj)
         nums.append(_zeros_probability(after))
     numerator = float(np.real(complex(obs.coeff))) * (nums[0] - nums[1])
@@ -390,13 +417,11 @@ class EsdEvaluator:
 
     The copies and the controlled derangement do not depend on the
     observable.  The copy circuit runs once on its own w qubits, and the
-    start state rho^(x)n (x) |0><0|_anc is a Kronecker product (ancilla
-    first, then copy n-1 down to copy 0, as qubit 0 is the least significant
-    bit).  Only the gadget runs on the full register, and each qubit of
-    copies 1..n-1 is traced out after the last gadget op on it, since every
-    readout leaves those qubits free.  Each observable then pays for its own
-    controlled-Pauli tail on the reduced state of the ancilla and the copy-0
-    qubits that tail touches.
+    copy-register engine runs the gadget from rho^(x)n (x) |0><0|_anc,
+    tracing out each qubit of copies 1..n-1 after the last gadget op on it,
+    since every readout leaves those qubits free.  Each observable then pays
+    for its own controlled-Pauli tail on the reduced state of the ancilla
+    and the copy-0 qubits that tail touches.
     """
 
     def __init__(self, circ: Circuit, n_copies: int,
@@ -410,12 +435,8 @@ class EsdEvaluator:
         b = _Builder(self.total, gadget_noise, gadget_seed)
         b.hadamard(self.anc)
         b.controlled_shift(self.anc, n_copies, self.w)
-        rho = run(circ)
-        start = zero_state(1)
-        for _ in range(n_copies):
-            start = np.kron(start, rho)
         self._live = list(range(self.w)) + [self.anc]
-        self._mid = _run_traced(b.circ.ops, start, range(self.total), self._live)
+        self._mid = _copy_register([_prepare(circ)] * n_copies, b.circ.ops, self._live)
 
     def numerator(self, obs: PauliTerm | None) -> float:
         """<X on the ancilla> with the controlled observable appended."""
@@ -454,28 +475,13 @@ def re_purification(circ: Circuit, n: int, obs: PauliTerm,
 
     With every copy uncomputed the X reading gives the symmetrized degree-2n
     product; dropping one uncompute and combining X - iY lowers the degree
-    to 2n - 1 with the state itself on the outside.
+    to 2n - 1 with the state itself on the outside.  Either is the planned
+    circuit of n copies of the one factor, with n or n - 1 ket factors.
     """
-    w = circ.n
-    total = n * w + 1
-    anc = total - 1
-    b = _Builder(total, gadget_noise, gadget_seed)
-    for k in range(n):
-        b.raw(_offset_ops(circ, k * w))
-    b.hadamard(anc)
-    if not obs.is_identity:
-        b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
-    b.controlled_shift(anc, n, w)
-    rev = reversed_circuit(circ)
-    drop = (1 % n) if drop_last_uncompute else None
-    free: list[int] = []
-    for k in range(n):
-        if k == drop:
-            free.extend(range(k * w, (k + 1) * w))
-        else:
-            b.raw(_offset_ops(rev, k * w))
-    rho = run(b.circ)
-    xy = _anc_xy(rho, total, free)
+    f = GeneralFactor(circ)
+    plan = plan_general(n, n - 1 if drop_last_uncompute else n)
+    xy = execute_plan(plan, [f] * n, [f] * plan.n_prime, PauliTerm(obs.axes, 1.0),
+                      gadget_noise=gadget_noise, gadget_seed=gadget_seed)
     coeff = complex(obs.coeff)
     if drop_last_uncompute:
         # <X (x) Pi> - i <Y (x) Pi>
@@ -567,13 +573,13 @@ def _ket_bar(n: int, i: int, with_a: bool) -> bool:
 def plan_general(n: int, n_prime: int, with_a: bool = False) -> CircuitPlan:
     """Copy count, slot assignment, and postselection mask for Tr[bra A ket O].
 
-    The bra side holds n daggered factors, the ket side n_prime plain ones;
-    bars (dual-state factors) land on out slots, plain states on in slots,
-    and the optional middle operator takes whichever slot type the parity
-    leaves open.  Copies = ceil((n + n' [+1]) / 2).
+    The bra side holds n >= 1 daggered factors, the ket side n_prime >= 0
+    plain ones; bars (dual-state factors) land on out slots, plain states on
+    in slots, and the optional middle operator takes whichever slot type the
+    parity leaves open.  Copies = ceil((n + n' [+1]) / 2).
     """
-    if n < 1 or n_prime < 1:
-        raise ValueError("factor counts must be at least 1")
+    if n < 1 or n_prime < 0:
+        raise ValueError("need at least one bra factor and no negative ket count")
     seq: list[FactorSlot] = []
     for i in range(n, 0, -1):
         seq.append(FactorSlot("bra", i, True, _bra_bar(n, i)))
@@ -649,41 +655,33 @@ def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
                  a_factor: GeneralFactor | None = None,
                  gadget_noise: NoiseModel | None = None,
                  gadget_seed: int = 0) -> complex:
-    """Run the planned multi-copy circuit and return <X+iY> over the mask."""
+    """Run the planned copies on the copy-register engine; <X+iY> over the mask."""
     if len(bra_factors) != plan.n or len(ket_factors) != plan.n_prime:
         raise ValueError("factor list lengths do not match the plan")
     w = bra_factors[0].circuit.n
-    total = plan.copies * w + 1
-    anc = total - 1
-    b = _Builder(total, gadget_noise, gadget_seed)
-
-    # in-state preparations
-    for c, cp in enumerate(plan.slots):
-        if cp.in_slot is None:
-            continue
-        f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
-        b.raw(_offset_ops(f.circuit, c * w))
+    anc = plan.copies * w
+    b = _Builder(anc + 1, gadget_noise, gadget_seed)
+    ins = [None if cp.in_slot is None
+           else _resolve(cp.in_slot, bra_factors, ket_factors, a_factor) for cp in plan.slots]
     b.hadamard(anc)
     for c, cp in enumerate(plan.slots):
         if cp.in_slot is not None and cp.in_slot.side != "A":
-            f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
-            _pre_gadget(b, anc, f, c * w, cp.in_slot.dagger)
+            _pre_gadget(b, anc, ins[c], c * w, cp.in_slot.dagger)
     if not obs.is_identity:
         b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
     b.controlled_shift(anc, plan.copies, w)
-    free: list[int] = []
+    keep = [anc]
     for c, cp in enumerate(plan.slots):
         if cp.out_slot is None:
-            free.extend(range(c * w, (c + 1) * w))
             continue
+        f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
         if cp.out_slot.side != "A":
-            f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
             _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
-        else:
-            f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
-        b.raw(_offset_ops(reversed_circuit(f.circuit), c * w))
-    rho = run(b.circ)
-    return complex(obs.coeff) * _anc_xy(rho, total, free)
+        b.raw(_place(reversed_circuit(f.circuit), c * w))
+        keep.extend(range(c * w, (c + 1) * w))
+    states = [zero_state(w) if f is None else _prepare(f.circuit) for f in ins]
+    rho = _copy_register(states, b.circ.ops, keep)
+    return complex(obs.coeff) * _anc_xy(rho, len(keep), ())
 
 
 def planned_oracle(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],

@@ -27,7 +27,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -249,12 +248,9 @@ class TermExpansion:
 
     ``power(k)`` lists (coeff, subs) in the Hamiltonian's iteration order,
     subs holding the string's letters on each block's qubits, block by block.
-    Expansions are shared between scenario threads, so extending one is
-    serialized: two threads appending the same power would shift the rest.
     """
 
     def __init__(self, h: PauliSum, blocks: tuple[tuple[int, ...], ...]):
-        self._lock = threading.Lock()
         self._table = PowerTable(h)
         self._blocks = [(b, sum(1 << q for q in b)) for b in blocks]
         self._letters: dict[tuple[int, int, int], str] = {}
@@ -269,27 +265,24 @@ class TermExpansion:
         return sub
 
     def power(self, k: int) -> list[tuple[complex, tuple[str, ...]]]:
-        with self._lock:
-            while len(self._powers) <= k:
-                p = self._table.power(len(self._powers))
-                self._powers.append([(c, tuple(self._sub(x, z, b, mask)
-                                                for b, mask in self._blocks))
-                                     for x, z, c in p.mask_items()])
-            return self._powers[k]
+        while len(self._powers) <= k:
+            p = self._table.power(len(self._powers))
+            self._powers.append([(c, tuple(self._sub(x, z, b, mask)
+                                            for b, mask in self._blocks))
+                                 for x, z, c in p.mask_items()])
+        return self._powers[k]
 
 
 _EXPANSIONS: OrderedDict = OrderedDict()
-_EXPANSIONS_LOCK = threading.Lock()
 
 
 def term_expansion(h: PauliSum, blocks: tuple[tuple[int, ...], ...]) -> TermExpansion:
     """The shared expansion for (h, blocks); the last four stay memoized."""
     key = (h.n, tuple(h.mask_items()), tuple(blocks))
-    with _EXPANSIONS_LOCK:
-        exp = _EXPANSIONS.pop(key, None) or TermExpansion(h, blocks)
-        _EXPANSIONS[key] = exp
-        if len(_EXPANSIONS) > 4:
-            _EXPANSIONS.popitem(last=False)
+    exp = _EXPANSIONS.pop(key, None) or TermExpansion(h, blocks)
+    _EXPANSIONS[key] = exp
+    if len(_EXPANSIONS) > 4:
+        _EXPANSIONS.popitem(last=False)
     return exp
 
 

@@ -23,6 +23,13 @@ def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:
     return out
 
 
+def _offset_ops(circuit, offset):
+    """The circuit's ops shifted by offset; a register-wide channel stays register-wide."""
+    from qemlab.purification import _remap_ops
+
+    return _remap_ops(circuit.ops, lambda q: q + offset)
+
+
 class FullRegisterEsd:
     """The copy-based estimator run whole on the full register.
 
@@ -34,7 +41,7 @@ class FullRegisterEsd:
 
     def __init__(self, circ, n_copies, gadget_noise=None, gadget_seed=0):
         from qemlab.circuits import run
-        from qemlab.purification import _Builder, _offset_ops
+        from qemlab.purification import _Builder
 
         self.w, self.noise, self.seed = circ.n, gadget_noise, gadget_seed
         self.total = n_copies * self.w + 1
@@ -74,3 +81,74 @@ def dsp_whole_circuit(circ, obs, gadget_noise=None, out_circuit=None, gadget_see
     full = dsp_circuit(circ, obs, out, gadget_noise, gadget_seed)
     rho = run(full)
     return float((complex(obs.coeff) * np.real(_anc_xy(rho, full.n, ()))).real), p0
+
+
+def full_register_re_purification(circ, n, obs, drop_last_uncompute=False,
+                                  gadget_noise=None, gadget_seed=0):
+    """``re_purification`` with every copy and uncompute run on the full register.
+
+    The reference for the copy-register engine on circuits whose channels
+    are all pinned, as ``attach_noise`` leaves them.
+    """
+    from qemlab.circuits import reversed_circuit, run
+    from qemlab.pauli import PauliTerm
+    from qemlab.purification import _anc_xy, _Builder
+
+    w = circ.n
+    total = n * w + 1
+    anc = total - 1
+    b = _Builder(total, gadget_noise, gadget_seed)
+    for k in range(n):
+        b.raw(_offset_ops(circ, k * w))
+    b.hadamard(anc)
+    if not obs.is_identity:
+        b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
+    b.controlled_shift(anc, n, w)
+    rev = reversed_circuit(circ)
+    drop = (1 % n) if drop_last_uncompute else None
+    free = []
+    for k in range(n):
+        if k == drop:
+            free.extend(range(k * w, (k + 1) * w))
+        else:
+            b.raw(_offset_ops(rev, k * w))
+    xy = _anc_xy(run(b.circ), total, free)
+    coeff = complex(obs.coeff)
+    if drop_last_uncompute:
+        return coeff * complex(np.conj(xy))
+    return coeff * complex(xy.real)
+
+
+def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=None,
+                               gadget_noise=None, gadget_seed=0):
+    """``execute_plan`` with every copy prepared and read on the full register."""
+    from qemlab.circuits import reversed_circuit, run
+    from qemlab.pauli import PauliTerm
+    from qemlab.purification import _anc_xy, _Builder, _post_gadget, _pre_gadget, _resolve
+
+    w = bra_factors[0].circuit.n
+    total = plan.copies * w + 1
+    anc = total - 1
+    b = _Builder(total, gadget_noise, gadget_seed)
+    for c, cp in enumerate(plan.slots):
+        if cp.in_slot is not None:
+            f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
+            b.raw(_offset_ops(f.circuit, c * w))
+    b.hadamard(anc)
+    for c, cp in enumerate(plan.slots):
+        if cp.in_slot is not None and cp.in_slot.side != "A":
+            f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
+            _pre_gadget(b, anc, f, c * w, cp.in_slot.dagger)
+    if not obs.is_identity:
+        b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
+    b.controlled_shift(anc, plan.copies, w)
+    free = []
+    for c, cp in enumerate(plan.slots):
+        if cp.out_slot is None:
+            free.extend(range(c * w, (c + 1) * w))
+            continue
+        f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
+        if cp.out_slot.side != "A":
+            _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
+        b.raw(_offset_ops(reversed_circuit(f.circuit), c * w))
+    return complex(obs.coeff) * _anc_xy(run(b.circ), total, free)

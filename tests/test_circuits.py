@@ -523,6 +523,27 @@ class TestReversedAndDual:
             rhs = float(np.real(np.trace(dual_state(c) @ rho)))
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 3), depth=st.integers(1, 10),
+           model=st.sampled_from([
+               ch.NoiseModel(kind="stochastic_pauli", p1=0.05),
+               ch.NoiseModel(kind="global_depolarizing", p1=0.05),
+               ch.NoiseModel(kind="local_depolarizing", p1=0.05),
+               ch.NoiseModel(kind="amplitude_damping", p1=0.05),
+               ch.NoiseModel(kind="thermal_relaxation", p1=0.01),
+               ch.NoiseModel(kind="thermal_relaxation", p1=0.01, thermal_with_pauli=True),
+               ch.NoiseModel(kind="coherent_drift", p1=0.3),
+           ]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_dual_state_is_adjoint_of_uncompute(self, n, depth, model, seed):
+        # Tr[dual_state * rho] = <0|U_rev(rho)|0> for every rho, so the dual
+        # is the adjoint of the whole uncomputation, channel order included
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, n, depth, noise=model, seed=seed % 1000)
+        rho = random_density(rng, n)
+        lhs = apply(reversed_circuit(c), rho)[0, 0]
+        assert abs(np.trace(dual_state(c) @ rho) - lhs) <= 1e-12
+
 
 class TestStateHelpers:
     def test_trace_distance_basics(self):

@@ -260,7 +260,7 @@ class TestCliEntry:
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
         rc = main(["sweep", "--config", str(cfg_path), "--out-dir",
-                   str(tmp_path / "grid"), "--threads", "2"])
+                   str(tmp_path / "grid")])
         assert rc == 0
         assert (tmp_path / "grid" / "point-000" / "bias_vs_m.csv").exists()
         assert (tmp_path / "grid" / "point-001" / "bias_vs_m.csv").exists()

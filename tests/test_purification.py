@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import FullRegisterEsd, dsp_whole_circuit
+from oracles import (
+    FullRegisterEsd,
+    dsp_whole_circuit,
+    full_register_execute_plan,
+    full_register_re_purification,
+)
 from qemlab import channels as ch
 from qemlab import purification as pur
 from qemlab.channels import NoiseModel
@@ -78,6 +83,30 @@ def random_pauli(rng, n, nontrivial=True):
         axes = "".join(rng.choice(list("IXYZ")) for _ in range(n))
         if not nontrivial or set(axes) != {"I"}:
             return PauliTerm(axes, 1.0)
+
+
+def random_phase_pauli(rng, n):
+    """A Pauli string, identity included, with a random unit-modulus coefficient."""
+    return PauliTerm(random_pauli(rng, n, nontrivial=False).axes,
+                     np.exp(1j * rng.uniform(0, 2 * np.pi)))
+
+
+def unpinned_circuit(rng, w, seed):
+    """A noisy circuit with a register-wide depolarizing channel left unpinned."""
+    c = random_circuit(rng, w, 2 * w + 3, PAULI_NOISE, seed=seed)
+    c.ops.insert(int(rng.integers(1, len(c.ops) + 1)), ch.global_depolarizing(0.2))
+    return c
+
+
+def random_plan_factors(rng, plan, w, noise, seed):
+    """Bra, ket and (when planned) middle factors with random v and w gadgets."""
+    def factor(i):
+        circ = random_circuit(rng, w, 2 * w + 2, noise, seed=seed + i) \
+            if noise is not None else unpinned_circuit(rng, w, seed + i)
+        return GeneralFactor(circ, random_phase_pauli(rng, w), random_phase_pauli(rng, w))
+    bra = [factor(i) for i in range(plan.n)]
+    ket = [factor(10 + i) for i in range(plan.n_prime)]
+    return bra, ket, factor(20) if plan.with_a else None
 
 
 def sym_product(rho, bar):
@@ -444,6 +473,71 @@ class TestEvaluatorsAgainstWholeCircuits:
             assert (res.numerator, res.p0) == (ev.numerator(obs), ev.p0)
 
 
+class TestCopyRegisterEngine:
+    """The copy-register engine against the frozen full-register estimators,
+    and every estimator against its dense value when a copy carries an
+    unpinned register-wide channel."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), n_prime=st.integers(1, 4), with_a=st.booleans(),
+           circ_noise=st.sampled_from(GADGET_NOISE),
+           gadget_noise=st.sampled_from([None] + GADGET_NOISE),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_plans_match_full_register(self, n, n_prime, with_a, circ_noise, gadget_noise,
+                                       seed, data):
+        plan = plan_general(n, n_prime, with_a)
+        w = data.draw(st.integers(1, 8 // plan.copies), label="w")
+        rng = np.random.default_rng(seed)
+        bra, ket, a = random_plan_factors(rng, plan, w, circ_noise, seed % 1000)
+        obs = random_phase_pauli(rng, w)
+        got = execute_plan(plan, bra, ket, obs, a, gadget_noise, seed % 7)
+        want = full_register_execute_plan(plan, bra, ket, obs, a, gadget_noise, seed % 7)
+        assert abs(got - want) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), drop=st.booleans(), circ_noise=st.sampled_from(GADGET_NOISE),
+           gadget_noise=st.sampled_from([None] + GADGET_NOISE),
+           seed=st.integers(0, 2**31 - 1), data=st.data())
+    def test_re_purification_matches_full_register(self, n, drop, circ_noise, gadget_noise,
+                                                   seed, data):
+        w = data.draw(st.integers(1, 8 // n), label="w")
+        rng = np.random.default_rng(seed)
+        c = random_circuit(rng, w, 2 * w + 2, circ_noise, seed=seed % 1000)
+        obs = random_phase_pauli(rng, w)
+        got = re_purification(c, n, obs, drop, gadget_noise, seed % 7)
+        want = full_register_re_purification(c, n, obs, drop, gadget_noise, seed % 7)
+        assert abs(got - want) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(w=st.integers(1, 2), n=st.integers(1, 4), n_prime=st.integers(0, 4),
+           with_a=st.booleans(), seed=st.integers(0, 2**31 - 1))
+    def test_unpinned_channel_stays_on_its_copy(self, w, n, n_prime, with_a, seed):
+        rng = np.random.default_rng(seed)
+        c = unpinned_circuit(rng, w, seed % 1000)
+        rho, bar = run(c), dual_state(c)
+        obs = random_pauli(rng, w)
+        om = obs.matrix()
+        br = np.linalg.matrix_power(bar @ rho, n - 1)
+        # uncompute-based: the ancilla and direct readouts of Re Tr[bar rho O]
+        want = float(np.real(np.trace(bar @ rho @ om)))
+        assert abs(DspEvaluator(c).numerator(obs) - want) <= 1e-12
+        assert abs(dsp_expectation(c, obs, mode="direct").numerator - want) <= 1e-12
+        # copy-and-uncompute: Re Tr[(bar rho)^n O], or Tr[rho (bar rho)^(n-1) O] with a drop
+        assert abs(re_purification(c, n, obs) - np.real(np.trace(br @ bar @ rho @ om))) <= 1e-12
+        assert abs(re_purification(c, n, obs, True) - np.trace(rho @ br @ om)) <= 1e-12
+        # copy-based: Tr[rho^n O]
+        if n >= 2 and n * w + 1 <= 9:
+            rn = np.linalg.matrix_power(rho, n)
+            ev = EsdEvaluator(c, n)
+            assert abs(ev.numerator(obs) - np.real(np.trace(rn @ om))) <= 1e-12
+        # general plans: the dense sandwich product
+        plan = plan_general(n, n_prime, with_a)
+        if plan.copies * w + 1 <= 9:
+            bra, ket, a = random_plan_factors(rng, plan, w, None, seed % 1000)
+            got = execute_plan(plan, bra, ket, obs, a)
+            assert abs(got - planned_oracle(plan, bra, ket, obs, a)) <= 1e-12
+
+
 class TestPlanner:
     def test_copy_counts(self):
         assert plan_general(1, 1).copies == 1
@@ -472,6 +566,14 @@ class TestPlanner:
     def test_invalid_counts(self):
         with pytest.raises(ValueError):
             plan_general(0, 1)
+        with pytest.raises(ValueError):
+            plan_general(1, -1)
+
+    def test_bra_side_alone(self):
+        # Tr[rho O] from one copy whose only slot is an in slot
+        p = plan_general(1, 0)
+        assert (p.copies, p.postselect) == (1, (False,))
+        assert p.slots[0].in_slot == pur.FactorSlot("bra", 1, True, False)
 
 
 class TestExecutePlan:
