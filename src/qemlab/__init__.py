@@ -9,10 +9,10 @@ CSV experiment harness.
 
 from .channels import Channel, NoiseModel, noiseless
 from .circuits import Circuit, Gate, apply, attach_noise, build_ansatz, dual_circuit, \
-    dual_state, reversed_circuit, run, spectral_decompose, trace_distance
+    dual_state, reversed_circuit, run, trace_distance
 from .gevp import GevpSolution, energy_window, regularize, solve, solve_pencil
 from .pauli import PauliSum, PauliTerm, SystemPartition, build_ising, factorize, \
-    pauli_mul, sum_mul, sum_pow
+    pauli_mul, sum_mul
 from .purification import GeneralFactor, dsp_expectation, esd_expectation, \
     execute_plan, oracle_trace, plan_general, re_purification
 from .shotnoise import EnergyDistribution, ShotConfig, perturb, sample_distribution, \

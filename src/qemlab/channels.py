@@ -22,6 +22,10 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: X/Y/Z error split of the stochastic Pauli channel.
 PAULI_SPLIT = (0.2, 0.2, 0.6)
 
+#: Channel families a NoiseModel can attach.
+NOISE_KINDS = ("none", "stochastic_pauli", "global_depolarizing", "local_depolarizing",
+               "amplitude_damping", "thermal_relaxation", "coherent_drift")
+
 
 @dataclass(frozen=True)
 class Channel:
@@ -175,9 +179,7 @@ class NoiseModel:
     thermal_with_pauli: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind not in ("none", "stochastic_pauli", "global_depolarizing",
-                             "local_depolarizing", "amplitude_damping",
-                             "thermal_relaxation", "coherent_drift"):
+        if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind not in ("none", "coherent_drift"):
             _check_rate(self.p1)

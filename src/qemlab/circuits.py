@@ -29,7 +29,8 @@ bookkeeping.  Fusing and folding reorder products, so ``apply`` agrees with
 op-by-op application to rounding, not bit for bit.
 
 Global depolarizing, register-wide or scoped, is no local superoperator: it
-stays one affine step through ``apply_channel`` and fences its qubits.
+stays one affine step through ``apply_channel``, (1 - p) rho plus p times
+the partial trace over its scope tensored with I/2^k, and fences its qubits.
 
 Two derived circuits matter for purification work:
 
@@ -49,6 +50,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channels import Channel, NoiseModel, single_qubit_kraus
 from .errors import RegisterCapError, SizeMismatchError
@@ -264,25 +266,14 @@ def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits: Sequence[int], 
     return _contract(psi.reshape((2,) * n), u, axes).reshape(psi.shape)
 
 
-def _replace_with_mixed(rho: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """Tensor I/2^k on the listed qubits against the partial trace of the rest."""
-    k = len(qubits)
-    d = 1 << n
-    mask = 0
-    for q in qubits:
-        mask |= 1 << q
-    idx = np.arange(d)
-    # partial trace: sum rho over matched bits of the traced qubits
-    keep = idx[(idx & mask) == 0]
-    rest = np.zeros((len(keep), len(keep)), dtype=complex)
-    offsets = [o for o in range(d) if (o & ~mask) == 0]
-    for o in offsets:
-        rest += rho[np.ix_(keep | o, keep | o)]
-    out = np.zeros_like(rho)
-    w = 1.0 / (1 << k)
-    for o in offsets:
-        out[np.ix_(keep | o, keep | o)] = w * rest
-    return out
+def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
+    """Reduced state on the listed qubits (ascending; keep[i] becomes qubit i)."""
+    rows = [n - 1 - q for q in reversed(keep)]
+    gone = [a for a in range(n) if a not in rows]
+    perm = rows + gone + [n + a for a in rows] + [n + a for a in gone]
+    dk, dt = 1 << len(keep), 1 << (n - len(keep))
+    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dt, dk, dt)
+    return np.trace(t, axis1=1, axis2=3)
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:
@@ -432,13 +423,22 @@ def _compile(circuit: Circuit) -> list[tuple]:
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
     """One channel on a density matrix."""
     if ch.kind == "global_depolarizing":
-        # scoped to its listed qubits; an empty tuple means the whole register
+        # (1 - p) rho + p Tr_S(rho) (x) I/2^k on its scope S of k qubits (an
+        # empty tuple means the whole register).  The second term is added
+        # through a strided view of the entries whose row and column agree
+        # on S; its axes are the bits of the other qubits, most significant
+        # first as in the reduced state (rows, then columns), and those of S.
         p = ch.params[0]
-        if ch.qubits and len(ch.qubits) < n:
-            return (1.0 - p) * rho + p * _replace_with_mixed(rho, ch.qubits, n)
-        d = rho.shape[0]
-        tr = np.trace(rho)
-        return (1.0 - p) * rho + p * tr * np.eye(d, dtype=complex) / d
+        scope = ch.qubits or tuple(range(n))
+        rest = [q for q in reversed(range(n)) if q not in scope]
+        out = (1.0 - p) * rho
+        s0, s1 = out.strides
+        view = as_strided(out, (2,) * (2 * len(rest) + len(scope)),
+                          [s0 << q for q in rest] + [s1 << q for q in rest]
+                          + [(s0 + s1) << q for q in scope])
+        mixed = _partial_trace(rho, rest[::-1], n) * (p / (1 << len(scope)))
+        view += mixed.reshape((2,) * (2 * len(rest)) + (1,) * len(scope))
+        return out
     t = rho.reshape((2,) * (2 * n))
     for qubits, s in _superops(ch):
         t = _contract(t, s, _rho_axes(qubits, n))
@@ -583,17 +583,6 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise SizeMismatchError("operands differ in dimension")
     sv = np.linalg.svd(a - b, compute_uv=False)
     return float(0.5 * np.sum(sv))
-
-
-def spectral_decompose(rho: np.ndarray) -> list[tuple[float, np.ndarray]]:
-    """Eigenpairs sorted by descending eigenvalue."""
-    vals, vecs = np.linalg.eigh(rho)
-    order = np.argsort(vals)[::-1]
-    return [(float(vals[i]), vecs[:, i]) for i in order]
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))
 
 
 def expected_errors(circuit: Circuit) -> float:

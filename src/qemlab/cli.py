@@ -9,6 +9,7 @@ tables), oracle (ad-hoc trace evaluation for debugging).  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import itertools
 import json
 import os
@@ -20,7 +21,7 @@ from . import models
 from .channels import NoiseModel, noiseless
 from .circuits import attach_noise, build_ansatz, dual_state, run as run_circuit
 from .errors import ConfigError
-from .experiments import query_table, run_experiment, write_outputs
+from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, run_experiment
 from .pauli import PauliTerm, build_ising, expect_pauli
 from .vqe import exact_ground, optimize
 
@@ -28,9 +29,12 @@ from .vqe import exact_ground, optimize
 def _load_config(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as ex:
         raise ConfigError(f"cannot read config {path}: {ex}") from ex
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return cfg
 
 
 def _cmd_vqe(args) -> int:
@@ -51,8 +55,6 @@ def _cmd_run(args) -> int:
     cfg = _load_config(args.config)
     if args.seed is not None:
         cfg["seed"] = args.seed
-    if args.scenario is not None:
-        cfg["scenario"] = args.scenario
     written = run_experiment(cfg, args.out_dir)
     for path in written:
         print(path)
@@ -72,32 +74,38 @@ def _apply_override(cfg: dict, dotted: str, value) -> None:
     node = cfg
     for p in parts[:-1]:
         node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"grid key {dotted}: {p} is not a mapping")
     node[parts[-1]] = value
 
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
     grid = cfg.pop("grid", None)
-    if not grid:
-        raise ConfigError("sweep config needs a 'grid' mapping of dotted keys")
-    for idx, point in enumerate(_grid_points(grid)):
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(v, list) for v in grid.values())):
+        raise ConfigError("sweep config needs a 'grid' mapping of dotted keys to value lists")
+    points = []
+    for point in _grid_points(grid):
         sub = json.loads(json.dumps(cfg))
         for key, val in point.items():
             _apply_override(sub, key, val)
+        check_config(sub)  # every point, before the first one runs
+        points.append(sub)
+    for idx, sub in enumerate(points):
         for path in run_experiment(sub, os.path.join(args.out_dir, f"point-{idx:03d}")):
             print(path)
     return 0
 
 
 def _cmd_queries(args) -> int:
-    n, edges = models.graph(args.graph)
-    outputs = query_table(build_ising(edges, n), args.kinds,
-                          range(args.m_min, args.m_max + 1), args.partition,
-                          {"boundary_state_only": args.state_only_boundary})
-    cfg = {"scenario": "queries", "graph": args.graph, "seed": 0}
-    write_outputs(outputs, cfg, args.out_dir)
-    for kind, m, reuse, q in outputs["queries"][1]:
-        print(f"{kind:6s} M={m} reuse={reuse}: Q={q}")
+    cfg = {"scenario": "queries", "graph": args.graph, "partition": args.partition,
+           "kinds": args.kinds, "m_values": list(range(args.m_min, args.m_max + 1)),
+           "subspace": {"boundary_state_only": args.state_only_boundary}}
+    run_experiment(cfg, args.out_dir)
+    with open(os.path.join(args.out_dir, "queries.csv"), newline="") as fh:
+        for kind, m, reuse, q in list(csv.reader(fh))[1:]:
+            print(f"{kind:6s} M={m} reuse={reuse}: Q={q}")
     return 0
 
 
@@ -128,19 +136,19 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qemlab",
                                  description="mitigation-pipeline experiment harness")
     sub = ap.add_subparsers(dest="command", required=True)
+    queries = SCENARIOS["queries"][1]
 
     p = sub.add_parser("vqe", help="train ansatz parameters and save them as JSON")
-    p.add_argument("--graph", default="path-8")
-    p.add_argument("--layers", type=int, default=8)
-    p.add_argument("--iters", type=int, default=500)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--graph", default=queries["graph"])
+    p.add_argument("--layers", type=int, default=VQE_DEFAULTS["layers"])
+    p.add_argument("--iters", type=int, default=VQE_DEFAULTS["iters"])
+    p.add_argument("--seed", type=int, default=VQE_DEFAULTS["seed"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_vqe)
 
     p = sub.add_parser("run", help="run one scenario config")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--scenario", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
@@ -150,11 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("queries", help="emit measurement-count tables")
-    p.add_argument("--graph", default="path-8")
-    p.add_argument("--kinds", nargs="+", default=["power", "fault", "dc"])
-    p.add_argument("--m-min", type=int, default=2)
-    p.add_argument("--m-max", type=int, default=5)
-    p.add_argument("--partition", default="half-4-4")
+    p.add_argument("--graph", default=queries["graph"])
+    p.add_argument("--kinds", nargs="+", default=queries["kinds"])
+    p.add_argument("--m-min", type=int, default=min(queries["m_values"]))
+    p.add_argument("--m-max", type=int, default=max(queries["m_values"]))
+    p.add_argument("--partition", default=queries["partition"])
     p.add_argument("--state-only-boundary", action="store_true")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_queries)

@@ -46,10 +46,3 @@ def postselect_bound(s: np.ndarray, gamma: float, m: int) -> PostselectBound:
     scaling = 16.0 * gamma * gamma * m * m / (lam_min * lam_min) if lam_min > 0 else float("inf")
     return PostselectBound(lam_min, bound, scaling)
 
-
-def depol_amplification(p: float) -> float:
-    """Shot-cost blow-up factor (1-p)^-8 for two equal blocks under
-    block-wide depolarizing at rate p."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError("rate must be in [0, 1)")
-    return float((1.0 - p) ** -8)

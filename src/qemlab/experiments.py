@@ -1,9 +1,11 @@
 """Config-driven experiment scenarios with CSV output.
 
-Each scenario function consumes a parsed config dict and returns a mapping of
-output name to (header, rows).  Everything is deterministic under the config
-seed; float formatting is fixed so identical configs produce byte-identical
-files.  Plotting is left to external tools.
+Each scenario declares the config keys it reads, with their defaults, in one
+table (``SCENARIOS``).  ``check_config`` checks a parsed config against that
+table before any work, and the scenario function reads the read-only result
+and returns a mapping of output name to (header, rows).  Everything is
+deterministic under the config seed; float formatting is fixed so identical
+configs produce byte-identical files.  Plotting is left to external tools.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import csv
 import hashlib
 import json
 import os
+from collections import namedtuple
 from typing import Callable
 
 import numpy as np
 
 from . import models
-from .channels import NoiseModel, noiseless
+from .channels import NOISE_KINDS, NoiseModel, noiseless
 from .circuits import (
     apply_state,
     attach_noise,
@@ -34,10 +37,11 @@ from .gevp import energy_window, solve_pencil
 from .pauli import PauliTerm, build_ising, expect_pauli
 from .purification import DspEvaluator, EsdEvaluator
 from .shotnoise import ShotConfig, sample_distribution
-from .subspace import SubspaceSpec, build, plan_queries
-from .vqe import check_count, check_sizes, exact_ground, optimize
+from .subspace import KINDS, SubspaceSpec, build, plan_queries
+from .vqe import check_count, exact_ground, optimize
 
 FMT = "%.12g"
+THRESHOLD = 1e-10  # regularization threshold of every exact pencil solve
 
 
 def _fmt(x) -> str:
@@ -52,7 +56,8 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
-def write_outputs(outputs: dict, cfg: dict, out_dir: str) -> list[str]:
+def write_outputs(outputs: dict, cfg, raw: dict, out_dir: str) -> list[str]:
+    """CSV files plus a manifest; the manifest holds raw, the config as given."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for name, (header, rows) in outputs.items():
@@ -64,10 +69,10 @@ def write_outputs(outputs: dict, cfg: dict, out_dir: str) -> list[str]:
                 w.writerow([_fmt(x) for x in row])
         written.append(path)
     manifest = {
-        "scenario": cfg.get("scenario"),
-        "seed": cfg.get("seed", 0),
-        "config_hash": config_hash(cfg),
-        "config": cfg,
+        "scenario": cfg.scenario,
+        "seed": cfg.seed,
+        "config_hash": config_hash(raw),
+        "config": raw,
         "outputs": sorted(os.path.basename(p) for p in written),
     }
     mpath = os.path.join(out_dir, "manifest.json")
@@ -78,92 +83,133 @@ def write_outputs(outputs: dict, cfg: dict, out_dir: str) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
+# config schema: the pieces the scenario tables in ``SCENARIOS`` share
+
+VQE_DEFAULTS = {"layers": 8, "iters": 500, "seed": 7, "params_file": None}
+_BASE = {"seed": 0, "graph": "path-8"}
+_PARTITIONED = {**_BASE, "partition": "half-4-4"}
+_PENCIL = {**_PARTITIONED, "vqe": VQE_DEFAULTS}
+_BOUNDARY = {"boundary_state_only": False}
+_SUBSPACE = {"kind": "power", **_BOUNDARY}
+_SHOT_SUBSPACE = {**_SUBSPACE, "m_values": [2, 3]}
+_NOISE = {"kind": "stochastic_pauli"}
+_ONE_P1 = {**_NOISE, "p1": 2e-6}
+_SAMPLES = {"n_samples": 1000}
+
+_CHOICES = {"graph": models.GRAPHS, "partition": models.PARTITIONS,
+            "noise.kind": NOISE_KINDS, "noise_kinds": NOISE_KINDS,
+            "subspace.kind": KINDS, "kinds": KINDS}
+_AT_LEAST_ONE = ("subspace.m_values", "m_values", "power_m", "dc_m", "n_seeds")
+_TYPES = {float: ((int, float), "a number"), str: (str, "a string"),
+          bool: (bool, "true or false"), type(None): ((str, type(None)), "a path or null")}
+
+
+def check_config(raw):
+    """raw checked against its scenario's table, defaults filled in.
+
+    A default's type is the type its key takes: an int is a non-negative
+    integer, a float any number, None a path or null, and a list default
+    types its entries.  Returns read-only attribute objects (a nested
+    mapping is one more), with lists as tuples.  Raises ConfigError naming
+    the dotted path of a key the scenario does not read, a value of another
+    type, an unknown kind, graph or partition, or an M or seed count below 1.
+    """
+    name = raw.get("scenario") if isinstance(raw, dict) else None
+    if name not in SCENARIOS:
+        raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
+    return _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "")
+
+
+def _section(raw, table: dict, prefix: str):
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{prefix[:-1]} must be a mapping, got {raw!r}")
+    for key in raw:
+        if key not in table:
+            raise ConfigError(f"unknown key {prefix}{key}; expected one of {sorted(table)}")
+    values = {}
+    for key, default in table.items():
+        path, v = prefix + key, raw.get(key, default)
+        if isinstance(default, dict):
+            v = _section(v, default, path + ".")
+        else:
+            _check_value(path, v, default)
+        values[key] = tuple(v) if isinstance(v, list) else v
+    return namedtuple("Section", values)(**values)
+
+
+def _check_value(path: str, v, default) -> None:
+    many = isinstance(default, list)
+    if many and not isinstance(v, list):
+        raise ConfigError(f"{path} must be a list, got {v!r}")
+    proto = default[0] if many else default
+    for x in v if many else (v,):
+        if type(proto) is int:
+            check_count(path, x)
+        else:
+            types, what = _TYPES[type(proto)]
+            if not isinstance(x, types) or isinstance(x, bool) != isinstance(proto, bool):
+                raise ConfigError(f"{path} must be {what}, got {x!r}")
+        if path in _CHOICES and x not in _CHOICES[path]:
+            raise ConfigError(f"unknown {path} {x!r}; have {sorted(_CHOICES[path])}")
+        if path in _AT_LEAST_ONE and x < 1:
+            raise ConfigError(f"{path} must be at least 1, got {x!r}")
+
+
+# ---------------------------------------------------------------------------
 # shared preparation
 
 
-def _noise_model(cfg: dict, p1: float) -> NoiseModel:
-    noise = cfg.get("noise", {})
-    kind = noise.get("kind", "stochastic_pauli")
+def _noise_model(kind: str, p1: float) -> NoiseModel:
     if kind == "none" or p1 == 0.0:
         return noiseless()
-    return NoiseModel(
-        kind=kind,
-        p1=p1,
-        ratio=noise.get("ratio", 10.0),
-        thermal_with_pauli=noise.get("thermal_with_pauli", kind == "thermal_relaxation"),
-    )
+    return NoiseModel(kind=kind, p1=p1, thermal_with_pauli=kind == "thermal_relaxation")
 
 
-def _vqe_params(cfg: dict, n: int, layers: int, h, edges, block: str | None = None):
-    vqe_cfg = cfg.get("vqe", {})
-    key = "params_file" if block is None else f"params_file_{block}"
-    path = vqe_cfg.get(key)
-    if path:
-        with open(path) as fh:
+def _vqe_params(vqe, n: int, h, edges, params_file=None):
+    """Ansatz parameters read from params_file, or trained by VQE."""
+    if params_file:
+        with open(params_file) as fh:
             params = np.array(json.load(fh), dtype=float)
-        if len(params) != 2 * n * (layers + 1):
-            raise ConfigError(f"parameter file {path} has the wrong length")
+        if len(params) != 2 * n * (vqe.layers + 1):
+            raise ConfigError(f"parameter file {params_file} has the wrong length")
         return params
-    res = optimize(n, layers, h, iters=vqe_cfg.get("iters", 500),
-                   seed=vqe_cfg.get("seed", 7), edges=edges)
-    return res.params
+    return optimize(n, vqe.layers, h, iters=vqe.iters, seed=vqe.seed, edges=edges).params
 
 
-def subspace_spec(kind: str, m: int, h, partition: str, sub_cfg: dict) -> SubspaceSpec:
-    """Basis spec for (kind, M); the partition is read for the divided basis only."""
-    kwargs = {}
-    if kind == "dc":
-        kwargs["partition"] = models.partition(partition)
-        kwargs["boundary_state_only"] = sub_cfg.get("boundary_state_only", False)
-    if kind == "fault" and "lambdas" in sub_cfg:
-        kwargs["lambdas"] = tuple(sub_cfg["lambdas"])
-    return SubspaceSpec(kind, m, h, **kwargs)
-
-
-def query_table(h, kinds, m_values, partition: str, sub_cfg: dict) -> dict:
-    """Query counts Q without and with reuse, one row per (kind, M, reuse)."""
-    rows = []
-    for kind in kinds:
-        for m in m_values:
-            spec = subspace_spec(kind, m, h, partition, sub_cfg)
-            for reuse in (False, True):
-                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
-    return {"queries": (("kind", "m", "reuse", "q"), rows)}
+def subspace_spec(kind: str, m: int, h, partition: str,
+                  boundary_state_only: bool) -> SubspaceSpec:
+    """Basis spec for (kind, M); only the divided basis reads the last two."""
+    if kind != "dc":
+        return SubspaceSpec(kind, m, h)
+    return SubspaceSpec(kind, m, h, partition=models.partition(partition),
+                        boundary_state_only=boundary_state_only)
 
 
 class Problem:
-    """Everything derived from the graph/ansatz part of a config."""
+    """Everything derived from the graph/ansatz part of a checked config."""
 
-    def __init__(self, cfg: dict):
+    def __init__(self, cfg):
         self.cfg = cfg
-        gname = cfg.get("graph", "path-8")
-        self.n, self.edges = models.graph(gname)
+        self.n, self.edges = models.graph(cfg.graph)
         self.h = build_ising(self.edges, self.n)
-        vqe_cfg = cfg.get("vqe", {})
-        self.layers = vqe_cfg.get("layers", 8)
-        check_sizes(self.layers, vqe_cfg.get("iters", 500), vqe_cfg.get("seed", 7))
+        self.layers = cfg.vqe.layers
         self.e_true, _ = exact_ground(self.h)
-        self.window = energy_window(self.e_true, cfg.get("window_frac", 0.1))
-        self.params = _vqe_params(cfg, self.n, self.layers, self.h, self.edges)
+        self.window = energy_window(self.e_true)
+        self.params = _vqe_params(cfg.vqe, self.n, self.h, self.edges, cfg.vqe.params_file)
         self.ansatz = build_ansatz(self.n, self.layers, self.params, self.edges)
         psi = apply_state(self.ansatz, zero_vector(self.n))
         self.vqe_energy = float(np.real(np.vdot(psi, self.h.matrix() @ psi)))
         self.vqe_bias = self.vqe_energy - self.e_true
         self._blocks = None
 
-    def partition(self):
-        pname = self.cfg.get("partition", "half-4-4")
-        return models.partition(pname)
-
     def block_ansatzes(self):
         if self._blocks is None:
-            part = self.partition()
+            part = models.partition(self.cfg.partition)
             subs = []
             states = []
-            for bi, block in enumerate(part.blocks):
+            for block in part.blocks:
                 h_b, sub_edges = models.block_subproblem(self.edges, block)
-                params = _vqe_params(self.cfg, len(block), self.layers, h_b,
-                                     sub_edges, block=str(bi))
+                params = _vqe_params(self.cfg.vqe, len(block), h_b, sub_edges)
                 circ = build_ansatz(len(block), self.layers, params, sub_edges)
                 subs.append(circ)
                 psi = apply_state(circ, zero_vector(circ.n))
@@ -180,8 +226,8 @@ class Problem:
         return sep_energy - self.e_true
 
     def spec(self, kind: str, m: int) -> SubspaceSpec:
-        return subspace_spec(kind, m, self.h, self.cfg.get("partition", "half-4-4"),
-                             self.cfg.get("subspace", {}))
+        return subspace_spec(kind, m, self.h, self.cfg.partition,
+                             self.cfg.subspace.boundary_state_only)
 
     def build(self, kind: str, m_values, noise: NoiseModel, with_variances=True) -> list:
         """(M, pencil) for each M, sliced from one build at the largest."""
@@ -189,21 +235,18 @@ class Problem:
             return []
         spec = self.spec(kind, max(m_values))
         arg = self.block_ansatzes()[0] if kind == "dc" else self.ansatz
-        mats = build(spec, arg, noise, seed=self.cfg.get("seed", 0),
-                     with_variances=with_variances)
+        mats = build(spec, arg, noise, seed=self.cfg.seed, with_variances=with_variances)
         return [(m, mats.leading(m)) for m in m_values]
 
-    def raw_noisy_energy(self, noise: NoiseModel) -> float:
-        if self.cfg.get("subspace", {}).get("kind") == "dc":
+    def raw_noisy_energy(self, kind: str, noise: NoiseModel) -> float:
+        if kind == "dc":
             subs, _ = self.block_ansatzes()
-            part = self.partition()
-            rhos = [run(attach_noise(c, noise, seed=self.cfg.get("seed", 0)))
-                    for c in subs]
+            rhos = [run(attach_noise(c, noise, seed=self.cfg.seed)) for c in subs]
             full = rhos[-1]
             for r in rhos[-2::-1]:
                 full = np.kron(full, r)
             return float(np.real(np.trace(full @ self.h.matrix())))
-        rho = run(attach_noise(self.ansatz, noise, seed=self.cfg.get("seed", 0)))
+        rho = run(attach_noise(self.ansatz, noise, seed=self.cfg.seed))
         return float(sum(np.real(t.coeff * expect_pauli(rho, t.axes)) for t in self.h))
 
 
@@ -211,24 +254,21 @@ class Problem:
 # scenarios
 
 
-def scenario_bias_vs_m(cfg: dict) -> dict:
+def scenario_bias_vs_m(cfg) -> dict:
     prob = Problem(cfg)
-    kind = cfg.get("subspace", {}).get("kind", "power")
-    m_values = cfg.get("subspace", {}).get("m_values", [1, 2, 3, 4, 5])
-    p1_values = cfg.get("noise", {}).get("p1_values", [2e-6, 2e-5, 2e-4])
-    threshold = cfg.get("threshold", 1e-10)
-    dump = bool(cfg.get("dump_matrices", False))
+    kind, m_values = cfg.subspace.kind, cfg.subspace.m_values
+    dump = cfg.dump_matrices
     baseline = prob.separable_bias() if kind == "dc" else prob.vqe_bias
     rows = []
     mat_rows = []
     ledger_rows = []
-    for p1 in p1_values:
-        noise = _noise_model(cfg, p1)
-        raw = prob.raw_noisy_energy(noise) if kind != "dc" else (
-            prob.separable_bias() + prob.e_true if p1 == 0 else prob.raw_noisy_energy(noise))
+    for p1 in cfg.noise.p1_values:
+        noise = _noise_model(cfg.noise.kind, p1)
+        raw = (prob.separable_bias() + prob.e_true if kind == "dc" and p1 == 0
+               else prob.raw_noisy_energy(kind, noise))
         for m, mats in prob.build(kind, m_values, noise, with_variances=dump):
             try:
-                sol = solve_pencil(mats.s, mats.h, prob.window, threshold)
+                sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
                 rows.append((kind, p1, m, sol.energy, sol.energy - prob.e_true,
                              abs(sol.energy - prob.e_true), sol.retained_dim, ""))
             except (SelectionFailureError, EmptySubspaceError) as ex:
@@ -252,22 +292,18 @@ def scenario_bias_vs_m(cfg: dict) -> dict:
     return out
 
 
-def scenario_shots(cfg: dict) -> dict:
+def scenario_shots(cfg) -> dict:
     """Energy distribution moments over a shot-budget grid."""
-    kind = cfg.get("subspace", {}).get("kind", "power")
-    m_values = cfg.get("subspace", {}).get("m_values", [2, 3])
-    ns_values = cfg.get("shots", {}).get("ns_values",
-                                         [1e6, 1e7, 1e8, 1e9, 1e10, 1e11])
-    n_samples = cfg.get("shots", {}).get("n_samples", 1000)
-    shot_cfgs = [ShotConfig(ns=ns, n_samples=n_samples, seed=cfg.get("seed", 0))
+    ns_values = cfg.shots.ns_values
+    shot_cfgs = [ShotConfig(ns=ns, n_samples=cfg.shots.n_samples, seed=cfg.seed)
                  for ns in ns_values]
     prob = Problem(cfg)
-    p1 = cfg.get("noise", {}).get("p1", 2e-6)
-    noise = _noise_model(cfg, p1)
+    noise = _noise_model(cfg.noise.kind, cfg.noise.p1)
+    kind = cfg.subspace.kind
     rows = []
-    for m, mats in prob.build(kind, m_values, noise):
+    for m, mats in prob.build(kind, cfg.subspace.m_values, noise):
         q = len(mats.queries)
-        exact_sol = solve_pencil(mats.s, mats.h, prob.window, 1e-10)
+        exact_sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
         bound = postselect_bound(mats.s, prob.h.weight(), m)
         for ns, shot_cfg in zip(ns_values, shot_cfgs):
             dist = sample_distribution(mats, shot_cfg, prob.window)
@@ -280,17 +316,13 @@ def scenario_shots(cfg: dict) -> dict:
     return {"shots": (header, rows)}
 
 
-def scenario_histogram(cfg: dict) -> dict:
-    kind = cfg.get("subspace", {}).get("kind", "power")
-    m_values = cfg.get("subspace", {}).get("m_values", [2, 3])
-    shots = cfg.get("shots", {})
-    shot_cfg = ShotConfig(ns=shots.get("ns", 1e8), n_samples=shots.get("n_samples", 1000),
-                          seed=cfg.get("seed", 0))
+def scenario_histogram(cfg) -> dict:
+    shot_cfg = ShotConfig(ns=cfg.shots.ns, n_samples=cfg.shots.n_samples, seed=cfg.seed)
     prob = Problem(cfg)
-    p1 = cfg.get("noise", {}).get("p1", 2e-6)
-    noise = _noise_model(cfg, p1)
+    noise = _noise_model(cfg.noise.kind, cfg.noise.p1)
+    kind = cfg.subspace.kind
     rows = []
-    for m, mats in prob.build(kind, m_values, noise):
+    for m, mats in prob.build(kind, cfg.subspace.m_values, noise):
         dist = sample_distribution(mats, shot_cfg, prob.window)
         for idx, e in enumerate(dist.samples):
             rows.append((kind, m, idx, e))
@@ -298,24 +330,30 @@ def scenario_histogram(cfg: dict) -> dict:
     return {"histogram": (header, rows)}
 
 
-def scenario_queries(cfg: dict) -> dict:
-    """Query counts; needs only the Hamiltonian and the partition, so no VQE."""
-    n, edges = models.graph(cfg.get("graph", "path-8"))
-    return query_table(build_ising(edges, n), cfg.get("kinds", ["power", "fault", "dc"]),
-                       cfg.get("m_values", [2, 3, 4, 5]), cfg.get("partition", "half-4-4"),
-                       cfg.get("subspace", {}))
+def scenario_queries(cfg) -> dict:
+    """Query counts Q without and with reuse, one row per (kind, M, reuse).
+
+    Needs only the Hamiltonian and the partition, so no VQE.
+    """
+    n, edges = models.graph(cfg.graph)
+    h = build_ising(edges, n)
+    rows = []
+    for kind in cfg.kinds:
+        for m in cfg.m_values:
+            spec = subspace_spec(kind, m, h, cfg.partition, cfg.subspace.boundary_state_only)
+            for reuse in (False, True):
+                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
+    return {"queries": (("kind", "m", "reuse", "q"), rows)}
 
 
-def scenario_cost_metric(cfg: dict) -> dict:
+def scenario_cost_metric(cfg) -> dict:
     """Noise-free bias against the sampling-cost comparator."""
     prob = Problem(cfg)
-    threshold = cfg.get("threshold", 1e-10)
     rows = []
-    for kind, m_values in (("power", cfg.get("power_m", [2, 3, 4, 5])),
-                           ("dc", cfg.get("dc_m", list(range(2, 10))))):
+    for kind, m_values in (("power", cfg.power_m), ("dc", cfg.dc_m)):
         for m, mats in prob.build(kind, m_values, noiseless(), with_variances=False):
             try:
-                sol = solve_pencil(mats.s, mats.h, prob.window, threshold)
+                sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
             except (SelectionFailureError, EmptySubspaceError):
                 continue
             q = plan_queries(prob.spec(kind, m), reuse=True).q
@@ -326,25 +364,21 @@ def scenario_cost_metric(cfg: dict) -> dict:
     return {"cost_metric": (header, rows)}
 
 
-def scenario_esd_vs_dsp(cfg: dict) -> dict:
+def scenario_esd_vs_dsp(cfg) -> dict:
     prob = Problem(cfg)
-    p1_values = cfg.get("noise", {}).get("p1_values",
-                                         [1e-4, 3e-4, 1e-3, 3e-3, 1e-2])
-    noise_kinds = cfg.get("noise_kinds", ["stochastic_pauli", "thermal_relaxation"])
-    seed = cfg.get("seed", 0)
     rows = []
-    for nk in noise_kinds:
-        for p1 in p1_values:
+    for nk in cfg.noise_kinds:
+        for p1 in cfg.noise.p1_values:
             nm = NoiseModel(kind=nk, p1=p1,
                             thermal_with_pauli=(nk == "thermal_relaxation"))
-            circ = attach_noise(prob.ansatz, nm, seed=seed)
-            dsp = DspEvaluator(circ, gadget_noise=nm, gadget_seed=seed)
+            circ = attach_noise(prob.ansatz, nm, seed=cfg.seed)
+            dsp = DspEvaluator(circ, gadget_noise=nm, gadget_seed=cfg.seed)
             num = 0.0
             for t in prob.h:
                 num += float(np.real(t.coeff)) * dsp.numerator(PauliTerm(t.axes, 1.0))
             p0 = dsp.result(PauliTerm("I" * prob.n, 1.0)).p0  # raises on a vanishing p0
             e_dsp = num / p0
-            ev = EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=seed)
+            ev = EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=cfg.seed)
             e_esd = sum(float(np.real(t.coeff)) * ev.expectation(PauliTerm(t.axes, 1.0))
                         for t in prob.h)
             pur_esd = ev.numerator(None)
@@ -355,21 +389,17 @@ def scenario_esd_vs_dsp(cfg: dict) -> dict:
     return {"esd_vs_dsp": (header, rows)}
 
 
-def scenario_trace_distance(cfg: dict) -> dict:
+def scenario_trace_distance(cfg) -> dict:
     """Dual-state gap against circuit depth at fixed whole-circuit error."""
-    gname = cfg.get("graph", "path-4")
-    n, edges = models.graph(gname)
-    depths = cfg.get("depths", [10, 100, 1000])
-    budgets = cfg.get("error_budgets", [0.5, 1.0, 1.5])
-    n_seeds = cfg.get("n_seeds", 20)
+    n, edges = models.graph(cfg.graph)
     rows = []
-    for budget in budgets:
-        for layers in depths:
+    for budget in cfg.error_budgets:
+        for layers in cfg.depths:
             weight = 2 * n * (layers + 1) + 2 * 10.0 * len(edges) * layers
             p1 = budget / weight
             d_dual, d_prod = [], []
-            for seed in range(n_seeds):
-                rng = np.random.default_rng([cfg.get("seed", 0), seed, layers])
+            for seed in range(cfg.n_seeds):
+                rng = np.random.default_rng([cfg.seed, seed, layers])
                 params = rng.uniform(-np.pi, np.pi, 2 * n * (layers + 1))
                 base = build_ansatz(n, layers, params, edges)
                 noise = NoiseModel(kind="stochastic_pauli", p1=p1)
@@ -384,22 +414,35 @@ def scenario_trace_distance(cfg: dict) -> dict:
     return {"trace_distance": (header, rows)}
 
 
-SCENARIOS: dict[str, Callable[[dict], dict]] = {
-    "bias-vs-m": scenario_bias_vs_m,
-    "stddev-vs-shots": scenario_shots,
-    "histogram": scenario_histogram,
-    "queries": scenario_queries,
-    "cost-metric": scenario_cost_metric,
-    "esd-vs-dsp": scenario_esd_vs_dsp,
-    "trace-distance": scenario_trace_distance,
+# Each scenario with its table: every key it reads, with its default.
+SCENARIOS: dict[str, tuple[Callable, dict]] = {
+    "bias-vs-m": (scenario_bias_vs_m, {
+        **_PENCIL, "dump_matrices": False,
+        "noise": {**_NOISE, "p1_values": [2e-6, 2e-5, 2e-4]},
+        "subspace": {**_SUBSPACE, "m_values": [1, 2, 3, 4, 5]}}),
+    "stddev-vs-shots": (scenario_shots, {
+        **_PENCIL, "noise": _ONE_P1, "subspace": _SHOT_SUBSPACE,
+        "shots": {**_SAMPLES, "ns_values": [1e6, 1e7, 1e8, 1e9, 1e10, 1e11]}}),
+    "histogram": (scenario_histogram, {
+        **_PENCIL, "noise": _ONE_P1, "subspace": _SHOT_SUBSPACE,
+        "shots": {**_SAMPLES, "ns": 1e8}}),
+    "queries": (scenario_queries, {
+        **_PARTITIONED, "kinds": list(KINDS), "m_values": [2, 3, 4, 5],
+        "subspace": _BOUNDARY}),
+    "cost-metric": (scenario_cost_metric, {
+        **_PENCIL, "power_m": [2, 3, 4, 5], "dc_m": list(range(2, 10)),
+        "subspace": _BOUNDARY}),
+    "esd-vs-dsp": (scenario_esd_vs_dsp, {
+        **_BASE, "vqe": VQE_DEFAULTS, "noise": {"p1_values": [1e-4, 3e-4, 1e-3, 3e-3, 1e-2]},
+        "noise_kinds": ["stochastic_pauli", "thermal_relaxation"]}),
+    "trace-distance": (scenario_trace_distance, {
+        **_BASE, "graph": "path-4", "depths": [10, 100, 1000],
+        "error_budgets": [0.5, 1.0, 1.5], "n_seeds": 20}),
 }
 
 
-def run_experiment(cfg: dict, out_dir: str) -> list[str]:
-    """Execute the named scenario and write CSVs plus a manifest."""
-    name = cfg.get("scenario")
-    if name not in SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    check_count("seed", cfg.get("seed", 0))
-    outputs = SCENARIOS[name](cfg)
-    return write_outputs(outputs, cfg, out_dir)
+def run_experiment(raw: dict, out_dir: str) -> list[str]:
+    """Check raw against its scenario's table, run it, and write CSVs plus a manifest."""
+    cfg = check_config(raw)
+    outputs = SCENARIOS[cfg.scenario][0](cfg)
+    return write_outputs(outputs, cfg, raw, out_dir)

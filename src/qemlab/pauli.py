@@ -187,26 +187,6 @@ class PauliSum:
             m[idx ^ x, idx] += c * (_I_POW[(x & z).bit_count() % 4] * signs[idx & z])
         return m
 
-    def serialize(self) -> str:
-        """One term per line: `<coeff_re> <coeff_im> <axes>`."""
-        lines = []
-        for t in self:
-            lines.append(f"{t.coeff.real:.17g} {t.coeff.imag:.17g} {t.axes}")
-        return "\n".join(lines)
-
-    @classmethod
-    def parse(cls, text: str) -> "PauliSum":
-        terms = []
-        n = None
-        for line in text.strip().splitlines():
-            re_s, im_s, axes = line.split()
-            if n is None:
-                n = len(axes)
-            terms.append(PauliTerm(axes, complex(float(re_s), float(im_s))))
-        if n is None:
-            raise ValueError("empty serialization")
-        return cls(n, terms)
-
     def __repr__(self) -> str:
         return f"PauliSum(n={self.n}, terms={len(self)})"
 
@@ -222,16 +202,6 @@ def sum_mul(a: PauliSum, b: PauliSum, drop_tol: float = DROP_TOL) -> PauliSum:
             k = (x3, z3)
             out[k] = out.get(k, 0.0) + c1 * c2 * phase
     return PauliSum._from_masks(a.n, out, drop_tol)
-
-
-def sum_pow(h: PauliSum, k: int, drop_tol: float = DROP_TOL) -> PauliSum:
-    """Canonical merged expansion of h**k; k = 0 gives the identity string."""
-    if k < 0:
-        raise ValueError("power must be non-negative")
-    acc = PauliSum(h.n, [PauliTerm("I" * h.n, 1.0)])
-    for _ in range(k):
-        acc = sum_mul(acc, h, drop_tol)
-    return acc
 
 
 class PowerTable:

@@ -38,6 +38,7 @@ from .circuits import (
     Circuit,
     Gate,
     MAX_QUBITS,
+    _partial_trace,
     apply,
     dual_state,
     reversed_circuit,
@@ -115,16 +116,6 @@ def _place(circuit: Circuit, offset: int) -> list:
 def _prepare(circuit: Circuit) -> np.ndarray:
     """One copy's state, run on its own w qubits."""
     return run(Circuit(circuit.n, _place(circuit, 0)))
-
-
-def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Reduced state on the listed qubits (ascending; keep[i] becomes qubit i)."""
-    rows = [n - 1 - q for q in reversed(keep)]
-    gone = [a for a in range(n) if a not in rows]
-    perm = rows + gone + [n + a for a in rows] + [n + a for a in gone]
-    dk, dt = 1 << len(keep), 1 << (n - len(keep))
-    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dt, dk, dt)
-    return np.trace(t, axis1=1, axis2=3)
 
 
 def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:

@@ -43,6 +43,9 @@ from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 QueryKey = tuple
 Term = tuple  # (coeff, (key, key, ...))
 
+#: Basis families: power, fault-amplified and divided.
+KINDS = ("power", "fault", "dc")
+
 
 @dataclass(frozen=True)
 class SubspaceSpec:
@@ -57,7 +60,7 @@ class SubspaceSpec:
     merge_identical_blocks: bool = True
 
     def __post_init__(self) -> None:
-        if self.kind not in ("power", "fault", "dc"):
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown subspace kind {self.kind!r}")
         if self.m < 1:
             raise ConfigError("subspace count must be at least 1")

@@ -23,6 +23,30 @@ def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:
     return out
 
 
+def replace_with_mixed(rho: np.ndarray, qubits, n: int) -> np.ndarray:
+    """Tensor I/2^k on the listed qubits against the partial trace of the rest.
+
+    The index-offset loop that once applied scoped global depolarizing.
+    """
+    k = len(qubits)
+    d = 1 << n
+    mask = 0
+    for q in qubits:
+        mask |= 1 << q
+    idx = np.arange(d)
+    # partial trace: sum rho over matched bits of the traced qubits
+    keep = idx[(idx & mask) == 0]
+    rest = np.zeros((len(keep), len(keep)), dtype=complex)
+    offsets = [o for o in range(d) if (o & ~mask) == 0]
+    for o in offsets:
+        rest += rho[np.ix_(keep | o, keep | o)]
+    out = np.zeros_like(rho)
+    w = 1.0 / (1 << k)
+    for o in offsets:
+        out[np.ix_(keep | o, keep | o)] = w * rest
+    return out
+
+
 def _offset_ops(circuit, offset):
     """The circuit's ops shifted by offset; a register-wide channel stays register-wide."""
     from qemlab.purification import _remap_ops

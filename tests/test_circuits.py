@@ -16,6 +16,7 @@ from qemlab.circuits import (
     _rho_axes,
     _unitary_superop,
     apply,
+    apply_channel,
     apply_state,
     attach_noise,
     build_ansatz,
@@ -23,15 +24,15 @@ from qemlab.circuits import (
     dual_state,
     expected_errors,
     gate_matrix,
-    purity,
     reversed_circuit,
     run,
-    spectral_decompose,
     trace_distance,
     zero_state,
     zero_vector,
 )
 from qemlab.errors import NoiseRateError, RegisterCapError, SizeMismatchError
+
+from oracles import replace_with_mixed
 
 
 def embed(u, qubits, n):
@@ -380,7 +381,27 @@ class TestFusedKernel:
         assert all(len(_compile(c)) <= 7 for c in gadget)
 
 
+@st.composite
+def scopes(draw):
+    """(n, qubits): any subset in any order, empty meaning the whole register."""
+    n = draw(st.integers(1, 6))
+    order = draw(st.permutations(range(n)))
+    return n, tuple(order[:draw(st.integers(0, n))])
+
+
 class TestChannels:
+    @settings(max_examples=100, deadline=None)
+    @given(scopes(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    @example((5, (4, 1)), 0.3, 0)
+    @example((3, (2, 0, 1)), 1.0, 1)
+    @example((4, ()), 0.5, 2)
+    def test_global_depolarizing_matches_offset_loop(self, scope, p, seed):
+        n, qubits = scope
+        rho = random_density(np.random.default_rng(seed), n)
+        got = apply_channel(rho, ch.Channel("global_depolarizing", qubits, (p,)), n)
+        want = (1.0 - p) * rho + p * replace_with_mixed(rho, qubits or range(n), n)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     def test_kraus_completeness(self):
         rng = np.random.default_rng(3)
         cases = [
@@ -441,7 +462,7 @@ class TestChannels:
         model = ch.NoiseModel(kind="coherent_drift", p1=0.05)
         c = random_circuit(rng, 3, 10, noise=model, seed=9)
         rho = run(c)
-        assert purity(rho) == pytest.approx(1.0, abs=1e-10)
+        assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestAnsatz:
@@ -557,18 +578,16 @@ class TestStateHelpers:
     def test_spectral_decompose(self):
         psi = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
         pure = np.outer(psi, psi)
-        p0, v0 = spectral_decompose(pure)[0]
-        assert p0 == pytest.approx(1.0)
-        assert abs(abs(np.vdot(v0, psi)) - 1.0) < 1e-10
+        vals, vecs = np.linalg.eigh(pure)
+        assert vals[-1] == pytest.approx(1.0)
+        assert abs(abs(np.vdot(vecs[:, -1], psi)) - 1.0) < 1e-10
         mixed = np.eye(4, dtype=complex) / 4.0
-        probs = [p for p, _ in spectral_decompose(mixed)]
-        np.testing.assert_allclose(probs, [0.25] * 4)
+        np.testing.assert_allclose(np.linalg.eigh(mixed)[0], [0.25] * 4)
 
     def test_dominant_probability_closed_form(self):
         psi = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         rho = 0.9 * np.outer(psi, psi.conj()) + 0.1 * np.eye(4) / 4.0
-        p0, _ = spectral_decompose(rho)[0]
-        assert p0 == pytest.approx(0.925)
+        assert np.linalg.eigh(rho)[0][-1] == pytest.approx(0.925)
 
     def test_dump_mentions_every_op(self):
         c = Circuit(2, [Gate("rx", (0,), 0.3), ch.stochastic_pauli(0.1, (0,)), Gate("cz", (0, 1))])

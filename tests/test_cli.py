@@ -250,6 +250,43 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "Tr[sym-product P]" in out
 
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("run", small_cfg(subspace={"kind": "power", "m_value": [1, 2]}), "subspace.m_value"),
+        ("run", small_cfg(scenario="stddev-vs-shots", subspace={"m_values": [2]},
+                          noise={"p1": 2e-4, "p1_values": [2e-4]}), "noise.p1_values"),
+        ("run", small_cfg(noise={"kind": "stochastic_paul"}), "noise.kind"),
+        ("run", small_cfg(noise={"p1_values": "2e-4"}), "noise.p1_values"),
+        ("run", small_cfg(subspace={"m_values": [0, 2]}), "subspace.m_values"),
+        ("run", small_cfg(noise_kinds=["stochastic_pauli"]), "noise_kinds"),
+        ("run", small_cfg(partition="half-3-3"), "partition"),
+        ("run", small_cfg(window_frac=0.2), "window_frac"),
+        ("run", small_cfg(vqe={"params_file_0": "p.json"}), "vqe.params_file_0"),
+        ("run", {"scenario": "queries", "graph": "path-4", "m_value": [2]}, "m_value"),
+        ("run", {"scenario": "queries", "kinds": ["power", "dcc"]}, "kinds"),
+        ("run", {"scenario": "esd-vs-dsp", "noise_kinds": ["thermal"]}, "noise_kinds"),
+        ("run", {"scenario": "trace-distance", "graph": "path-4", "n_seeds": 0}, "n_seeds"),
+        ("sweep", small_cfg(grid={"noise": [{"p1_values": [1e-4]}, {"p1_value": [1e-4]}]}),
+         "noise.p1_value"),
+        ("sweep", small_cfg(grid={"subspace.m_values": [[2], [0]]}), "subspace.m_values"),
+    ])
+    def test_malformed_config_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
+                                                        command, cfg, path):
+        def no_work(*a, **k):
+            raise AssertionError("a malformed config is rejected before any work")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_work)
+        monkeypatch.setattr("qemlab.experiments.exact_ground", no_work)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert path in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_takes_no_scenario_flag(self, tmp_path):
+        with pytest.raises(SystemExit):
+            main(["run", "--config", "c.json", "--out-dir", str(tmp_path), "--scenario", "queries"])
+
     def test_run_takes_no_threads_flag(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["run", "--config", "c.json", "--out-dir", str(tmp_path), "--threads", "2"])

@@ -3,7 +3,7 @@ import pytest
 
 from qemlab.channels import NoiseModel, global_depolarizing, noiseless
 from qemlab.circuits import Circuit, build_ansatz
-from qemlab.cost import cost_metric, dc_overhead, depol_amplification, postselect_bound
+from qemlab.cost import cost_metric, dc_overhead, postselect_bound
 from qemlab.gevp import energy_window, solve_pencil
 from qemlab.pauli import SystemPartition, build_ising
 from qemlab.subspace import SubspaceSpec, build
@@ -76,13 +76,6 @@ class TestPostselectBound:
 
 
 class TestDepolAmplification:
-    def test_zero(self):
-        assert depol_amplification(0.0) == pytest.approx(1.0)
-
-    def test_closed_form(self):
-        assert depol_amplification(0.1) == pytest.approx(0.9 ** -8)
-        assert depol_amplification(0.1) == pytest.approx(2.32305731, abs=1e-6)
-
     def test_measured_norm_ratio_on_constructed_instance(self):
         # depolarized readings scale every element by (1-p)^4; measured in the
         # clean diagonal frame the coefficient norm grows by exactly (1-p)^-2
@@ -127,10 +120,6 @@ class TestDepolAmplification:
         ratio = (np.linalg.norm(dvec * sol_noisy.alpha)
                  / np.linalg.norm(dvec * sol_clean.alpha))
         assert ratio == pytest.approx((1.0 - p) ** -2, rel=0.1)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            depol_amplification(1.0)
 
 
 class TestNormalizationConstant:

@@ -14,7 +14,6 @@ from qemlab.pauli import (
     factorize,
     pauli_mul,
     sum_mul,
-    sum_pow,
     term_matrix,
 )
 
@@ -99,14 +98,6 @@ class TestPauliSum:
         s = PauliSum(1, [PauliTerm("X", 1e-15)])
         assert len(s) == 0
 
-    def test_serialize_roundtrip(self):
-        h = build_ising([(0, 1)], 2)
-        text = h.serialize()
-        assert "ZZ" in text
-        back = PauliSum.parse(text)
-        assert back.coefficient("ZZ") == pytest.approx(-1.0)
-        assert back.coefficient("XI") == pytest.approx(-1.0)
-
     def test_weight(self):
         h = build_ising([(0, 1), (1, 2)], 3)
         assert h.weight() == pytest.approx(5.0)
@@ -151,15 +142,15 @@ class TestSumMatrix:
 class TestSumPow:
     def test_power_zero_and_one(self):
         h = build_ising([(0, 1)], 2)
-        p0 = sum_pow(h, 0)
+        p0 = PowerTable(h).power(0)
         assert len(p0) == 1 and p0.identity_coefficient == pytest.approx(1.0)
-        p1 = sum_pow(h, 1)
+        p1 = PowerTable(h).power(1)
         assert p1.coefficient("ZZ") == pytest.approx(-1.0)
 
     def test_two_qubit_ising_square(self):
         # (-ZZ - XI - IX)^2 = 3 I + 2 XX
         h = build_ising([(0, 1)], 2)
-        p2 = sum_pow(h, 2)
+        p2 = PowerTable(h).power(2)
         assert p2.identity_coefficient == pytest.approx(3.0)
         assert p2.coefficient("XX") == pytest.approx(2.0)
         assert len(p2) == 2
@@ -169,14 +160,14 @@ class TestSumPow:
         hm = h.matrix()
         acc = np.eye(8, dtype=complex)
         for k in range(5):
-            np.testing.assert_allclose(sum_pow(h, k).matrix(), acc, atol=1e-10)
+            np.testing.assert_allclose(PowerTable(h).power(k).matrix(), acc, atol=1e-10)
             acc = acc @ hm
 
     def test_power_additivity(self):
         h = build_ising([(0, 1), (1, 2), (2, 3)], 4)
         for j, k in [(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]:
-            lhs = sum_mul(sum_pow(h, j), sum_pow(h, k))
-            rhs = sum_pow(h, j + k)
+            lhs = sum_mul(PowerTable(h).power(j), PowerTable(h).power(k))
+            rhs = PowerTable(h).power(j + k)
             for t in rhs:
                 assert lhs.coefficient(t.axes) == pytest.approx(t.coeff, abs=1e-10)
             for t in lhs:
@@ -185,11 +176,12 @@ class TestSumPow:
     def test_power_table_consistent(self):
         h = build_ising([(0, 1), (1, 2)], 3)
         table = PowerTable(h)
+        direct = PauliSum(3, [PauliTerm("III", 1.0)])
         for k in range(4):
-            direct = sum_pow(h, k)
             cached = table.power(k)
             for t in direct:
                 assert cached.coefficient(t.axes) == pytest.approx(t.coeff)
+            direct = sum_mul(direct, h)
 
 
 class TestFactorize:

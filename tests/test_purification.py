@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import (
     FullRegisterEsd,
@@ -440,10 +440,13 @@ class TestRePurification:
 class TestEvaluatorsAgainstWholeCircuits:
     """The shared-prefix evaluators against every circuit run whole."""
 
-    @settings(max_examples=30, deadline=None)
+    # derandomized, so the suite's time does not hang on how many 10-qubit
+    # draws (w = 3, 3 copies) come up; the example runs that case every time
+    @settings(max_examples=30, deadline=None, derandomize=True)
     @given(w=st.integers(1, 3), n_copies=st.sampled_from([2, 3]),
            circ_noise=st.sampled_from(GADGET_NOISE), gadget_noise=st.sampled_from(GADGET_NOISE),
            seed=st.integers(0, 2**31 - 1))
+    @example(w=3, n_copies=3, circ_noise=GADGET_NOISE[0], gadget_noise=GADGET_NOISE[2], seed=11)
     def test_esd_numerators(self, w, n_copies, circ_noise, gadget_noise, seed):
         rng = np.random.default_rng(seed)
         c = random_circuit(rng, w, 2 * w + 2, circ_noise, seed=seed % 1000)

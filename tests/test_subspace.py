@@ -14,7 +14,6 @@ from qemlab.pauli import (
     PowerTable,
     SystemPartition,
     build_ising,
-    sum_pow,
     term_matrix,
 )
 from qemlab.purification import dsp_expectation
@@ -366,7 +365,8 @@ def test_fig_queries_counts_unchanged():
     got = {}
     for kind in cfg["kinds"]:
         for m in cfg["m_values"]:
-            spec = subspace_spec(kind, m, h, cfg["partition"], cfg["subspace"])
+            spec = subspace_spec(kind, m, h, cfg["partition"],
+                                 cfg["subspace"]["boundary_state_only"])
             got[(kind, m)] = (plan_queries(spec, reuse=False).q,
                               plan_queries(spec, reuse=True).q)
     assert got == FIG_QUERIES_Q
@@ -380,6 +380,6 @@ def test_shared_expansion_matches_direct_powers(scale):
     h = build_ising(path(5), 5).scaled(scale)
     blocks = ((0, 1), (2, 3, 4))
     want = [[(t.coeff, tuple("".join(t.axes[q] for q in b) for b in blocks))
-             for t in sum_pow(h, k)] for k in range(8)]
+             for t in PowerTable(h).power(k)] for k in range(8)]
     got = [term_expansion(h, blocks).power(k) for k in range(8)]
     assert want == got
