@@ -22,6 +22,12 @@ _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 #: X/Y/Z error split of the stochastic Pauli channel.
 PAULI_SPLIT = (0.2, 0.2, 0.6)
 
+#: Two-qubit to one-qubit error-rate ratio of every NoiseModel.
+TWO_QUBIT_RATIO = 10.0
+
+#: Means of the per-attachment T1 and T2 draws, and their relative width.
+T1_MEAN, T2_MEAN, T_SIGMA_FRAC = 50e-6, 70e-6, 0.1
+
 #: Channel families a NoiseModel can attach.
 NOISE_KINDS = ("none", "stochastic_pauli", "global_depolarizing", "local_depolarizing",
                "amplitude_damping", "thermal_relaxation", "coherent_drift")
@@ -160,23 +166,19 @@ class NoiseModel:
     """Per-gate channel assignment.
 
     kind selects the channel family; p1 applies to single-qubit gates and
-    p2 = ratio * p1 to each qubit of a two-qubit gate (or to the pair jointly
-    for the local_depolarizing family).  Thermal relaxation attaches only to
-    two-qubit gates; its T1/T2 are drawn per attachment from normal
-    distributions with a fixed 10 percent relative width, clipped to
-    T2 <= 2 T1.  Coherent drift draws a uniform angle in [0, p] per gate
-    qubit and appends it as an extra rotation of the gate's own generator.
+    p2 = TWO_QUBIT_RATIO * p1 to each qubit of a two-qubit gate (or to the
+    pair jointly for the local_depolarizing family).  Thermal relaxation
+    attaches to each qubit of a two-qubit gate, its T1/T2 drawn per
+    attachment from normal distributions around T1_MEAN/T2_MEAN with relative
+    width T_SIGMA_FRAC, clipped to T2 <= 2 T1; every gate then also gets the
+    stochastic Pauli channel at its rate.  Coherent drift draws a uniform
+    angle in [0, p] per gate qubit and appends it as an extra rotation of the
+    gate's own generator.
     """
 
     kind: str = "stochastic_pauli"
     p1: float = 0.0
-    ratio: float = 10.0
-    split: tuple[float, float, float] = PAULI_SPLIT
-    t1_mean: float = 50e-6
-    t2_mean: float = 70e-6
-    sigma_frac: float = 0.1
     gate_time: float = 200e-9
-    thermal_with_pauli: bool = False
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
@@ -187,7 +189,7 @@ class NoiseModel:
 
     @property
     def p2(self) -> float:
-        return self.ratio * self.p1
+        return TWO_QUBIT_RATIO * self.p1
 
     def amplified(self, lam: float) -> "NoiseModel":
         """Scale every channel rate by lam (software-level amplification)."""
@@ -212,18 +214,18 @@ class NoiseModel:
             out = []
             if two:
                 for q in qubits:
-                    t1 = rng.normal(self.t1_mean, self.sigma_frac * self.t1_mean)
-                    t2 = rng.normal(self.t2_mean, self.sigma_frac * self.t2_mean)
+                    t1 = rng.normal(T1_MEAN, T_SIGMA_FRAC * T1_MEAN)
+                    t2 = rng.normal(T2_MEAN, T_SIGMA_FRAC * T2_MEAN)
                     t1 = max(t1, 1e-9)
                     t2 = min(max(t2, 1e-9), 2.0 * t1)
                     out.append(thermal_relaxation(t1, t2, self.gate_time, q))
-            if self.thermal_with_pauli and p > 0.0:
-                out.append(stochastic_pauli(p, qubits, self.split))
+            if p > 0.0:
+                out.append(stochastic_pauli(p, qubits))
             return out
         if p == 0.0:
             return []
         if self.kind == "stochastic_pauli":
-            return [stochastic_pauli(p, qubits, self.split)]
+            return [stochastic_pauli(p, qubits)]
         if self.kind == "global_depolarizing":
             return [global_depolarizing(p)]
         if self.kind == "local_depolarizing":

@@ -31,7 +31,7 @@ from .circuits import (
     trace_distance,
     zero_vector,
 )
-from .cost import cost_metric, dc_overhead, postselect_bound
+from .cost import cost_metric, dc_overhead
 from .errors import ConfigError, SelectionFailureError, EmptySubspaceError
 from .gevp import energy_window, solve_pencil
 from .pauli import PauliTerm, build_ising, expect_pauli
@@ -162,7 +162,7 @@ def _check_value(path: str, v, default) -> None:
 def _noise_model(kind: str, p1: float) -> NoiseModel:
     if kind == "none" or p1 == 0.0:
         return noiseless()
-    return NoiseModel(kind=kind, p1=p1, thermal_with_pauli=kind == "thermal_relaxation")
+    return NoiseModel(kind=kind, p1=p1)
 
 
 def _vqe_params(vqe, n: int, h, edges, params_file=None):
@@ -304,10 +304,10 @@ def scenario_shots(cfg) -> dict:
     for m, mats in prob.build(kind, cfg.subspace.m_values, noise):
         q = len(mats.queries)
         exact_sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
-        bound = postselect_bound(mats.s, prob.h.weight(), m)
+        lambda_min = max(exact_sol.lambda_min_raw, 1e-300)
         for ns, shot_cfg in zip(ns_values, shot_cfgs):
             dist = sample_distribution(mats, shot_cfg, prob.window)
-            ub = 4.0 * prob.h.weight() * q / max(bound.lambda_min, 1e-300) / np.sqrt(ns)
+            ub = 4.0 * prob.h.weight() * q / lambda_min / np.sqrt(ns)
             rows.append((kind, m, ns, dist.mean, dist.stddev,
                          dist.mean - prob.e_true, dist.rejections, q,
                          exact_sol.energy, ub))
@@ -333,7 +333,8 @@ def scenario_histogram(cfg) -> dict:
 def scenario_queries(cfg) -> dict:
     """Query counts Q without and with reuse, one row per (kind, M, reuse).
 
-    Needs only the Hamiltonian and the partition, so no VQE.
+    Needs only the Hamiltonian and the partition, so no VQE and no pencil:
+    ``plan_queries`` counts from the term lists alone.
     """
     n, edges = models.graph(cfg.graph)
     h = build_ising(edges, n)
@@ -347,7 +348,8 @@ def scenario_queries(cfg) -> dict:
 
 
 def scenario_cost_metric(cfg) -> dict:
-    """Noise-free bias against the sampling-cost comparator."""
+    """Noise-free bias against the sampling-cost comparator, Q read from
+    each pencil's ledger."""
     prob = Problem(cfg)
     rows = []
     for kind, m_values in (("power", cfg.power_m), ("dc", cfg.dc_m)):
@@ -356,7 +358,7 @@ def scenario_cost_metric(cfg) -> dict:
                 sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
             except (SelectionFailureError, EmptySubspaceError):
                 continue
-            q = plan_queries(prob.spec(kind, m), reuse=True).q
+            q = len(mats.queries)
             rows.append((kind, m, abs(sol.energy - prob.e_true), q,
                          dc_overhead(sol.alpha_prime),
                          cost_metric(m, q, sol.alpha_prime)))
@@ -369,8 +371,7 @@ def scenario_esd_vs_dsp(cfg) -> dict:
     rows = []
     for nk in cfg.noise_kinds:
         for p1 in cfg.noise.p1_values:
-            nm = NoiseModel(kind=nk, p1=p1,
-                            thermal_with_pauli=(nk == "thermal_relaxation"))
+            nm = NoiseModel(kind=nk, p1=p1)
             circ = attach_noise(prob.ansatz, nm, seed=cfg.seed)
             dsp = DspEvaluator(circ, gadget_noise=nm, gadget_seed=cfg.seed)
             num = 0.0

@@ -3,12 +3,12 @@
 Shot statistics never enter the circuit simulations themselves.  Every
 measurement query carries an exact single-shot variance and is perturbed by
 a Gaussian of width sqrt(var / shots-per-query), the budget split equally
-over the unique queries.  Sampling compiles the pencil's ledger once per call
-(``SubspaceMatrices.compile``).  Sample k then draws every slot with one
-``normal`` call from ``default_rng([seed, k])``, which consumes the stream as
-one scalar draw per slot would; a slot is a query, so reused queries move
-together, or in the per-element mode one use.  A stack of samples is
-assembled in one pass over the terms and solved by ``gevp.stack_energies``:
+over the unique queries.  Sampling reads the pencil's ledger, compiled once
+per pencil (``SubspaceMatrices.ledger``).  Sample k draws every query with
+one ``normal`` call from ``default_rng([seed, k])``, which consumes the
+stream as one scalar draw per query would, so every matrix element that
+reuses a query moves with it.  A stack of samples is assembled in one pass
+over the terms and solved by ``gevp.stack_energies``:
 scaling and the overlap ``eigh`` run over the stack, and the reduced solve
 over each group of samples that keep the same retained dimension, each
 sample rounding as it would alone.  The arithmetic runs across samples, never
@@ -120,7 +120,6 @@ class ShotConfig:
     ns: float
     n_samples: int = 1000
     seed: int = 0
-    per_element: bool = False
 
     def __post_init__(self) -> None:
         n = self.n_samples
@@ -140,24 +139,24 @@ class EnergyDistribution:
     rejections: int
 
 
-def _compile(matrices, cfg: ShotConfig):
-    """The ledger in cfg's sampling mode, with each slot's noise width."""
+def _widths(matrices, cfg: ShotConfig):
+    """The pencil's compiled ledger, with each query's noise width."""
     if not matrices.with_variances:
         raise ConfigError("pencil was built without variances, which shot noise needs")
-    ledger = matrices.compile(per_use=cfg.per_element)
+    ledger = matrices.ledger
     q = len(ledger.keys)
     if q == 0:
         return ledger, np.zeros(0)
     if cfg.ns < q:
         raise ConfigError(f"shot budget {cfg.ns} below one shot per query ({q})")
-    return ledger, np.sqrt(ledger.var[ledger.slot_query] / (cfg.ns / q))
+    return ledger, np.sqrt(ledger.var / (cfg.ns / q))
 
 
 def _draw(ledger, sd: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of perturbed S and H, one sample per generator."""
     re = np.stack([rng.normal(0.0, sd) for rng in rngs], axis=1)
-    re += ledger.value.real[ledger.slot_query][:, None]
-    im = (ledger.value.imag[ledger.slot_query] + 0.0).tolist()  # as complex + float
+    re += ledger.value.real[:, None]
+    im = (ledger.value.imag + 0.0).tolist()  # as complex + float
     n = re.shape[1]  # one sample reads plain floats, sparing numpy's call overhead
     return ledger.assemble(list(re) if n > 1 else re[:, 0].tolist(), im, n)
 
@@ -166,11 +165,10 @@ def perturb(matrices, cfg: ShotConfig, rng: np.random.Generator):
     """One Gaussian-perturbed (S, H) sample drawn from rng.
 
     The one-sample case of ``sample_distribution``: shots are split equally
-    over the unique queries, and by default one draw per query is shared by
-    every matrix element that reuses it; the per-element switch draws
-    independently at each use instead.
+    over the unique queries, and one draw per query is shared by every matrix
+    element that reuses it.
     """
-    ledger, sd = _compile(matrices, cfg)
+    ledger, sd = _widths(matrices, cfg)
     s, h = _draw(ledger, sd, [rng])
     return s[0], h[0]
 
@@ -185,7 +183,7 @@ def sample_distribution(matrices, cfg: ShotConfig, window: tuple[float, float],
     """
     if threshold is None:
         threshold = 10.0 / np.sqrt(cfg.ns)
-    ledger, sd = _compile(matrices, cfg)
+    ledger, sd = _widths(matrices, cfg)
     energies = []
     for start in range(0, cfg.n_samples, _STACK):
         rngs = [np.random.default_rng([cfg.seed, k])

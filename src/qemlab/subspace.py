@@ -3,12 +3,13 @@
 Every matrix element is a constant plus a sum of coefficient-weighted
 products of *query values*, a query being one (prepared state, Pauli
 observable) pair.  The ledger of unique queries is what shot-noise
-perturbation and measurement-cost counting operate on.  ``compile`` lowers
-it to a ``CompiledLedger``, whose one ``assemble`` builds the exact pencil
-and every stack of noisy samples, so the infinite-shot limit reproduces the
-exact matrices by construction.
+perturbation and measurement-cost counting operate on: a built pencil's Q
+is its ledger size.  The pencil compiles its ledger once, to a
+``CompiledLedger`` with one slot per query, whose one ``assemble`` builds
+the exact pencil and every stack of noisy samples, so the infinite-shot
+limit reproduces the exact matrices by construction.
 
-Fault basis:   the state at software-amplified noise rates.
+Fault basis:   the state at software-amplified noise rates lambda_k = k.
 Divided basis: per-block states tensored, powers of the Hamiltonian
                reintroducing the cross-block entanglement classically.
 Power basis:   identity plus the state times Hamiltonian powers, which is
@@ -18,14 +19,16 @@ So there are two builders, ``build_fault`` and ``build_divided``.  The
 latter reads the Hamiltonian powers from a ``TermExpansion``, expanded once
 per (Hamiltonian, partition) and shared by every build and by
 ``plan_queries``, which counts Q from the very term lists the builder
-assembles.  Element (i, j) of either basis does not depend on M, so one
-build at the largest M serves every smaller one through ``leading``.
+assembles without preparing any state.  Element (i, j) of either basis does
+not depend on M, so one build at the largest M serves every smaller one
+through ``leading``.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -34,10 +37,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channels import NoiseModel
-from .circuits import Circuit, attach_noise, dual_state, reversed_circuit, run
+from .circuits import Circuit, attach_noise, dual_state, run
 from .errors import ConfigError
-from .pauli import PauliSum, PauliTerm, PowerTable, SystemPartition, expect_pauli
-from .purification import DspEvaluator
+from .pauli import PauliSum, PowerTable, SystemPartition, expect_pauli
 from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 
 QueryKey = tuple
@@ -54,31 +56,19 @@ class SubspaceSpec:
     kind: str
     m: int
     hamiltonian: PauliSum
-    lambdas: tuple[float, ...] | None = None
     partition: SystemPartition | None = None
     boundary_state_only: bool = False
-    merge_identical_blocks: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ConfigError(f"unknown subspace kind {self.kind!r}")
         if self.m < 1:
             raise ConfigError("subspace count must be at least 1")
-        if self.kind == "fault":
-            lams = self.lambda_values
-            if any(l < 1.0 for l in lams) or list(lams) != sorted(lams):
-                raise ConfigError("amplification factors must be ascending and >= 1")
         if self.kind == "dc":
             if self.partition is None:
                 raise ConfigError("divided construction needs a partition")
             if self.partition.n != self.hamiltonian.n:
                 raise ConfigError("partition does not cover the Hamiltonian register")
-
-    @property
-    def lambda_values(self) -> tuple[float, ...]:
-        if self.lambdas is not None:
-            return self.lambdas
-        return tuple(float(k) for k in range(1, self.m + 1))
 
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -100,20 +90,18 @@ class Query:
 class CompiledLedger:
     """Term lists over the ledger's queries, in ``repr`` order (``keys``).
 
-    A slot is one reading, of a query or of one use of it; ``slot_query`` maps
-    slots to queries.  ``elements`` holds (which, i, j, const, [(coeff, slots)]),
-    which 0 for S and 1 for H."""
+    Slot k is query keys[k].  ``elements`` holds
+    (which, i, j, const, [(coeff, slots)]), which 0 for S and 1 for H."""
 
     m: int
     keys: list[QueryKey]
     value: np.ndarray
     var: np.ndarray  # NaN where a query carries no variance
-    slot_query: np.ndarray
     elements: list[tuple]
 
     def assemble(self, re: Sequence, im: Sequence, n: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m, m) stacks of S and H from slot readings re[k] + i im[k].
+        """(n, m, m) stacks of S and H from query readings re[k] + i im[k].
 
         A reading is a float, or an array over n samples: the arithmetic runs
         across samples, never across terms.  Terms add in list order and
@@ -137,12 +125,10 @@ class CompiledLedger:
 @dataclass
 class SubspaceMatrices:
     """The pencil, its per-element variances (None if not asked for), and
-    the query ledger."""
+    the query ledger; ``ledger`` is its compiled form."""
 
     kind: str
     m: int
-    n: int
-    gamma: float
     queries: dict[QueryKey, Query]
     s_terms: dict[tuple[int, int], list[Term]]
     h_terms: dict[tuple[int, int], list[Term]]
@@ -155,7 +141,7 @@ class SubspaceMatrices:
     var_h: np.ndarray | None = field(init=False)
 
     def __post_init__(self) -> None:
-        ledger = self.compile()
+        ledger = self.ledger
         s, h = ledger.assemble(ledger.value.real.tolist(), ledger.value.imag.tolist())
         self.s, self.h = s[0], h[0]
         self.var_s = self._variances(self.s_terms) if self.with_variances else None
@@ -164,37 +150,31 @@ class SubspaceMatrices:
     def query_keys(self) -> list[QueryKey]:
         return sorted(self.queries.keys(), key=repr)
 
-    def compile(self, per_use: bool = False) -> CompiledLedger:
-        """Lower the ledger; per_use gives every use of a query its own slot."""
+    @functools.cached_property
+    def ledger(self) -> CompiledLedger:
+        """The ledger lowered to term lists over query slots, once per pencil."""
         keys = self.query_keys()
         index = {k: q for q, k in enumerate(keys)}
-        slot_query = [] if per_use else list(range(len(keys)))
-
-        def slots(ks) -> tuple[int, ...]:
-            if not per_use:
-                return tuple(index[k] for k in ks)
-            slot_query.extend(index[k] for k in ks)
-            return tuple(range(len(slot_query) - len(ks), len(slot_query)))
-
         elements, lowered = [], {}  # elements with equal i + j share one entry list
         for which, terms, consts in ((0, self.s_terms, self.s_const),
                                      (1, self.h_terms, self.h_const)):
             for ij, entry in terms.items():
-                if per_use or id(entry) not in lowered:
-                    lowered[id(entry)] = [(complex(c), slots(ks)) for c, ks in entry]
+                if id(entry) not in lowered:
+                    lowered[id(entry)] = [(complex(c), tuple(index[k] for k in ks))
+                                          for c, ks in entry]
                 elements.append((which, *ij, complex(consts.get(ij, 0.0)), lowered[id(entry)]))
             elements += [(which, *ij, complex(c), []) for ij, c in consts.items()
                          if ij not in terms]
         qs = [self.queries[k] for k in keys]
         return CompiledLedger(self.m, keys, np.array([q.value for q in qs], dtype=complex),
-                              np.array([q.var for q in qs], dtype=float),
-                              np.array(slot_query, dtype=int), elements)
+                              np.array([q.var for q in qs], dtype=float), elements)
 
     def leading(self, m: int) -> "SubspaceMatrices":
         """The leading m x m pencil, with the ledger of the queries it reads.
 
         Equal to a fresh build at m: the same matrices, variances and ledger,
-        so shot-noise draws and query counts stay per-m.
+        so shot-noise draws and query counts stay per-m.  Its ledger is
+        compiled on first use, since a pencil that is only solved never needs it.
         """
         if not 1 <= m <= self.m:
             raise ConfigError(f"leading block {m} outside 1..{self.m}")
@@ -207,6 +187,7 @@ class SubspaceMatrices:
         out.m = m
         out.queries = {k: q for k, q in self.queries.items() if k in used}
         out.s_terms, out.h_terms, out.s_const, out.h_const = s_terms, h_terms, s_const, h_const
+        out.__dict__.pop("ledger", None)  # this pencil's, copied along
         for name in ("s", "h", "var_s", "var_h"):
             mat = getattr(self, name)
             setattr(out, name, None if mat is None else mat[:m, :m].copy())
@@ -236,13 +217,14 @@ class SubspaceMatrices:
                                  "" if var is None else var[i, j]))
         return rows
 
-    def ledger_rows(self, shots_per_query: float | None = None) -> list[tuple]:
-        """CSV rows: state, axes, value, var (empty where not computed), shots."""
+    def ledger_rows(self) -> list[tuple]:
+        """CSV rows: state, axes, value, var (empty where not computed), and an
+        empty shots cell, since the budget is split only when sampling."""
         rows = []
         for key in self.query_keys():
             q = self.queries[key]
-            rows.append((repr(q.state), q.axes, q.value.real, "" if q.var is None else q.var,
-                         shots_per_query if shots_per_query is not None else ""))
+            rows.append((repr(q.state), q.axes, q.value.real,
+                         "" if q.var is None else q.var, ""))
         return rows
 
 
@@ -368,24 +350,18 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
     return s_terms, h_terms, s_const, h_const
 
 
-def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
-                backend: str = "oracle", seed: int = 0,
+def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: int = 0,
                 with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the noise-amplified-state basis."""
+    """Pencil for the noise-amplified-state basis, state k amplified by k."""
     if spec.kind != "fault":
         raise ConfigError("spec kind must be fault")
-    h = spec.hamiltonian
-    lams = spec.lambda_values
-    if len(lams) != spec.m:
-        raise ConfigError("need one amplification factor per subspace")
-
-    circs = [attach_noise(ansatz, noise.amplified(l), seed=seed) for l in lams]
+    circs = [attach_noise(ansatz, noise.amplified(float(k)), seed=seed)
+             for k in range(1, spec.m + 1)]
     rhos = [run(c) for c in circs]
     bars = [dual_state(c) for c in circs]
     syms: dict[tuple[int, int], np.ndarray] = {}
     queries: dict[QueryKey, Query] = {}
     dsp_keys: dict[tuple[int, int], list[QueryKey]] = {}
-    evs: dict[tuple[int, int], DspEvaluator] = {}  # circuit backend: one per state pair
 
     def pair_key(i: int, j: int, axes: str) -> QueryKey:
         key = ("fault", i, j, axes)
@@ -393,22 +369,16 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel,
             if (i, j) not in syms:
                 br = bars[j] @ rhos[i]
                 syms[(i, j)] = 0.5 * (br + br.conj().T)
-            if backend == "circuit":
-                if (i, j) not in evs:
-                    evs[(i, j)] = DspEvaluator(circs[i], out_circuit=reversed_circuit(circs[j]))
-                val = complex(evs[(i, j)].result(PauliTerm(axes, 1.0)).numerator)
-            else:
-                val = expect_pauli(syms[(i, j)], axes)
-            queries[key] = Query(("fault", i, j), axes, val, None)
+            queries[key] = Query(("fault", i, j), axes, expect_pauli(syms[(i, j)], axes), None)
             dsp_keys.setdefault((i, j), []).append(key)
         return key
 
-    s_terms, h_terms = _fault_terms(spec.m, h, pair_key)
+    s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian, pair_key)
     if with_variances:
         for (i, j), keys in dsp_keys.items():
             _fill_dsp_variances(queries, keys, rhos[i], bars[j])
-    return SubspaceMatrices("fault", spec.m, h.n, h.weight(), queries,
-                            s_terms, h_terms, {}, {}, with_variances)
+    return SubspaceMatrices("fault", spec.m, queries, s_terms, h_terms, {}, {},
+                            with_variances)
 
 
 def _fill_dsp_variances(queries: dict[QueryKey, Query], keys: list[QueryKey],
@@ -428,17 +398,15 @@ def _state_id(kind: str, which: str, block_key: str) -> tuple:
     return ("power", which) if kind == "power" else ("dc", which, block_key)
 
 
-def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
-                  backend: str = "oracle", seed: int = 0,
+def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
                   with_variances: bool = True) -> SubspaceMatrices:
     """Pencil for the power basis (one circuit) or the divided basis (one per block).
 
     Two blocks that prepare bit-identical noisy circuits share their query
-    ledger entries unless the spec says otherwise.
+    ledger entries.
     """
     if spec.kind not in ("power", "dc"):
         raise ConfigError("spec kind must be power or dc")
-    h = spec.hamiltonian
     if spec.kind == "power":
         ansatzes = [ansatz]
     else:
@@ -454,13 +422,9 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
     bars = [dual_state(c) for c in circs]
     rbs = [r @ b for r, b in zip(rhos, bars)]
     syms = [0.5 * (b @ r + rb) for r, b, rb in zip(rhos, bars, rbs)]
-    if spec.kind == "dc" and spec.merge_identical_blocks:
-        bkeys = [_block_fingerprint(c) for c in circs]
-    else:
-        bkeys = [str(l) for l in range(len(circs))]
+    bkeys = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
     queries: dict[QueryKey, Query] = {}
     dsp_keys: dict[int, list[QueryKey]] = {}  # by the block that first read them
-    evs: dict[int, DspEvaluator] = {}  # circuit backend: one per block
 
     def key(which: str, l: int, axes: str) -> QueryKey:
         state = _state_id(spec.kind, which, bkeys[l])
@@ -470,12 +434,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
                 val = expect_pauli(rhos[l] if which == "rho" else bars[l], axes)
                 var = var_pauli_state(float(np.real(val)))
             else:
-                if backend == "circuit":
-                    if l not in evs:
-                        evs[l] = DspEvaluator(circs[l])
-                    val = complex(evs[l].result(PauliTerm(axes, 1.0)).numerator)
-                else:
-                    val = expect_pauli(syms[l], axes)
+                val = expect_pauli(syms[l], axes)
                 var = None
                 dsp_keys.setdefault(l, []).append(k)
             queries[k] = Query(state, axes, val, var)
@@ -486,15 +445,14 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel,
     if with_variances:
         for l, keys in dsp_keys.items():
             _fill_dsp_variances(queries, keys, rhos[l], bars[l], rbs[l])
-    return SubspaceMatrices(spec.kind, spec.m, h.n, h.weight(), queries, *terms,
-                            with_variances)
+    return SubspaceMatrices(spec.kind, spec.m, queries, *terms, with_variances)
 
 
-def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, backend: str = "oracle",
-          seed: int = 0, with_variances: bool = True) -> SubspaceMatrices:
+def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
+          with_variances: bool = True) -> SubspaceMatrices:
     """Dispatch on the basis family (ansatz: one circuit, or one per block)."""
     builder = build_fault if spec.kind == "fault" else build_divided
-    return builder(spec, ansatz, noise, backend, seed, with_variances)
+    return builder(spec, ansatz, noise, seed, with_variances)
 
 
 @dataclass(frozen=True)
@@ -506,28 +464,24 @@ class QueryPlan:
     queries: tuple[QueryKey, ...]
     q: int
 
-    def shots_per_query(self, ns: float) -> float:
-        if ns < self.q:
-            raise ConfigError(f"budget {ns} below one shot per query ({self.q})")
-        return ns / self.q
-
 
 def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
-    """Count the (state, observable) pairs the builder's term lists consume.
+    """Count the (state, observable) pairs the builder's term lists consume,
+    without preparing any state.
 
     Without reuse every occurrence across every ordered matrix element is
     tallied; with reuse duplicates collapse.  Constants (the corner, identity
     readings of plain states) are never queries.  Each ordered fault pair is
     its own prepared state, so no fault query repeats.  Equal-size blocks
-    count as one prepared state unless the spec turns merging off, whereas
-    the builder merges only bit-identical block circuits.
+    count as one prepared state, whereas the builder merges only
+    bit-identical block circuits; a built pencil's Q is its ledger size.
     """
     if spec.kind == "fault":
         s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian,
                                         lambda i, j, axes: ("fault", i, j, axes))
     else:
         nb = len(spec.blocks)
-        if spec.merge_identical_blocks and len({len(b) for b in spec.blocks}) == 1:
+        if len({len(b) for b in spec.blocks}) == 1:
             block_keys = ["shared"] * nb
         else:
             block_keys = [str(l) for l in range(nb)]

@@ -449,8 +449,7 @@ class TestCriterion10EsdVsDsp:
         details = []
         for nk in ("stochastic_pauli", "thermal_relaxation"):
             for p1 in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2):
-                nm = NoiseModel(kind=nk, p1=p1,
-                                thermal_with_pauli=(nk == "thermal_relaxation"))
+                nm = NoiseModel(kind=nk, p1=p1)
                 circ = attach_noise(base, nm, seed=3)
                 num = sum(float(np.real(t.coeff))
                           * dsp_expectation(circ, PauliTerm(t.axes, 1.0),

@@ -359,7 +359,7 @@ class TestFusedKernel:
         assert _gate_superop(u).flags.writeable  # an explicit matrix is never cached
 
     def test_step_counts(self, monkeypatch):
-        nm = ch.NoiseModel(kind="thermal_relaxation", p1=1e-3, thermal_with_pauli=True)
+        nm = ch.NoiseModel(kind="thermal_relaxation", p1=1e-3)
         noisy_cx = attach_noise(Circuit(2, [Gate("cx", (0, 1))]), nm)
         assert len(noisy_cx.ops) == 4  # cx, thermal on each qubit, then 2q Pauli
         assert len(_compile(noisy_cx)) == 1
@@ -424,7 +424,7 @@ class TestChannels:
             ch.NoiseModel(kind="global_depolarizing", p1=0.02),
             ch.NoiseModel(kind="local_depolarizing", p1=0.02),
             ch.NoiseModel(kind="amplitude_damping", p1=0.01),
-            ch.NoiseModel(kind="thermal_relaxation", p1=0.01, thermal_with_pauli=True),
+            ch.NoiseModel(kind="thermal_relaxation", p1=0.01),
         ]
         count = 0
         for trial in range(200):
@@ -552,7 +552,6 @@ class TestReversedAndDual:
                ch.NoiseModel(kind="local_depolarizing", p1=0.05),
                ch.NoiseModel(kind="amplitude_damping", p1=0.05),
                ch.NoiseModel(kind="thermal_relaxation", p1=0.01),
-               ch.NoiseModel(kind="thermal_relaxation", p1=0.01, thermal_with_pauli=True),
                ch.NoiseModel(kind="coherent_drift", p1=0.3),
            ]),
            seed=st.integers(0, 2**31 - 1))

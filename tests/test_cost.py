@@ -142,8 +142,7 @@ class TestNormalizationConstant:
         collapsed = []
         for nk in ("stochastic_pauli", "thermal_relaxation"):
             for p1 in (1e-4, 1e-3, 3e-3, 1e-2):
-                nm = NoiseModel(kind=nk, p1=p1,
-                                thermal_with_pauli=(nk == "thermal_relaxation"))
+                nm = NoiseModel(kind=nk, p1=p1)
                 circ = attach_noise(base, nm, seed=3)
                 p0 = dsp_expectation(circ, PauliTerm("IIII"), gadget_noise=nm).p0
                 ev = EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=5)

@@ -39,7 +39,7 @@ PAULI_NOISE = NoiseModel(kind="stochastic_pauli", p1=0.02)
 DEPOL = NoiseModel(kind="global_depolarizing", p1=0.05)
 GADGET_NOISE = [
     NoiseModel(kind="stochastic_pauli", p1=0.01),
-    NoiseModel(kind="thermal_relaxation", p1=0.01, thermal_with_pauli=True),
+    NoiseModel(kind="thermal_relaxation", p1=0.01),
     NoiseModel(kind="global_depolarizing", p1=0.01),
     NoiseModel(kind="local_depolarizing", p1=0.01),
     NoiseModel(kind="amplitude_damping", p1=0.01),

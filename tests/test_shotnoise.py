@@ -104,10 +104,13 @@ class TestVarDspMany:
             part = SystemPartition(((0, 1), (2, 3)))
             subs = [build_ansatz(2, 2, rng.uniform(-np.pi, np.pi, 12), path(2))
                     for _ in range(2)]
-            spec = SubspaceSpec("dc", 3, h, partition=part, merge_identical_blocks=False)
+            spec = SubspaceSpec("dc", 3, h, partition=part)
             mats = build(spec, subs, PAULI)
             circs = [attach_noise(sub, PAULI) for sub in subs]
-            pair = {("dc", "dsp", str(l)): (run(c), dual_state(c)) for l, c in enumerate(circs)}
+            # the ledger names each block's state by its circuit's fingerprint
+            pair = {("dc", "dsp", subspace._block_fingerprint(c)): (run(c), dual_state(c))
+                    for c in circs}
+            assert len(pair) == 2
         else:
             ansatz = build_ansatz(4, 2, rng.uniform(-np.pi, np.pi, 24), path(4))
             spec = SubspaceSpec(kind, 3, h)
@@ -116,7 +119,7 @@ class TestVarDspMany:
                 c = attach_noise(ansatz, PAULI)
                 pair = {("power", "dsp"): (run(c), dual_state(c))}
             else:
-                circs = [attach_noise(ansatz, PAULI.amplified(l)) for l in spec.lambda_values]
+                circs = [attach_noise(ansatz, PAULI.amplified(k)) for k in (1.0, 2.0, 3.0)]
                 pair = {("fault", i, j): (run(circs[i]), dual_state(circs[j]))
                         for i in range(3) for j in range(3)}
         checked = 0
@@ -232,7 +235,7 @@ def synthetic_matrices():
     terms = {(0, 0): [(1.0, (key,))], (0, 1): [(2.0, (key,))],
              (1, 1): [(3.0, (key,))]}
     h_terms = {(0, 0): [(4.0, (key,))], (0, 1): [], (1, 1): []}
-    return SubspaceMatrices("power", 2, 1, 1.0, queries, terms, h_terms,
+    return SubspaceMatrices("power", 2, queries, terms, h_terms,
                             {}, {(0, 1): 0.0, (1, 1): 0.0})
 
 
@@ -261,14 +264,6 @@ class TestPerturb:
         mats = synthetic_matrices()
         with pytest.raises(ValueError):
             perturb(mats, ShotConfig(ns=0.5), np.random.default_rng(0))
-
-    def test_per_element_mode_desynchronizes(self):
-        mats = synthetic_matrices()
-        cfg = ShotConfig(ns=100.0, per_element=True)
-        s, h = perturb(mats, cfg, np.random.default_rng(7))
-        shift00 = (s[0, 0] - 0.5).real
-        shift01 = (s[0, 1] - 1.0).real / 2.0
-        assert abs(shift00 - shift01) > 1e-9
 
     def test_element_stddev_calibration(self):
         h = build_ising(path(3), 3)
@@ -362,7 +357,7 @@ def oracle_pencil(mats, lookup):
 
 
 def oracle_perturb(mats, cfg, rng):
-    """One scalar draw per query in repr order, or one per use in assembly order."""
+    """One scalar draw per query in repr order, shared by every use."""
     keys = sorted(mats.queries, key=repr)
     spq = cfg.ns / max(len(keys), 1)
 
@@ -370,8 +365,6 @@ def oracle_perturb(mats, cfg, rng):
         qu = mats.queries[key]
         return qu.value + rng.normal(0.0, np.sqrt(qu.var / spq))
 
-    if cfg.per_element:
-        return oracle_pencil(mats, noisy)
     values = {key: noisy(key) for key in keys}
     return oracle_pencil(mats, values.__getitem__)
 
@@ -419,18 +412,14 @@ class TestCompiledLedger:
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["power", "fault", "dc"]),
            noisy=st.booleans(),
-           per_element=st.booleans(),
            seed=st.integers(0, 2**31 - 1),
            n_samples=st.integers(1, 24),
            log_ns=st.floats(4.0, 12.0),
            frac=st.sampled_from([0.1, 0.02, 0.002]))
-    @example(kind="power", noisy=True, per_element=False, seed=5, n_samples=24,
-             log_ns=5.0, frac=0.002)
-    def test_samples_equal_scalar_loop(self, kind, noisy, per_element, seed,
-                                       n_samples, log_ns, frac):
+    @example(kind="power", noisy=True, seed=5, n_samples=24, log_ns=5.0, frac=0.002)
+    def test_samples_equal_scalar_loop(self, kind, noisy, seed, n_samples, log_ns, frac):
         mats, e_mid = oracle_case(kind, noisy)
-        cfg = ShotConfig(ns=10.0 ** log_ns, n_samples=n_samples, seed=seed,
-                         per_element=per_element)
+        cfg = ShotConfig(ns=10.0 ** log_ns, n_samples=n_samples, seed=seed)
         window = energy_window(e_mid, frac)
         threshold = 10.0 / np.sqrt(cfg.ns)
         want, want_rejected = oracle_samples(mats, cfg, window, threshold)
@@ -452,11 +441,10 @@ class TestCompiledLedger:
     def test_perturb_equals_scalar_draws(self):
         for kind in ("power", "fault", "dc"):
             mats, _ = oracle_case(kind, True)
-            for per_element in (False, True):
-                cfg = ShotConfig(ns=1e6, per_element=per_element)
-                s, h = perturb(mats, cfg, np.random.default_rng(4))
-                ws, wh = oracle_perturb(mats, cfg, np.random.default_rng(4))
-                assert np.array_equal(s, ws) and np.array_equal(h, wh)
+            cfg = ShotConfig(ns=1e6)
+            s, h = perturb(mats, cfg, np.random.default_rng(4))
+            ws, wh = oracle_perturb(mats, cfg, np.random.default_rng(4))
+            assert np.array_equal(s, ws) and np.array_equal(h, wh)
 
     def test_stacks_split_without_changing_samples(self, monkeypatch):
         mats, e_mid = oracle_case("dc", True)
@@ -561,6 +549,6 @@ class TestNonFiniteSample:
         queries = {key: Query(("syn",), "Z", complex(float("nan"), 0.0), 0.04)}
         terms = {(0, 0): [(1.0, (key,))], (0, 1): [(0.1, (key,))], (1, 1): [(1.0, ())]}
         h_terms = {(0, 0): [(-1.0, ())], (0, 1): [], (1, 1): [(-2.0, ())]}
-        mats = SubspaceMatrices("power", 2, 1, 1.0, queries, terms, h_terms, {}, {})
+        mats = SubspaceMatrices("power", 2, queries, terms, h_terms, {}, {})
         with pytest.raises(NonFinitePencilError):
             sample_distribution(mats, ShotConfig(ns=1e6, n_samples=4), (-10.0, 0.0))

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qemlab import models
 from qemlab.channels import NoiseModel, noiseless
-from qemlab.circuits import attach_noise, build_ansatz, dual_state, run
+from qemlab.circuits import attach_noise, build_ansatz, dual_state, reversed_circuit, run
 from qemlab.errors import ConfigError
 from qemlab.pauli import (
     PauliTerm,
@@ -16,8 +16,8 @@ from qemlab.pauli import (
     build_ising,
     term_matrix,
 )
-from qemlab.purification import dsp_expectation
-from qemlab.experiments import subspace_spec
+from qemlab.purification import DspEvaluator, dsp_expectation
+from qemlab.experiments import check_config, scenario_cost_metric, subspace_spec
 from qemlab.subspace import SubspaceSpec, build, plan_queries, term_expansion
 from qemlab.vqe import optimize
 
@@ -31,6 +31,16 @@ def path(n):
 def trained_ansatz(n, layers, h, seed=3, iters=60):
     res = optimize(n, layers, h, iters=iters, seed=seed)
     return build_ansatz(n, layers, res.params, path(n)), res
+
+
+def assert_dsp_queries_match_circuits(mats, evaluators):
+    """Every DSP query of the ledger against the numerator of the uncompute
+    circuit for its state; evaluators maps a ledger state id to a DspEvaluator."""
+    dsp = [q for q in mats.queries.values() if q.state[0] == "fault" or q.state[1] == "dsp"]
+    assert dsp and {q.state for q in dsp} == set(evaluators)
+    for q in dsp:
+        want = evaluators[q.state].numerator(PauliTerm(q.axes, 1.0))
+        assert abs(q.value - want) <= 1e-8, (q.state, q.axes)
 
 
 class TestPowerBuild:
@@ -79,12 +89,12 @@ class TestPowerBuild:
         assert np.linalg.eigvalsh(mats.s).min() > -1e-9
 
     def test_backend_agreement(self):
+        # the dense DSP readings of the ledger against the uncompute circuit
         h = build_ising(path(3), 3)
         ansatz, _ = trained_ansatz(3, 2, h)
-        a = build(SubspaceSpec("power", 3, h), ansatz, PAULI, backend="oracle")
-        b = build(SubspaceSpec("power", 3, h), ansatz, PAULI, backend="circuit")
-        np.testing.assert_allclose(a.s, b.s, atol=1e-8)
-        np.testing.assert_allclose(a.h, b.h, atol=1e-8)
+        mats = build(SubspaceSpec("power", 3, h), ansatz, PAULI)
+        ev = DspEvaluator(attach_noise(ansatz, PAULI))
+        assert_dsp_queries_match_circuits(mats, {("power", "dsp"): ev})
 
 
 class TestFaultBuild:
@@ -107,19 +117,15 @@ class TestFaultBuild:
         assert diag[0] > diag[1] > diag[2]  # purity drops as noise amplifies
 
     def test_backend_agreement(self):
+        # pair (i, j) computes with state i and uncomputes with state j,
+        # the state k amplified by k + 1
         h = build_ising(path(2), 2)
         ansatz, _ = trained_ansatz(2, 2, h)
-        a = build(SubspaceSpec("fault", 2, h), ansatz, PAULI, backend="oracle")
-        b = build(SubspaceSpec("fault", 2, h), ansatz, PAULI, backend="circuit")
-        np.testing.assert_allclose(a.s, b.s, atol=1e-8)
-        np.testing.assert_allclose(a.h, b.h, atol=1e-8)
-
-    def test_lambda_validation(self):
-        h = build_ising(path(2), 2)
-        with pytest.raises(ConfigError):
-            SubspaceSpec("fault", 2, h, lambdas=(2.0, 1.0))
-        with pytest.raises(ConfigError):
-            SubspaceSpec("fault", 2, h, lambdas=(0.5, 1.0))
+        mats = build(SubspaceSpec("fault", 2, h), ansatz, PAULI)
+        circs = [attach_noise(ansatz, PAULI.amplified(k)) for k in (1.0, 2.0)]
+        evs = {("fault", i, j): DspEvaluator(circs[i], out_circuit=reversed_circuit(circs[j]))
+               for i in range(2) for j in range(2)}
+        assert_dsp_queries_match_circuits(mats, evs)
 
 
 class TestDcBuild:
@@ -170,21 +176,27 @@ class TestDcBuild:
 
     def test_backend_agreement(self):
         h, part, sub = self._setup()
-        spec = SubspaceSpec("dc", 2, h, partition=part)
-        a = build(spec, [sub, sub], PAULI, backend="oracle")
-        b = build(spec, [sub, sub], PAULI, backend="circuit")
-        np.testing.assert_allclose(a.s, b.s, atol=1e-8)
-        np.testing.assert_allclose(a.h, b.h, atol=1e-8)
+        mats = build(SubspaceSpec("dc", 2, h, partition=part), [sub, sub], PAULI)
+        circ = attach_noise(sub, PAULI)
+        (state,) = {q.state for q in mats.queries.values() if q.state[1] == "dsp"}
+        assert_dsp_queries_match_circuits(mats, {state: DspEvaluator(circ)})
 
     def test_identical_blocks_share_queries(self):
+        # bit-identical block circuits are one prepared state in the ledger;
+        # blocks with other parameters are two
         h, part, sub = self._setup()
+        other = build_ansatz(2, 2, np.random.default_rng(6).uniform(-np.pi, np.pi, 12),
+                             path(2))
         spec = SubspaceSpec("dc", 3, h, partition=part)
-        merged = build(spec, [sub, sub], PAULI)
-        spec_unmerged = SubspaceSpec("dc", 3, h, partition=part,
-                                     merge_identical_blocks=False)
-        unmerged = build(spec_unmerged, [sub, sub], PAULI)
-        assert len(merged.queries) < len(unmerged.queries)
-        np.testing.assert_allclose(merged.s, unmerged.s, atol=1e-12)
+        same = build(spec, [sub, sub], PAULI)
+        distinct = build(spec, [sub, other], PAULI)
+
+        def states(mats):
+            return {q.state for q in mats.queries.values()}
+
+        assert len(states(same)) == 3 and len(states(distinct)) == 6
+        assert len(same.queries) < len(distinct.queries)
+        assert len(same.queries) == plan_queries(spec, reuse=True).q
 
     @pytest.mark.parametrize("noise", [noiseless(), PAULI],
                              ids=["noiseless", "pauli-1e-3"])
@@ -288,12 +300,19 @@ class TestQueryPlans:
         plan = plan_queries(spec, reuse=True)
         assert plan.q == len(mats.queries)
 
-    def test_shots_per_query(self):
+    def test_cost_metric_q_is_plan_q(self):
+        # the cost scenario reads Q from each pencil's ledger and the queries
+        # scenario from plan_queries; the two counts must not drift apart
+        cfg = check_config({"scenario": "cost-metric", "graph": "path-4",
+                            "partition": "half-2-2", "power_m": [2, 3], "dc_m": [2, 3],
+                            "vqe": {"layers": 1, "iters": 20, "seed": 1}})
+        _, rows = scenario_cost_metric(cfg)["cost_metric"]
+        assert [(kind, m) for kind, m, *_ in rows] == [("power", 2), ("power", 3),
+                                                        ("dc", 2), ("dc", 3)]
         h = build_ising(path(4), 4)
-        plan = plan_queries(SubspaceSpec("fault", 2, h), reuse=True)
-        assert plan.shots_per_query(1e6) == pytest.approx(1e6 / plan.q)
-        with pytest.raises(ValueError):
-            plan.shots_per_query(1.0)
+        for kind, m, _, q, _, _ in rows:
+            spec = subspace_spec(kind, m, h, "half-2-2", False)
+            assert q == plan_queries(spec, reuse=True).q, (kind, m)
 
 
 class TestLeadingBlock:
