@@ -287,7 +287,7 @@ def scenario_bias_vs_m(cfg) -> dict:
            "reference": (("name", "value"), summary)}
     if dump:
         out["matrices"] = (("p1", "m", "which", "i", "j", "re", "im", "var"), mat_rows)
-        out["ledger"] = (("p1", "m", "state_id", "axes", "value", "var", "shots"),
+        out["ledger"] = (("p1", "m", "state_id", "axes", "value", "var"),
                          ledger_rows)
     return out
 

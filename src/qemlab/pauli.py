@@ -7,6 +7,18 @@ qubit 0 is the least significant bit of a computational-basis index.
 Internally a string is a pair of bit masks (x, z) with the hermitian
 convention P = i^{|x & z|} X^x Z^z, which makes every stored string its own
 adjoint and keeps products down to integer xors plus a phase exponent.
+
+``sum_mul`` forms the product of two sums on mask arrays, and rounds every
+coefficient as a dict update per pair of strings would.  It takes the pairs
+a-major, as nested loops over the two sums would.  The phase exponent
+comes from table popcounts, and c1 c2 i^t is the textbook complex product
+on separate real and imaginary arrays, the form Python's complex product
+takes.  ``np.add.at`` adds each pair's value to its string in pair order,
+onto a zero start, so every sum sees the same additions in the same order.
+The strings keep the order of their first occurrence, the insertion order
+of the dict, because the next product's pair order reads it.  The pairs are
+formed a block of rows of ``a`` at a time, and a string first seen in a later
+block goes after every earlier one.
 """
 
 from __future__ import annotations
@@ -17,7 +29,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import PartitionError, SizeMismatchError
+from .errors import PartitionError, RegisterCapError, SizeMismatchError
 
 DROP_TOL = 1e-12
 
@@ -118,7 +130,7 @@ class PauliSum:
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Iterable[PauliTerm] = (), drop_tol: float = DROP_TOL):
+    def __init__(self, n: int, terms: Iterable[PauliTerm] = ()):
         self.n = n
         self._terms: dict[tuple[int, int], complex] = {}
         for t in terms:
@@ -126,19 +138,32 @@ class PauliSum:
                 raise SizeMismatchError(f"term on {t.n} qubits added to {n}-qubit sum")
             k = _axes_to_masks(t.axes)
             self._terms[k] = self._terms.get(k, 0.0) + t.coeff
-        self._drop(drop_tol)
+        self._drop()
 
-    def _drop(self, tol: float) -> None:
-        dead = [k for k, c in self._terms.items() if abs(c) < tol]
+    def _drop(self) -> None:
+        dead = [k for k, c in self._terms.items() if abs(c) < DROP_TOL]
         for k in dead:
             del self._terms[k]
 
     @classmethod
-    def _from_masks(cls, n: int, masks: dict[tuple[int, int], complex], drop_tol: float = DROP_TOL) -> "PauliSum":
+    def _from_masks(cls, n: int, masks: dict[tuple[int, int], complex]) -> "PauliSum":
         s = cls.__new__(cls)
         s.n = n
         s._terms = dict(masks)
-        s._drop(drop_tol)
+        s._drop()
+        return s
+
+    @classmethod
+    def _from_arrays(cls, n: int, keys: np.ndarray, re: np.ndarray, im: np.ndarray
+                     ) -> "PauliSum":
+        """The sum of strings keys (x << n | z) with coefficients re + i im, in
+        that order; drops as ``_drop`` does, since np.hypot is abs's hypot."""
+        live = np.hypot(re, im) >= DROP_TOL
+        keys, re, im = keys[live], re[live], im[live]
+        s = cls.__new__(cls)
+        s.n = n
+        s._terms = dict(zip(zip((keys >> n).tolist(), (keys & ((1 << n) - 1)).tolist()),
+                            map(complex, re.tolist(), im.tolist())))
         return s
 
     def __len__(self) -> int:
@@ -191,30 +216,89 @@ class PauliSum:
         return f"PauliSum(n={self.n}, terms={len(self)})"
 
 
-def sum_mul(a: PauliSum, b: PauliSum, drop_tol: float = DROP_TOL) -> PauliSum:
-    """Merged product of two sums."""
+#: Pair products formed at once; bounds sum_mul's scratch arrays.
+_PAIR_CHUNK = 1 << 15
+
+_PHASE_RE, _PHASE_IM = np.array(_I_POW).real.copy(), np.array(_I_POW).imag.copy()
+
+
+def _mask_arrays(s: PauliSum) -> tuple[np.ndarray, ...]:
+    """x, z, re and im of every string, in insertion order."""
+    xz = np.array(list(s._terms), dtype=np.int64)
+    c = np.array(list(s._terms.values()), dtype=complex)
+    return xz[:, 0], xz[:, 1], c.real, c.imag
+
+
+def _popcount(v: np.ndarray, n: int) -> np.ndarray:
+    """popcount of every n-bit entry of v, 16 bits per table lookup."""
+    table = popcounts(min(n, 16))
+    out = table[v & 0xFFFF]
+    for shift in range(16, n, 16):
+        out = out + table[(v >> shift) & 0xFFFF]
+    return out
+
+
+def _first_seen_groups(keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What np.unique(keys, return_index=True, return_inverse=True) gives,
+    from a quicksort: a group's first index is its least, in any sorted order."""
+    perm = keys.argsort()
+    ordered = keys[perm]
+    head = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[perm] = np.cumsum(head) - 1
+    return ordered[starts], np.minimum.reduceat(perm, starts), inverse
+
+
+def sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
+    """Merged product of two sums (see the module docstring for its rounding)."""
     if a.n != b.n:
         raise SizeMismatchError("cannot multiply sums on different registers")
-    out: dict[tuple[int, int], complex] = {}
-    for (x1, z1), c1 in a._terms.items():
-        for (x2, z2), c2 in b._terms.items():
-            x3, z3, phase = _mask_mul(x1, z1, x2, z2)
-            k = (x3, z3)
-            out[k] = out.get(k, 0.0) + c1 * c2 * phase
-    return PauliSum._from_masks(a.n, out, drop_tol)
+    n = a.n
+    if n > 31:
+        raise RegisterCapError(f"sum_mul keys strings of at most 31 qubits, not {n}")
+    if not (a._terms and b._terms):
+        return PauliSum(n)
+    ax, az, ar, ai = _mask_arrays(a)
+    bx, bz, br, bi = _mask_arrays(b)
+    b_y = _popcount(bx & bz, n)
+    order = np.empty(0, dtype=np.int64)  # x << n | z of each output string, first seen first
+    re, im = np.empty(0), np.empty(0)
+    rows = max(1, _PAIR_CHUNK // len(bx))
+    for lo in range(0, len(ax), rows):
+        x1, z1 = ax[lo:lo + rows, None], az[lo:lo + rows, None]
+        r1, i1 = ar[lo:lo + rows, None], ai[lo:lo + rows, None]
+        x3, z3 = x1 ^ bx, z1 ^ bz
+        t = (_popcount(x1 & z1, n) + b_y - _popcount(x3 & z3, n)
+             + 2 * _popcount(z1 & bx, n)) & 3
+        pr, pi = r1 * br - i1 * bi, r1 * bi + i1 * br
+        fr, fi = _PHASE_RE[t], _PHASE_IM[t]
+        # the strings seen so far go first, so they keep their slots
+        uniq, first, inverse = _first_seen_groups(
+            np.concatenate([order, ((x3 << n) | z3).ravel()]))
+        by_first = np.argsort(first)
+        slot = np.empty(len(uniq), dtype=np.int64)
+        slot[by_first] = np.arange(len(uniq))
+        slots = slot[inverse[len(order):]]
+        order = uniq[by_first]
+        re = np.concatenate([re, np.zeros(len(order) - len(re))])
+        im = np.concatenate([im, np.zeros(len(order) - len(im))])
+        np.add.at(re, slots, (pr * fr - pi * fi).ravel())
+        np.add.at(im, slots, (pr * fi + pi * fr).ravel())
+    return PauliSum._from_arrays(n, order, re, im)
 
 
 class PowerTable:
     """Caches successive powers of one Hamiltonian."""
 
-    def __init__(self, h: PauliSum, drop_tol: float = DROP_TOL):
+    def __init__(self, h: PauliSum):
         self.h = h
-        self.drop_tol = drop_tol
         self._powers: list[PauliSum] = [PauliSum(h.n, [PauliTerm("I" * h.n, 1.0)])]
 
     def power(self, k: int) -> PauliSum:
         while len(self._powers) <= k:
-            self._powers.append(sum_mul(self._powers[-1], self.h, self.drop_tol))
+            self._powers.append(sum_mul(self._powers[-1], self.h))
         return self._powers[k]
 
 
@@ -279,17 +363,22 @@ def term_matrix(axes: str) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def popcounts(n: int) -> np.ndarray:
+    """popcount(i) for every n-bit index i; read-only."""
+    table = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        table = np.concatenate([table, table + 1])
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=16)
 def parity_signs(n: int) -> np.ndarray:
     """(-1)^{popcount(i)} as integers for every n-qubit index i; read-only.
 
     Indexed by ``i & z`` it gives the Z signs of a Pauli string.
     """
-    v = np.arange(1 << n)
-    parity = np.zeros_like(v)
-    while np.any(v):
-        parity ^= v & 1
-        v >>= 1
-    signs = 1 - 2 * parity
+    signs = 1 - 2 * (popcounts(n) & 1)
     signs.flags.writeable = False
     return signs
 

@@ -30,6 +30,7 @@ import copy
 import dataclasses
 import functools
 import hashlib
+import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -218,14 +219,15 @@ class SubspaceMatrices:
         return rows
 
     def ledger_rows(self) -> list[tuple]:
-        """CSV rows: state, axes, value, var (empty where not computed), and an
-        empty shots cell, since the budget is split only when sampling."""
+        """CSV rows: state, axes, value, var (empty where not computed)."""
         rows = []
         for key in self.query_keys():
             q = self.queries[key]
-            rows.append((repr(q.state), q.axes, q.value.real,
-                         "" if q.var is None else q.var, ""))
+            rows.append((repr(q.state), q.axes, q.value.real, "" if q.var is None else q.var))
         return rows
+
+
+_LETTERS = np.array(list("IXZY"))
 
 
 class TermExpansion:
@@ -237,24 +239,28 @@ class TermExpansion:
 
     def __init__(self, h: PauliSum, blocks: tuple[tuple[int, ...], ...]):
         self._table = PowerTable(h)
-        self._blocks = [(b, sum(1 << q for q in b)) for b in blocks]
-        self._letters: dict[tuple[int, int, int], str] = {}
+        self._blocks = blocks
         self._powers: list[list[tuple[complex, tuple[str, ...]]]] = []
 
-    def _sub(self, x: int, z: int, block: tuple[int, ...], mask: int) -> str:
-        key = (mask, x & mask, z & mask)
-        sub = self._letters.get(key)
-        if sub is None:
-            sub = "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in block)
-            self._letters[key] = sub
-        return sub
+    @staticmethod
+    def _split(x: np.ndarray, z: np.ndarray, block: tuple[int, ...]) -> list[str]:
+        """The block's letters of every string (x, z), one str per distinct
+        sub-string, whose id holds letter i's code (I, X, Z, Y: 0..3) at bit 2i."""
+        ids = np.zeros(len(x), dtype=np.int64)
+        for i, q in enumerate(block):
+            ids |= (((x >> q) & 1) | ((z >> q) & 1) << 1) << 2 * i
+        distinct, inverse = np.unique(ids, return_inverse=True)
+        codes = (distinct[:, None] >> 2 * np.arange(len(block))) & 3
+        spelled = _LETTERS[codes].view(f"<U{len(block)}").ravel().astype(object)
+        return spelled[inverse].tolist()
 
     def power(self, k: int) -> list[tuple[complex, tuple[str, ...]]]:
         while len(self._powers) <= k:
-            p = self._table.power(len(self._powers))
-            self._powers.append([(c, tuple(self._sub(x, z, b, mask)
-                                            for b, mask in self._blocks))
-                                 for x, z, c in p.mask_items()])
+            items = self._table.power(len(self._powers)).mask_items()
+            x = np.array([it[0] for it in items], dtype=np.int64)
+            z = np.array([it[1] for it in items], dtype=np.int64)
+            subs = zip(*(self._split(x, z, b) for b in self._blocks))
+            self._powers.append(list(zip((it[2] for it in items), subs)))
         return self._powers[k]
 
 
@@ -286,6 +292,18 @@ def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]):
     return s_terms, h_terms
 
 
+class _KeyMemo(dict):
+    """sub -> make(sub), made at the first lookup of sub."""
+
+    def __init__(self, make: Callable[[str], QueryKey]):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, sub: str) -> QueryKey:
+        k = self[sub] = self.make(sub)
+        return k
+
+
 def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
                    tr_r: Sequence[complex], tr_b: Sequence[complex]):
     """Term lists and constants of the power and divided bases.
@@ -297,20 +315,31 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
     string becomes a product of one query per block, key(which, block, sub)
     with which in ("dsp", "rho", "dual"); an identity factor on the boundary
     folds into the coefficient as that block's trace (tr_r, tr_b).  Elements
-    with equal i + j share one entry.
+    with equal i + j share one entry.  key runs once per distinct (which,
+    block, sub), at its first use.
     """
     h = spec.hamiltonian
     exp = term_expansion(h, spec.blocks)
     bso = spec.boundary_state_only
     nb = len(tr_r)
+    dsp, rho, dual = ([_KeyMemo(functools.partial(key, which, l)) for l in range(nb)]
+                      for which in ("dsp", "rho", "dual"))
+    folds: dict[tuple[int, ...], tuple[complex, complex]] = {}
     bulk: dict[int, list[Term]] = {}
     boundary: dict[int, tuple[complex, list[Term]]] = {}
 
     def bulk_entry(power: int) -> list[Term]:
         if power not in bulk:
-            bulk[power] = [(c, tuple(key("dsp", l, sub) for l, sub in enumerate(subs)))
+            bulk[power] = [(c, tuple(map(operator.getitem, dsp, subs)))
                            for c, subs in exp.power(power)]
         return bulk[power]
+
+    def fold(live: tuple[int, ...]) -> tuple[complex, complex]:
+        """The traces of the blocks not in live, multiplied, of state and dual."""
+        if live not in folds:
+            folds[live] = tuple(np.prod([tr[l] for l in range(nb) if l not in live] or [1.0])
+                                for tr in (tr_r, tr_b))
+        return folds[live]
 
     def boundary_entry(power: int) -> tuple[complex, list[Term]]:
         if power in boundary:
@@ -318,18 +347,17 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
         const = 0.0 + 0.0j
         entry: list[Term] = []
         for c, subs in exp.power(power):
-            live = [l for l, sub in enumerate(subs) if sub.strip("I")]
+            live = tuple(l for l, sub in enumerate(subs) if sub.strip("I"))
             if not live:
                 prod_r, prod_b = np.prod(tr_r), np.prod(tr_b)
                 const += c * (prod_r if bso else 0.5 * (prod_r + prod_b))
                 continue
-            fold_r = np.prod([tr_r[l] for l in range(nb) if l not in live] or [1.0])
-            keys_r = tuple(key("rho", l, subs[l]) for l in live)
+            fold_r, fold_b = fold(live)
+            keys_r = tuple(rho[l][subs[l]] for l in live)
             if bso:
                 entry.append((c * fold_r, keys_r))
             else:
-                fold_b = np.prod([tr_b[l] for l in range(nb) if l not in live] or [1.0])
-                keys_b = tuple(key("dual", l, subs[l]) for l in live)
+                keys_b = tuple(dual[l][subs[l]] for l in live)
                 entry.append((0.5 * c * fold_r, keys_r))
                 entry.append((0.5 * c * fold_b, keys_b))
         boundary[power] = (const, entry)

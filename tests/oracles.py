@@ -3,7 +3,28 @@
 import numpy as np
 
 from qemlab.errors import SizeMismatchError
-from qemlab.pauli import _axes_to_masks, parity_signs
+from qemlab.pauli import DROP_TOL, PauliSum, _axes_to_masks, parity_signs
+
+_I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def dict_sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
+    """The merged product a b by one dict update per pair of strings, a-major.
+
+    The reference for ``pauli.sum_mul``: every coefficient is c1 * c2 * phase
+    in Python complex arithmetic, added to its key in pair order, the keys in
+    order of first occurrence, and the sums below ``DROP_TOL`` dropped.
+    """
+    if a.n != b.n:
+        raise SizeMismatchError("cannot multiply sums on different registers")
+    out: dict[tuple[int, int], complex] = {}
+    for (x1, z1), c1 in a._terms.items():
+        for (x2, z2), c2 in b._terms.items():
+            x3, z3 = x1 ^ x2, z1 ^ z2
+            t = ((x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
+                 + 2 * (z1 & x2).bit_count()) % 4
+            out[(x3, z3)] = out.get((x3, z3), 0.0) + c1 * c2 * _I_POW[t]
+    return PauliSum._from_masks(a.n, {k: c for k, c in out.items() if abs(c) >= DROP_TOL})
 
 
 def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:

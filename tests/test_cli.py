@@ -106,7 +106,7 @@ class TestRunScenarios:
         assert mat_lines[0] == "p1,m,which,i,j,re,im,var"
         assert len(mat_lines) == 1 + 2 * 4  # S and H, 2x2 each
         ledger_lines = (tmp_path / "ledger.csv").read_text().splitlines()
-        assert ledger_lines[0] == "p1,m,state_id,axes,value,var,shots"
+        assert ledger_lines[0] == "p1,m,state_id,axes,value,var"
         assert len(ledger_lines) > 5
 
     def test_histogram_scenario_small(self, tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qemlab.errors import PartitionError, SizeMismatchError
+from qemlab import pauli
+from qemlab.errors import PartitionError, RegisterCapError, SizeMismatchError
 from qemlab.pauli import (
     PauliSum,
     PauliTerm,
@@ -17,7 +18,7 @@ from qemlab.pauli import (
     term_matrix,
 )
 
-from oracles import sandwich_pauli
+from oracles import dict_sum_mul, sandwich_pauli
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -182,6 +183,69 @@ class TestSumPow:
             for t in direct:
                 assert cached.coefficient(t.axes) == pytest.approx(t.coeff)
             direct = sum_mul(direct, h)
+
+
+def assert_sums_bit_equal(got, want):
+    """Same strings in the same order, and the same bits in every coefficient."""
+    assert got.n == want.n
+    assert list(got._terms) == list(want._terms)
+    for k, c in want._terms.items():
+        d = got._terms[k]
+        assert np.array([d.real, d.imag]).tobytes() == np.array([c.real, c.imag]).tobytes(), k
+
+
+# Exact parts, so that products cancel exactly and zeros carry signs; 1/3
+# rounds, and 1e-13 leaves sums under the drop tolerance.
+_PARTS = [0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1.0 / 3.0, 1e-13]
+
+
+@st.composite
+def sum_pairs(draw):
+    """Two sums on one register, each in drawn insertion order, built
+    without merging, so that signed zeros in coefficients survive."""
+    n = draw(st.integers(1, 10))
+    coeffs = st.builds(complex, st.sampled_from(_PARTS), st.sampled_from(_PARTS))
+
+    def one_sum():
+        terms = draw(st.dictionaries(st.text("IXYZ", min_size=n, max_size=n), coeffs,
+                                     min_size=1, max_size=16))
+        return PauliSum._from_masks(n, {pauli._axes_to_masks(a): c for a, c in terms.items()})
+    return one_sum(), one_sum()
+
+
+_PATH8 = build_ising([(i, i + 1) for i in range(7)], 8)
+# 1282 strings times 314: 402,548 pairs, 13 blocks of _PAIR_CHUNK
+_CHUNKED = (PowerTable(_PATH8).power(5), PowerTable(_PATH8).power(3))
+
+
+class TestSumMulOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(sum_pairs())
+    @example((PowerTable(_PATH8).power(8), _PATH8))
+    @example(_CHUNKED)
+    def test_bit_equal_to_dict_loop(self, pair):
+        a, b = pair
+        assert_sums_bit_equal(sum_mul(a, b), dict_sum_mul(a, b))
+
+    def test_chunked_example_spans_several_blocks(self):
+        a, b = _CHUNKED
+        assert len(a) * len(b) > 3 * pauli._PAIR_CHUNK
+
+    @pytest.mark.parametrize("n", [17, 24, 31])
+    def test_wide_registers(self, n):
+        rng = np.random.default_rng(n)
+        a, b = (PauliSum(n, [random_term(rng, n) for _ in range(20)]) for _ in range(2))
+        assert_sums_bit_equal(sum_mul(a, b), dict_sum_mul(a, b))
+
+    def test_register_limit(self):
+        s = PauliSum(32, [PauliTerm("X" * 32)])
+        with pytest.raises(RegisterCapError):
+            sum_mul(s, s)
+
+    def test_empty_factor(self):
+        h = build_ising([(0, 1)], 2)
+        assert len(sum_mul(h, PauliSum(2))) == 0
+        assert len(sum_mul(PauliSum(2), h)) == 0
 
 
 class TestFactorize:

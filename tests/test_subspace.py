@@ -391,14 +391,17 @@ def test_fig_queries_counts_unchanged():
     assert got == FIG_QUERIES_Q
 
 
-@pytest.mark.parametrize("scale", [1.25, 1.5, 1.75, 2.25, 2.5, 2.75])
-def test_shared_expansion_matches_direct_powers(scale):
+@pytest.mark.parametrize("n, blocks, scale, powers", [
+    *(pytest.param(5, ((0, 1), (2, 3, 4)), s, 8, id=str(s))
+      for s in (1.25, 1.5, 1.75, 2.25, 2.5, 2.75)),
+    pytest.param(8, ((0, 1, 2, 3), (4, 5, 6, 7)), 1.25, 10, id="path8-half-4-4"),
+])
+def test_shared_expansion_matches_direct_powers(n, blocks, scale, powers):
     # the memoized expansion, extended one power at a time, matches the
-    # powers expanded directly.  Each scale is a Hamiltonian no other test
-    # expands, so the cache is cold.
-    h = build_ising(path(5), 5).scaled(scale)
-    blocks = ((0, 1), (2, 3, 4))
+    # powers expanded and spelled block by block directly.  Each case is a
+    # Hamiltonian no other test expands, so the cache is cold.
+    h = build_ising(path(n), n).scaled(scale)
     want = [[(t.coeff, tuple("".join(t.axes[q] for q in b) for b in blocks))
-             for t in PowerTable(h).power(k)] for k in range(8)]
-    got = [term_expansion(h, blocks).power(k) for k in range(8)]
+             for t in PowerTable(h).power(k)] for k in range(powers)]
+    got = [term_expansion(h, blocks).power(k) for k in range(powers)]
     assert want == got
