@@ -112,12 +112,21 @@ def check_config(raw):
     types its entries.  Returns read-only attribute objects (a nested
     mapping is one more), with lists as tuples.  Raises ConfigError naming
     the dotted path of a key the scenario does not read, a value of another
-    type, an unknown kind, graph or partition, or an M or seed count below 1.
+    type, an unknown kind, graph or partition, an M or seed count below 1, or
+    a partition that does not cover the graph where a divided basis is built
+    or counted.
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    return _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "")
+    cfg = _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "")
+    kinds = (getattr(getattr(cfg, "subspace", None), "kind", None), *getattr(cfg, "kinds", ()))
+    if "dc" in kinds or getattr(cfg, "dc_m", ()):  # builds or counts a divided basis
+        covers, n = models.partition(cfg.partition).n, models.graph(cfg.graph)[0]
+        if covers != n:
+            raise ConfigError(f"partition {cfg.partition!r} covers {covers} qubits, "
+                              f"but graph {cfg.graph!r} has {n}")
+    return cfg
 
 
 def _section(raw, table: dict, prefix: str):

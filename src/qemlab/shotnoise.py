@@ -20,7 +20,8 @@ assembly over the exact values.
 The DSP variances of one state pair are computed in one pass
 (``var_dsp_many``): the trace product behind each is formed once per X mask
 and only re-signed per string, which leaves every summand and the order of
-the sum, and so the rounding, as in the dense sandwich.
+the sum, and so the rounding, as in the dense sandwich.  Their means are
+read in one ``expect_paulis`` call.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDistributionError
 from .gevp import stack_energies
-from .pauli import _axes_to_masks, expect_pauli, parity_signs
+from .pauli import _axes_to_masks, expect_paulis, parity_signs
 
 
 def var_dsp(rho: np.ndarray, bar: np.ndarray, axes: str,
@@ -57,6 +58,7 @@ def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
     """
     if rb is None:
         rb = rho @ bar
+    means = expect_paulis(rb, axes_list)
     trace = np.real(np.trace(rb))
     d = rho.shape[0]
     n = d.bit_length() - 1
@@ -83,7 +85,7 @@ def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
             s = sign[idx & z]
             np.multiply(prod, s[:, None], out=signed)
             signed *= s
-            mean = float(np.real(expect_pauli(rb, axes_list[k])))
+            mean = float(np.real(means[k]))
             second = 0.5 * float(trace + np.real(complex(np.sum(signed))))
             out[k] = float(max(second - mean * mean, 0.0))
     return out

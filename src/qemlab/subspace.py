@@ -19,28 +19,33 @@ So there are two builders, ``build_fault`` and ``build_divided``.  The
 latter reads the Hamiltonian powers from a ``TermExpansion``, expanded once
 per (Hamiltonian, partition) and shared by every build and by
 ``plan_queries``, which counts Q from the very term lists the builder
-assembles without preparing any state.  Element (i, j) of either basis does
-not depend on M, so one build at the largest M serves every smaller one
-through ``leading``.
+assembles without preparing any state.  Every expansion of one Hamiltonian
+reads one ``PowerTable``, so each power is formed once.  Element (i, j) of
+either basis does not depend on M, so one build at the largest M serves
+every smaller one through ``leading``.
+
+A builder first collects its query keys, then reads them with one
+``expect_paulis`` call per prepared state.  A circuit without channels is
+its own dual circuit, so its state serves as its dual state.  Elements with
+equal i + j share one term list, which lowering, assembly, variances and
+``leading`` each walk once.
 """
 
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import hashlib
-import operator
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .channels import NoiseModel
 from .circuits import Circuit, attach_noise, dual_state, run
 from .errors import ConfigError
-from .pauli import PauliSum, PowerTable, SystemPartition, expect_pauli
+from .pauli import PauliSum, PowerTable, SystemPartition, expect_paulis
 from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 
 QueryKey = tuple
@@ -91,8 +96,9 @@ class Query:
 class CompiledLedger:
     """Term lists over the ledger's queries, in ``repr`` order (``keys``).
 
-    Slot k is query keys[k].  ``elements`` holds
-    (which, i, j, const, [(coeff, slots)]), which 0 for S and 1 for H."""
+    Slot k is query keys[k].  ``elements`` holds one
+    (const, [(coeff, slots)], [(which, i, j), ...]) per distinct term list and
+    constant, with every stored element that holds it, which 0 for S and 1 for H."""
 
     m: int
     keys: list[QueryKey]
@@ -109,17 +115,18 @@ class CompiledLedger:
         multiply left to right in the textbook complex form, so each sample
         rounds as a scalar assembly would (numpy's complex product may fuse)."""
         out = np.zeros((2, n, self.m, self.m), dtype=complex)
-        for which, i, j, const, terms in self.elements:
+        for const, terms, targets in self.elements:
             vr, vi = const.real, const.imag
             for coeff, slots in terms:
                 pr, pi = coeff.real, coeff.imag
                 for k in slots:
                     pr, pi = pr * re[k] - pi * im[k], pr * im[k] + pi * re[k]
                 vr, vi = vr + pr, vi + pi
-            mat = out[which]
-            mat.real[:, i, j], mat.imag[:, i, j] = vr, vi
-            if i != j:
-                mat.real[:, j, i], mat.imag[:, j, i] = vr, -vi
+            for which, i, j in targets:
+                mat = out[which]
+                mat.real[:, i, j], mat.imag[:, i, j] = vr, vi
+                if i != j:
+                    mat.real[:, j, i], mat.imag[:, j, i] = vr, -vi
         return out[0], out[1]
 
 
@@ -145,8 +152,7 @@ class SubspaceMatrices:
         ledger = self.ledger
         s, h = ledger.assemble(ledger.value.real.tolist(), ledger.value.imag.tolist())
         self.s, self.h = s[0], h[0]
-        self.var_s = self._variances(self.s_terms) if self.with_variances else None
-        self.var_h = self._variances(self.h_terms) if self.with_variances else None
+        self.var_s, self.var_h = self._variances() if self.with_variances else (None, None)
 
     def query_keys(self) -> list[QueryKey]:
         return sorted(self.queries.keys(), key=repr)
@@ -156,19 +162,20 @@ class SubspaceMatrices:
         """The ledger lowered to term lists over query slots, once per pencil."""
         keys = self.query_keys()
         index = {k: q for q, k in enumerate(keys)}
-        elements, lowered = [], {}  # elements with equal i + j share one entry list
+        groups: dict[tuple, tuple] = {}  # elements with equal i + j share one entry list
         for which, terms, consts in ((0, self.s_terms, self.s_const),
                                      (1, self.h_terms, self.h_const)):
-            for ij, entry in terms.items():
-                if id(entry) not in lowered:
-                    lowered[id(entry)] = [(complex(c), tuple(index[k] for k in ks))
-                                          for c, ks in entry]
-                elements.append((which, *ij, complex(consts.get(ij, 0.0)), lowered[id(entry)]))
-            elements += [(which, *ij, complex(c), []) for ij, c in consts.items()
-                         if ij not in terms]
+            for ij in (*terms, *(ij for ij in consts if ij not in terms)):
+                entry = terms.get(ij, ())
+                const = complex(consts.get(ij, 0.0))
+                group = (id(entry), repr(const))  # repr tells -0.0 from 0.0
+                if group not in groups:
+                    groups[group] = (const, [(complex(c), tuple(map(index.__getitem__, ks)))
+                                             for c, ks in entry], [])
+                groups[group][2].append((which, *ij))
         qs = [self.queries[k] for k in keys]
         return CompiledLedger(self.m, keys, np.array([q.value for q in qs], dtype=complex),
-                              np.array([q.var for q in qs], dtype=float), elements)
+                              np.array([q.var for q in qs], dtype=float), list(groups.values()))
 
     def leading(self, m: int) -> "SubspaceMatrices":
         """The leading m x m pencil, with the ledger of the queries it reads.
@@ -182,8 +189,8 @@ class SubspaceMatrices:
         s_terms, h_terms, s_const, h_const = (
             {ij: v for ij, v in d.items() if max(ij) < m}
             for d in (self.s_terms, self.h_terms, self.s_const, self.h_const))
-        used = {k for terms in (s_terms, h_terms) for entry in terms.values()
-                for _, keys in entry for k in keys}
+        entries = {id(e): e for terms in (s_terms, h_terms) for e in terms.values()}
+        used = {k for entry in entries.values() for _, keys in entry for k in keys}
         out = copy.copy(self)
         out.m = m
         out.queries = {k: q for k, q in self.queries.items() if k in used}
@@ -194,19 +201,25 @@ class SubspaceMatrices:
             setattr(out, name, None if mat is None else mat[:m, :m].copy())
         return out
 
-    def _variances(self, terms: dict[tuple[int, int], list[Term]]) -> np.ndarray:
-        var = np.zeros((self.m, self.m))
-        for (i, j), entry in terms.items():
-            v = 0.0
-            for coeff, keys in entry:
-                if not keys:
-                    continue
-                chain = [(float(np.real(self.queries[k].value)), self.queries[k].var)
-                         for k in keys]
-                v += abs(coeff) ** 2 * var_product_chain(chain)
-            var[i, j] = v
-            var[j, i] = v
-        return var
+    def _variances(self) -> tuple[np.ndarray, np.ndarray]:
+        """var_s and var_h; a term list that elements share is summed once."""
+        summed: dict[int, float] = {}
+        out = []
+        for terms in (self.s_terms, self.h_terms):
+            var = np.zeros((self.m, self.m))
+            for (i, j), entry in terms.items():
+                if id(entry) not in summed:
+                    v = 0.0
+                    for coeff, keys in entry:
+                        if not keys:
+                            continue
+                        chain = [(float(np.real(self.queries[k].value)), self.queries[k].var)
+                                 for k in keys]
+                        v += abs(coeff) ** 2 * var_product_chain(chain)
+                    summed[id(entry)] = v
+                var[i, j] = var[j, i] = summed[id(entry)]
+            out.append(var)
+        return out[0], out[1]
 
     def matrix_rows(self) -> list[tuple]:
         """CSV rows: which, i, j, re, im, var (empty on a build without variances)."""
@@ -230,51 +243,70 @@ class SubspaceMatrices:
 _LETTERS = np.array(list("IXZY"))
 
 
+class Split(NamedTuple):
+    """One block's letters of every string of a power: the distinct
+    sub-strings, each string's index into them, and the index of the identity
+    sub-string (-1 if no string is the identity there)."""
+
+    spelled: list[str]
+    ids: list[int]
+    identity: int
+
+
 class TermExpansion:
     """Powers of one Hamiltonian, each string split across one partition.
 
-    ``power(k)`` lists (coeff, subs) in the Hamiltonian's iteration order,
-    subs holding the string's letters on each block's qubits, block by block.
+    ``power(k)`` gives the coefficients of H^k in the Hamiltonian's iteration
+    order and one ``Split`` per block.
     """
 
-    def __init__(self, h: PauliSum, blocks: tuple[tuple[int, ...], ...]):
-        self._table = PowerTable(h)
+    def __init__(self, table: PowerTable, blocks: tuple[tuple[int, ...], ...]):
+        self._table = table
         self._blocks = blocks
-        self._powers: list[list[tuple[complex, tuple[str, ...]]]] = []
+        self._powers: list[tuple[list[complex], list[Split]]] = []
 
     @staticmethod
-    def _split(x: np.ndarray, z: np.ndarray, block: tuple[int, ...]) -> list[str]:
-        """The block's letters of every string (x, z), one str per distinct
-        sub-string, whose id holds letter i's code (I, X, Z, Y: 0..3) at bit 2i."""
-        ids = np.zeros(len(x), dtype=np.int64)
+    def _split(x: np.ndarray, z: np.ndarray, block: tuple[int, ...]) -> Split:
+        """The block's letters of every string (x, z).  A sub-string's code
+        holds letter i's code (I, X, Z, Y: 0..3) at bit 2i, and the distinct
+        ones go in code order, so the identity, code 0, comes first."""
+        codes = np.zeros(len(x), dtype=np.int64)
         for i, q in enumerate(block):
-            ids |= (((x >> q) & 1) | ((z >> q) & 1) << 1) << 2 * i
-        distinct, inverse = np.unique(ids, return_inverse=True)
-        codes = (distinct[:, None] >> 2 * np.arange(len(block))) & 3
-        spelled = _LETTERS[codes].view(f"<U{len(block)}").ravel().astype(object)
-        return spelled[inverse].tolist()
+            codes |= (((x >> q) & 1) | ((z >> q) & 1) << 1) << 2 * i
+        distinct, inverse = np.unique(codes, return_inverse=True)
+        letters = (distinct[:, None] >> 2 * np.arange(len(block))) & 3
+        spelled = _LETTERS[letters].view(f"<U{len(block)}").ravel().tolist()
+        return Split(spelled, inverse.tolist(), 0 if distinct[0] == 0 else -1)
 
-    def power(self, k: int) -> list[tuple[complex, tuple[str, ...]]]:
+    def power(self, k: int) -> tuple[list[complex], list[Split]]:
         while len(self._powers) <= k:
             items = self._table.power(len(self._powers)).mask_items()
             x = np.array([it[0] for it in items], dtype=np.int64)
             z = np.array([it[1] for it in items], dtype=np.int64)
-            subs = zip(*(self._split(x, z, b) for b in self._blocks))
-            self._powers.append(list(zip((it[2] for it in items), subs)))
+            self._powers.append(([it[2] for it in items],
+                                 [self._split(x, z, b) for b in self._blocks]))
         return self._powers[k]
 
 
+_TABLES: OrderedDict = OrderedDict()
 _EXPANSIONS: OrderedDict = OrderedDict()
 
 
+def _recent(memo: OrderedDict, key, make: Callable[[], object]):
+    """memo[key], made on a miss; the last four keys used stay."""
+    value = memo.pop(key, None)
+    memo[key] = value = make() if value is None else value
+    if len(memo) > 4:
+        memo.popitem(last=False)
+    return value
+
+
 def term_expansion(h: PauliSum, blocks: tuple[tuple[int, ...], ...]) -> TermExpansion:
-    """The shared expansion for (h, blocks); the last four stay memoized."""
-    key = (h.n, tuple(h.mask_items()), tuple(blocks))
-    exp = _EXPANSIONS.pop(key, None) or TermExpansion(h, blocks)
-    _EXPANSIONS[key] = exp
-    if len(_EXPANSIONS) > 4:
-        _EXPANSIONS.popitem(last=False)
-    return exp
+    """The shared expansion for (h, blocks).  Every expansion of one
+    Hamiltonian reads one shared ``PowerTable``, so each power is formed once."""
+    hkey = (h.n, tuple(h.mask_items()))
+    table = _recent(_TABLES, hkey, lambda: PowerTable(h))
+    return _recent(_EXPANSIONS, (hkey, tuple(blocks)), lambda: TermExpansion(table, blocks))
 
 
 def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]):
@@ -292,18 +324,6 @@ def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]):
     return s_terms, h_terms
 
 
-class _KeyMemo(dict):
-    """sub -> make(sub), made at the first lookup of sub."""
-
-    def __init__(self, make: Callable[[str], QueryKey]):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, sub: str) -> QueryKey:
-        k = self[sub] = self.make(sub)
-        return k
-
-
 def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
                    tr_r: Sequence[complex], tr_b: Sequence[complex]):
     """Term lists and constants of the power and divided bases.
@@ -316,22 +336,30 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
     with which in ("dsp", "rho", "dual"); an identity factor on the boundary
     folds into the coefficient as that block's trace (tr_r, tr_b).  Elements
     with equal i + j share one entry.  key runs once per distinct (which,
-    block, sub), at its first use.
+    block, sub), and each term's keys are read off its sub-string ids.
     """
     h = spec.hamiltonian
     exp = term_expansion(h, spec.blocks)
     bso = spec.boundary_state_only
     nb = len(tr_r)
-    dsp, rho, dual = ([_KeyMemo(functools.partial(key, which, l)) for l in range(nb)]
+    dsp, rho, dual = ([functools.cache(functools.partial(key, which, l)) for l in range(nb)]
                       for which in ("dsp", "rho", "dual"))
     folds: dict[tuple[int, ...], tuple[complex, complex]] = {}
     bulk: dict[int, list[Term]] = {}
     boundary: dict[int, tuple[complex, list[Term]]] = {}
 
+    def columns(keys, splits: list[Split], boundary: bool) -> list[list]:
+        """Each block's key per sub-string id; on the boundary an identity
+        factor is no query."""
+        return [[None if boundary and i == sp.identity else memo(sub)
+                 for i, sub in enumerate(sp.spelled)] for memo, sp in zip(keys, splits)]
+
     def bulk_entry(power: int) -> list[Term]:
         if power not in bulk:
-            bulk[power] = [(c, tuple(map(operator.getitem, dsp, subs)))
-                           for c, subs in exp.power(power)]
+            coeffs, splits = exp.power(power)
+            cols = columns(dsp, splits, False)
+            bulk[power] = list(zip(coeffs, zip(*(map(col.__getitem__, sp.ids)
+                                                 for col, sp in zip(cols, splits)))))
         return bulk[power]
 
     def fold(live: tuple[int, ...]) -> tuple[complex, complex]:
@@ -344,20 +372,24 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
     def boundary_entry(power: int) -> tuple[complex, list[Term]]:
         if power in boundary:
             return boundary[power]
+        coeffs, splits = exp.power(power)
+        idents = [sp.identity for sp in splits]
+        col_r = columns(rho, splits, True)
+        col_b = None if bso else columns(dual, splits, True)
         const = 0.0 + 0.0j
         entry: list[Term] = []
-        for c, subs in exp.power(power):
-            live = tuple(l for l, sub in enumerate(subs) if sub.strip("I"))
+        for c, *ids in zip(coeffs, *(sp.ids for sp in splits)):
+            live = tuple(l for l in range(nb) if ids[l] != idents[l])
             if not live:
                 prod_r, prod_b = np.prod(tr_r), np.prod(tr_b)
                 const += c * (prod_r if bso else 0.5 * (prod_r + prod_b))
                 continue
             fold_r, fold_b = fold(live)
-            keys_r = tuple(rho[l][subs[l]] for l in live)
+            keys_r = tuple(col_r[l][ids[l]] for l in live)
             if bso:
                 entry.append((c * fold_r, keys_r))
             else:
-                keys_b = tuple(dual[l][subs[l]] for l in live)
+                keys_b = tuple(col_b[l][ids[l]] for l in live)
                 entry.append((0.5 * c * fold_r, keys_r))
                 entry.append((0.5 * c * fold_b, keys_b))
         boundary[power] = (const, entry)
@@ -386,36 +418,30 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: in
     circs = [attach_noise(ansatz, noise.amplified(float(k)), seed=seed)
              for k in range(1, spec.m + 1)]
     rhos = [run(c) for c in circs]
-    bars = [dual_state(c) for c in circs]
-    syms: dict[tuple[int, int], np.ndarray] = {}
-    queries: dict[QueryKey, Query] = {}
-    dsp_keys: dict[tuple[int, int], list[QueryKey]] = {}
+    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
+    reads: dict[tuple[int, int], dict[QueryKey, None]] = {}
 
     def pair_key(i: int, j: int, axes: str) -> QueryKey:
         key = ("fault", i, j, axes)
-        if key not in queries:
-            if (i, j) not in syms:
-                br = bars[j] @ rhos[i]
-                syms[(i, j)] = 0.5 * (br + br.conj().T)
-            queries[key] = Query(("fault", i, j), axes, expect_pauli(syms[(i, j)], axes), None)
-            dsp_keys.setdefault((i, j), []).append(key)
+        reads.setdefault((i, j), {})[key] = None
         return key
 
     s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian, pair_key)
-    if with_variances:
-        for (i, j), keys in dsp_keys.items():
-            _fill_dsp_variances(queries, keys, rhos[i], bars[j])
+    queries: dict[QueryKey, Query] = {}
+    for (i, j), keys in reads.items():
+        axes = [k[3] for k in keys]
+        br = bars[j] @ rhos[i]
+        values = expect_paulis(0.5 * (br + br.conj().T), axes)
+        var = var_dsp_many(rhos[i], bars[j], axes) if with_variances else [None] * len(axes)
+        queries.update((k, Query(k[:3], *q)) for k, q in zip(keys, zip(axes, values, var)))
     return SubspaceMatrices("fault", spec.m, queries, s_terms, h_terms, {}, {},
                             with_variances)
 
 
-def _fill_dsp_variances(queries: dict[QueryKey, Query], keys: list[QueryKey],
-                        rho: np.ndarray, bar: np.ndarray,
-                        rb: np.ndarray | None = None) -> None:
-    """Set the variance of the DSP queries keys, all read on (rho, bar), in one pass."""
-    variances = var_dsp_many(rho, bar, [queries[k].axes for k in keys], rb)
-    for k, var in zip(keys, variances):
-        queries[k] = dataclasses.replace(queries[k], var=var)
+def _dual(circ: Circuit, rho: np.ndarray) -> np.ndarray:
+    """The dual state of circ, whose state is rho.  With no channel, the dual
+    circuit is the circuit itself, so its dual state is rho."""
+    return rho if next(circ.channels(), None) is None else dual_state(circ)
 
 
 def _block_fingerprint(circ: Circuit) -> str:
@@ -447,32 +473,34 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
 
     circs = [attach_noise(c, noise, seed=seed) for c in ansatzes]
     rhos = [run(c) for c in circs]
-    bars = [dual_state(c) for c in circs]
+    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
     rbs = [r @ b for r, b in zip(rhos, bars)]
-    syms = [0.5 * (b @ r + rb) for r, b, rb in zip(rhos, bars, rbs)]
+    states = {"rho": rhos, "dual": bars,
+              "dsp": [0.5 * (b @ r + rb) for r, b, rb in zip(rhos, bars, rbs)]}
     bkeys = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
-    queries: dict[QueryKey, Query] = {}
-    dsp_keys: dict[int, list[QueryKey]] = {}  # by the block that first read them
+    seen: set[QueryKey] = set()
+    reads: dict[tuple[str, int], list[QueryKey]] = {}  # by the block that first read them
 
     def key(which: str, l: int, axes: str) -> QueryKey:
-        state = _state_id(spec.kind, which, bkeys[l])
-        k = state + (axes,)
-        if k not in queries:
-            if which != "dsp":
-                val = expect_pauli(rhos[l] if which == "rho" else bars[l], axes)
-                var = var_pauli_state(float(np.real(val)))
-            else:
-                val = expect_pauli(syms[l], axes)
-                var = None
-                dsp_keys.setdefault(l, []).append(k)
-            queries[k] = Query(state, axes, val, var)
+        k = _state_id(spec.kind, which, bkeys[l]) + (axes,)
+        if k not in seen:
+            seen.add(k)
+            reads.setdefault((which, l), []).append(k)
         return k
 
     terms = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
                            [complex(np.trace(b)) for b in bars])
-    if with_variances:
-        for l, keys in dsp_keys.items():
-            _fill_dsp_variances(queries, keys, rhos[l], bars[l], rbs[l])
+    queries: dict[QueryKey, Query] = {}
+    for (which, l), keys in reads.items():
+        axes = [k[-1] for k in keys]
+        values = expect_paulis(states[which][l], axes)
+        if which != "dsp":
+            var = [var_pauli_state(float(np.real(v))) for v in values]
+        elif with_variances:
+            var = var_dsp_many(rhos[l], bars[l], axes, rbs[l])
+        else:
+            var = [None] * len(axes)
+        queries.update((k, Query(k[:-1], *q)) for k, q in zip(keys, zip(axes, values, var)))
     return SubspaceMatrices(spec.kind, spec.m, queries, *terms, with_variances)
 
 

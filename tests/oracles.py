@@ -27,6 +27,24 @@ def dict_sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum._from_masks(a.n, {k: c for k, c in out.items() if abs(c) >= DROP_TOL})
 
 
+def loop_expect_pauli(rho: np.ndarray, axes: str) -> complex:
+    """Tr[rho P] for one unit-coefficient string by one gather of its own.
+
+    The reference for ``pauli.expect_paulis``: P|i> = i^{#Y} (-1)^{|i & z|}
+    |i ^ x>, so the trace is a signed sum along the matched off-diagonal.
+    """
+    n = len(axes)
+    d = 1 << n
+    if rho.shape != (d, d):
+        raise SizeMismatchError(f"operator dim {rho.shape} vs {n} qubits")
+    x, z = _axes_to_masks(axes)
+    ny = (x & z).bit_count()
+    idx = np.arange(d)
+    signs = parity_signs(n)[idx & z]
+    phase = _I_POW[ny % 4]
+    return complex(phase * np.sum(signs * rho[idx, idx ^ x]))
+
+
 def sandwich_pauli(a: np.ndarray, axes: str) -> np.ndarray:
     """P a P for a unit-coefficient string, by index gathers."""
     n = len(axes)

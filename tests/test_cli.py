@@ -268,6 +268,10 @@ class TestCliEntry:
         ("sweep", small_cfg(grid={"noise": [{"p1_values": [1e-4]}, {"p1_value": [1e-4]}]}),
          "noise.p1_value"),
         ("sweep", small_cfg(grid={"subspace.m_values": [[2], [0]]}), "subspace.m_values"),
+        ("run", {"scenario": "cost-metric", "graph": "path-4", "partition": "half-4-4"},
+         "partition"),
+        ("run", small_cfg(graph="cluster-2d-8", partition="half-2-2",
+                          subspace={"kind": "dc", "m_values": [1, 2]}), "partition"),
     ])
     def test_malformed_config_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         command, cfg, path):

@@ -12,13 +12,14 @@ from qemlab.pauli import (
     SystemPartition,
     build_ising,
     expect_pauli,
+    expect_paulis,
     factorize,
     pauli_mul,
     sum_mul,
     term_matrix,
 )
 
-from oracles import dict_sum_mul, sandwich_pauli
+from oracles import dict_sum_mul, loop_expect_pauli, sandwich_pauli
 
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -319,6 +320,36 @@ def oracle_expect_pauli(rho, axes):
     return complex(phase * np.sum(oracle_signs(idx, z) * rho[idx, idx ^ x]))
 
 
+def spell(x, z, n):
+    """The string with X mask x and Z mask z, qubit 0 first."""
+    return "".join("IXZY"[(x >> q & 1) | (z >> q & 1) << 1] for q in range(n))
+
+
+@st.composite
+def readouts(draw):
+    """(n, seed, strings): the identity, then strings over a few X masks,
+    about half of them Y on every X bit."""
+    n = draw(st.integers(1, 10))
+    full = (1 << n) - 1
+    xs = draw(st.lists(st.integers(0, full), min_size=1, max_size=5))
+    picks = draw(st.lists(st.tuples(st.sampled_from(xs), st.integers(0, full), st.booleans()),
+                          max_size=40))
+    strings = ["I" * n] + [spell(x, z | x if y else z, n) for x, z, y in picks]
+    return n, draw(st.integers(0, 2**32 - 1)), strings
+
+
+def signed_zeros_matrix(n, seed):
+    """A random complex matrix with a quarter of each part forced to +0.0 or -0.0."""
+    rng = np.random.default_rng(seed)
+    d = 1 << n
+    out = np.empty((d, d), dtype=complex)
+    for part in (out.real, out.imag):
+        part[...] = rng.standard_normal((d, d))
+        zero = rng.random((d, d)) < 0.25
+        part[zero] = np.where(rng.random(int(zero.sum())) < 0.5, 0.0, -0.0)
+    return out
+
+
 class TestFastExpectations:
     def test_parity_table_equals_bit_loop(self):
         rng = np.random.default_rng(8)
@@ -339,6 +370,27 @@ class TestFastExpectations:
                     want = -want
                 assert np.array_equal(sandwich_pauli(a, t.axes), want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(readouts())
+    @example((8, 5, ["I" * 8] + [spell(x, z, 8) for x in (0, 3, 255) for z in range(0, 256, 8)]))
+    @example((10, 6, [spell(x, x | z, 10) for x in (1, 1023) for z in range(0, 1024, 64)]))
+    def test_batched_readout_is_the_loop_bit_for_bit(self, case):
+        # chunks of _READ_CHUNK entries (64 strings at n = 8, 16 at n = 10)
+        # hold strings that share an X mask and strings that do not; zero
+        # signs count, so compare the bits of both parts
+        n, seed, strings = case
+        rho = signed_zeros_matrix(n, seed)
+        want = np.array([loop_expect_pauli(rho, axes) for axes in strings]).view(np.uint64)
+        assert np.array_equal(np.array(expect_paulis(rho, strings)).view(np.uint64), want)
+        single = np.array([expect_pauli(rho, axes) for axes in strings])
+        assert np.array_equal(single.view(np.uint64), want)
+
+    def test_batched_readout_rejects_mismatched_sizes(self):
+        assert expect_paulis(np.eye(4), []) == []
+        with pytest.raises(SizeMismatchError):
+            expect_paulis(np.eye(4), ["XZ", "X"])
+        with pytest.raises(SizeMismatchError):
+            expect_paulis(np.eye(4), ["XZI"])
 
     def test_expect_pauli_matches_dense(self):
         rng = np.random.default_rng(3)

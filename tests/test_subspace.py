@@ -1,11 +1,12 @@
 import json
 import os
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qemlab import models
+from qemlab import models, pauli, subspace
 from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import attach_noise, build_ansatz, dual_state, reversed_circuit, run
 from qemlab.errors import ConfigError
@@ -403,5 +404,56 @@ def test_shared_expansion_matches_direct_powers(n, blocks, scale, powers):
     h = build_ising(path(n), n).scaled(scale)
     want = [[(t.coeff, tuple("".join(t.axes[q] for q in b) for b in blocks))
              for t in PowerTable(h).power(k)] for k in range(powers)]
-    got = [term_expansion(h, blocks).power(k) for k in range(powers)]
+    exp = term_expansion(h, blocks)
+    got = []
+    for k in range(powers):
+        coeffs, splits = exp.power(k)
+        got.append([(c, tuple(sp.spelled[sp.ids[t]] for sp in splits))
+                    for t, c in enumerate(coeffs)])
+        for sp, b in zip(splits, blocks):
+            ident = "I" * len(b)
+            assert sp.identity == (sp.spelled.index(ident) if ident in sp.spelled else -1)
     assert want == got
+
+
+def test_one_power_table_per_hamiltonian(monkeypatch):
+    # power M = 4 reads H^0..H^5 and dc M = 6 reads H^0..H^9: nine products
+    # in all, since both expansions of path-8 read one table
+    monkeypatch.setattr(subspace, "_TABLES", OrderedDict())
+    monkeypatch.setattr(subspace, "_EXPANSIONS", OrderedDict())
+    calls = []
+    sum_mul = pauli.sum_mul
+    monkeypatch.setattr(pauli, "sum_mul", lambda a, b: calls.append(1) or sum_mul(a, b))
+    h = build_ising(path(8), 8)
+    rng = np.random.default_rng(4)
+    full = build_ansatz(8, 1, rng.uniform(-np.pi, np.pi, 32), path(8))
+    subs = [build_ansatz(4, 1, rng.uniform(-np.pi, np.pi, 16), path(4)) for _ in range(2)]
+    build(SubspaceSpec("power", 4, h), full, noiseless(), with_variances=False)
+    build(SubspaceSpec("dc", 6, h, partition=models.partition("half-4-4"),
+                       boundary_state_only=True), subs, noiseless(), with_variances=False)
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("kind, noise", [
+    ("power", noiseless()),
+    ("fault", NoiseModel(kind="coherent_drift", p1=0.02)),
+])
+def test_channel_free_dual_is_the_state(monkeypatch, kind, noise):
+    # a circuit with no channel is its own dual circuit, so the builders reuse
+    # its state; the pencil and ledger equal those read with dual_state run
+    h = build_ising(path(4), 4)
+    ansatz = build_ansatz(4, 2, np.random.default_rng(9).uniform(-np.pi, np.pi, 24), path(4))
+    spec = SubspaceSpec(kind, 3, h)
+    duals = []
+    monkeypatch.setattr(subspace, "dual_state", lambda c: duals.append(c) or dual_state(c))
+    reused = build(spec, ansatz, noise, seed=2)
+    assert duals == []
+    monkeypatch.setattr(subspace, "_dual", lambda circ, rho: subspace.dual_state(circ))
+    forced = build(spec, ansatz, noise, seed=2)
+    assert len(duals) == (1 if kind == "power" else 3)
+    for name in ("s", "h", "var_s", "var_h"):
+        assert np.array_equal(getattr(reused, name), getattr(forced, name)), name
+    assert reused.ledger.keys == forced.ledger.keys
+    assert np.array_equal(reused.ledger.value, forced.ledger.value)
+    assert np.array_equal(reused.ledger.var, forced.ledger.var, equal_nan=True)
+    assert reused.queries == forced.queries
