@@ -11,10 +11,9 @@ from .channels import Channel, NoiseModel, noiseless
 from .circuits import Circuit, Gate, apply, attach_noise, build_ansatz, dual_circuit, \
     dual_state, reversed_circuit, run, trace_distance
 from .gevp import GevpSolution, energy_window, regularize, solve, solve_pencil
-from .pauli import PauliSum, PauliTerm, SystemPartition, build_ising, factorize, \
-    pauli_mul, sum_mul
+from .pauli import PauliSum, PauliTerm, SystemPartition, build_ising, factorize, sum_mul
 from .purification import GeneralFactor, dsp_expectation, esd_expectation, \
-    execute_plan, oracle_trace, plan_general, re_purification
+    execute_plan, plan_general, re_purification
 from .shotnoise import EnergyDistribution, ShotConfig, perturb, sample_distribution, \
     var_dsp, var_product
 from .subspace import QueryPlan, SubspaceMatrices, SubspaceSpec, build, plan_queries

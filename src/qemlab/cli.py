@@ -18,12 +18,13 @@ import sys
 import numpy as np
 
 from . import models
-from .channels import NoiseModel, noiseless
+from .channels import NOISE_KINDS, NoiseModel, noiseless
 from .circuits import attach_noise, build_ansatz, dual_state, run as run_circuit
 from .errors import ConfigError
-from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, run_experiment
-from .pauli import PauliTerm, build_ising, expect_pauli
-from .vqe import exact_ground, optimize
+from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, read_params, \
+    run_experiment
+from .pauli import build_ising, expect_pauli
+from .vqe import check_count, exact_ground, optimize
 
 
 def _load_config(path: str) -> dict:
@@ -111,10 +112,15 @@ def _cmd_queries(args) -> int:
 
 def _cmd_oracle(args) -> int:
     n, edges = models.graph(args.graph)
-    h = build_ising(edges, n)
+    if len(args.obs) != n or not set(args.obs) <= set("IXYZ"):
+        raise ConfigError(f"--obs {args.obs!r} must be {n} letters from IXYZ, "
+                          f"one per qubit of {args.graph!r}")
+    if args.noise_kind not in NOISE_KINDS:
+        raise ConfigError(f"unknown --noise-kind {args.noise_kind!r}; have {sorted(NOISE_KINDS)}")
+    check_count("--layers", args.layers)
+    check_count("--seed", args.seed)
     if args.params_file:
-        with open(args.params_file) as fh:
-            params = np.array(json.load(fh), dtype=float)
+        params = read_params(args.params_file, n, args.layers)
     else:
         params = np.zeros(2 * n * (args.layers + 1))
     ansatz = build_ansatz(n, args.layers, params, edges)
@@ -123,11 +129,10 @@ def _cmd_oracle(args) -> int:
     circ = attach_noise(ansatz, noise, seed=args.seed)
     rho = run_circuit(circ)
     bar = dual_state(circ)
-    obs = PauliTerm(args.obs, 1.0)
     sym = 0.5 * (bar @ rho + rho @ bar)
-    print(f"Tr[state P]        = {np.real(expect_pauli(rho, obs.axes)): .12f}")
-    print(f"Tr[dual P]         = {np.real(expect_pauli(bar, obs.axes)): .12f}")
-    print(f"Tr[sym-product P]  = {np.real(expect_pauli(sym, obs.axes)): .12f}")
+    print(f"Tr[state P]        = {np.real(expect_pauli(rho, args.obs)): .12f}")
+    print(f"Tr[dual P]         = {np.real(expect_pauli(bar, args.obs)): .12f}")
+    print(f"Tr[sym-product P]  = {np.real(expect_pauli(sym, args.obs)): .12f}")
     print(f"Tr[dual state]     = {np.real(np.trace(bar @ rho)): .12f}")
     return 0
 

@@ -174,14 +174,29 @@ def _noise_model(kind: str, p1: float) -> NoiseModel:
     return NoiseModel(kind=kind, p1=p1)
 
 
+def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
+    """The n-qubit, layers-deep ansatz parameters stored in params_file.
+
+    Raises ConfigError unless the file holds a JSON list of 2 n (layers + 1)
+    numbers; a file that cannot be opened raises OSError.
+    """
+    want = 2 * n * (layers + 1)
+    with open(params_file) as fh:
+        try:
+            params = np.array(json.load(fh), dtype=float)
+        except (ValueError, TypeError) as ex:
+            raise ConfigError(f"parameter file {params_file} is not a list of numbers: "
+                              f"{ex}") from ex
+    if params.shape != (want,):
+        raise ConfigError(f"parameter file {params_file} holds shape {params.shape}; "
+                          f"{n} qubits at {layers} layers need a flat list of {want}")
+    return params
+
+
 def _vqe_params(vqe, n: int, h, edges, params_file=None):
     """Ansatz parameters read from params_file, or trained by VQE."""
     if params_file:
-        with open(params_file) as fh:
-            params = np.array(json.load(fh), dtype=float)
-        if len(params) != 2 * n * (vqe.layers + 1):
-            raise ConfigError(f"parameter file {params_file} has the wrong length")
-        return params
+        return read_params(params_file, n, vqe.layers)
     return optimize(n, vqe.layers, h, iters=vqe.iters, seed=vqe.seed, edges=edges).params
 
 

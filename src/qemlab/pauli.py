@@ -71,19 +71,6 @@ def _masks_to_axes(x: int, z: int, n: int) -> str:
     return "".join(out)
 
 
-def _mask_mul(x1: int, z1: int, x2: int, z2: int) -> tuple[int, int, complex]:
-    """Product of hermitian-convention strings; returns (x, z, phase)."""
-    x3 = x1 ^ x2
-    z3 = z1 ^ z2
-    t = (
-        (x1 & z1).bit_count()
-        + (x2 & z2).bit_count()
-        - (x3 & z3).bit_count()
-        + 2 * (z1 & x2).bit_count()
-    ) % 4
-    return x3, z3, _I_POW[t]
-
-
 @dataclass(frozen=True)
 class PauliTerm:
     """A single Pauli string with a complex coefficient."""
@@ -117,16 +104,6 @@ class PauliTerm:
 
     def __repr__(self) -> str:
         return f"PauliTerm({self.axes!r}, {self.coeff!r})"
-
-
-def pauli_mul(a: PauliTerm, b: PauliTerm) -> PauliTerm:
-    """Exact product a * b as a single term."""
-    if a.n != b.n:
-        raise SizeMismatchError(f"register sizes differ: {a.n} vs {b.n}")
-    x1, z1 = _axes_to_masks(a.axes)
-    x2, z2 = _axes_to_masks(b.axes)
-    x3, z3, phase = _mask_mul(x1, z1, x2, z2)
-    return PauliTerm(_masks_to_axes(x3, z3, a.n), a.coeff * b.coeff * phase)
 
 
 class PauliSum:
@@ -194,17 +171,6 @@ class PauliSum:
 
     def scaled(self, factor: complex) -> "PauliSum":
         return PauliSum._from_masks(self.n, {k: factor * c for k, c in self._terms.items()})
-
-    def __add__(self, other: "PauliSum") -> "PauliSum":
-        if self.n != other.n:
-            raise SizeMismatchError("cannot add sums on different registers")
-        out = dict(self._terms)
-        for k, c in other._terms.items():
-            out[k] = out.get(k, 0.0) + c
-        return PauliSum._from_masks(self.n, out)
-
-    def __matmul__(self, other: "PauliSum") -> "PauliSum":
-        return sum_mul(self, other)
 
     def matrix(self) -> np.ndarray:
         """Dense matrix: per string one scatter of c i^{#Y} (-1)^{|j & z|} to [j ^ x, j]."""

@@ -1,10 +1,11 @@
-"""Circuit-level purification estimators and the exact trace oracle.
+"""Circuit-level purification estimators.
 
 Everything here evaluates traces of products of noisy states and their dual
-states two ways: an exact dense-matrix oracle, and register-level
-simulations of the measurement circuits (ancilla Hadamard tests, mid-circuit
-branching, controlled derangements built from explicit gate decompositions).
-The two routes agreeing is the correctness contract for this module.
+states by register-level simulation of the measurement circuits (ancilla
+Hadamard tests, mid-circuit branching, controlled derangements built from
+explicit gate decompositions).  The exact dense-matrix values of the same
+traces (``oracle_trace``, ``planned_oracle``) live in ``tests/oracles.py``,
+and the two routes agreeing is the correctness contract for this module.
 
 Register layout for multi-copy circuits: copy k occupies qubits
 [k*w, (k+1)*w) and the single ancilla is always the top qubit.
@@ -40,46 +41,12 @@ from .circuits import (
     MAX_QUBITS,
     _partial_trace,
     apply,
-    dual_state,
     reversed_circuit,
     run,
     zero_state,
 )
 from .errors import DegenerateNormalizationError, RegisterCapError
-from .pauli import PauliSum, PauliTerm
-
-
-def oracle_trace(factors: Sequence, obs=None) -> complex:
-    """Tr[(prod factors) * obs] by dense multiplication.
-
-    Each factor is a matrix or a (matrix, conj) pair; conj=True uses the
-    conjugate transpose.  obs may be a PauliTerm, PauliSum, matrix, or None.
-    """
-    prod = None
-    dim = None
-    for f in factors:
-        mat, conj = (f if isinstance(f, tuple) else (f, False))
-        mat = np.asarray(mat, dtype=complex)
-        if conj:
-            mat = mat.conj().T
-        if dim is None:
-            dim = mat.shape[0]
-            prod = mat
-        else:
-            if mat.shape[0] != dim:
-                raise ValueError("factor dimensions differ")
-            prod = prod @ mat
-    if prod is None:
-        raise ValueError("no factors")
-    if obs is None:
-        return complex(np.trace(prod))
-    if isinstance(obs, PauliTerm):
-        om = obs.matrix()
-    elif isinstance(obs, PauliSum):
-        om = obs.matrix()
-    else:
-        om = np.asarray(obs, dtype=complex)
-    return complex(np.trace(prod @ om))
+from .pauli import PauliTerm
 
 
 # ---------------------------------------------------------------------------
@@ -282,22 +249,14 @@ class DspResult:
     value: float
 
 
-def dsp_circuit(circ: Circuit, obs: PauliTerm, out_circuit: Circuit | None = None,
-                gadget_noise: NoiseModel | None = None, gadget_seed: int = 0) -> Circuit:
-    """The assembled indirect-measurement circuit, ancilla on the top qubit.
-
-    Reading X on the ancilla jointly with all-zeros on the register gives the
-    symmetrized numerator for the observable's axes pattern.
-    """
-    if out_circuit is None:
-        out_circuit = reversed_circuit(circ)
-    return _dsp_ops(circ.n, _place(circ, 0), obs, _place(out_circuit, 0),
-                    gadget_noise, gadget_seed)
-
-
 def _dsp_ops(w: int, compute: list, obs: PauliTerm, uncompute: list,
              gadget_noise: NoiseModel | None, gadget_seed: int) -> Circuit:
-    """``dsp_circuit`` from compute and uncompute blocks already placed."""
+    """The indirect-measurement circuit on w + 1 qubits, ancilla on the top qubit.
+
+    compute and uncompute are blocks already placed on qubits [0, w).
+    Reading X on the ancilla jointly with all-zeros on the register gives
+    the symmetrized numerator for the observable's axes pattern.
+    """
     anc = w
     b = _Builder(w + 1, gadget_noise, gadget_seed)
     b.hadamard(anc)
@@ -497,20 +456,6 @@ class GeneralFactor:
     v: PauliTerm | None = None
     w: PauliTerm | None = None
 
-    def state(self) -> np.ndarray:
-        return run(self.circuit)
-
-    def dual(self) -> np.ndarray:
-        return dual_state(self.circuit)
-
-    def matrix(self, bar: bool, dagger: bool) -> np.ndarray:
-        rho = self.dual() if bar else self.state()
-        d = rho.shape[0]
-        vm = self.v.matrix() if self.v is not None else np.eye(d, dtype=complex)
-        wm = self.w.matrix() if self.w is not None else np.eye(d, dtype=complex)
-        tau = vm @ rho @ wm.conj().T
-        return tau.conj().T if dagger else tau
-
 
 @dataclass(frozen=True)
 class FactorSlot:
@@ -534,22 +479,8 @@ class CircuitPlan:
     n_prime: int
     with_a: bool
     copies: int
-    measurement_combination: str
     slots: tuple[CopyPlan, ...]
     postselect: tuple[bool, ...]
-
-    def factor_sequence(self) -> list[FactorSlot]:
-        """Cyclic operator order whose trace (times obs) the plan computes."""
-        seq: list[FactorSlot] = []
-        c = 0  # copy cursor in chain order
-        order = [0] + list(range(self.copies - 1, 0, -1))
-        for c in order:
-            cp = self.slots[c]
-            if cp.in_slot is not None:
-                seq.append(cp.in_slot)
-            if cp.out_slot is not None:
-                seq.append(cp.out_slot)
-        return seq
 
 
 def _bra_bar(n: int, i: int) -> bool:
@@ -607,7 +538,7 @@ def plan_general(n: int, n_prime: int, with_a: bool = False) -> CircuitPlan:
         raise AssertionError("factor sequence not fully consumed")
     slots = tuple(CopyPlan(ins.get(c), outs.get(c)) for c in range(copies))
     postselect = tuple(slots[c].out_slot is not None for c in range(copies))
-    return CircuitPlan(n, n_prime, with_a, copies, "X+iY", slots, postselect)
+    return CircuitPlan(n, n_prime, with_a, copies, slots, postselect)
 
 
 def _resolve(slot: FactorSlot, bra: Sequence[GeneralFactor], ket: Sequence[GeneralFactor],
@@ -673,17 +604,3 @@ def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
     states = [zero_state(w) if f is None else _prepare(f.circuit) for f in ins]
     rho = _copy_register(states, b.circ.ops, keep)
     return complex(obs.coeff) * _anc_xy(rho, len(keep), ())
-
-
-def planned_oracle(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
-                   ket_factors: Sequence[GeneralFactor], obs: PauliTerm,
-                   a_factor: GeneralFactor | None = None) -> complex:
-    """Dense-matrix value of the same trace the planned circuit estimates."""
-    mats = []
-    for slot in plan.factor_sequence():
-        f = _resolve(slot, bra_factors, ket_factors, a_factor)
-        if slot.side == "A":
-            mats.append(f.dual() if slot.bar else f.state())
-        else:
-            mats.append(f.matrix(slot.bar, slot.dagger))
-    return oracle_trace(mats, obs)

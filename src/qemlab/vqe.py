@@ -2,9 +2,9 @@
 
 The optimizer fixes the circuit parameters before any mitigation runs; its
 residual bias is the baseline every experiment is judged against.  Gradients
-are analytic: the parameter-shift rule is the reference implementation and a
-two-sweep adjoint pass computes the identical vector at a fraction of the
-cost, which is what the quasi-Newton loop consumes.
+are analytic: a two-sweep adjoint pass computes the full vector, which is
+what the quasi-Newton loop consumes.  The parameter-shift rule, one pair of
+runs per angle, is its reference and lives in ``tests/oracles.py``.
 
 The adjoint pass runs on a sweep plan: ``_plan`` compiles (n, layers, edges)
 once into read-only steps, cached in a bounded ``lru_cache``, each holding
@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import _contract, apply_state, build_ansatz, rotation, zero_vector
+from .circuits import _contract, build_ansatz, rotation, zero_vector
 from .errors import ConfigError, RegisterCapError
 from .pauli import PauliSum
 
@@ -70,16 +70,6 @@ class AnsatzCircuit:
     @property
     def num_params(self) -> int:
         return 2 * self.n * (self.layers + 1)
-
-    def circuit(self, params):
-        return build_ansatz(self.n, self.layers, params, self.edges)
-
-    def state(self, params) -> np.ndarray:
-        return apply_state(self.circuit(params), zero_vector(self.n))
-
-
-def energy(h_mat: np.ndarray, psi: np.ndarray) -> float:
-    return float(np.real(np.vdot(psi, h_mat @ psi)))
 
 
 @lru_cache(maxsize=32)
@@ -145,20 +135,6 @@ def _backward(ansatz: AnsatzCircuit, sweep: _Sweep) -> np.ndarray:
             grad[k] = float(np.imag(np.vdot(t[1], ppsi)))
             u_dag = sweep.rots[k].conj().T
         t = _contract(t, u_dag, stacked, stack=True)
-    return grad
-
-
-def parameter_shift_gradient(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> np.ndarray:
-    """dE/dtheta by the exact +-pi/2 shift rule, one pair of runs per angle."""
-    params = np.asarray(params, dtype=float)
-    grad = np.empty_like(params)
-    for i in range(len(params)):
-        shifted = params.copy()
-        shifted[i] += np.pi / 2.0
-        plus = energy(h_mat, ansatz.state(shifted))
-        shifted[i] -= np.pi
-        minus = energy(h_mat, ansatz.state(shifted))
-        grad[i] = 0.5 * (plus - minus)
     return grad
 
 

@@ -1,9 +1,37 @@
-"""Dense reference helpers shared by more than one test module."""
+"""Dense references the tests check qemlab's fast paths against.
+
+Each one is the slow, plain form of an operation the package runs another
+way: dense traces of sandwich products for the purification circuits, the
+parameter-shift rule for the adjoint gradient, per-string loops for the
+batched Pauli algebra, and full-register runs for the copy-register engine.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from qemlab.circuits import (
+    Circuit,
+    apply,
+    apply_state,
+    build_ansatz,
+    dual_state,
+    reversed_circuit,
+    run,
+    zero_vector,
+)
 from qemlab.errors import SizeMismatchError
-from qemlab.pauli import DROP_TOL, PauliSum, _axes_to_masks, parity_signs
+from qemlab.pauli import DROP_TOL, PauliSum, PauliTerm, _axes_to_masks, parity_signs
+from qemlab.purification import (
+    _anc_xy,
+    _Builder,
+    _dsp_ops,
+    _place,
+    _post_gadget,
+    _pre_gadget,
+    _remap_ops,
+    _resolve,
+)
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -88,8 +116,6 @@ def replace_with_mixed(rho: np.ndarray, qubits, n: int) -> np.ndarray:
 
 def _offset_ops(circuit, offset):
     """The circuit's ops shifted by offset; a register-wide channel stays register-wide."""
-    from qemlab.purification import _remap_ops
-
     return _remap_ops(circuit.ops, lambda q: q + offset)
 
 
@@ -103,9 +129,6 @@ class FullRegisterEsd:
     """
 
     def __init__(self, circ, n_copies, gadget_noise=None, gadget_seed=0):
-        from qemlab.circuits import run
-        from qemlab.purification import _Builder
-
         self.w, self.noise, self.seed = circ.n, gadget_noise, gadget_seed
         self.total = n_copies * self.w + 1
         self.anc = self.total - 1
@@ -117,10 +140,6 @@ class FullRegisterEsd:
         self.mid = run(b.circ)
 
     def numerator(self, obs):
-        from qemlab.circuits import apply
-        from qemlab.pauli import PauliTerm
-        from qemlab.purification import _anc_xy, _Builder
-
         rho = self.mid
         if obs is not None and not obs.is_identity:
             b = _Builder(self.total, self.noise, self.seed + 1)
@@ -134,9 +153,6 @@ def dsp_whole_circuit(circ, obs, gadget_noise=None, out_circuit=None, gadget_see
 
     The reference for ``DspEvaluator``, which runs the shared prefix once.
     """
-    from qemlab.circuits import Circuit, reversed_circuit, run
-    from qemlab.purification import _anc_xy, dsp_circuit
-
     out = reversed_circuit(circ) if out_circuit is None else out_circuit
     p0 = float(np.real(run(Circuit(circ.n, list(circ.ops) + list(out.ops)))[0, 0]))
     if obs.is_identity:
@@ -153,10 +169,6 @@ def full_register_re_purification(circ, n, obs, drop_last_uncompute=False,
     The reference for the copy-register engine on circuits whose channels
     are all pinned, as ``attach_noise`` leaves them.
     """
-    from qemlab.circuits import reversed_circuit, run
-    from qemlab.pauli import PauliTerm
-    from qemlab.purification import _anc_xy, _Builder
-
     w = circ.n
     total = n * w + 1
     anc = total - 1
@@ -185,10 +197,6 @@ def full_register_re_purification(circ, n, obs, drop_last_uncompute=False,
 def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=None,
                                gadget_noise=None, gadget_seed=0):
     """``execute_plan`` with every copy prepared and read on the full register."""
-    from qemlab.circuits import reversed_circuit, run
-    from qemlab.pauli import PauliTerm
-    from qemlab.purification import _anc_xy, _Builder, _post_gadget, _pre_gadget, _resolve
-
     w = bra_factors[0].circuit.n
     total = plan.copies * w + 1
     anc = total - 1
@@ -215,3 +223,124 @@ def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=Non
             _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
         b.raw(_offset_ops(reversed_circuit(f.circuit), c * w))
     return complex(obs.coeff) * _anc_xy(run(b.circ), total, free)
+
+
+# ---------------------------------------------------------------------------
+# dense traces of the products the purification circuits estimate
+
+
+def oracle_trace(factors, obs=None) -> complex:
+    """Tr[(prod factors) * obs] by dense multiplication.
+
+    Each factor is a matrix or a (matrix, conj) pair; conj=True uses the
+    conjugate transpose.  obs may be a PauliTerm, PauliSum, matrix, or None.
+    """
+    prod = None
+    for f in factors:
+        mat, conj = (f if isinstance(f, tuple) else (f, False))
+        mat = np.asarray(mat, dtype=complex)
+        if conj:
+            mat = mat.conj().T
+        if prod is None:
+            prod = mat
+        elif mat.shape[0] != prod.shape[0]:
+            raise ValueError("factor dimensions differ")
+        else:
+            prod = prod @ mat
+    if prod is None:
+        raise ValueError("no factors")
+    if obs is None:
+        return complex(np.trace(prod))
+    om = obs.matrix() if isinstance(obs, (PauliTerm, PauliSum)) else np.asarray(obs, dtype=complex)
+    return complex(np.trace(prod @ om))
+
+
+def factor_sequence(plan) -> list:
+    """The plan's factor slots in the cyclic order whose trace (times obs) it computes."""
+    order = [0] + list(range(plan.copies - 1, 0, -1))
+    return [slot for c in order for slot in (plan.slots[c].in_slot, plan.slots[c].out_slot)
+            if slot is not None]
+
+
+def factor_matrix(f, bar: bool, dagger: bool) -> np.ndarray:
+    """A ``GeneralFactor``'s V rho W^dag, rho its state or (bar) its dual, daggered on request."""
+    rho = dual_state(f.circuit) if bar else run(f.circuit)
+    d = rho.shape[0]
+    vm = f.v.matrix() if f.v is not None else np.eye(d, dtype=complex)
+    wm = f.w.matrix() if f.w is not None else np.eye(d, dtype=complex)
+    tau = vm @ rho @ wm.conj().T
+    return tau.conj().T if dagger else tau
+
+
+def planned_oracle(plan, bra_factors, ket_factors, obs, a_factor=None) -> complex:
+    """Dense-matrix value of the trace ``execute_plan`` estimates for the same plan."""
+    mats = []
+    for slot in factor_sequence(plan):
+        f = _resolve(slot, bra_factors, ket_factors, a_factor)
+        if slot.side == "A":
+            mats.append(dual_state(f.circuit) if slot.bar else run(f.circuit))
+        else:
+            mats.append(factor_matrix(f, slot.bar, slot.dagger))
+    return oracle_trace(mats, obs)
+
+
+def dsp_circuit(circ, obs, out_circuit=None, gadget_noise=None, gadget_seed=0) -> Circuit:
+    """The whole indirect-measurement circuit ``DspEvaluator`` runs for obs, ancilla on top."""
+    if out_circuit is None:
+        out_circuit = reversed_circuit(circ)
+    return _dsp_ops(circ.n, _place(circ, 0), obs, _place(out_circuit, 0),
+                    gadget_noise, gadget_seed)
+
+
+# ---------------------------------------------------------------------------
+# the variational baseline and the cost proxies
+
+
+def energy(h_mat: np.ndarray, psi: np.ndarray) -> float:
+    """<psi|H|psi>, the form ``vqe``'s forward sweep rounds."""
+    return float(np.real(np.vdot(psi, h_mat @ psi)))
+
+
+def ansatz_state(ansatz, params) -> np.ndarray:
+    """The ``AnsatzCircuit``'s state at params, the way ``Problem`` prepares it."""
+    circ = build_ansatz(ansatz.n, ansatz.layers, params, ansatz.edges)
+    return apply_state(circ, zero_vector(ansatz.n))
+
+
+def parameter_shift_gradient(ansatz, h_mat: np.ndarray, params) -> np.ndarray:
+    """dE/dtheta by the exact +-pi/2 shift rule, one pair of runs per angle.
+
+    The reference for ``vqe.adjoint_gradient``.
+    """
+    params = np.asarray(params, dtype=float)
+    grad = np.empty_like(params)
+    for i in range(len(params)):
+        shifted = params.copy()
+        shifted[i] += np.pi / 2.0
+        plus = energy(h_mat, ansatz_state(ansatz, shifted))
+        shifted[i] -= np.pi
+        minus = energy(h_mat, ansatz_state(ansatz, shifted))
+        grad[i] = 0.5 * (plus - minus)
+    return grad
+
+
+@dataclass(frozen=True)
+class PostselectBound:
+    lambda_min: float
+    hadamard_bound: float
+    ns_scaling: float
+
+
+def postselect_bound(s: np.ndarray, gamma: float, m: int) -> PostselectBound:
+    """Spectral floor of the overlap and the shot-cost proxy it implies.
+
+    hadamard_bound is the geometric mean of the diagonal, an upper bound on
+    the smallest eigenvalue; ns_scaling = 16 gamma^2 M^2 / lambda_min^2 with
+    the target bias factored out.
+    """
+    s = np.asarray(s, dtype=complex)
+    lam_min = float(np.linalg.eigvalsh(0.5 * (s + s.conj().T))[0])
+    diag = np.real(np.diag(s))
+    bound = float(np.prod(diag) ** (1.0 / m)) if np.all(diag > 0) else float("nan")
+    scaling = 16.0 * gamma * gamma * m * m / (lam_min * lam_min) if lam_min > 0 else float("inf")
+    return PostselectBound(lam_min, bound, scaling)

@@ -42,23 +42,23 @@ from qemlab.circuits import (
     run,
     trace_distance,
 )
-from qemlab.cost import cost_metric, dc_overhead, postselect_bound
+from qemlab.cost import cost_metric, dc_overhead
 from qemlab.gevp import energy_window, solve_pencil
 from qemlab.pauli import PauliTerm, build_ising, expect_pauli
 from qemlab.purification import (
     EsdEvaluator,
     GeneralFactor,
-    dsp_circuit,
     dsp_expectation,
     esd_expectation,
     execute_plan,
     plan_general,
-    planned_oracle,
     re_purification,
 )
 from qemlab.shotnoise import ShotConfig, sample_distribution, var_dsp, var_product
 from qemlab.subspace import SubspaceSpec, build, plan_queries
 from qemlab.vqe import exact_ground, optimize
+
+from oracles import dsp_circuit, planned_oracle, postselect_bound
 
 
 def report(num: int, ok: bool, detail: str) -> bool:

@@ -250,6 +250,36 @@ class TestCliEntry:
         out = capsys.readouterr().out
         assert "Tr[sym-product P]" in out
 
+    @pytest.mark.parametrize("flags, params, what", [
+        (["--obs", "ZZII"], [0.1, 0.2], "shape (2,)"),
+        (["--obs", "ZZII"], [[0.1] * 24], "flat list of 24"),
+        (["--obs", "ZZII"], {"params": [0.1] * 24}, "not a list of numbers"),
+        (["--obs", "ZZ"], None, "--obs"),
+        (["--obs", "ZZIQ"], None, "--obs"),
+        (["--obs", "ZZII", "--noise-kind", "bogus", "--p1", "1e-3"], None, "--noise-kind"),
+        (["--obs", "ZZII", "--layers", "-1"], None, "--layers"),
+        (["--obs", "ZZII", "--seed", "-1", "--p1", "1e-3"], None, "--seed"),
+    ])
+    def test_malformed_oracle_input_exits_one(self, tmp_path, capsys, monkeypatch,
+                                              flags, params, what):
+        def no_work(*a, **k):
+            raise AssertionError("malformed oracle input is rejected before any simulation")
+
+        monkeypatch.setattr("qemlab.cli.attach_noise", no_work)
+        monkeypatch.setattr("qemlab.cli.run_circuit", no_work)
+        argv = ["oracle", "--graph", "path-4", "--layers", "2", *flags]
+        if params is not None:
+            path = tmp_path / "params.json"
+            path.write_text(json.dumps(params))
+            argv += ["--params-file", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and what in err
+
+    def test_oracle_missing_params_file_exit_code(self, tmp_path):
+        rc = main(["oracle", "--obs", "ZZII", "--params-file", str(tmp_path / "missing.json")])
+        assert rc == 2
+
     @pytest.mark.parametrize("command, cfg, path", [
         ("run", small_cfg(subspace={"kind": "power", "m_value": [1, 2]}), "subspace.m_value"),
         ("run", small_cfg(scenario="stddev-vs-shots", subspace={"m_values": [2]},

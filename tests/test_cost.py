@@ -3,11 +3,13 @@ import pytest
 
 from qemlab.channels import NoiseModel, global_depolarizing, noiseless
 from qemlab.circuits import Circuit, build_ansatz
-from qemlab.cost import cost_metric, dc_overhead, postselect_bound
+from qemlab.cost import cost_metric, dc_overhead
 from qemlab.gevp import energy_window, solve_pencil
 from qemlab.pauli import SystemPartition, build_ising
 from qemlab.subspace import SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
+
+from oracles import postselect_bound
 
 
 def path(n):

@@ -14,7 +14,6 @@ from qemlab.pauli import (
     expect_pauli,
     expect_paulis,
     factorize,
-    pauli_mul,
     sum_mul,
     term_matrix,
 )
@@ -33,6 +32,12 @@ def random_term(rng, n, unit=False):
     axes = "".join(rng.choice(list("IXYZ")) for _ in range(n))
     coeff = 1.0 if unit else complex(rng.standard_normal(), rng.standard_normal())
     return PauliTerm(axes, coeff)
+
+
+def pauli_mul(a, b):
+    """a * b as the one term of ``sum_mul``'s product of one-term sums."""
+    (term,) = sum_mul(PauliSum(a.n, [a]), PauliSum(b.n, [b]))
+    return term
 
 
 class TestPauliMul:

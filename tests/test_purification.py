@@ -5,8 +5,11 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import (
     FullRegisterEsd,
     dsp_whole_circuit,
+    factor_sequence,
     full_register_execute_plan,
     full_register_re_purification,
+    oracle_trace,
+    planned_oracle,
 )
 from qemlab import channels as ch
 from qemlab import purification as pur
@@ -29,9 +32,7 @@ from qemlab.purification import (
     dsp_expectation,
     esd_expectation,
     execute_plan,
-    oracle_trace,
     plan_general,
-    planned_oracle,
     re_purification,
 )
 
@@ -562,7 +563,7 @@ class TestPlanner:
 
     def test_sequence_layout(self):
         p = plan_general(1, 2)
-        seq = [(s.side, s.index, s.dagger, s.bar) for s in p.factor_sequence()]
+        seq = [(s.side, s.index, s.dagger, s.bar) for s in factor_sequence(p)]
         assert seq == [("bra", 1, True, False), ("ket", 1, False, True),
                        ("ket", 2, False, False)]
 

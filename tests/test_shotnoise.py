@@ -19,7 +19,6 @@ from qemlab.errors import (
 )
 from qemlab.gevp import energy_window, solve_pencil
 from qemlab.pauli import PauliTerm, SystemPartition, build_ising, expect_pauli, term_matrix
-from qemlab.purification import dsp_circuit
 from qemlab.shotnoise import (
     ShotConfig,
     perturb,
@@ -33,7 +32,7 @@ from qemlab.shotnoise import (
 from qemlab.subspace import Query, SubspaceMatrices, SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
 
-from oracles import sandwich_pauli
+from oracles import dsp_circuit, sandwich_pauli
 
 PAULI = NoiseModel(kind="stochastic_pauli", p1=1e-3)
 DEPOL = NoiseModel(kind="global_depolarizing", p1=0.05)
