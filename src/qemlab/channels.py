@@ -71,8 +71,6 @@ class Channel:
             return self.rate
         if self.kind == "local_depolarizing" and len(self.qubits) == 2:
             return self.rate  # single joint event on the pair
-        if self.kind == "coherent_drift":
-            return 0.0
         return self.rate * max(len(self.qubits), 1)
 
 
@@ -116,7 +114,8 @@ def _check_rate(p: float) -> None:
 
 
 def single_qubit_kraus(ch: Channel) -> list[np.ndarray]:
-    """Local 2x2 Kraus set for per-qubit channel kinds."""
+    """Local 2x2 Kraus set of a stochastic Pauli, damping or relaxation channel
+    (``circuits`` builds local depolarizing from its affine form)."""
     if ch.kind == "stochastic_pauli":
         p, px, py, pz = ch.params
         ops = [
@@ -146,14 +145,6 @@ def single_qubit_kraus(ch: Channel) -> list[np.ndarray]:
             np.array([[0.0, 0.0], [0.0, math.sqrt(lam)]], dtype=complex),
         ]
         ops = [a @ b for a in ad for b in pd]
-    elif ch.kind == "local_depolarizing" and len(ch.qubits) == 1:
-        p = ch.params[0]
-        ops = [
-            math.sqrt(1.0 - 3.0 * p / 4.0) * np.eye(2, dtype=complex),
-            math.sqrt(p / 4.0) * _X,
-            math.sqrt(p / 4.0) * _Y,
-            math.sqrt(p / 4.0) * _Z,
-        ]
     else:
         raise ValueError(f"no single-qubit Kraus form for {ch.kind}")
     if ch.dualized:

@@ -1,4 +1,4 @@
-"""Gates, circuits, and dense density-matrix / statevector evolution.
+"""Gates, circuits, and dense density-matrix evolution.
 
 Qubit 0 is the least significant bit of a basis index.  A circuit is a flat
 instruction stream mixing gates and channels; a channel always acts right
@@ -21,12 +21,12 @@ everything here is dense.
 * contract: rho is held as a tensor with 2n axes (row bits, then column
   bits) and each block is one ``_contract`` over its 2k axes.
 
-``_contract`` is the one kernel: statevector gates, the VQE sweeps and the
-folds go through it too.  It makes the transpose -> reshape -> ``np.dot``
-call that ``np.tensordot`` makes and returns the view ``np.moveaxis`` would,
-so it rounds bit for bit like that pair and only skips their per-call
-bookkeeping.  Fusing and folding reorder products, so ``apply`` agrees with
-op-by-op application to rounding, not bit for bit.
+``_contract`` is the one kernel: the folds and the sweep plan of ``vqe``,
+the one statevector simulator, go through it too.  It makes the transpose
+-> reshape -> ``np.dot`` call that ``np.tensordot`` makes and returns the
+view ``np.moveaxis`` would, so it rounds bit for bit like that pair and only
+skips their per-call bookkeeping.  Fusing and folding reorder products, so
+``apply`` agrees with op-by-op application to rounding, not bit for bit.
 
 Global depolarizing, register-wide or scoped, is no local superoperator: it
 stays one affine step through ``apply_channel``, (1 - p) rho plus p times
@@ -208,9 +208,6 @@ class Circuit:
                 lines.append(f"channel {op.kind} {list(op.qubits)} {op.params}{tag}")
         return "\n".join(lines)
 
-    def copy(self) -> "Circuit":
-        return Circuit(self.n, list(self.ops))
-
 
 def zero_state(n: int) -> np.ndarray:
     """|0..0><0..0| on n qubits."""
@@ -258,12 +255,6 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool =
 def _rho_axes(qubits: Sequence[int], n: int) -> tuple[int, ...]:
     """Row then column axes of the listed qubits in rho's 2n-axis tensor."""
     return tuple(n - 1 - q for q in qubits) + tuple(2 * n - 1 - q for q in qubits)
-
-
-def _apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits: Sequence[int], n: int) -> np.ndarray:
-    """U on the listed qubits of a flat statevector."""
-    axes = tuple(n - 1 - q for q in qubits)
-    return _contract(psi.reshape((2,) * n), u, axes).reshape(psi.shape)
 
 
 def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
@@ -421,28 +412,28 @@ def _compile(circuit: Circuit) -> list[tuple]:
 
 
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
-    """One channel on a density matrix."""
-    if ch.kind == "global_depolarizing":
-        # (1 - p) rho + p Tr_S(rho) (x) I/2^k on its scope S of k qubits (an
-        # empty tuple means the whole register).  The second term is added
-        # through a strided view of the entries whose row and column agree
-        # on S; its axes are the bits of the other qubits, most significant
-        # first as in the reduced state (rows, then columns), and those of S.
-        p = ch.params[0]
-        scope = ch.qubits or tuple(range(n))
-        rest = [q for q in reversed(range(n)) if q not in scope]
-        out = (1.0 - p) * rho
-        s0, s1 = out.strides
-        view = as_strided(out, (2,) * (2 * len(rest) + len(scope)),
-                          [s0 << q for q in rest] + [s1 << q for q in rest]
-                          + [(s0 + s1) << q for q in scope])
-        mixed = _partial_trace(rho, rest[::-1], n) * (p / (1 << len(scope)))
-        view += mixed.reshape((2,) * (2 * len(rest)) + (1,) * len(scope))
-        return out
-    t = rho.reshape((2,) * (2 * n))
-    for qubits, s in _superops(ch):
-        t = _contract(t, s, _rho_axes(qubits, n))
-    return t.reshape(rho.shape)
+    """The global-depolarizing step ``apply`` runs on a density matrix.
+
+    (1 - p) rho + p Tr_S(rho) (x) I/2^k on its scope S of k qubits (an empty
+    tuple means the whole register).  The second term is added through a
+    strided view of the entries whose row and column agree on S; its axes
+    are the bits of the other qubits, most significant first as in the
+    reduced state (rows, then columns), and those of S.  Every other kind is
+    a local superoperator that ``apply`` compiles, so it raises ValueError.
+    """
+    if ch.kind != "global_depolarizing":
+        raise ValueError(f"{ch.kind} is compiled by apply, not applied as a step")
+    p = ch.params[0]
+    scope = ch.qubits or tuple(range(n))
+    rest = [q for q in reversed(range(n)) if q not in scope]
+    out = (1.0 - p) * rho
+    s0, s1 = out.strides
+    view = as_strided(out, (2,) * (2 * len(rest) + len(scope)),
+                      [s0 << q for q in rest] + [s1 << q for q in rest]
+                      + [(s0 + s1) << q for q in scope])
+    mixed = _partial_trace(rho, rest[::-1], n) * (p / (1 << len(scope)))
+    view += mixed.reshape((2,) * (2 * len(rest)) + (1,) * len(scope))
+    return out
 
 
 def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
@@ -458,19 +449,6 @@ def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
         else:
             t = _contract(t, step, axes)
     return t.reshape(d, d)
-
-
-def apply_state(circuit: Circuit, psi: np.ndarray) -> np.ndarray:
-    """Run a channel-free circuit on a statevector."""
-    d = 1 << circuit.n
-    if psi.shape != (d,):
-        raise SizeMismatchError(f"vector dim {psi.shape} vs {circuit.n}-qubit circuit")
-    out = psi.astype(complex, copy=True)
-    for op in circuit.ops:
-        if isinstance(op, Channel):
-            raise ValueError("statevector path cannot run channels")
-        out = _apply_unitary_state(out, op.matrix(), op.qubits, circuit.n)
-    return out
 
 
 def run(circuit: Circuit) -> np.ndarray:

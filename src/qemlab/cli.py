@@ -18,11 +18,11 @@ import sys
 import numpy as np
 
 from . import models
-from .channels import NOISE_KINDS, NoiseModel, noiseless
+from .channels import NOISE_KINDS
 from .circuits import attach_noise, build_ansatz, dual_state, run as run_circuit
 from .errors import ConfigError
-from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, read_params, \
-    run_experiment
+from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, checked_noise_model, \
+    read_params, run_experiment
 from .pauli import build_ising, expect_pauli
 from .vqe import check_count, exact_ground, optimize
 
@@ -119,13 +119,12 @@ def _cmd_oracle(args) -> int:
         raise ConfigError(f"unknown --noise-kind {args.noise_kind!r}; have {sorted(NOISE_KINDS)}")
     check_count("--layers", args.layers)
     check_count("--seed", args.seed)
+    noise = checked_noise_model("--p1", args.noise_kind, args.p1, 1)
     if args.params_file:
         params = read_params(args.params_file, n, args.layers)
     else:
         params = np.zeros(2 * n * (args.layers + 1))
     ansatz = build_ansatz(n, args.layers, params, edges)
-    noise = (noiseless() if args.p1 == 0.0
-             else NoiseModel(kind=args.noise_kind, p1=args.p1))
     circ = attach_noise(ansatz, noise, seed=args.seed)
     rho = run_circuit(circ)
     bar = dual_state(circ)

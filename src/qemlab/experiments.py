@@ -22,23 +22,21 @@ import numpy as np
 from . import models
 from .channels import NOISE_KINDS, NoiseModel, noiseless
 from .circuits import (
-    apply_state,
     attach_noise,
     build_ansatz,
     dual_state,
     expected_errors,
     run,
     trace_distance,
-    zero_vector,
 )
 from .cost import cost_metric, dc_overhead
-from .errors import ConfigError, SelectionFailureError, EmptySubspaceError
+from .errors import ConfigError, EmptySubspaceError, NoiseRateError, SelectionFailureError
 from .gevp import energy_window, solve_pencil
 from .pauli import PauliTerm, build_ising, expect_pauli
 from .purification import DspEvaluator, EsdEvaluator
 from .shotnoise import ShotConfig, sample_distribution
 from .subspace import KINDS, SubspaceSpec, build, plan_queries
-from .vqe import check_count, exact_ground, optimize
+from .vqe import ansatz_state, check_count, exact_ground, optimize
 
 FMT = "%.12g"
 THRESHOLD = 1e-10  # regularization threshold of every exact pencil solve
@@ -112,9 +110,10 @@ def check_config(raw):
     types its entries.  Returns read-only attribute objects (a nested
     mapping is one more), with lists as tuples.  Raises ConfigError naming
     the dotted path of a key the scenario does not read, a value of another
-    type, an unknown kind, graph or partition, an M or seed count below 1, or
-    a partition that does not cover the graph where a divided basis is built
-    or counted.
+    type, an unknown kind, graph or partition, an M or seed count below 1, a
+    partition that does not cover the graph where a divided basis is built
+    or counted, or a noise rate that leaves [0, 1] in any noise model the
+    scenario builds, a fault basis's amplified to its largest M included.
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
     if name not in SCENARIOS:
@@ -126,6 +125,15 @@ def check_config(raw):
         if covers != n:
             raise ConfigError(f"partition {cfg.partition!r} covers {covers} qubits, "
                               f"but graph {cfg.graph!r} has {n}")
+    noise = getattr(cfg, "noise", None)
+    if noise is not None:
+        many = hasattr(noise, "p1_values")
+        rates = noise.p1_values if many else (noise.p1,)
+        fault = getattr(getattr(cfg, "subspace", None), "kind", None) == "fault"
+        lam = max(cfg.subspace.m_values, default=1) if fault else 1
+        for kind in cfg.noise_kinds if hasattr(cfg, "noise_kinds") else (noise.kind,):
+            for p1 in rates:
+                checked_noise_model("noise.p1_values" if many else "noise.p1", kind, p1, lam)
     return cfg
 
 
@@ -172,6 +180,15 @@ def _noise_model(kind: str, p1: float) -> NoiseModel:
     if kind == "none" or p1 == 0.0:
         return noiseless()
     return NoiseModel(kind=kind, p1=p1)
+
+
+def checked_noise_model(key: str, kind: str, p1: float, lam: int) -> NoiseModel:
+    """The (kind, p1) model amplified by lam; ConfigError naming key if a rate leaves [0, 1]."""
+    try:
+        return _noise_model(kind, p1).amplified(float(lam))
+    except NoiseRateError as ex:
+        at = f" at the fault basis's amplification {lam}" if lam != 1 else ""
+        raise ConfigError(f"{key} {p1!r} gives {kind} noise with {ex}{at}") from ex
 
 
 def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
@@ -221,7 +238,7 @@ class Problem:
         self.window = energy_window(self.e_true)
         self.params = _vqe_params(cfg.vqe, self.n, self.h, self.edges, cfg.vqe.params_file)
         self.ansatz = build_ansatz(self.n, self.layers, self.params, self.edges)
-        psi = apply_state(self.ansatz, zero_vector(self.n))
+        psi = ansatz_state(self.n, self.layers, self.edges, self.params)
         self.vqe_energy = float(np.real(np.vdot(psi, self.h.matrix() @ psi)))
         self.vqe_bias = self.vqe_energy - self.e_true
         self._blocks = None
@@ -234,16 +251,18 @@ class Problem:
             for block in part.blocks:
                 h_b, sub_edges = models.block_subproblem(self.edges, block)
                 params = _vqe_params(self.cfg.vqe, len(block), h_b, sub_edges)
-                circ = build_ansatz(len(block), self.layers, params, sub_edges)
-                subs.append(circ)
-                psi = apply_state(circ, zero_vector(circ.n))
+                subs.append(build_ansatz(len(block), self.layers, params, sub_edges))
+                psi = ansatz_state(len(block), self.layers, sub_edges, params)
                 states.append(np.outer(psi, psi.conj()))
-            full = states[-1]
-            for st in states[-2::-1]:
-                full = np.kron(full, st)
-            sep_energy = float(np.real(np.trace(full @ self.h.matrix())))
-            self._blocks = (subs, sep_energy)
+            self._blocks = (subs, self._product_energy(states))
         return self._blocks
+
+    def _product_energy(self, states) -> float:
+        """Tr[(states[-1] (x) ... (x) states[0]) H], block 0 on the low qubits."""
+        full = states[-1]
+        for st in states[-2::-1]:
+            full = np.kron(full, st)
+        return float(np.real(np.trace(full @ self.h.matrix())))
 
     def separable_bias(self) -> float:
         _, sep_energy = self.block_ansatzes()
@@ -265,11 +284,8 @@ class Problem:
     def raw_noisy_energy(self, kind: str, noise: NoiseModel) -> float:
         if kind == "dc":
             subs, _ = self.block_ansatzes()
-            rhos = [run(attach_noise(c, noise, seed=self.cfg.seed)) for c in subs]
-            full = rhos[-1]
-            for r in rhos[-2::-1]:
-                full = np.kron(full, r)
-            return float(np.real(np.trace(full @ self.h.matrix())))
+            return self._product_energy([run(attach_noise(c, noise, seed=self.cfg.seed))
+                                         for c in subs])
         rho = run(attach_noise(self.ansatz, noise, seed=self.cfg.seed))
         return float(sum(np.real(t.coeff * expect_pauli(rho, t.axes)) for t in self.h))
 

@@ -127,14 +127,6 @@ class PauliSum:
             del self._terms[k]
 
     @classmethod
-    def _from_masks(cls, n: int, masks: dict[tuple[int, int], complex]) -> "PauliSum":
-        s = cls.__new__(cls)
-        s.n = n
-        s._terms = dict(masks)
-        s._drop()
-        return s
-
-    @classmethod
     def _from_arrays(cls, n: int, keys: np.ndarray, re: np.ndarray, im: np.ndarray
                      ) -> "PauliSum":
         """The sum of strings keys (x << n | z) with coefficients re + i im, in
@@ -158,9 +150,6 @@ class PauliSum:
         """(x, z, coeff) of every string, in iteration order."""
         return [(x, z, self._terms[(x, z)]) for (x, z) in sorted(self._terms)]
 
-    def coefficient(self, axes: str) -> complex:
-        return self._terms.get(_axes_to_masks(axes), 0.0)
-
     @property
     def identity_coefficient(self) -> complex:
         return self._terms.get((0, 0), 0.0)
@@ -168,9 +157,6 @@ class PauliSum:
     def weight(self) -> float:
         """Sum of coefficient magnitudes."""
         return float(sum(abs(c) for c in self._terms.values()))
-
-    def scaled(self, factor: complex) -> "PauliSum":
-        return PauliSum._from_masks(self.n, {k: factor * c for k, c in self._terms.items()})
 
     def matrix(self) -> np.ndarray:
         """Dense matrix: per string one scatter of c i^{#Y} (-1)^{|j & z|} to [j ^ x, j]."""

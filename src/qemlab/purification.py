@@ -459,7 +459,7 @@ class GeneralFactor:
 
 @dataclass(frozen=True)
 class FactorSlot:
-    side: str      # "bra", "ket", or "A"
+    side: str      # "bra" or "ket"
     index: int     # 1-based position within its side
     dagger: bool
     bar: bool
@@ -477,7 +477,6 @@ class CircuitPlan:
 
     n: int
     n_prime: int
-    with_a: bool
     copies: int
     slots: tuple[CopyPlan, ...]
     postselect: tuple[bool, ...]
@@ -487,32 +486,26 @@ def _bra_bar(n: int, i: int) -> bool:
     return (i % 2 == 0) if n % 2 == 1 else (i % 2 == 1)
 
 
-def _ket_bar(n: int, i: int, with_a: bool) -> bool:
-    odd_positions = (n % 2 == 1) != with_a
-    return (i % 2 == 1) if odd_positions else (i % 2 == 0)
+def _ket_bar(n: int, i: int) -> bool:
+    return (i % 2 == 1) if n % 2 == 1 else (i % 2 == 0)
 
 
-def plan_general(n: int, n_prime: int, with_a: bool = False) -> CircuitPlan:
-    """Copy count, slot assignment, and postselection mask for Tr[bra A ket O].
+def plan_general(n: int, n_prime: int) -> CircuitPlan:
+    """Copy count, slot assignment, and postselection mask for Tr[bra ket O].
 
     The bra side holds n >= 1 daggered factors, the ket side n_prime >= 0
-    plain ones; bars (dual-state factors) land on out slots, plain states on
-    in slots, and the optional middle operator takes whichever slot type the
-    parity leaves open.  Copies = ceil((n + n' [+1]) / 2).
+    plain ones; bars (dual-state factors) land on out slots and plain states
+    on in slots.  Copies = ceil((n + n') / 2).
     """
     if n < 1 or n_prime < 0:
         raise ValueError("need at least one bra factor and no negative ket count")
     seq: list[FactorSlot] = []
     for i in range(n, 0, -1):
         seq.append(FactorSlot("bra", i, True, _bra_bar(n, i)))
-    a_is_out = n % 2 == 1
-    if with_a:
-        seq.append(FactorSlot("A", 0, False, a_is_out))
     for i in range(1, n_prime + 1):
-        seq.append(FactorSlot("ket", i, False, _ket_bar(n, i, with_a)))
+        seq.append(FactorSlot("ket", i, False, _ket_bar(n, i)))
 
-    total = n + n_prime + (1 if with_a else 0)
-    copies = (total + 1) // 2
+    copies = (n + n_prime + 1) // 2
     # chain slot order: T0, R0, T_{m-1}, R_{m-1}, ..., T1, R1
     copy_order = [0] + list(range(copies - 1, 0, -1))
     ins: dict[int, FactorSlot] = {}
@@ -522,15 +515,13 @@ def plan_general(n: int, n_prime: int, with_a: bool = False) -> CircuitPlan:
         if pos >= len(seq):
             raise AssertionError("ran out of factors while filling in-slots")
         f = seq[pos]
-        is_out_type = f.bar or (f.side == "A" and a_is_out)
-        if is_out_type:
+        if f.bar:
             raise AssertionError("dual-type factor landed on an in slot")
         ins[c] = f
         pos += 1
         if pos < len(seq):
             f = seq[pos]
-            is_out_type = f.bar or (f.side == "A" and a_is_out)
-            if is_out_type:
+            if f.bar:
                 outs[c] = f
                 pos += 1
             # otherwise leave this out slot empty (unpostselected copy)
@@ -538,18 +529,12 @@ def plan_general(n: int, n_prime: int, with_a: bool = False) -> CircuitPlan:
         raise AssertionError("factor sequence not fully consumed")
     slots = tuple(CopyPlan(ins.get(c), outs.get(c)) for c in range(copies))
     postselect = tuple(slots[c].out_slot is not None for c in range(copies))
-    return CircuitPlan(n, n_prime, with_a, copies, slots, postselect)
+    return CircuitPlan(n, n_prime, copies, slots, postselect)
 
 
-def _resolve(slot: FactorSlot, bra: Sequence[GeneralFactor], ket: Sequence[GeneralFactor],
-             a_factor: GeneralFactor | None) -> GeneralFactor:
-    if slot.side == "bra":
-        return bra[slot.index - 1]
-    if slot.side == "ket":
-        return ket[slot.index - 1]
-    if a_factor is None:
-        raise ValueError("plan requires the middle operator factor")
-    return a_factor
+def _resolve(slot: FactorSlot, bra: Sequence[GeneralFactor],
+             ket: Sequence[GeneralFactor]) -> GeneralFactor:
+    return (bra if slot.side == "bra" else ket)[slot.index - 1]
 
 
 def _pre_gadget(b: _Builder, anc: int, f: GeneralFactor, offset: int, dagger: bool) -> None:
@@ -574,7 +559,6 @@ def _dagger_term(t: PauliTerm) -> PauliTerm:
 
 def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
                  ket_factors: Sequence[GeneralFactor], obs: PauliTerm,
-                 a_factor: GeneralFactor | None = None,
                  gadget_noise: NoiseModel | None = None,
                  gadget_seed: int = 0) -> complex:
     """Run the planned copies on the copy-register engine; <X+iY> over the mask."""
@@ -584,10 +568,10 @@ def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
     anc = plan.copies * w
     b = _Builder(anc + 1, gadget_noise, gadget_seed)
     ins = [None if cp.in_slot is None
-           else _resolve(cp.in_slot, bra_factors, ket_factors, a_factor) for cp in plan.slots]
+           else _resolve(cp.in_slot, bra_factors, ket_factors) for cp in plan.slots]
     b.hadamard(anc)
     for c, cp in enumerate(plan.slots):
-        if cp.in_slot is not None and cp.in_slot.side != "A":
+        if cp.in_slot is not None:
             _pre_gadget(b, anc, ins[c], c * w, cp.in_slot.dagger)
     if not obs.is_identity:
         b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
@@ -596,9 +580,8 @@ def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
     for c, cp in enumerate(plan.slots):
         if cp.out_slot is None:
             continue
-        f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
-        if cp.out_slot.side != "A":
-            _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
+        f = _resolve(cp.out_slot, bra_factors, ket_factors)
+        _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
         b.raw(_place(reversed_circuit(f.circuit), c * w))
         keep.extend(range(c * w, (c + 1) * w))
     states = [zero_state(w) if f is None else _prepare(f.circuit) for f in ins]

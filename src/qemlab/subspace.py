@@ -515,8 +515,6 @@ def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
 class QueryPlan:
     """Measurement bookkeeping for one subspace construction."""
 
-    kind: str
-    reuse: bool
     queries: tuple[QueryKey, ...]
     q: int
 
@@ -553,4 +551,4 @@ def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
                 occurrences += len(keys) * (1 if i == j else 2)
     ordered = tuple(sorted(unique, key=repr))
     q = len(ordered) if reuse or spec.kind == "fault" else occurrences
-    return QueryPlan(spec.kind, reuse, ordered, q)
+    return QueryPlan(ordered, q)

@@ -6,7 +6,9 @@ are analytic: a two-sweep adjoint pass computes the full vector, which is
 what the quasi-Newton loop consumes.  The parameter-shift rule, one pair of
 runs per angle, is its reference and lives in ``tests/oracles.py``.
 
-The adjoint pass runs on a sweep plan: ``_plan`` compiles (n, layers, edges)
+The sweep plan is the package's one statevector simulator: ``ansatz_state``
+is its forward sweep alone, and it prepares the baseline and block states of
+``experiments.Problem`` as well.  ``_plan`` compiles (n, layers, edges)
 once into read-only steps, cached in a bounded ``lru_cache``, each holding
 the gate's tensor axes, the index of the parameter it consumes, and for cz
 the fixed matrix and its adjoint.  A gradient builds each rx/rz matrix once
@@ -29,6 +31,9 @@ import numpy as np
 from .circuits import _contract, build_ansatz, rotation, zero_vector
 from .errors import ConfigError, RegisterCapError
 from .pauli import PauliSum
+
+#: Gradient norm at which ``optimize`` stops.
+GRAD_TOL = 1e-9
 
 _PAULI_VEC = {
     "rx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -106,7 +111,8 @@ class _Sweep:
     rots: list
 
 
-def _forward(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> _Sweep:
+def _state(ansatz: AnsatzCircuit, params) -> tuple[np.ndarray, list]:
+    """psi at params from |0..0>, and the rotation matrices in parameter order."""
     params = np.asarray(params, dtype=float)
     if len(params) != ansatz.num_params:
         raise ValueError(f"need {ansatz.num_params} parameters, got {len(params)}")
@@ -118,7 +124,16 @@ def _forward(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> _Sweep:
             u = rotation(name, params[k])
             rots.append(u)
         t = _contract(t, u, axes)
-    psi = t.reshape(-1)
+    return t.reshape(-1), rots
+
+
+def ansatz_state(n: int, layers: int, edges, params) -> np.ndarray:
+    """The statevector of the layered ansatz (``build_ansatz``) at params."""
+    return _state(AnsatzCircuit(n, layers, edges), params)[0]
+
+
+def _forward(ansatz: AnsatzCircuit, h_mat: np.ndarray, params) -> _Sweep:
+    psi, rots = _state(ansatz, params)
     hpsi = h_mat @ psi
     return _Sweep(float(np.real(np.vdot(psi, hpsi))), psi, hpsi, rots)
 
@@ -156,7 +171,7 @@ class OptimizeResult:
 
 
 def optimize(n: int, layers: int, h: PauliSum, iters: int = 500, seed: int = 0,
-             edges=None, grad_tol: float = 1e-9) -> OptimizeResult:
+             edges=None) -> OptimizeResult:
     """Minimize the ansatz energy with BFGS plus Armijo backtracking.
 
     Initial angles are uniform in [-0.1, 0.1] under the seed.  The loop is
@@ -179,7 +194,7 @@ def optimize(n: int, layers: int, h: PauliSum, iters: int = 500, seed: int = 0,
     stalled = 0
     it = 0
     for it in range(1, iters + 1):
-        if np.linalg.norm(g) < grad_tol or stalled >= 20:
+        if np.linalg.norm(g) < GRAD_TOL or stalled >= 20:
             break
         p = -b_inv @ g
         slope = float(g @ p)

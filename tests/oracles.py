@@ -2,8 +2,9 @@
 
 Each one is the slow, plain form of an operation the package runs another
 way: dense traces of sandwich products for the purification circuits, the
-parameter-shift rule for the adjoint gradient, per-string loops for the
-batched Pauli algebra, and full-register runs for the copy-register engine.
+parameter-shift rule for the adjoint gradient, a gate-by-gate statevector
+loop for the sweep plan, per-string loops for the batched Pauli algebra, and
+full-register runs for the copy-register engine.
 """
 
 from dataclasses import dataclass
@@ -12,8 +13,8 @@ import numpy as np
 
 from qemlab.circuits import (
     Circuit,
+    _contract,
     apply,
-    apply_state,
     build_ansatz,
     dual_state,
     reversed_circuit,
@@ -36,6 +37,16 @@ from qemlab.purification import (
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
+def from_masks(n: int, masks: dict) -> PauliSum:
+    """The sum of the strings (x, z) -> coeff in masks, in the dict's insertion
+    order, which ``sum_mul`` reads as its pair order; sums below ``DROP_TOL`` dropped."""
+    s = PauliSum.__new__(PauliSum)
+    s.n = n
+    s._terms = dict(masks)
+    s._drop()
+    return s
+
+
 def dict_sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
     """The merged product a b by one dict update per pair of strings, a-major.
 
@@ -52,7 +63,7 @@ def dict_sum_mul(a: PauliSum, b: PauliSum) -> PauliSum:
             t = ((x1 & z1).bit_count() + (x2 & z2).bit_count() - (x3 & z3).bit_count()
                  + 2 * (z1 & x2).bit_count()) % 4
             out[(x3, z3)] = out.get((x3, z3), 0.0) + c1 * c2 * _I_POW[t]
-    return PauliSum._from_masks(a.n, {k: c for k, c in out.items() if abs(c) >= DROP_TOL})
+    return from_masks(a.n, {k: c for k, c in out.items() if abs(c) >= DROP_TOL})
 
 
 def loop_expect_pauli(rho: np.ndarray, axes: str) -> complex:
@@ -194,7 +205,7 @@ def full_register_re_purification(circ, n, obs, drop_last_uncompute=False,
     return coeff * complex(xy.real)
 
 
-def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=None,
+def full_register_execute_plan(plan, bra_factors, ket_factors, obs,
                                gadget_noise=None, gadget_seed=0):
     """``execute_plan`` with every copy prepared and read on the full register."""
     w = bra_factors[0].circuit.n
@@ -203,12 +214,12 @@ def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=Non
     b = _Builder(total, gadget_noise, gadget_seed)
     for c, cp in enumerate(plan.slots):
         if cp.in_slot is not None:
-            f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
+            f = _resolve(cp.in_slot, bra_factors, ket_factors)
             b.raw(_offset_ops(f.circuit, c * w))
     b.hadamard(anc)
     for c, cp in enumerate(plan.slots):
-        if cp.in_slot is not None and cp.in_slot.side != "A":
-            f = _resolve(cp.in_slot, bra_factors, ket_factors, a_factor)
+        if cp.in_slot is not None:
+            f = _resolve(cp.in_slot, bra_factors, ket_factors)
             _pre_gadget(b, anc, f, c * w, cp.in_slot.dagger)
     if not obs.is_identity:
         b.controlled_pauli(anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
@@ -218,9 +229,8 @@ def full_register_execute_plan(plan, bra_factors, ket_factors, obs, a_factor=Non
         if cp.out_slot is None:
             free.extend(range(c * w, (c + 1) * w))
             continue
-        f = _resolve(cp.out_slot, bra_factors, ket_factors, a_factor)
-        if cp.out_slot.side != "A":
-            _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
+        f = _resolve(cp.out_slot, bra_factors, ket_factors)
+        _post_gadget(b, anc, f, c * w, cp.out_slot.dagger)
         b.raw(_offset_ops(reversed_circuit(f.circuit), c * w))
     return complex(obs.coeff) * _anc_xy(run(b.circ), total, free)
 
@@ -272,15 +282,10 @@ def factor_matrix(f, bar: bool, dagger: bool) -> np.ndarray:
     return tau.conj().T if dagger else tau
 
 
-def planned_oracle(plan, bra_factors, ket_factors, obs, a_factor=None) -> complex:
+def planned_oracle(plan, bra_factors, ket_factors, obs) -> complex:
     """Dense-matrix value of the trace ``execute_plan`` estimates for the same plan."""
-    mats = []
-    for slot in factor_sequence(plan):
-        f = _resolve(slot, bra_factors, ket_factors, a_factor)
-        if slot.side == "A":
-            mats.append(dual_state(f.circuit) if slot.bar else run(f.circuit))
-        else:
-            mats.append(factor_matrix(f, slot.bar, slot.dagger))
+    mats = [factor_matrix(_resolve(slot, bra_factors, ket_factors), slot.bar, slot.dagger)
+            for slot in factor_sequence(plan)]
     return oracle_trace(mats, obs)
 
 
@@ -301,8 +306,25 @@ def energy(h_mat: np.ndarray, psi: np.ndarray) -> float:
     return float(np.real(np.vdot(psi, h_mat @ psi)))
 
 
+def apply_unitary_state(psi: np.ndarray, u: np.ndarray, qubits, n: int) -> np.ndarray:
+    """U on the listed qubits of a flat statevector, through ``circuits._contract``."""
+    axes = tuple(n - 1 - q for q in qubits)
+    return _contract(psi.reshape((2,) * n), u, axes).reshape(psi.shape)
+
+
+def apply_state(circuit, psi: np.ndarray) -> np.ndarray:
+    """A channel-free circuit on a statevector, one gate matrix at a time.
+
+    The reference for ``vqe.ansatz_state``, the forward sweep of the sweep plan.
+    """
+    out = psi.astype(complex, copy=True)
+    for op in circuit.ops:
+        out = apply_unitary_state(out, op.matrix(), op.qubits, circuit.n)
+    return out
+
+
 def ansatz_state(ansatz, params) -> np.ndarray:
-    """The ``AnsatzCircuit``'s state at params, the way ``Problem`` prepares it."""
+    """The ``AnsatzCircuit``'s state at params, gate by gate."""
     circ = build_ansatz(ansatz.n, ansatz.layers, params, ansatz.edges)
     return apply_state(circ, zero_vector(ansatz.n))
 

@@ -116,7 +116,8 @@ def blocks44(path8):
     h4, edges4 = models.block_subproblem(path8["edges"], part.blocks[0])
     res = optimize(4, 8, h4, iters=500, seed=1)
     sub = build_ansatz(4, 8, res.params, edges4)
-    from qemlab.circuits import apply_state, zero_vector
+    from oracles import apply_state
+    from qemlab.circuits import zero_vector
     psi = apply_state(sub, zero_vector(4))
     rho = np.outer(psi, psi.conj())
     sep_energy = float(np.real(np.trace(np.kron(rho, rho) @ path8["h"].matrix())))
@@ -504,7 +505,8 @@ class TestCriterion11RobustnessScenarios:
         return out
 
     def test_amplitude_damping_and_coherent_drift(self):
-        from qemlab.circuits import apply_state, zero_vector
+        from oracles import apply_state
+        from qemlab.circuits import zero_vector
         results = {}
         for label, gname, pname, nm in (
             ("amplitude-damping", "cluster-2d-8", "cluster-cycles",

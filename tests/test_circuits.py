@@ -9,7 +9,6 @@ from qemlab import purification as pur
 from qemlab.circuits import (
     Circuit,
     Gate,
-    _apply_unitary_state,
     _compile,
     _contract,
     _gate_superop,
@@ -17,7 +16,6 @@ from qemlab.circuits import (
     _unitary_superop,
     apply,
     apply_channel,
-    apply_state,
     attach_noise,
     build_ansatz,
     dual_circuit,
@@ -32,7 +30,7 @@ from qemlab.circuits import (
 )
 from qemlab.errors import NoiseRateError, RegisterCapError, SizeMismatchError
 
-from oracles import replace_with_mixed
+from oracles import apply_state, apply_unitary_state, replace_with_mixed
 
 
 def embed(u, qubits, n):
@@ -135,10 +133,12 @@ def dense_kraus(op, n):
             g = Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
             u = embed(gate_matrix(g), (q,), n) @ u
         return [u]
-    if op.kind == "local_depolarizing" and len(op.qubits) == 2:
-        p = op.params[0]
-        paulis = [np.kron(a, b) for a in _PAULIS for b in _PAULIS]
-        weights = [1.0 - p + p / 16.0] + [p / 16.0] * 15
+    if op.kind == "local_depolarizing":
+        # (1 - p) rho + p I/4^k on its k = 1 or 2 qubits, as a uniform Pauli mixture
+        p, d2 = op.params[0], 4 ** len(op.qubits)
+        paulis = _PAULIS if len(op.qubits) == 1 else [np.kron(a, b) for a in _PAULIS
+                                                      for b in _PAULIS]
+        weights = [1.0 - p + p / d2] + [p / d2] * (d2 - 1)
         return [math.sqrt(w) * embed(m, op.qubits, n) for w, m in zip(weights, paulis)]
     kraus = [np.eye(1 << n, dtype=complex)]
     for q in op.qubits:
@@ -298,7 +298,7 @@ class TestContract:
         qubits = data.draw(qubit_tuples(n))
         u = _complex(rng, 2 ** len(qubits), 2 ** len(qubits))
         for m in (u, u.conj().T):  # the adjoint sweep passes a transposed view
-            assert np.array_equal(_apply_unitary_state(psi, m, qubits, n),
+            assert np.array_equal(apply_unitary_state(psi, m, qubits, n),
                                   oracle_apply_unitary_state(psi, m, qubits, n))
 
 
@@ -401,6 +401,11 @@ class TestChannels:
         got = apply_channel(rho, ch.Channel("global_depolarizing", qubits, (p,)), n)
         want = (1.0 - p) * rho + p * replace_with_mixed(rho, qubits or range(n), n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_apply_channel_takes_only_global_depolarizing(self):
+        # every local kind runs through apply's compiled steps
+        with pytest.raises(ValueError):
+            apply_channel(zero_state(2), ch.local_depolarizing(0.1, (0, 1)), 2)
 
     def test_kraus_completeness(self):
         rng = np.random.default_rng(3)

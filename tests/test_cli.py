@@ -1,12 +1,16 @@
+import itertools
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
 from qemlab.cli import main
-from qemlab.experiments import run_experiment
+from qemlab.experiments import check_config, run_experiment
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 
 def small_cfg(**over):
@@ -259,6 +263,9 @@ class TestCliEntry:
         (["--obs", "ZZII", "--noise-kind", "bogus", "--p1", "1e-3"], None, "--noise-kind"),
         (["--obs", "ZZII", "--layers", "-1"], None, "--layers"),
         (["--obs", "ZZII", "--seed", "-1", "--p1", "1e-3"], None, "--seed"),
+        (["--obs", "ZZII", "--p1", "2"], None, "--p1"),
+        (["--obs", "ZZII", "--p1", "-0.1"], None, "--p1"),
+        (["--obs", "ZZII", "--p1", "0.5"], None, "--p1"),  # two-qubit rate 5
     ])
     def test_malformed_oracle_input_exits_one(self, tmp_path, capsys, monkeypatch,
                                               flags, params, what):
@@ -316,6 +323,46 @@ class TestCliEntry:
         assert rc == 1
         assert path in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, cfg, path", [
+        ("run", small_cfg(noise={"p1_values": [2e-4, 2.0]}), "noise.p1_values"),
+        ("run", small_cfg(noise={"p1_values": [-0.1]}), "noise.p1_values"),
+        ("run", small_cfg(noise={"p1_values": [0.5]}), "noise.p1_values"),  # two-qubit rate 5
+        # two-qubit rate 0.5, amplified to 2.5 by the fault basis at M = 5
+        ("run", small_cfg(noise={"p1_values": [0.05]},
+                          subspace={"kind": "fault", "m_values": [1, 5]}), "noise.p1_values"),
+        ("run", small_cfg(scenario="histogram", noise={"kind": "amplitude_damping", "p1": 2.0},
+                          subspace={"m_values": [2]}), "noise.p1"),
+        ("run", {"scenario": "esd-vs-dsp", "graph": "path-3", "noise": {"p1_values": [0.2]},
+                 "noise_kinds": ["none", "thermal_relaxation"]}, "noise.p1_values"),
+        ("sweep", small_cfg(grid={"noise.p1_values": [[1e-4], [2.0]]}), "noise.p1_values"),
+    ])
+    def test_out_of_range_noise_rate_exits_one_before_any_work(self, tmp_path, capsys,
+                                                               monkeypatch, command, cfg, path):
+        def no_work(*a, **k):
+            raise AssertionError("an out-of-range noise rate is rejected before any work")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_work)
+        monkeypatch.setattr("qemlab.experiments.exact_ground", no_work)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main([command, "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and path in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_config_passes_its_checks(self, tmp_path, monkeypatch, path):
+        # the checks alone, no simulation; sweep checks every grid point first
+        raw = json.loads(path.read_text())
+        if "grid" not in raw:
+            check_config(raw)
+            return
+        points = []
+        monkeypatch.setattr("qemlab.cli.run_experiment", lambda cfg, out: points.append(cfg) or [])
+        assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert len(points) == len(list(itertools.product(*raw["grid"].values())))
 
     def test_run_takes_no_scenario_flag(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -100,14 +100,14 @@ def unpinned_circuit(rng, w, seed):
 
 
 def random_plan_factors(rng, plan, w, noise, seed):
-    """Bra, ket and (when planned) middle factors with random v and w gadgets."""
+    """Bra and ket factors with random v and w gadgets."""
     def factor(i):
         circ = random_circuit(rng, w, 2 * w + 2, noise, seed=seed + i) \
             if noise is not None else unpinned_circuit(rng, w, seed + i)
         return GeneralFactor(circ, random_phase_pauli(rng, w), random_phase_pauli(rng, w))
     bra = [factor(i) for i in range(plan.n)]
     ket = [factor(10 + i) for i in range(plan.n_prime)]
-    return bra, ket, factor(20) if plan.with_a else None
+    return bra, ket
 
 
 def sym_product(rho, bar):
@@ -483,19 +483,18 @@ class TestCopyRegisterEngine:
     unpinned register-wide channel."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 4), n_prime=st.integers(1, 4), with_a=st.booleans(),
+    @given(n=st.integers(1, 4), n_prime=st.integers(1, 4),
            circ_noise=st.sampled_from(GADGET_NOISE),
            gadget_noise=st.sampled_from([None] + GADGET_NOISE),
            seed=st.integers(0, 2**31 - 1), data=st.data())
-    def test_plans_match_full_register(self, n, n_prime, with_a, circ_noise, gadget_noise,
-                                       seed, data):
-        plan = plan_general(n, n_prime, with_a)
+    def test_plans_match_full_register(self, n, n_prime, circ_noise, gadget_noise, seed, data):
+        plan = plan_general(n, n_prime)
         w = data.draw(st.integers(1, 8 // plan.copies), label="w")
         rng = np.random.default_rng(seed)
-        bra, ket, a = random_plan_factors(rng, plan, w, circ_noise, seed % 1000)
+        bra, ket = random_plan_factors(rng, plan, w, circ_noise, seed % 1000)
         obs = random_phase_pauli(rng, w)
-        got = execute_plan(plan, bra, ket, obs, a, gadget_noise, seed % 7)
-        want = full_register_execute_plan(plan, bra, ket, obs, a, gadget_noise, seed % 7)
+        got = execute_plan(plan, bra, ket, obs, gadget_noise, seed % 7)
+        want = full_register_execute_plan(plan, bra, ket, obs, gadget_noise, seed % 7)
         assert abs(got - want) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -514,8 +513,8 @@ class TestCopyRegisterEngine:
 
     @settings(max_examples=30, deadline=None)
     @given(w=st.integers(1, 2), n=st.integers(1, 4), n_prime=st.integers(0, 4),
-           with_a=st.booleans(), seed=st.integers(0, 2**31 - 1))
-    def test_unpinned_channel_stays_on_its_copy(self, w, n, n_prime, with_a, seed):
+           seed=st.integers(0, 2**31 - 1))
+    def test_unpinned_channel_stays_on_its_copy(self, w, n, n_prime, seed):
         rng = np.random.default_rng(seed)
         c = unpinned_circuit(rng, w, seed % 1000)
         rho, bar = run(c), dual_state(c)
@@ -535,18 +534,17 @@ class TestCopyRegisterEngine:
             ev = EsdEvaluator(c, n)
             assert abs(ev.numerator(obs) - np.real(np.trace(rn @ om))) <= 1e-12
         # general plans: the dense sandwich product
-        plan = plan_general(n, n_prime, with_a)
+        plan = plan_general(n, n_prime)
         if plan.copies * w + 1 <= 9:
-            bra, ket, a = random_plan_factors(rng, plan, w, None, seed % 1000)
-            got = execute_plan(plan, bra, ket, obs, a)
-            assert abs(got - planned_oracle(plan, bra, ket, obs, a)) <= 1e-12
+            bra, ket = random_plan_factors(rng, plan, w, None, seed % 1000)
+            got = execute_plan(plan, bra, ket, obs)
+            assert abs(got - planned_oracle(plan, bra, ket, obs)) <= 1e-12
 
 
 class TestPlanner:
     def test_copy_counts(self):
         assert plan_general(1, 1).copies == 1
         assert plan_general(2, 3).copies == 3
-        assert plan_general(1, 1, with_a=True).copies == 2
         assert plan_general(3, 3).copies == 3
         assert plan_general(2, 2).copies == 2
 
@@ -628,18 +626,6 @@ class TestExecutePlan:
             obs = random_pauli(rng, 2)
             got = execute_plan(plan, bra, ket, obs)
             want = planned_oracle(plan, bra, ket, obs)
-            assert got == pytest.approx(want, abs=1e-8)
-
-    def test_with_middle_operator(self):
-        rng = np.random.default_rng(24)
-        for (n, npr) in [(1, 1), (2, 1), (1, 2)]:
-            plan = plan_general(n, npr, with_a=True)
-            bra = self._factors(rng, 2, n, PAULI_NOISE, seed0=60 + n)
-            ket = self._factors(rng, 2, npr, PAULI_NOISE, seed0=70 + npr)
-            a = GeneralFactor(random_circuit(rng, 2, 5, PAULI_NOISE, seed=99))
-            obs = random_pauli(rng, 2)
-            got = execute_plan(plan, bra, ket, obs, a_factor=a)
-            want = planned_oracle(plan, bra, ket, obs, a_factor=a)
             assert got == pytest.approx(want, abs=1e-8)
 
     def test_factor_count_mismatch(self):

@@ -22,6 +22,8 @@ from qemlab.experiments import check_config, scenario_cost_metric, subspace_spec
 from qemlab.subspace import SubspaceSpec, build, plan_queries, term_expansion
 from qemlab.vqe import optimize
 
+from oracles import from_masks
+
 PAULI = NoiseModel(kind="stochastic_pauli", p1=1e-3)
 
 
@@ -401,7 +403,8 @@ def test_shared_expansion_matches_direct_powers(n, blocks, scale, powers):
     # the memoized expansion, extended one power at a time, matches the
     # powers expanded and spelled block by block directly.  Each case is a
     # Hamiltonian no other test expands, so the cache is cold.
-    h = build_ising(path(n), n).scaled(scale)
+    ising = build_ising(path(n), n)
+    h = from_masks(n, {k: scale * c for k, c in ising._terms.items()})  # Ising's string order
     want = [[(t.coeff, tuple("".join(t.axes[q] for q in b) for b in blocks))
              for t in PowerTable(h).power(k)] for k in range(powers)]
     exp = term_expansion(h, blocks)

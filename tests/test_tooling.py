@@ -29,21 +29,46 @@ UNREFERENCED_BY_DESIGN = {
 _USES = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
-def test_no_test_only_names_in_src():
-    # every module-level def and class in src/qemlab is used by the package
-    # itself; a reference kept only for tests belongs in tests/oracles.py
-    defined, used = {}, set()
+def _src_trees():
+    """(file name, AST) of every src/qemlab module but __init__, whose
+    re-exports are not uses, and every (name, file name, line) that uses a name."""
+    trees, used = [], set()
     for path in sorted((ROOT / "src" / "qemlab").glob("*.py")):
         if path.name == "__init__.py":
-            continue  # re-exports are not uses
+            continue
         tree = ast.parse(path.read_text())
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined[node.name] = (path.name, node.lineno)
+        trees.append((path.name, tree))
         for node in ast.walk(tree):
             if type(node) in _USES:
                 used.add((getattr(node, _USES[type(node)]), path.name, node.lineno))
-    unused = {name for name, (file, line) in defined.items()
-              if not any(u[0] == name and u[1:] != (file, line) for u in used)}
+    return trees, used
+
+
+def _unused(defined: dict, used: set) -> set:
+    """The names in defined (name -> (file, line)) that no other line uses."""
+    return {name for name, (file, line) in defined.items()
+            if not any(u[0] == name.rpartition(".")[2] and u[1:] != (file, line) for u in used)}
+
+
+def test_no_test_only_names_in_src():
+    # every module-level def and class in src/qemlab is used by the package
+    # itself; a reference kept only for tests belongs in tests/oracles.py
+    trees, used = _src_trees()
+    defined = {node.name: (file, node.lineno) for file, tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = _unused(defined, used)
     assert not unused - UNREFERENCED_BY_DESIGN, "used only outside src/; move to tests/oracles.py"
     assert not UNREFERENCED_BY_DESIGN - unused, "src/ uses or lost these; drop them from the list"
+
+
+def test_no_test_only_methods_in_src():
+    # every method and property of a src/qemlab class, dunders aside, is used
+    # by name on some other line of src/.  A method whose name another used
+    # attribute shares (copy, matrix, scaled) passes whether or not anything
+    # calls it, so this guard cannot catch that case.
+    trees, used = _src_trees()
+    defined = {f"{cls.name}.{node.name}": (file, node.lineno)
+               for file, tree in trees for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    assert not _unused(defined, used), "used only outside src/; move to tests/oracles.py"

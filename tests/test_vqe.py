@@ -5,12 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qemlab import vqe
-from qemlab.circuits import _apply_unitary_state, apply_state, build_ansatz, zero_vector
+from qemlab import models, vqe
+from qemlab.circuits import build_ansatz, zero_vector
 from qemlab.pauli import PauliSum, PauliTerm, build_ising
 from qemlab.vqe import AnsatzCircuit, adjoint_gradient, exact_ground, optimize
 
-from oracles import ansatz_state, energy, parameter_shift_gradient
+from oracles import (
+    ansatz_state,
+    apply_state,
+    apply_unitary_state,
+    energy,
+    parameter_shift_gradient,
+)
 
 
 def path_edges(n):
@@ -44,7 +50,7 @@ class TestExactGround:
 
 
 def oracle_state(ansatz, params):
-    """The ansatz state gate by gate through np.tensordot, as before apply_state."""
+    """The ansatz state gate by gate through np.tensordot, as before ``_contract``."""
     n = ansatz.n
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
@@ -65,6 +71,17 @@ class TestState:
             x = rng.uniform(-np.pi, np.pi, size=ansatz.num_params)
             circ = build_ansatz(n, layers, x, ansatz.edges)
             assert np.array_equal(apply_state(circ, zero_vector(n)), oracle_state(ansatz, x))
+
+    @pytest.mark.parametrize("graph, layers", [
+        ("path-8", 8), ("cluster-2d-8", 8), ("path-4", 8), ("path-4", 1)])
+    def test_sweep_plan_state_equals_gate_loop(self, graph, layers):
+        # experiments.Problem prepares its baseline and block states on the
+        # sweep plan; they are the gate loop's, bit for bit
+        n, edges = models.graph(graph)
+        for seed in range(5):
+            x = np.random.default_rng(seed).uniform(-np.pi, np.pi, 2 * n * (layers + 1))
+            want = apply_state(build_ansatz(n, layers, x, edges), zero_vector(n))
+            assert np.array_equal(vqe.ansatz_state(n, layers, edges, x), want)
 
 
 class TestGradients:
@@ -163,17 +180,17 @@ def oracle_adjoint_gradient(ansatz, h_mat, params):
     seq = oracle_gate_sequence(ansatz, params)
     psi = zero_vector(ansatz.n)
     for g, _ in seq:
-        psi = _apply_unitary_state(psi, g.matrix(), g.qubits, ansatz.n)
+        psi = apply_unitary_state(psi, g.matrix(), g.qubits, ansatz.n)
     e = energy(h_mat, psi)
     lam = h_mat @ psi
     grad = np.zeros_like(params)
     for g, idx in reversed(seq):
         if idx is not None:
-            ppsi = _apply_unitary_state(psi, ORACLE_PAULI[g.name], g.qubits, ansatz.n)
+            ppsi = apply_unitary_state(psi, ORACLE_PAULI[g.name], g.qubits, ansatz.n)
             grad[idx] = float(np.imag(np.vdot(lam, ppsi)))
         u_dag = g.matrix().conj().T
-        psi = _apply_unitary_state(psi, u_dag, g.qubits, ansatz.n)
-        lam = _apply_unitary_state(lam, u_dag, g.qubits, ansatz.n)
+        psi = apply_unitary_state(psi, u_dag, g.qubits, ansatz.n)
+        lam = apply_unitary_state(lam, u_dag, g.qubits, ansatz.n)
     return e, grad
 
 
