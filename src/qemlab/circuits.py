@@ -19,7 +19,10 @@ everything here is dense.
   multi-qubit block before it.  A noisy 2q gate with per-qubit noise is then
   one step, and an rx/rz rank rides inside the cz blocks around it;
 * contract: rho is held as a tensor with 2n axes (row bits, then column
-  bits) and each block is one ``_contract`` over its 2k axes.
+  bits) and each block is one ``_contract`` over its 2k axes.  A call
+  allocates two d^2 buffers and nothing per step: the state lives in one,
+  each step copies it, permuted, into the other and multiplies back into
+  the first, and the result is copied in row-major order into the free one.
 
 ``_contract`` is the one kernel: the folds and the sweep plan of ``vqe``,
 the one statevector simulator, go through it too.  It makes the transpose
@@ -31,6 +34,9 @@ skips their per-call bookkeeping.  Fusing and folding reorder products, so
 Global depolarizing, register-wide or scoped, is no local superoperator: it
 stays one affine step through ``apply_channel``, (1 - p) rho plus p times
 the partial trace over its scope tensored with I/2^k, and fences its qubits.
+The step acts in place on the transposed tensor view the last contraction
+left: ``_partial_trace`` sums the entries it needs through one strided view,
+and the mixed term is added through another, with no (d, d) copy.
 
 Two derived circuits matter for purification work:
 
@@ -231,7 +237,8 @@ def _perms(ndim: int, axes: tuple[int, ...], stack: bool = False) -> tuple[tuple
     return perm, tuple(int(a) for a in np.argsort(perm)), (2,) * ndim
 
 
-def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool = False) -> np.ndarray:
+def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool = False,
+              into: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """A 2^j x 2^j matrix m on the j listed size-2 axes of t (first = local MSB).
 
     The one simulation kernel.  It makes the transpose -> reshape -> ``np.dot``
@@ -239,13 +246,22 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool =
     makes, and hands back the transposed view that ``np.moveaxis`` would, so
     it rounds exactly like that pair; only the bookkeeping is cached.
 
+    With ``into`` = (scratch, out), two flat arrays of t's size, the permuted
+    copy is written to scratch and the product to out, and the result is a
+    view of out.  t is read in full before out is written, so out may be the
+    array t views: ``apply`` runs a whole circuit in those two buffers.
+
     With ``stack`` the first axis of t (size 2) holds two tensors, and one
     ``np.matmul`` makes for each the gemm call that ``np.dot`` makes on its
     own, so each rounds as in a call of its own.
     """
     perm, inverse, shape = _perms(t.ndim, axes, stack)
     t = t.transpose(perm)
-    if stack:
+    if into is not None:
+        scratch, out = into
+        np.copyto(scratch.reshape(shape), t)
+        out = np.dot(m, scratch.reshape(m.shape[1], -1), out=out.reshape(m.shape[0], -1))
+    elif stack:
         out = np.matmul(m, t.reshape(2, m.shape[1], -1))
     else:
         out = np.dot(m, t.reshape(m.shape[1], -1))
@@ -258,13 +274,24 @@ def _rho_axes(qubits: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
-    """Reduced state on the listed qubits (ascending; keep[i] becomes qubit i)."""
+    """Reduced state on the listed qubits (ascending; keep[i] becomes qubit i).
+
+    rho is a density matrix or its 2n-axis tensor, in any strides.  One
+    strided view reads the entries whose row and column agree on the traced
+    qubits: traced bits, kept row bits, kept column bits, each most
+    significant first.  Only those entries are copied, and they are summed
+    over the traced index, first to last (pairwise when nothing is kept),
+    which is the order ``np.trace`` of the transposed (d, d) copy sums in.
+    """
+    t = rho.reshape((2,) * (2 * n))
     rows = [n - 1 - q for q in reversed(keep)]
     gone = [a for a in range(n) if a not in rows]
-    perm = rows + gone + [n + a for a in rows] + [n + a for a in gone]
-    dk, dt = 1 << len(keep), 1 << (n - len(keep))
-    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dt, dk, dt)
-    return np.trace(t, axis1=1, axis2=3)
+    s = t.strides
+    diag = as_strided(t, (2,) * (n + len(rows)),
+                      [s[a] + s[n + a] for a in gone] + [s[a] for a in rows]
+                      + [s[n + a] for a in rows], writeable=False)
+    dk = 1 << len(rows)
+    return np.add.reduce(diag.reshape(-1, dk, dk))
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:
@@ -412,43 +439,59 @@ def _compile(circuit: Circuit) -> list[tuple]:
 
 
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
-    """The global-depolarizing step ``apply`` runs on a density matrix.
+    """The global-depolarizing step ``apply`` runs, in place on rho, which it returns.
 
     (1 - p) rho + p Tr_S(rho) (x) I/2^k on its scope S of k qubits (an empty
-    tuple means the whole register).  The second term is added through a
-    strided view of the entries whose row and column agree on S; its axes
-    are the bits of the other qubits, most significant first as in the
-    reduced state (rows, then columns), and those of S.  Every other kind is
-    a local superoperator that ``apply`` compiles, so it raises ValueError.
+    tuple means the whole register).  rho is a density matrix or its 2n-axis
+    tensor, in any strides, such as the transposed view a contraction leaves.
+    The partial trace is read first; rho is then scaled where it lies, and
+    the second term is added through a strided view of the entries whose row
+    and column agree on S: its axes are the bits of the other qubits, most
+    significant first as in the reduced state (rows, then columns), and
+    those of S.  Every other kind is a local superoperator that ``apply``
+    compiles, so it raises ValueError.
     """
     if ch.kind != "global_depolarizing":
         raise ValueError(f"{ch.kind} is compiled by apply, not applied as a step")
     p = ch.params[0]
     scope = ch.qubits or tuple(range(n))
     rest = [q for q in reversed(range(n)) if q not in scope]
-    out = (1.0 - p) * rho
-    s0, s1 = out.strides
-    view = as_strided(out, (2,) * (2 * len(rest) + len(scope)),
-                      [s0 << q for q in rest] + [s1 << q for q in rest]
-                      + [(s0 + s1) << q for q in scope])
     mixed = _partial_trace(rho, rest[::-1], n) * (p / (1 << len(scope)))
+    np.multiply(1.0 - p, rho, out=rho)
+    s = rho.reshape((2,) * (2 * n)).strides
+    view = as_strided(rho, (2,) * (2 * len(rest) + len(scope)),
+                      [s[n - 1 - q] for q in rest] + [s[2 * n - 1 - q] for q in rest]
+                      + [s[n - 1 - q] + s[2 * n - 1 - q] for q in scope])
     view += mixed.reshape((2,) * (2 * len(rest)) + (1,) * len(scope))
-    return out
+    return rho
 
 
 def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
-    """Run the instruction stream on a density matrix."""
+    """Run the instruction stream on a density matrix; rho is left as it is.
+
+    The state lives in one of two d^2 buffers: each contract step copies it,
+    permuted, into the other and multiplies back into the first, and a fence
+    acts on it where it lies.  The last result is copied in row-major order
+    into the free buffer and returned.
+    """
     n = circuit.n
     d = 1 << n
     if rho.shape != (d, d):
         raise SizeMismatchError(f"state dim {rho.shape} vs {n}-qubit circuit")
-    t = rho.astype(complex, copy=True).reshape((2,) * (2 * n))
+    shape = (2,) * (2 * n)
+    t = given = np.asarray(rho, dtype=complex).reshape(shape)
+    state, scratch = np.empty(d * d, dtype=complex), np.empty(d * d, dtype=complex)
     for axes, step in _compile(circuit):
-        if axes is None:
-            t = apply_channel(t.reshape(d, d), step, n).reshape((2,) * (2 * n))
-        else:
-            t = _contract(t, step, axes)
-    return t.reshape(d, d)
+        if axes is not None:
+            t = _contract(t, step, axes, into=(scratch, state))
+            continue
+        if t is given:  # a leading fence: never write to the caller's array
+            t = state.reshape(shape)
+            np.copyto(t, given)
+        apply_channel(t, step, n)
+    out = scratch.reshape(shape)
+    np.copyto(out, t)
+    return out.reshape(d, d)
 
 
 def run(circuit: Circuit) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .channels import NOISE_KINDS, NoiseModel, noiseless
+from .channels import NOISE_KINDS, TWO_QUBIT_RATIO, NoiseModel, noiseless
 from .circuits import (
     attach_noise,
     build_ansatz,
@@ -113,7 +113,8 @@ def check_config(raw):
     type, an unknown kind, graph or partition, an M or seed count below 1, a
     partition that does not cover the graph where a divided basis is built
     or counted, or a noise rate that leaves [0, 1] in any noise model the
-    scenario builds, a fault basis's amplified to its largest M included.
+    scenario builds: a fault basis's amplified to its largest M, and the p1
+    each error budget sets at each depth, included.
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
     if name not in SCENARIOS:
@@ -134,6 +135,12 @@ def check_config(raw):
         for kind in cfg.noise_kinds if hasattr(cfg, "noise_kinds") else (noise.kind,):
             for p1 in rates:
                 checked_noise_model("noise.p1_values" if many else "noise.p1", kind, p1, lam)
+    if hasattr(cfg, "error_budgets"):
+        n, edges = models.graph(cfg.graph)
+        for budget in cfg.error_budgets:
+            for layers in cfg.depths:
+                checked_noise_model(f"error_budgets {budget!r} at depth {layers} sets p1",
+                                    "stochastic_pauli", budget_p1(budget, layers, n, len(edges)), 1)
     return cfg
 
 
@@ -430,14 +437,21 @@ def scenario_esd_vs_dsp(cfg) -> dict:
     return {"esd_vs_dsp": (header, rows)}
 
 
+def budget_p1(budget: float, layers: int, n: int, n_edges: int) -> float:
+    """The p1 at which a layers-deep ansatz under stochastic Pauli noise expects budget errors.
+
+    Every rotation adds p1, and every cz TWO_QUBIT_RATIO p1 on each of its two qubits.
+    """
+    return budget / (2 * n * (layers + 1) + 2 * TWO_QUBIT_RATIO * n_edges * layers)
+
+
 def scenario_trace_distance(cfg) -> dict:
     """Dual-state gap against circuit depth at fixed whole-circuit error."""
     n, edges = models.graph(cfg.graph)
     rows = []
     for budget in cfg.error_budgets:
         for layers in cfg.depths:
-            weight = 2 * n * (layers + 1) + 2 * 10.0 * len(edges) * layers
-            p1 = budget / weight
+            p1 = budget_p1(budget, layers, n, len(edges))
             d_dual, d_prod = [], []
             for seed in range(cfg.n_seeds):
                 rng = np.random.default_rng([cfg.seed, seed, layers])

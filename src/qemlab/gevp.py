@@ -226,7 +226,8 @@ def stack_energies(s: np.ndarray, h: np.ndarray, window: tuple[float, float],
     alive, _, vals, vecs, h_t = _unit_diagonal(s, h)
     dims = np.where(alive, _retained_dims(vals, threshold), 0)
     out = np.full(len(s), np.nan)
-    for r in np.unique(dims[dims > 0]):
+    # np.unique would import numpy.ma (about 15 ms) on its first call
+    for r in sorted(set(dims[dims > 0].tolist())):
         rows = np.flatnonzero(dims == r)
         pick, e, _ = _lowest_in_window(*_retain(vals[rows], vecs[rows], h_t[rows], r), window)
         hit = np.flatnonzero(pick >= 0)

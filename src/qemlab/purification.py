@@ -18,18 +18,22 @@ therefore means the same whatever register it sits in.
 One engine runs every copy register (``execute_plan``, ``re_purification``
 through it, and ``EsdEvaluator``): each copy is prepared by ``run`` on its
 own w qubits, the start state is the Kronecker product of the ancilla's
-|0><0| and the copies, and only the gadget and the uncompute blocks run on
-the register, each qubit the readout leaves free traced out after the last
-op on it.  ``EsdEvaluator`` stops before the observable and runs each
-observable's controlled-Pauli tail on the ancilla and the copy-0 qubits it
-touches.  ``DspEvaluator`` computes p0 from the gadget-free pass once and
+|0><0| and the copies, formed by broadcast multiplies, and only the gadget
+and the uncompute blocks run on the register, each qubit the readout leaves
+free traced out after the last op on it.  At the largest register (9 qubits
+for two path-4 copies) the start state and ``apply``'s two buffers are the
+three d^2 arrays alive at once.  ``EsdEvaluator`` stops before the
+observable and runs each observable's controlled-Pauli tail on the ancilla
+and the copy-0 qubits it touches.  ``DspEvaluator`` computes p0 from the gadget-free pass once and
 runs the ancilla prefix (Hadamard, its noise, the compute block) once; each
 observable appends only its own conjugator, cz and uncompute tail.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -117,12 +121,16 @@ def _copy_register(states: Sequence[np.ndarray], ops, keep) -> np.ndarray:
     """The ops on |0><0|_anc (x) states[-1] (x) ... (x) states[0], reduced to keep.
 
     states[k] is copy k's state; qubit 0 is the least significant bit, so
-    the ancilla comes first in the product and copy 0 last.
+    the ancilla comes first in the product and copy 0 last.  The product is
+    taken by broadcast multiplies, left to right, so every entry rounds as
+    in the chained ``np.kron``, without its per-call reshaping.
     """
-    rho = zero_state(1)
-    for state in reversed(states):
-        rho = np.kron(rho, state)
-    return _run_traced(ops, rho, range(rho.shape[0].bit_length() - 1), keep)
+    factors = [zero_state(1), *reversed(states)]
+    m = len(factors)
+    rho = reduce(np.multiply, (f.reshape([f.shape[0] if a % m == i else 1 for a in range(2 * m)])
+                               for i, f in enumerate(factors)))
+    d = math.prod(f.shape[0] for f in factors)
+    return _run_traced(ops, rho.reshape(d, d), range(d.bit_length() - 1), keep)
 
 
 class _Builder:

@@ -3,16 +3,19 @@
 Each one is the slow, plain form of an operation the package runs another
 way: dense traces of sandwich products for the purification circuits, the
 parameter-shift rule for the adjoint gradient, a gate-by-gate statevector
-loop for the sweep plan, per-string loops for the batched Pauli algebra, and
+loop for the sweep plan, per-string loops for the batched Pauli algebra,
+fresh arrays per step for the two-buffer density-matrix kernel, and
 full-register runs for the copy-register engine.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from qemlab.circuits import (
     Circuit,
+    _compile,
     _contract,
     apply,
     build_ansatz,
@@ -123,6 +126,53 @@ def replace_with_mixed(rho: np.ndarray, qubits, n: int) -> np.ndarray:
     for o in offsets:
         out[np.ix_(keep | o, keep | o)] = w * rest
     return out
+
+
+def copying_partial_trace(rho: np.ndarray, keep, n: int) -> np.ndarray:
+    """Reduced state on keep (ascending) by ``np.trace`` of a transposed (d, d) copy.
+
+    The reference for ``circuits._partial_trace``, which sums the same
+    entries through a strided view and must round exactly like this.
+    """
+    rows = [n - 1 - q for q in reversed(keep)]
+    gone = [a for a in range(n) if a not in rows]
+    perm = rows + gone + [n + a for a in rows] + [n + a for a in gone]
+    dk, dt = 1 << len(keep), 1 << (n - len(keep))
+    t = rho.reshape((2,) * (2 * n)).transpose(perm).reshape(dk, dt, dk, dt)
+    return np.trace(t, axis1=1, axis2=3)
+
+
+def copying_fence(rho: np.ndarray, ch, n: int) -> np.ndarray:
+    """The global-depolarizing step on a (d, d) matrix, partial trace by copy."""
+    p = ch.params[0]
+    scope = ch.qubits or tuple(range(n))
+    rest = [q for q in reversed(range(n)) if q not in scope]
+    out = (1.0 - p) * rho
+    s0, s1 = out.strides
+    view = as_strided(out, (2,) * (2 * len(rest) + len(scope)),
+                      [s0 << q for q in rest] + [s1 << q for q in rest]
+                      + [(s0 + s1) << q for q in scope])
+    mixed = copying_partial_trace(rho, rest[::-1], n) * (p / (1 << len(scope)))
+    view += mixed.reshape((2,) * (2 * len(rest)) + (1,) * len(scope))
+    return out
+
+
+def copying_apply(circuit, rho: np.ndarray) -> np.ndarray:
+    """``circuits.apply`` with fresh arrays at every step.
+
+    The reference for the two-buffer ``apply``: an up-front complex copy, a
+    fresh ``_contract`` output per step, and each fence on a (d, d) copy of
+    the transposed tensor.  Both must agree bit for bit.
+    """
+    n = circuit.n
+    d = 1 << n
+    t = rho.astype(complex, copy=True).reshape((2,) * (2 * n))
+    for axes, step in _compile(circuit):
+        if axes is None:
+            t = copying_fence(t.reshape(d, d), step, n).reshape((2,) * (2 * n))
+        else:
+            t = _contract(t, step, axes)
+    return t.reshape(d, d)
 
 
 def _offset_ops(circuit, offset):

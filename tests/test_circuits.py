@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from qemlab.circuits import (
     _compile,
     _contract,
     _gate_superop,
+    _partial_trace,
     _rho_axes,
     _unitary_superop,
     apply,
@@ -30,7 +32,13 @@ from qemlab.circuits import (
 )
 from qemlab.errors import NoiseRateError, RegisterCapError, SizeMismatchError
 
-from oracles import apply_state, apply_unitary_state, replace_with_mixed
+from oracles import (
+    apply_state,
+    apply_unitary_state,
+    copying_apply,
+    copying_partial_trace,
+    replace_with_mixed,
+)
 
 
 def embed(u, qubits, n):
@@ -169,9 +177,9 @@ _CHANNEL_KINDS = ["stochastic_pauli", "amplitude_damping", "thermal_relaxation",
 
 
 @st.composite
-def noisy_circuits(draw):
+def noisy_circuits(draw, max_n=5):
     """Gates, each followed by 0-2 channels of any kind; some channels dualized."""
-    n = draw(st.integers(1, 5))
+    n = draw(st.integers(1, max_n))
     rate = st.floats(0.0, 0.3)
     c = Circuit(n)
     for _ in range(draw(st.integers(1, 8))):
@@ -381,6 +389,94 @@ class TestFusedKernel:
         assert all(len(_compile(c)) <= 7 for c in gadget)
 
 
+def same_bits(a, b):
+    """Equal shape, dtype and bytes: signed zeros must match too."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def transposed_tensor(rho, rng):
+    """rho's 2n-axis tensor as a view of a buffer holding its axes in random order."""
+    n = rho.shape[0].bit_length() - 1
+    perm = rng.permutation(2 * n)
+    buf = np.ascontiguousarray(rho.reshape((2,) * (2 * n)).transpose(perm))
+    return buf.transpose(np.argsort(perm))
+
+
+def _fenced(n, steps):
+    """h on the top qubit, a register-wide fence, then steps (gates and channels).
+
+    Its dual circuit starts with the fence, which then reads the input itself.
+    """
+    c = Circuit(n, [Gate("h", (n - 1,)), ch.Channel("global_depolarizing", (), (0.2,))])
+    for op in steps:
+        c.add(op)
+    return c
+
+
+class TestTwoBufferApply:
+    """``apply`` in two buffers against ``copying_apply``, which allocates per step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(noisy_circuits(max_n=6), st.integers(0, 2**32 - 1))
+    @example(_fenced(9, [Gate("cx", (0, 8)), ch.amplitude_damping(0.1, (8,)),
+                         ch.Channel("global_depolarizing", (8, 3, 4), (0.3,)),
+                         Gate("rx", (4,), 0.3), ch.stochastic_pauli(0.05, (4, 5)),
+                         Gate("cswap", (2, 7, 1)), ch.local_depolarizing(0.1, (2, 7)),
+                         ch.Channel("global_depolarizing", (), (0.1,)),
+                         Gate("h", (6,))]), 9)
+    @example(_fenced(10, [Gate("cz", (9, 0)), ch.thermal_relaxation(30e-6, 20e-6, 2e-6, 9),
+                          ch.Channel("global_depolarizing", (5,), (0.4,)),
+                          Gate("cv", (5, 6)), ch.coherent_drift((("x", 5, 0.2), ("z", 6, -0.1))),
+                          ch.Channel("global_depolarizing", (0, 1, 2, 3, 4, 6, 7, 8, 9), (0.2,)),
+                          Gate("rz", (3,), -1.1)]), 10)
+    def test_bit_equal_to_copying_oracle(self, circuit, seed):
+        rho = random_density(np.random.default_rng(seed), circuit.n)
+        for c in (circuit, dual_circuit(circuit)):
+            assert same_bits(apply(c, rho), copying_apply(c, rho))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_partial_trace_every_keep(self, n):
+        # summed through a strided view of any layout, as np.trace sums the copy
+        rng = np.random.default_rng(n)
+        rho = _complex(rng, 1 << n, 1 << n)
+        views = (rho, transposed_tensor(rho, rng), np.asfortranarray(rho))
+        for k in range(n + 1):
+            for keep in itertools.combinations(range(n), k):
+                want = copying_partial_trace(rho, keep, n)
+                for v in views:
+                    assert same_bits(_partial_trace(v, keep, n), want), (keep, v.strides)
+
+    def test_fence_acts_in_place_on_a_transposed_tensor(self):
+        rng = np.random.default_rng(4)
+        for n, scope in ((5, (4, 1)), (6, ()), (6, (0, 2, 3, 5)), (3, (2, 0, 1))):
+            rho = random_density(rng, n)
+            fence = ch.Channel("global_depolarizing", scope, (0.3,))
+            want = apply_channel(rho.copy(), fence, n)
+            t = transposed_tensor(rho, rng)
+            assert apply_channel(t, fence, n) is t
+            assert same_bits(np.ascontiguousarray(t).reshape(want.shape), want)
+
+    def test_input_and_results_stay_apart(self):
+        rng = np.random.default_rng(8)
+        n, d = 3, 8
+        rho = random_density(rng, n)
+        frozen = rho.copy()
+        frozen.flags.writeable = False
+        wide = np.zeros((d, 2 * d), dtype=complex)
+        wide[:, ::2] = rho
+        circuits = [random_circuit(rng, n, 6, ch.NoiseModel(kind="stochastic_pauli", p1=0.05)),
+                    dual_circuit(_fenced(n, [Gate("cx", (1, 0))])), Circuit(n)]
+        for c in circuits:
+            for x in (frozen, wide[:, ::2], rho.T):
+                before = x.copy()
+                first, second = apply(c, x), apply(c, x)
+                assert same_bits(x, before)
+                assert same_bits(first, copying_apply(c, x)) and same_bits(first, second)
+                assert first.flags.c_contiguous and first.flags.writeable
+                for y in (x, second):
+                    assert not np.shares_memory(first, y)
+
+
 @st.composite
 def scopes(draw):
     """(n, qubits): any subset in any order, empty meaning the whole register."""
@@ -398,7 +494,7 @@ class TestChannels:
     def test_global_depolarizing_matches_offset_loop(self, scope, p, seed):
         n, qubits = scope
         rho = random_density(np.random.default_rng(seed), n)
-        got = apply_channel(rho, ch.Channel("global_depolarizing", qubits, (p,)), n)
+        got = apply_channel(rho.copy(), ch.Channel("global_depolarizing", qubits, (p,)), n)
         want = (1.0 - p) * rho + p * replace_with_mixed(rho, qubits or range(n), n)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

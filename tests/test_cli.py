@@ -352,6 +352,26 @@ class TestCliEntry:
         assert err.startswith("config error:") and path in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("budgets", [[1000.0], [0.5, 1000.0], [-1.0]])
+    def test_out_of_range_error_budget_exits_one_before_any_work(self, tmp_path, capsys,
+                                                                 monkeypatch, budgets):
+        # p1 = budget / 76 at depth 1 on path-4: 1000.0 gives 13.2, and only the
+        # last budget of the second list is out of range
+        def no_work(*a, **k):
+            raise AssertionError("an out-of-range error budget is rejected before any work")
+
+        monkeypatch.setattr("qemlab.experiments.run", no_work)
+        monkeypatch.setattr("qemlab.experiments.dual_state", no_work)
+        cfg = {"scenario": "trace-distance", "graph": "path-4", "depths": [1],
+               "error_budgets": budgets, "n_seeds": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        rc = main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"error_budgets {budgets[-1]!r}" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_passes_its_checks(self, tmp_path, monkeypatch, path):
         # the checks alone, no simulation; sweep checks every grid point first

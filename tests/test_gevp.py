@@ -1,3 +1,7 @@
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -299,6 +303,20 @@ def pencil_of_rank(rng, m, r):
 
 class TestStackedSolve:
     """stack_energies and regularize/solve against the frozen one-pencil code."""
+
+    def test_leaves_numpy_ma_unimported(self):
+        # np.unique imports numpy.ma on its first call, about 15 ms of every sampled run
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "import numpy as np\n"
+                "from qemlab.gevp import stack_energies\n"
+                "s = np.array([np.eye(3), np.diag([1.0, 1.0, 1e-14])]).astype(complex)\n"
+                "h = np.array([np.diag([-3.0, -2.0, 1.0])] * 2).astype(complex)\n"
+                "print(stack_energies(s, h, (-5.0, 5.0), 1e-8).tolist(), 'numpy.ma' in sys.modules)\n")
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[-3.0,", "-3.0]", "False"]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5), n=st.integers(1, 12),

@@ -21,6 +21,7 @@ from qemlab.circuits import (
     dual_state,
     gate_matrix,
     run,
+    zero_state,
 )
 from qemlab.errors import DegenerateNormalizationError, RegisterCapError
 from qemlab.pauli import PauliTerm, term_matrix
@@ -386,6 +387,17 @@ class TestEsd:
         assert sizes == [5]
         assert got == pytest.approx(oracles[DEPOL].numerator(PauliTerm("ZIII")), abs=1e-12)
 
+
+    def test_start_state_is_the_kron_chain_bit_for_bit(self):
+        # no ops and every qubit kept: the copy register hands back its start state
+        rng = np.random.default_rng(31)
+        states = [run(random_circuit(rng, w, 6, PAULI_NOISE, seed=w)) for w in (2, 1, 3)]
+        states[1] = -states[1]  # negative entries: products with |0><0|'s zeros give -0.0
+        want = zero_state(1)
+        for state in reversed(states):
+            want = np.kron(want, state)
+        got = pur._copy_register(states, [], range(7))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 class TestRePurification:
     def test_noiseless_single_copy(self):
