@@ -279,9 +279,11 @@ def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
     rho is a density matrix or its 2n-axis tensor, in any strides.  One
     strided view reads the entries whose row and column agree on the traced
     qubits: traced bits, kept row bits, kept column bits, each most
-    significant first.  Only those entries are copied, and they are summed
-    over the traced index, first to last (pairwise when nothing is kept),
-    which is the order ``np.trace`` of the transposed (d, d) copy sums in.
+    significant first.  Only those entries are copied, in that order, and
+    they are summed over the traced index, first to last (pairwise when
+    nothing is kept), which is the order ``np.trace`` of the transposed
+    (d, d) copy sums in.  The copy must be row-major: on a view whose traced
+    axes merge into one of the smallest stride, numpy sums pairwise instead.
     """
     t = rho.reshape((2,) * (2 * n))
     rows = [n - 1 - q for q in reversed(keep)]
@@ -291,7 +293,7 @@ def _partial_trace(rho: np.ndarray, keep: Sequence[int], n: int) -> np.ndarray:
                       [s[a] + s[n + a] for a in gone] + [s[a] for a in rows]
                       + [s[n + a] for a in rows], writeable=False)
     dk = 1 << len(rows)
-    return np.add.reduce(diag.reshape(-1, dk, dk))
+    return np.add.reduce(np.ascontiguousarray(diag).reshape(-1, dk, dk))
 
 
 def _unitary_superop(u: np.ndarray) -> np.ndarray:

@@ -418,6 +418,10 @@ class TestTwoBufferApply:
 
     @settings(max_examples=80, deadline=None)
     @given(noisy_circuits(max_n=6), st.integers(0, 2**32 - 1))
+    # the 2q step leaves the fence's four traced axes mergeable into one of the
+    # smallest stride, where a reduction over a view would sum pairwise
+    @example(Circuit(6, [Gate("h", (0,)), Gate("rx", (0,), 0.0), Gate("cx", (2, 1)),
+                         ch.Channel("global_depolarizing", (0, 3, 4, 5), (0.25,))]), 0)
     @example(_fenced(9, [Gate("cx", (0, 8)), ch.amplitude_damping(0.1, (8,)),
                          ch.Channel("global_depolarizing", (8, 3, 4), (0.3,)),
                          Gate("rx", (4,), 0.3), ch.stochastic_pauli(0.05, (4, 5)),
@@ -436,15 +440,26 @@ class TestTwoBufferApply:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_partial_trace_every_keep(self, n):
-        # summed through a strided view of any layout, as np.trace sums the copy
+        # numpy picks its summation order from the strides, so every layout a
+        # fence can meet must sum as np.trace sums the row-major copy
         rng = np.random.default_rng(n)
         rho = _complex(rng, 1 << n, 1 << n)
-        views = (rho, transposed_tensor(rho, rng), np.asfortranarray(rho))
-        for k in range(n + 1):
-            for keep in itertools.combinations(range(n), k):
-                want = copying_partial_trace(rho, keep, n)
-                for v in views:
-                    assert same_bits(_partial_trace(v, keep, n), want), (keep, v.strides)
+        t = rho.reshape((2,) * (2 * n))
+        layouts = [t, np.asfortranarray(rho).reshape(t.shape)]
+        perms = (itertools.permutations(range(2 * n)) if n <= 3
+                 else (rng.permutation(2 * n) for _ in range(20)))
+        for perm in perms:
+            buf = np.ascontiguousarray(t.transpose(perm))
+            layouts.append(buf.transpose(np.argsort(perm)))
+        for k in (1, 2):  # what a one- or two-qubit step leaves
+            for qubits in itertools.permutations(range(n), k):
+                layouts.append(_contract(t, np.eye(4 ** k, dtype=complex), _rho_axes(qubits, n)))
+        for v in layouts:
+            flat = np.ascontiguousarray(v).reshape(rho.shape)
+            for keep in itertools.chain.from_iterable(
+                    itertools.combinations(range(n), k) for k in range(n + 1)):
+                want = copying_partial_trace(flat, keep, n)
+                assert same_bits(_partial_trace(v, keep, n), want), (keep, v.strides)
 
     def test_fence_acts_in_place_on_a_transposed_tensor(self):
         rng = np.random.default_rng(4)
