@@ -394,12 +394,9 @@ def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def transposed_tensor(rho, rng):
-    """rho's 2n-axis tensor as a view of a buffer holding its axes in random order."""
-    n = rho.shape[0].bit_length() - 1
-    perm = rng.permutation(2 * n)
-    buf = np.ascontiguousarray(rho.reshape((2,) * (2 * n)).transpose(perm))
-    return buf.transpose(np.argsort(perm))
+def transposed_tensor(t, perm):
+    """The tensor t as a view of a row-major buffer that holds its axes in perm order."""
+    return np.ascontiguousarray(t.transpose(perm)).transpose(np.argsort(perm))
 
 
 def _fenced(n, steps):
@@ -448,9 +445,7 @@ class TestTwoBufferApply:
         layouts = [t, np.asfortranarray(rho).reshape(t.shape)]
         perms = (itertools.permutations(range(2 * n)) if n <= 3
                  else (rng.permutation(2 * n) for _ in range(20)))
-        for perm in perms:
-            buf = np.ascontiguousarray(t.transpose(perm))
-            layouts.append(buf.transpose(np.argsort(perm)))
+        layouts += [transposed_tensor(t, perm) for perm in perms]
         for k in (1, 2):  # what a one- or two-qubit step leaves
             for qubits in itertools.permutations(range(n), k):
                 layouts.append(_contract(t, np.eye(4 ** k, dtype=complex), _rho_axes(qubits, n)))
@@ -467,7 +462,7 @@ class TestTwoBufferApply:
             rho = random_density(rng, n)
             fence = ch.Channel("global_depolarizing", scope, (0.3,))
             want = apply_channel(rho.copy(), fence, n)
-            t = transposed_tensor(rho, rng)
+            t = transposed_tensor(rho.reshape((2,) * (2 * n)), rng.permutation(2 * n))
             assert apply_channel(t, fence, n) is t
             assert same_bits(np.ascontiguousarray(t).reshape(want.shape), want)
 
