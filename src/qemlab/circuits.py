@@ -5,7 +5,7 @@ instruction stream mixing gates and channels; a channel always acts right
 where it sits in the stream.  The register is capped at 10 qubits because
 everything here is dense.
 
-``apply`` evolves a density matrix in four stages:
+``_evolve`` runs a circuit on a density matrix in four stages:
 
 * compile: every gate becomes its superoperator kron(U, conj(U)) and every
   local channel the sum of K (x) conj(K) over its Kraus set, on the op's own
@@ -19,17 +19,23 @@ everything here is dense.
   multi-qubit block before it.  A noisy 2q gate with per-qubit noise is then
   one step, and an rx/rz rank rides inside the cz blocks around it;
 * contract: rho is held as a tensor with 2n axes (row bits, then column
-  bits) and each block is one ``_contract`` over its 2k axes.  A call
-  allocates two d^2 buffers and nothing per step: the state lives in one,
-  each step copies it, permuted, into the other and multiplies back into
-  the first, and the result is copied in row-major order into the free one.
+  bits) and each block is one ``_contract`` over its 2k axes.  A run
+  holds two d^2 buffers and allocates nothing per step: the start state it
+  owns and overwrites, and one scratch buffer.  Each step copies the state,
+  permuted, into the scratch buffer and multiplies back into the first, and
+  the result is copied in row-major order into the scratch buffer.
+
+``run`` and ``dual_state`` hand their fresh |0..0> to ``_evolve``, as do the
+copy-register engine and the estimators of ``purification`` with each state
+they have just made.  ``apply`` leaves its input as it is: it copies it once
+and evolves the copy.
 
 ``_contract`` is the one kernel: the folds and the sweep plan of ``vqe``,
 the one statevector simulator, go through it too.  It makes the transpose
 -> reshape -> ``np.dot`` call that ``np.tensordot`` makes and returns the
 view ``np.moveaxis`` would, so it rounds bit for bit like that pair and only
 skips their per-call bookkeeping.  Fusing and folding reorder products, so
-``apply`` agrees with op-by-op application to rounding, not bit for bit.
+``_evolve`` agrees with op-by-op application to rounding, not bit for bit.
 
 Global depolarizing, register-wide or scoped, is no local superoperator: it
 stays one affine step through ``apply_channel``, (1 - p) rho plus p times
@@ -249,7 +255,8 @@ def _contract(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...], stack: bool =
     With ``into`` = (scratch, out), two flat arrays of t's size, the permuted
     copy is written to scratch and the product to out, and the result is a
     view of out.  t is read in full before out is written, so out may be the
-    array t views: ``apply`` runs a whole circuit in those two buffers.
+    array t views: ``_evolve`` runs a whole circuit in those two buffers, the
+    state it owns and one scratch buffer.
 
     With ``stack`` the first axis of t (size 2) holds two tensors, and one
     ``np.matmul`` makes for each the gemm call that ``np.dot`` makes on its
@@ -441,7 +448,7 @@ def _compile(circuit: Circuit) -> list[tuple]:
 
 
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
-    """The global-depolarizing step ``apply`` runs, in place on rho, which it returns.
+    """The global-depolarizing step ``_evolve`` runs, in place on rho, which it returns.
 
     (1 - p) rho + p Tr_S(rho) (x) I/2^k on its scope S of k qubits (an empty
     tuple means the whole register).  rho is a density matrix or its 2n-axis
@@ -450,7 +457,7 @@ def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
     the second term is added through a strided view of the entries whose row
     and column agree on S: its axes are the bits of the other qubits, most
     significant first as in the reduced state (rows, then columns), and
-    those of S.  Every other kind is a local superoperator that ``apply``
+    those of S.  Every other kind is a local superoperator that ``_evolve``
     compiles, so it raises ValueError.
     """
     if ch.kind != "global_depolarizing":
@@ -468,37 +475,47 @@ def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
     return rho
 
 
-def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
-    """Run the instruction stream on a density matrix; rho is left as it is.
+def _evolve(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
+    """Run the instruction stream on rho, a state this call owns and overwrites.
 
-    The state lives in one of two d^2 buffers: each contract step copies it,
-    permuted, into the other and multiplies back into the first, and a fence
-    acts on it where it lies.  The last result is copied in row-major order
-    into the free buffer and returned.
+    rho must be a C-contiguous complex (d, d) array that nothing else reads:
+    it is one of the two buffers, so only the scratch buffer is allocated.
+    Each contract step copies the state, permuted, into the scratch buffer
+    and multiplies back into rho's, and a fence acts on it where it lies.
+    The last result is copied in row-major order into the scratch buffer and
+    returned; rho's contents are then spent.
     """
     n = circuit.n
     d = 1 << n
     if rho.shape != (d, d):
         raise SizeMismatchError(f"state dim {rho.shape} vs {n}-qubit circuit")
+    if rho.dtype != complex or not (rho.flags.c_contiguous and rho.flags.writeable):
+        raise ValueError("an evolved state must be a writeable C-contiguous complex array")
     shape = (2,) * (2 * n)
-    t = given = np.asarray(rho, dtype=complex).reshape(shape)
-    state, scratch = np.empty(d * d, dtype=complex), np.empty(d * d, dtype=complex)
+    t = rho.reshape(shape)
+    state, scratch = rho.reshape(-1), np.empty(d * d, dtype=complex)
     for axes, step in _compile(circuit):
-        if axes is not None:
+        if axes is None:
+            apply_channel(t, step, n)
+        else:
             t = _contract(t, step, axes, into=(scratch, state))
-            continue
-        if t is given:  # a leading fence: never write to the caller's array
-            t = state.reshape(shape)
-            np.copyto(t, given)
-        apply_channel(t, step, n)
     out = scratch.reshape(shape)
     np.copyto(out, t)
     return out.reshape(d, d)
 
 
+def apply(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
+    """Run the instruction stream on a density matrix; rho is left as it is.
+
+    rho is copied once, as a C-contiguous complex array, and ``_evolve``
+    runs the circuit on the copy.
+    """
+    return _evolve(circuit, np.array(rho, dtype=complex, order="C"))
+
+
 def run(circuit: Circuit) -> np.ndarray:
     """Density matrix produced from |0..0>."""
-    return apply(circuit, zero_state(circuit.n))
+    return _evolve(circuit, zero_state(circuit.n))
 
 
 def build_ansatz(n: int, layers: int, params: Sequence[float],

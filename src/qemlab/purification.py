@@ -20,9 +20,11 @@ through it, and ``EsdEvaluator``): each copy is prepared by ``run`` on its
 own w qubits, the start state is the Kronecker product of the ancilla's
 |0><0| and the copies, formed by broadcast multiplies, and only the gadget
 and the uncompute blocks run on the register, each qubit the readout leaves
-free traced out after the last op on it.  At the largest register (9 qubits
-for two path-4 copies) the start state and ``apply``'s two buffers are the
-three d^2 arrays alive at once.  ``EsdEvaluator`` stops before the
+free traced out after the last op on it.  The start state is handed to
+``_evolve``, which overwrites it, and each later segment's state is the
+fresh output of a partial trace, so at the largest register (9 qubits for two
+path-4 copies) two d^2 arrays are alive at once: the start state and one
+scratch buffer.  ``EsdEvaluator`` stops before the
 observable and runs each observable's controlled-Pauli tail on the ancilla
 and the copy-0 qubits it touches.  ``DspEvaluator`` computes p0 from the gadget-free pass once and
 runs the ancilla prefix (Hadamard, its noise, the compute block) once; each
@@ -43,6 +45,7 @@ from .circuits import (
     Circuit,
     Gate,
     MAX_QUBITS,
+    _evolve,
     _partial_trace,
     apply,
     reversed_circuit,
@@ -92,6 +95,8 @@ def _prepare(circuit: Circuit) -> np.ndarray:
 def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
     """The ops on rho, each qubit outside keep traced out after the last op on it.
 
+    rho is owned and overwritten, as by ``_evolve``, which runs each segment.
+
     live lists the qubit labels rho holds, ascending (live[i] is its qubit
     i); the ops address those labels, and a register-wide channel acts on
     all of them.  Returns the reduced state on keep (ascending).  No later op
@@ -108,7 +113,7 @@ def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
         index = {q: i for i, q in enumerate(live)}
         seg = _remap_ops(ops[start:cut + 1], index.__getitem__)
         if seg:
-            rho = apply(Circuit(len(live), seg), rho)
+            rho = _evolve(Circuit(len(live), seg), rho)
         start = cut + 1
         kept = [i for i, q in enumerate(live) if q in keep or last[q] > cut]
         if len(kept) < len(live):
@@ -123,14 +128,16 @@ def _copy_register(states: Sequence[np.ndarray], ops, keep) -> np.ndarray:
     states[k] is copy k's state; qubit 0 is the least significant bit, so
     the ancilla comes first in the product and copy 0 last.  The product is
     taken by broadcast multiplies, left to right, so every entry rounds as
-    in the chained ``np.kron``, without its per-call reshaping.
+    in the chained ``np.kron``, without its per-call reshaping.  The product
+    is passed on unnamed: a name here would keep it alive past its first
+    segment, into the first partial trace, as a third d^2 array.
     """
     factors = [zero_state(1), *reversed(states)]
     m = len(factors)
-    rho = reduce(np.multiply, (f.reshape([f.shape[0] if a % m == i else 1 for a in range(2 * m)])
-                               for i, f in enumerate(factors)))
     d = math.prod(f.shape[0] for f in factors)
-    return _run_traced(ops, rho.reshape(d, d), range(d.bit_length() - 1), keep)
+    return _run_traced(ops, reduce(np.multiply, (
+        f.reshape([f.shape[0] if a % m == i else 1 for a in range(2 * m)])
+        for i, f in enumerate(factors))).reshape(d, d), range(d.bit_length() - 1), keep)
 
 
 class _Builder:
@@ -354,7 +361,7 @@ def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
         b_post = _Builder(w, gadget_noise, gadget_seed + 1)
         b_post.u_obs(obs, 0, inverse=False)
         b_post.raw(ev.uncompute)
-        after = apply(b_post.circ, proj)
+        after = _evolve(b_post.circ, proj)
         nums.append(_zeros_probability(after))
     numerator = float(np.real(complex(obs.coeff))) * (nums[0] - nums[1])
     return DspResult(numerator, ev.p0, numerator / _checked_p0(ev.p0))
@@ -403,7 +410,7 @@ class EsdEvaluator:
             b = _Builder(self.total, self.noise, self.seed + 1)
             b.controlled_pauli(self.anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
             keep = {self.anc}.union(*(op.qubits or self._live for op in b.circ.ops))
-            rho = _run_traced(b.circ.ops, rho, self._live, keep)
+            rho = _run_traced(b.circ.ops, rho.copy(), self._live, keep)
         n = rho.shape[0].bit_length() - 1
         return float(np.real(_anc_xy(rho, n, range(n - 1))))
 

@@ -4,8 +4,10 @@ Each one is the slow, plain form of an operation the package runs another
 way: dense traces of sandwich products for the purification circuits, the
 parameter-shift rule for the adjoint gradient, a gate-by-gate statevector
 loop for the sweep plan, per-string loops for the batched Pauli algebra,
-fresh arrays per step for the two-buffer density-matrix kernel, and
-full-register runs for the copy-register engine.
+fresh arrays per step for the two-buffer density-matrix kernel, a kron start
+state run segment by segment through that copying kernel for the
+copy-register engine's owned states, and full-register runs for the
+copy-register engine.
 """
 
 from dataclasses import dataclass
@@ -22,6 +24,7 @@ from qemlab.circuits import (
     dual_state,
     reversed_circuit,
     run,
+    zero_state,
     zero_vector,
 )
 from qemlab.errors import SizeMismatchError
@@ -173,6 +176,36 @@ def copying_apply(circuit, rho: np.ndarray) -> np.ndarray:
         else:
             t = _contract(t, step, axes)
     return t.reshape(d, d)
+
+
+def kron_copy_register(states, ops, keep) -> np.ndarray:
+    """The copy-register engine with a kron start state and a non-owning apply.
+
+    The reference for ``purification._copy_register``, which hands its start
+    state, and each segment's state after it, to ``_evolve`` to overwrite:
+    the same segments, each run by ``copying_apply`` on a state it leaves as
+    it is and reduced by ``copying_partial_trace``, must give the same bits.
+    """
+    rho = zero_state(1)
+    for state in reversed(states):
+        rho = np.kron(rho, state)
+    live = list(range(rho.shape[0].bit_length() - 1))
+    last = dict.fromkeys(live, -1)
+    for i, op in enumerate(ops):
+        for q in op.qubits or live:
+            last[q] = i
+    start = 0
+    for cut in sorted({last[q] for q in live if q not in keep} | {len(ops) - 1}):
+        index = {q: i for i, q in enumerate(live)}
+        seg = _remap_ops(ops[start:cut + 1], index.__getitem__)
+        if seg:
+            rho = copying_apply(Circuit(len(live), seg), rho)
+        start = cut + 1
+        kept = [i for i, q in enumerate(live) if q in keep or last[q] > cut]
+        if len(kept) < len(live):
+            rho = copying_partial_trace(rho, kept, len(live))
+            live = [live[i] for i in kept]
+    return rho
 
 
 def _offset_ops(circuit, offset):

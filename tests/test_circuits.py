@@ -12,6 +12,7 @@ from qemlab.circuits import (
     Gate,
     _compile,
     _contract,
+    _evolve,
     _gate_superop,
     _partial_trace,
     _rho_axes,
@@ -379,7 +380,7 @@ class TestFusedKernel:
         # a register that loses a copy-1 qubit after each controlled swap
         seen, gadget = [], []
         monkeypatch.setattr(pur, "run", lambda c: seen.append(c) or run(c))
-        monkeypatch.setattr(pur, "apply", lambda c, r: gadget.append(c) or apply(c, r))
+        monkeypatch.setattr(pur, "_evolve", lambda c, r: gadget.append(c) or _evolve(c, r))
         params = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
         circ = attach_noise(build_ansatz(4, 1, params, [(0, 1), (1, 2), (2, 3)]), nm, seed=3)
         pur.EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=5)
@@ -485,6 +486,44 @@ class TestTwoBufferApply:
                 assert first.flags.c_contiguous and first.flags.writeable
                 for y in (x, second):
                     assert not np.shares_memory(first, y)
+
+
+class TestOwnedState:
+    """``_evolve`` overwrites the state it is handed; ``run`` and ``dual_state``
+    hand it a fresh |0..0>, and must still round as a copying run does."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(noisy_circuits(max_n=6), st.sets(st.integers(0, 5)), st.floats(0.0, 0.5))
+    @example(_fenced(9, [Gate("cx", (0, 8)), ch.amplitude_damping(0.1, (8,)),
+                         ch.Channel("global_depolarizing", (8, 3, 4), (0.3,)),
+                         Gate("cswap", (2, 7, 1)), ch.local_depolarizing(0.1, (2, 7))]),
+             {1, 4}, 0.2)
+    def test_run_and_dual_state_are_the_copying_oracle(self, circuit, scope, p):
+        n = circuit.n
+        zero = zero_state(n)
+        # a leading fence, scoped or register-wide, acts on the handed-in state itself
+        fence = ch.Channel("global_depolarizing", tuple(sorted(q for q in scope if q < n)), (p,))
+        lead = Circuit(n, [fence] + circuit.ops)
+        assert same_bits(run(circuit), copying_apply(circuit, zero))
+        assert same_bits(dual_state(circuit), copying_apply(dual_circuit(circuit), zero))
+        assert same_bits(run(lead), copying_apply(lead, zero))
+
+    def test_rejects_a_state_it_cannot_own(self):
+        c = Circuit(2, [Gate("h", (0,)), ch.Channel("global_depolarizing", (), (0.1,))])
+        rho = random_density(np.random.default_rng(12), 2)
+        frozen = rho.copy()
+        frozen.flags.writeable = False
+        wide = np.zeros((4, 8), dtype=complex)
+        wide[:, ::2] = rho
+        for bad in (rho.real.copy(), rho.astype(np.complex64), rho.T, wide[:, ::2], frozen):
+            before = bad.copy()
+            with pytest.raises(ValueError):
+                _evolve(c, bad)
+            assert same_bits(bad, before)  # rejected before anything is written
+        with pytest.raises(SizeMismatchError):
+            _evolve(c, zero_state(3))
+        got = _evolve(c, rho.copy())
+        assert same_bits(got, copying_apply(c, rho)) and got.flags.c_contiguous
 
 
 @st.composite

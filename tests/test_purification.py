@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from oracles import (
     factor_sequence,
     full_register_execute_plan,
     full_register_re_purification,
+    kron_copy_register,
     oracle_trace,
     planned_oracle,
 )
@@ -17,7 +20,10 @@ from qemlab.channels import NoiseModel
 from qemlab.circuits import (
     Circuit,
     Gate,
+    _evolve,
     apply,
+    attach_noise,
+    build_ansatz,
     dual_state,
     gate_matrix,
     run,
@@ -368,7 +374,7 @@ class TestEsd:
         oracles = {m: FullRegisterEsd(c, 2, gadget_noise=m, gadget_seed=1)
                    for m in (PAULI_NOISE, DEPOL)}
         sizes = []
-        monkeypatch.setattr(pur, "apply", lambda circ, r: sizes.append(circ.n) or apply(circ, r))
+        monkeypatch.setattr(pur, "_evolve", lambda circ, r: sizes.append(circ.n) or _evolve(circ, r))
         ev = EsdEvaluator(c, 2, gadget_noise=PAULI_NOISE, gadget_seed=1)
         assert sizes == [9, 8, 7, 6]  # a copy-1 qubit leaves after its controlled swap
         for axes, n in (("ZZII", 3), ("IXII", 2), ("IIZZ", 3), ("XIIY", 3)):
@@ -398,6 +404,49 @@ class TestEsd:
             want = np.kron(want, state)
         got = pur._copy_register(states, [], range(7))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_engine_is_the_kron_path_bit_for_bit(self, monkeypatch):
+        # every register the estimators hand the engine, against the copying path
+        engine, registers = pur._copy_register, []
+
+        def checked(states, ops, keep):
+            want = kron_copy_register(states, ops, keep)
+            got = engine(states, ops, keep)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            registers.append(sum(s.shape[0].bit_length() - 1 for s in states) + 1)
+            return got
+
+        monkeypatch.setattr(pur, "_copy_register", checked)
+        rng = np.random.default_rng(41)
+        c4 = random_circuit(rng, 4, 8, PAULI_NOISE, seed=41)
+        c3 = random_circuit(rng, 3, 8, PAULI_NOISE, seed=42)
+        EsdEvaluator(c4, 2, gadget_noise=PAULI_NOISE, gadget_seed=2)  # the ESD register
+        EsdEvaluator(c3, 2, gadget_noise=DEPOL, gadget_seed=2)  # a register-wide gadget fence
+        f = GeneralFactor(c3, v=PauliTerm("XIZ"), w=PauliTerm("IYI", -1.0))
+        execute_plan(plan_general(2, 1), [f, GeneralFactor(c3)], [f], PauliTerm("ZZI"),
+                     gadget_noise=GADGET_NOISE[1], gadget_seed=3)
+        assert registers == [9, 7, 7]
+
+    def test_nine_qubit_register_holds_two_d2_arrays(self):
+        # the start state is one of _evolve's two buffers, and no other name
+        # keeps it alive into the first partial trace
+        nm = NoiseModel(kind="thermal_relaxation", p1=1e-3)
+        params = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
+        circ = attach_noise(build_ansatz(4, 1, params, [(0, 1), (1, 2), (2, 3)]), nm, seed=3)
+        b = _Builder(9, nm, 5)
+        b.hadamard(8)
+        b.controlled_shift(8, 2, 4)
+        states, keep = [pur._prepare(circ)] * 2, list(range(4)) + [8]
+        pur._copy_register(states, b.circ.ops, keep)  # fill the superoperator caches
+        tracemalloc.start()
+        try:
+            pur._copy_register(states, b.circ.ops, keep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        d2 = (1 << 18) * np.dtype(complex).itemsize  # one 9-qubit density matrix
+        assert peak < 2.5 * d2, peak / d2
+
 
 class TestRePurification:
     def test_noiseless_single_copy(self):

@@ -48,6 +48,15 @@ class TestExactGround:
         assert e == pytest.approx(free_fermion_ground(8), abs=1e-10)
         assert e < 0
 
+    def test_vector_owns_its_data(self):
+        # a column view would keep the whole eigenvector matrix alive
+        h = build_ising(path_edges(4), 4)
+        e, vec = exact_ground(h)
+        vals, vecs = np.linalg.eigh(h.matrix())
+        assert vec.flags.owndata and vec.base is None
+        assert e == float(vals[0])
+        assert vec.shape == (16,) and vec.tobytes() == vecs[:, 0].tobytes()
+
 
 def oracle_state(ansatz, params):
     """The ansatz state gate by gate through np.tensordot, as before ``_contract``."""
@@ -137,10 +146,38 @@ class TestOptimize:
     def test_monotone_history_and_determinism(self):
         h = build_ising(path_edges(3), 3)
         res1 = optimize(3, 2, h, iters=60, seed=11)
-        res2 = optimize(3, 2, h, iters=60, seed=11)
+        # the uncached solve: a second optimize call would hand back res1's result
+        res2 = vqe._minimize(AnsatzCircuit(3, 2, tuple(path_edges(3))), h, 60, 11)
         np.testing.assert_array_equal(res1.params, res2.params)
         hist = np.array(res1.history)
         assert np.all(np.diff(hist) <= 1e-15)
+
+    def test_memo_hands_back_the_solve_without_a_sweep(self, monkeypatch):
+        h = build_ising(path_edges(3), 3)
+        first = optimize(3, 1, h, iters=30, seed=23)
+        sweeps = []
+        forward = vqe._forward
+        monkeypatch.setattr(vqe, "_forward", lambda *a: sweeps.append(1) or forward(*a))
+        # the explicit path is the default's key
+        again = optimize(3, 1, h, iters=30, seed=23, edges=path_edges(3))
+        assert not sweeps
+        fresh = vqe._minimize(AnsatzCircuit(3, 1, tuple(path_edges(3))), h, 30, 23)
+        for res in (first, again):
+            assert res.params.tobytes() == fresh.params.tobytes()
+            assert (res.energy, res.history, res.iterations) == \
+                (fresh.energy, fresh.history, fresh.iterations)
+            assert not res.params.flags.writeable
+        assert again.history is not first.history
+        again.history.append(0.0)
+        assert optimize(3, 1, h, iters=30, seed=23).history == fresh.history
+        with pytest.raises(ValueError):
+            again.params[0] = 1.0
+        # a change of seed, iters or Hamiltonian is a new problem
+        scaled = PauliSum(3, [PauliTerm(t.axes, 1.5 * t.coeff) for t in h])
+        for hh, iters, seed in ((h, 30, 24), (h, 31, 23), (scaled, 30, 23)):
+            sweeps.clear()
+            optimize(3, 1, hh, iters=iters, seed=seed)
+            assert sweeps
 
     def test_variational_lower_bound(self):
         h = build_ising(path_edges(3), 3)
@@ -311,7 +348,9 @@ class TestSweepPlan:
         monkeypatch.setattr(vqe, "_forward", counted("_forward"))
         monkeypatch.setattr(vqe, "_backward", counted("_backward"))
         h = build_ising(edges or path_edges(n), n)
-        res = optimize(n, layers, h, iters=iters, seed=seed, edges=edges)
+        # the uncached solve, so the counts do not depend on which test ran first
+        res = vqe._minimize(AnsatzCircuit(n, layers, tuple(edges or path_edges(n))), h,
+                            iters, seed)
         params, e, history, iterations = oracle_optimize(n, layers, h, iters, seed, edges)
         assert np.array_equal(res.params, params)
         assert res.energy == e
