@@ -98,6 +98,7 @@ _CHOICES = {"graph": models.GRAPHS, "partition": models.PARTITIONS,
             "noise.kind": NOISE_KINDS, "noise_kinds": NOISE_KINDS,
             "subspace.kind": KINDS, "kinds": KINDS}
 _AT_LEAST_ONE = ("subspace.m_values", "m_values", "power_m", "dc_m", "n_seeds")
+_MAY_BE_EMPTY = ("power_m", "dc_m")  # either one alone still yields rows
 _TYPES = {float: ((int, float), "a number"), str: (str, "a string"),
           bool: (bool, "true or false"), type(None): ((str, type(None)), "a path or null")}
 
@@ -110,16 +111,19 @@ def check_config(raw):
     types its entries.  Returns read-only attribute objects (a nested
     mapping is one more), with lists as tuples.  Raises ConfigError naming
     the dotted path of a key the scenario does not read, a value of another
-    type, an unknown kind, graph or partition, an M or seed count below 1, a
-    partition that does not cover the graph where a divided basis is built
-    or counted, or a noise rate that leaves [0, 1] in any noise model the
-    scenario builds: a fault basis's amplified to its largest M, and the p1
-    each error budget sets at each depth, included.
+    type, an unknown kind, graph or partition, an M or seed count below 1, an
+    empty list (power_m and dc_m only when both are), a partition that does
+    not cover the graph where a divided basis is built or counted, or a noise
+    rate that leaves [0, 1] in any noise model the scenario builds: a fault
+    basis's amplified to its largest M, and the p1 each error budget sets at
+    each depth, included.
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
     if name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
     cfg = _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "")
+    if hasattr(cfg, "dc_m") and not (cfg.power_m or cfg.dc_m):
+        raise ConfigError("power_m and dc_m are both empty, which leaves no result rows")
     kinds = (getattr(getattr(cfg, "subspace", None), "kind", None), *getattr(cfg, "kinds", ()))
     if "dc" in kinds or getattr(cfg, "dc_m", ()):  # builds or counts a divided basis
         covers, n = models.partition(cfg.partition).n, models.graph(cfg.graph)[0]
@@ -165,6 +169,8 @@ def _check_value(path: str, v, default) -> None:
     many = isinstance(default, list)
     if many and not isinstance(v, list):
         raise ConfigError(f"{path} must be a list, got {v!r}")
+    if many and not v and path not in _MAY_BE_EMPTY:
+        raise ConfigError(f"{path} must not be empty")
     proto = default[0] if many else default
     for x in v if many else (v,):
         if type(proto) is int:
@@ -202,7 +208,7 @@ def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
     """The n-qubit, layers-deep ansatz parameters stored in params_file.
 
     Raises ConfigError unless the file holds a JSON list of 2 n (layers + 1)
-    numbers; a file that cannot be opened raises OSError.
+    finite numbers; a file that cannot be opened raises OSError.
     """
     want = 2 * n * (layers + 1)
     with open(params_file) as fh:
@@ -214,6 +220,8 @@ def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
     if params.shape != (want,):
         raise ConfigError(f"parameter file {params_file} holds shape {params.shape}; "
                           f"{n} qubits at {layers} layers need a flat list of {want}")
+    if not np.all(np.isfinite(params)):
+        raise ConfigError(f"parameter file {params_file} holds a NaN or infinite entry")
     return params
 
 

@@ -3,19 +3,19 @@
 Shot statistics never enter the circuit simulations themselves.  Every
 measurement query carries an exact single-shot variance and is perturbed by
 a Gaussian of width sqrt(var / shots-per-query), the budget split equally
-over the unique queries.  Sampling reads the pencil's ledger, compiled once
-per pencil (``SubspaceMatrices.ledger``).  Sample k draws every query with
-one ``normal`` call from ``default_rng([seed, k])``, which consumes the
-stream as one scalar draw per query would, so every matrix element that
-reuses a query moves with it.  A stack of samples is assembled in one pass
-over the terms and solved by ``gevp.stack_energies``:
-scaling and the overlap ``eigh`` run over the stack, and the reduced solve
-over each group of samples that keep the same retained dimension, each
-sample rounding as it would alone.  The arithmetic runs across samples, never
-across terms: a sum over terms rounds in another order, and the
-ill-conditioned pencils (unit-diagonal lambda_min 1.76e-5 at M = 3 on path-8)
-carry that into the 12 digits the CSVs print.  The exact pencil is the same
-assembly over the exact values.
+over the unique queries.  Sampling reads the slots, values and term lists
+that ``SubspaceMatrices`` lowers once per build.  Sample k draws every query
+the pencil reads, in slot order, with one ``normal`` call from
+``default_rng([seed, k])``, which consumes the stream as one scalar draw per
+query would, so every matrix element that reuses a query moves with it.  A
+stack of samples is assembled in one pass over the terms and solved by
+``gevp.stack_energies``: scaling and the overlap ``eigh`` run over the stack,
+and the reduced solve over each group of samples that keep the same retained
+dimension, each sample rounding as it would alone.  The arithmetic runs
+across samples, never across terms: a sum over terms rounds in another order,
+and the ill-conditioned pencils (unit-diagonal lambda_min 1.76e-5 at M = 3 on
+path-8) carry that into the 12 digits the CSVs print.  The exact pencil is
+the same assembly over the exact values.
 
 The DSP variances of one state pair are computed in one pass
 (``var_dsp_many``): the trace product behind each is formed once per X mask
@@ -141,26 +141,28 @@ class EnergyDistribution:
     rejections: int
 
 
-def _widths(matrices, cfg: ShotConfig):
-    """The pencil's compiled ledger, with each query's noise width."""
+def _widths(matrices, cfg: ShotConfig) -> np.ndarray:
+    """The noise width of each query the pencil reads, in slot order."""
     if not matrices.with_variances:
         raise ConfigError("pencil was built without variances, which shot noise needs")
-    ledger = matrices.ledger
-    q = len(ledger.keys)
+    q = len(matrices.slots)
     if q == 0:
-        return ledger, np.zeros(0)
+        return np.zeros(0)
     if cfg.ns < q:
         raise ConfigError(f"shot budget {cfg.ns} below one shot per query ({q})")
-    return ledger, np.sqrt(ledger.var / (cfg.ns / q))
+    return np.sqrt(matrices.var[matrices.slots] / (cfg.ns / q))
 
 
-def _draw(ledger, sd: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
+def _draw(matrices, sd: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of perturbed S and H, one sample per generator."""
     re = np.stack([rng.normal(0.0, sd) for rng in rngs], axis=1)
-    re += ledger.value.real[:, None]
-    im = (ledger.value.imag + 0.0).tolist()  # as complex + float
+    re += matrices.value.real[matrices.slots, None]
+    im = (matrices.value.imag + 0.0).tolist()  # as complex + float
     n = re.shape[1]  # one sample reads plain floats, sparing numpy's call overhead
-    return ledger.assemble(list(re) if n > 1 else re[:, 0].tolist(), im, n)
+    rows = [None] * len(im)  # a slot the pencil does not read stays None
+    for k, row in zip(matrices.slots, list(re) if n > 1 else re[:, 0].tolist()):
+        rows[k] = row
+    return matrices.assemble(rows, im, n)
 
 
 def perturb(matrices, cfg: ShotConfig, rng: np.random.Generator):
@@ -170,8 +172,7 @@ def perturb(matrices, cfg: ShotConfig, rng: np.random.Generator):
     over the unique queries, and one draw per query is shared by every matrix
     element that reuses it.
     """
-    ledger, sd = _widths(matrices, cfg)
-    s, h = _draw(ledger, sd, [rng])
+    s, h = _draw(matrices, _widths(matrices, cfg), [rng])
     return s[0], h[0]
 
 
@@ -185,12 +186,12 @@ def sample_distribution(matrices, cfg: ShotConfig, window: tuple[float, float],
     """
     if threshold is None:
         threshold = 10.0 / np.sqrt(cfg.ns)
-    ledger, sd = _widths(matrices, cfg)
+    sd = _widths(matrices, cfg)
     energies = []
     for start in range(0, cfg.n_samples, _STACK):
         rngs = [np.random.default_rng([cfg.seed, k])
                 for k in range(start, min(start + _STACK, cfg.n_samples))]
-        energies.append(stack_energies(*_draw(ledger, sd, rngs), window, threshold))
+        energies.append(stack_energies(*_draw(matrices, sd, rngs), window, threshold))
     arr = np.concatenate(energies)
     solved = ~np.isnan(arr)
     if not np.any(solved):

@@ -4,10 +4,11 @@ Every matrix element is a constant plus a sum of coefficient-weighted
 products of *query values*, a query being one (prepared state, Pauli
 observable) pair.  The ledger of unique queries is what shot-noise
 perturbation and measurement-cost counting operate on: a built pencil's Q
-is its ledger size.  The pencil compiles its ledger once, to a
-``CompiledLedger`` with one slot per query, whose one ``assemble`` builds
-the exact pencil and every stack of noisy samples, so the infinite-shot
-limit reproduces the exact matrices by construction.
+is its ledger size.  A builder emits the pencil as its elements, one per
+distinct term list with every matrix element that holds it, and
+``SubspaceMatrices`` lowers them once to term lists over query slots.  Its
+one ``assemble`` builds the exact pencil and every stack of noisy samples,
+so the infinite-shot limit reproduces the exact matrices by construction.
 
 Fault basis:   the state at software-amplified noise rates lambda_k = k.
 Divided basis: per-block states tensored, powers of the Hamiltonian
@@ -18,17 +19,18 @@ Power basis:   identity plus the state times Hamiltonian powers, which is
 So there are two builders, ``build_fault`` and ``build_divided``.  The
 latter reads the Hamiltonian powers from a ``TermExpansion``, expanded once
 per (Hamiltonian, partition) and shared by every build and by
-``plan_queries``, which counts Q from the very term lists the builder
+``plan_queries``, which counts Q from the very elements the builder
 assembles without preparing any state.  Every expansion of one Hamiltonian
 reads one ``PowerTable``, so each power is formed once.  Element (i, j) of
 either basis does not depend on M, so one build at the largest M serves
-every smaller one through ``leading``.
+every smaller one through ``leading``, which shares the build's term lists
+and slot arrays.
 
 A builder first collects its query keys, then reads them with one
 ``expect_paulis`` call per prepared state.  A circuit without channels is
 its own dual circuit, so its state serves as its dual state.  Elements with
-equal i + j share one term list, which lowering, assembly, variances and
-``leading`` each walk once.
+equal i + j share one term list, which lowering, assembly and variances
+each walk once.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .shotnoise import var_dsp_many, var_pauli_state, var_product_chain
 
 QueryKey = tuple
 Term = tuple  # (coeff, (key, key, ...))
+Element = tuple  # (const, [Term, ...], [(which, i, j), ...])
 
 #: Basis families: power, fault-amplified and divided.
 KINDS = ("power", "fault", "dc")
@@ -92,23 +95,49 @@ class Query:
     var: float | None  # None: a DSP reading on a build without variances
 
 
-@dataclass(frozen=True)
-class CompiledLedger:
-    """Term lists over the ledger's queries, in ``repr`` order (``keys``).
+@dataclass
+class SubspaceMatrices:
+    """The pencil, its per-element variances (None if not asked for), and
+    the query ledger it reads.
 
-    Slot k is query keys[k].  ``elements`` holds one
-    (const, [(coeff, slots)], [(which, i, j), ...]) per distinct term list and
-    constant, with every stored element that holds it, which 0 for S and 1 for H."""
+    ``elements`` holds one (const, [(coeff, keys)], [(which, i, j), ...]) per
+    distinct term list, with every stored element i <= j that holds it, which
+    0 for S and 1 for H.  The constructor orders ``queries`` by ``repr`` and
+    lowers each term's keys to slots, slot k being query k of that order:
+    ``value`` and ``var`` (NaN where a query carries no variance) are indexed
+    by slot, and ``slots`` lists the slots this pencil reads."""
 
+    kind: str
     m: int
-    keys: list[QueryKey]
-    value: np.ndarray
-    var: np.ndarray  # NaN where a query carries no variance
-    elements: list[tuple]
+    queries: dict[QueryKey, Query]
+    elements: list[Element]
+    with_variances: bool = True
+    s: np.ndarray = field(init=False)
+    h: np.ndarray = field(init=False)
+    var_s: np.ndarray | None = field(init=False)
+    var_h: np.ndarray | None = field(init=False)
+    value: np.ndarray = field(init=False)
+    var: np.ndarray = field(init=False)
+    slots: list[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.queries = {k: self.queries[k] for k in sorted(self.queries, key=repr)}
+        index = {k: q for q, k in enumerate(self.queries)}
+        # lowered in place, so each key-form list goes as its slot form comes
+        for n, (const, terms, targets) in enumerate(self.elements):
+            self.elements[n] = (complex(const), [(complex(c), tuple(map(index.__getitem__, ks)))
+                                                 for c, ks in terms], targets)
+        self.slots = list(index.values())
+        qs = self.queries.values()
+        self.value = np.array([q.value for q in qs], dtype=complex)
+        self.var = np.array([q.var for q in qs], dtype=float)
+        s, h = self.assemble(self.value.real.tolist(), self.value.imag.tolist())
+        self.s, self.h = s[0], h[0]
+        self.var_s, self.var_h = self._variances() if self.with_variances else (None, None)
 
     def assemble(self, re: Sequence, im: Sequence, n: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
-        """(n, m, m) stacks of S and H from query readings re[k] + i im[k].
+        """(n, m, m) stacks of S and H from slot readings re[k] + i im[k].
 
         A reading is a float, or an array over n samples: the arithmetic runs
         across samples, never across terms.  Terms add in list order and
@@ -129,96 +158,39 @@ class CompiledLedger:
                     mat.real[:, j, i], mat.imag[:, j, i] = vr, -vi
         return out[0], out[1]
 
-
-@dataclass
-class SubspaceMatrices:
-    """The pencil, its per-element variances (None if not asked for), and
-    the query ledger; ``ledger`` is its compiled form."""
-
-    kind: str
-    m: int
-    queries: dict[QueryKey, Query]
-    s_terms: dict[tuple[int, int], list[Term]]
-    h_terms: dict[tuple[int, int], list[Term]]
-    s_const: dict[tuple[int, int], complex]
-    h_const: dict[tuple[int, int], complex]
-    with_variances: bool = True
-    s: np.ndarray = field(init=False)
-    h: np.ndarray = field(init=False)
-    var_s: np.ndarray | None = field(init=False)
-    var_h: np.ndarray | None = field(init=False)
-
-    def __post_init__(self) -> None:
-        ledger = self.ledger
-        s, h = ledger.assemble(ledger.value.real.tolist(), ledger.value.imag.tolist())
-        self.s, self.h = s[0], h[0]
-        self.var_s, self.var_h = self._variances() if self.with_variances else (None, None)
-
-    def query_keys(self) -> list[QueryKey]:
-        return sorted(self.queries.keys(), key=repr)
-
-    @functools.cached_property
-    def ledger(self) -> CompiledLedger:
-        """The ledger lowered to term lists over query slots, once per pencil."""
-        keys = self.query_keys()
-        index = {k: q for q, k in enumerate(keys)}
-        groups: dict[tuple, tuple] = {}  # elements with equal i + j share one entry list
-        for which, terms, consts in ((0, self.s_terms, self.s_const),
-                                     (1, self.h_terms, self.h_const)):
-            for ij in (*terms, *(ij for ij in consts if ij not in terms)):
-                entry = terms.get(ij, ())
-                const = complex(consts.get(ij, 0.0))
-                group = (id(entry), repr(const))  # repr tells -0.0 from 0.0
-                if group not in groups:
-                    groups[group] = (const, [(complex(c), tuple(map(index.__getitem__, ks)))
-                                             for c, ks in entry], [])
-                groups[group][2].append((which, *ij))
-        qs = [self.queries[k] for k in keys]
-        return CompiledLedger(self.m, keys, np.array([q.value for q in qs], dtype=complex),
-                              np.array([q.var for q in qs], dtype=float), list(groups.values()))
-
     def leading(self, m: int) -> "SubspaceMatrices":
-        """The leading m x m pencil, with the ledger of the queries it reads.
+        """The leading m x m pencil, reading only the queries it needs.
 
         Equal to a fresh build at m: the same matrices, variances and ledger,
-        so shot-noise draws and query counts stay per-m.  Its ledger is
-        compiled on first use, since a pencil that is only solved never needs it.
+        so shot-noise draws and query counts stay per-m.  It shares this
+        pencil's term lists and ``value``/``var`` arrays, and keeps the
+        elements with a target inside the block and the slots they read.
         """
         if not 1 <= m <= self.m:
             raise ConfigError(f"leading block {m} outside 1..{self.m}")
-        s_terms, h_terms, s_const, h_const = (
-            {ij: v for ij, v in d.items() if max(ij) < m}
-            for d in (self.s_terms, self.h_terms, self.s_const, self.h_const))
-        entries = {id(e): e for terms in (s_terms, h_terms) for e in terms.values()}
-        used = {k for entry in entries.values() for _, keys in entry for k in keys}
         out = copy.copy(self)
         out.m = m
-        out.queries = {k: q for k, q in self.queries.items() if k in used}
-        out.s_terms, out.h_terms, out.s_const, out.h_const = s_terms, h_terms, s_const, h_const
-        out.__dict__.pop("ledger", None)  # this pencil's, copied along
+        out.elements = [(const, terms, inside) for const, terms, targets in self.elements
+                        if (inside := [t for t in targets if t[2] < m])]
+        by_slot = dict(zip(self.slots, self.queries.items()))
+        out.slots = sorted({k for _, terms, _ in out.elements for _, slots in terms for k in slots})
+        out.queries = dict(map(by_slot.__getitem__, out.slots))
         for name in ("s", "h", "var_s", "var_h"):
             mat = getattr(self, name)
             setattr(out, name, None if mat is None else mat[:m, :m].copy())
         return out
 
     def _variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """var_s and var_h; a term list that elements share is summed once."""
-        summed: dict[int, float] = {}
-        out = []
-        for terms in (self.s_terms, self.h_terms):
-            var = np.zeros((self.m, self.m))
-            for (i, j), entry in terms.items():
-                if id(entry) not in summed:
-                    v = 0.0
-                    for coeff, keys in entry:
-                        if not keys:
-                            continue
-                        chain = [(float(np.real(self.queries[k].value)), self.queries[k].var)
-                                 for k in keys]
-                        v += abs(coeff) ** 2 * var_product_chain(chain)
-                    summed[id(entry)] = v
-                var[i, j] = var[j, i] = summed[id(entry)]
-            out.append(var)
+        """var_s and var_h; each term list is summed once, for all its targets."""
+        re, var = self.value.real.tolist(), self.var.tolist()
+        out = np.zeros((2, self.m, self.m))
+        for _, terms, targets in self.elements:
+            v = 0.0
+            for coeff, slots in terms:
+                if slots:
+                    v += abs(coeff) ** 2 * var_product_chain([(re[k], var[k]) for k in slots])
+            for which, i, j in targets:
+                out[which, i, j] = out[which, j, i] = v
         return out[0], out[1]
 
     def matrix_rows(self) -> list[tuple]:
@@ -234,8 +206,7 @@ class SubspaceMatrices:
     def ledger_rows(self) -> list[tuple]:
         """CSV rows: state, axes, value, var (empty where not computed)."""
         rows = []
-        for key in self.query_keys():
-            q = self.queries[key]
+        for q in self.queries.values():
             rows.append((repr(q.state), q.axes, q.value.real, "" if q.var is None else q.var))
         return rows
 
@@ -309,58 +280,50 @@ def term_expansion(h: PauliSum, blocks: tuple[tuple[int, ...], ...]) -> TermExpa
     return _recent(_EXPANSIONS, (hkey, tuple(blocks)), lambda: TermExpansion(table, blocks))
 
 
-def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]):
+def _fault_terms(m: int, h: PauliSum, key: Callable[[int, int, str], QueryKey]
+                 ) -> list[Element]:
     """Every ordered pair (input amplification, output amplification) is its
     own prepared state; hermiticity comes from averaging the two orders."""
     ident = "I" * h.n
-    s_terms: dict[tuple[int, int], list[Term]] = {}
-    h_terms: dict[tuple[int, int], list[Term]] = {}
+    elements = []
     for i in range(m):
         for j in range(i, m):
             pairs = ((1.0, i, i),) if i == j else ((0.5, i, j), (0.5, j, i))
-            s_terms[(i, j)] = [(w, (key(a, b, ident),)) for w, a, b in pairs]
-            h_terms[(i, j)] = [(w * t.coeff, (key(a, b, t.axes),))
-                               for t in h for w, a, b in pairs]
-    return s_terms, h_terms
+            elements.append((0j, [(w, (key(a, b, ident),)) for w, a, b in pairs], [(0, i, j)]))
+            elements.append((0j, [(w * t.coeff, (key(a, b, t.axes),))
+                                  for t in h for w, a, b in pairs], [(1, i, j)]))
+    return elements
 
 
 def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
-                   tr_r: Sequence[complex], tr_b: Sequence[complex]):
-    """Term lists and constants of the power and divided bases.
+                   tr_r: Sequence[complex], tr_b: Sequence[complex]) -> list[Element]:
+    """The elements of the power and divided bases.
 
     Bulk elements S_ij = Tr[sym * H^{i+j-2}] (0-based i, j >= 1), H_ij with
     one more power, sym being each block's symmetrized product of dual and
     state; the first row and column read the plain and dual states against
-    lower powers and the corner is free: S_11 = Tr[I], H_11 = Tr[H].  Each
+    lower powers and the corner is free: S_11 = Tr[I], H_11 = Tr[H].  So
+    boundary power p serves S(0, p+1) and H(0, p), and bulk power p every
+    S(i, j) with i + j - 2 = p and every H(i, j) with i + j - 1 = p.  Each
     string becomes a product of one query per block, key(which, block, sub)
     with which in ("dsp", "rho", "dual"); an identity factor on the boundary
-    folds into the coefficient as that block's trace (tr_r, tr_b).  Elements
-    with equal i + j share one entry.  key runs once per distinct (which,
-    block, sub), and each term's keys are read off its sub-string ids.
+    folds into the coefficient as that block's trace (tr_r, tr_b).  key runs
+    once per distinct (which, block, sub), and each term's keys are read off
+    its sub-string ids.
     """
-    h = spec.hamiltonian
+    h, m = spec.hamiltonian, spec.m
     exp = term_expansion(h, spec.blocks)
     bso = spec.boundary_state_only
     nb = len(tr_r)
     dsp, rho, dual = ([functools.cache(functools.partial(key, which, l)) for l in range(nb)]
                       for which in ("dsp", "rho", "dual"))
     folds: dict[tuple[int, ...], tuple[complex, complex]] = {}
-    bulk: dict[int, list[Term]] = {}
-    boundary: dict[int, tuple[complex, list[Term]]] = {}
 
     def columns(keys, splits: list[Split], boundary: bool) -> list[list]:
         """Each block's key per sub-string id; on the boundary an identity
         factor is no query."""
         return [[None if boundary and i == sp.identity else memo(sub)
                  for i, sub in enumerate(sp.spelled)] for memo, sp in zip(keys, splits)]
-
-    def bulk_entry(power: int) -> list[Term]:
-        if power not in bulk:
-            coeffs, splits = exp.power(power)
-            cols = columns(dsp, splits, False)
-            bulk[power] = list(zip(coeffs, zip(*(map(col.__getitem__, sp.ids)
-                                                 for col, sp in zip(cols, splits)))))
-        return bulk[power]
 
     def fold(live: tuple[int, ...]) -> tuple[complex, complex]:
         """The traces of the blocks not in live, multiplied, of state and dual."""
@@ -369,9 +332,9 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
                                 for tr in (tr_r, tr_b))
         return folds[live]
 
-    def boundary_entry(power: int) -> tuple[complex, list[Term]]:
-        if power in boundary:
-            return boundary[power]
+    d = 1 << h.n
+    elements = [(complex(d), [], [(0, 0, 0)]), (h.identity_coefficient * d, [], [(1, 0, 0)])]
+    for power in range(m) if m > 1 else ():  # at M = 1 no boundary power serves
         coeffs, splits = exp.power(power)
         idents = [sp.identity for sp in splits]
         col_r = columns(rho, splits, True)
@@ -392,22 +355,19 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
                 keys_b = tuple(col_b[l][ids[l]] for l in live)
                 entry.append((0.5 * c * fold_r, keys_r))
                 entry.append((0.5 * c * fold_b, keys_b))
-        boundary[power] = (const, entry)
-        return boundary[power]
-
-    d = 1 << h.n
-    s_terms: dict[tuple[int, int], list[Term]] = {}
-    h_terms: dict[tuple[int, int], list[Term]] = {}
-    s_const: dict[tuple[int, int], complex] = {(0, 0): complex(d)}
-    h_const: dict[tuple[int, int], complex] = {(0, 0): h.identity_coefficient * d}
-    for j in range(1, spec.m):
-        s_const[(0, j)], s_terms[(0, j)] = boundary_entry(j - 1)
-        h_const[(0, j)], h_terms[(0, j)] = boundary_entry(j)
-    for i in range(1, spec.m):
-        for j in range(i, spec.m):
-            s_terms[(i, j)] = bulk_entry(i + j - 2)
-            h_terms[(i, j)] = bulk_entry(i + j - 1)
-    return s_terms, h_terms, s_const, h_const
+        targets = [(0, 0, power + 1)] if power + 1 < m else []
+        if power:
+            targets.append((1, 0, power))
+        elements.append((const, entry, targets))
+    for power in range(2 * m - 2):
+        coeffs, splits = exp.power(power)
+        cols = columns(dsp, splits, False)
+        entry = list(zip(coeffs, zip(*(map(col.__getitem__, sp.ids)
+                                       for col, sp in zip(cols, splits)))))
+        elements.append((0j, entry, [(which, i, power + 2 - which - i)
+                                     for which in (0, 1) for i in range(1, m)
+                                     if i <= power + 2 - which - i < m]))
+    return elements
 
 
 def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: int = 0,
@@ -426,7 +386,7 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: in
         reads.setdefault((i, j), {})[key] = None
         return key
 
-    s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian, pair_key)
+    elements = _fault_terms(spec.m, spec.hamiltonian, pair_key)
     queries: dict[QueryKey, Query] = {}
     for (i, j), keys in reads.items():
         axes = [k[3] for k in keys]
@@ -434,8 +394,7 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: in
         values = expect_paulis(0.5 * (br + br.conj().T), axes)
         var = var_dsp_many(rhos[i], bars[j], axes) if with_variances else [None] * len(axes)
         queries.update((k, Query(k[:3], *q)) for k, q in zip(keys, zip(axes, values, var)))
-    return SubspaceMatrices("fault", spec.m, queries, s_terms, h_terms, {}, {},
-                            with_variances)
+    return SubspaceMatrices("fault", spec.m, queries, elements, with_variances)
 
 
 def _dual(circ: Circuit, rho: np.ndarray) -> np.ndarray:
@@ -488,7 +447,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
             reads.setdefault((which, l), []).append(k)
         return k
 
-    terms = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
+    elements = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
                            [complex(np.trace(b)) for b in bars])
     queries: dict[QueryKey, Query] = {}
     for (which, l), keys in reads.items():
@@ -501,7 +460,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
         else:
             var = [None] * len(axes)
         queries.update((k, Query(k[:-1], *q)) for k, q in zip(keys, zip(axes, values, var)))
-    return SubspaceMatrices(spec.kind, spec.m, queries, *terms, with_variances)
+    return SubspaceMatrices(spec.kind, spec.m, queries, elements, with_variances)
 
 
 def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
@@ -531,24 +490,23 @@ def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
     bit-identical block circuits; a built pencil's Q is its ledger size.
     """
     if spec.kind == "fault":
-        s_terms, h_terms = _fault_terms(spec.m, spec.hamiltonian,
-                                        lambda i, j, axes: ("fault", i, j, axes))
+        elements = _fault_terms(spec.m, spec.hamiltonian, lambda i, j, axes: ("fault", i, j, axes))
     else:
         nb = len(spec.blocks)
         if len({len(b) for b in spec.blocks}) == 1:
             block_keys = ["shared"] * nb
         else:
             block_keys = [str(l) for l in range(nb)]
-        s_terms, h_terms, _, _ = _divided_terms(
+        elements = _divided_terms(
             spec, lambda which, l, axes: _state_id(spec.kind, which, block_keys[l]) + (axes,),
             [1.0] * nb, [1.0] * nb)
     unique: set[QueryKey] = set()
     occurrences = 0
-    for terms in (s_terms, h_terms):
-        for (i, j), entry in terms.items():
-            for _, keys in entry:
-                unique.update(keys)
-                occurrences += len(keys) * (1 if i == j else 2)
+    for _, terms, targets in elements:
+        uses = sum(1 if i == j else 2 for _, i, j in targets)
+        for _, keys in terms:
+            unique.update(keys)
+            occurrences += len(keys) * uses
     ordered = tuple(sorted(unique, key=repr))
     q = len(ordered) if reuse or spec.kind == "fault" else occurrences
     return QueryPlan(ordered, q)

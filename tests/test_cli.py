@@ -266,6 +266,9 @@ class TestCliEntry:
         (["--obs", "ZZII", "--p1", "2"], None, "--p1"),
         (["--obs", "ZZII", "--p1", "-0.1"], None, "--p1"),
         (["--obs", "ZZII", "--p1", "0.5"], None, "--p1"),  # two-qubit rate 5
+        # json writes these as NaN and Infinity, tokens its reader accepts
+        (["--obs", "ZZII"], [0.1] * 23 + [float("nan")], "NaN or infinite"),
+        (["--obs", "ZZII"], [float("inf")] + [0.1] * 23, "NaN or infinite"),
     ])
     def test_malformed_oracle_input_exits_one(self, tmp_path, capsys, monkeypatch,
                                               flags, params, what):
@@ -282,6 +285,22 @@ class TestCliEntry:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error:") and what in err
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_params_file_exits_one(self, tmp_path, capsys, monkeypatch, bad):
+        # json writes these as NaN and Infinity, tokens its reader accepts
+        def no_work(*a, **k):
+            raise AssertionError("a non-finite parameter is rejected before any simulation")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_work)
+        monkeypatch.setattr("qemlab.experiments.attach_noise", no_work)
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps([bad] + [0.1] * 31))  # path-4 at 3 layers
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_cfg(vqe={"layers": 3, "params_file": str(params)})))
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_oracle_missing_params_file_exit_code(self, tmp_path):
         rc = main(["oracle", "--obs", "ZZII", "--params-file", str(tmp_path / "missing.json")])
@@ -309,6 +328,22 @@ class TestCliEntry:
          "partition"),
         ("run", small_cfg(graph="cluster-2d-8", partition="half-2-2",
                           subspace={"kind": "dc", "m_values": [1, 2]}), "partition"),
+        # an empty list leaves the scenario without result rows
+        ("run", small_cfg(subspace={"m_values": []}), "subspace.m_values"),
+        ("run", small_cfg(noise={"p1_values": []}), "noise.p1_values"),
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"m_values": [2]}, shots={"ns_values": []}),
+         "shots.ns_values"),
+        ("run", {"scenario": "queries", "graph": "path-4", "partition": "half-2-2",
+                 "m_values": []}, "m_values"),
+        ("run", {"scenario": "queries", "graph": "path-4", "partition": "half-2-2",
+                 "kinds": []}, "kinds"),
+        ("run", {"scenario": "esd-vs-dsp", "graph": "path-4", "noise_kinds": []}, "noise_kinds"),
+        ("run", {"scenario": "trace-distance", "graph": "path-4", "depths": []}, "depths"),
+        ("run", {"scenario": "trace-distance", "graph": "path-4", "error_budgets": []},
+         "error_budgets"),
+        ("run", {"scenario": "cost-metric", "graph": "path-4", "partition": "half-2-2",
+                 "power_m": [], "dc_m": []}, "power_m and dc_m"),
     ])
     def test_malformed_config_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         command, cfg, path):
@@ -371,6 +406,23 @@ class TestCliEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"error_budgets {budgets[-1]!r}" in err
         assert not (tmp_path / "out").exists()
+
+    def test_empty_m_range_exits_one(self, tmp_path, capsys, monkeypatch):
+        def no_work(*a, **k):
+            raise AssertionError("an empty list is rejected before any work")
+
+        monkeypatch.setattr("qemlab.experiments.plan_queries", no_work)
+        out = tmp_path / "out"
+        assert main(["queries", "--graph", "path-4", "--partition", "half-2-2",
+                     "--m-min", "5", "--m-max", "2", "--out-dir", str(out)]) == 1
+        assert "m_values must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("empty", ["power_m", "dc_m"])
+    def test_one_empty_cost_list_still_yields_rows(self, empty):
+        cfg = check_config({"scenario": "cost-metric", "graph": "path-4",
+                            "partition": "half-2-2", empty: []})
+        assert getattr(cfg, empty) == ()
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_passes_its_checks(self, tmp_path, monkeypatch, path):

@@ -231,11 +231,10 @@ def synthetic_matrices():
     """One query shared by four elements, for the shared-draw contract."""
     key = (("syn",), "Z")
     queries = {key: Query(("syn",), "Z", 0.5 + 0.0j, 0.04)}
-    terms = {(0, 0): [(1.0, (key,))], (0, 1): [(2.0, (key,))],
-             (1, 1): [(3.0, (key,))]}
-    h_terms = {(0, 0): [(4.0, (key,))], (0, 1): [], (1, 1): []}
-    return SubspaceMatrices("power", 2, queries, terms, h_terms,
-                            {}, {(0, 1): 0.0, (1, 1): 0.0})
+    elements = [(0.0, [(1.0, (key,))], [(0, 0, 0)]), (0.0, [(2.0, (key,))], [(0, 0, 1)]),
+                (0.0, [(3.0, (key,))], [(0, 1, 1)]), (0.0, [(4.0, (key,))], [(1, 0, 0)]),
+                (0.0, [], [(1, 0, 1), (1, 1, 1)])]
+    return SubspaceMatrices("power", 2, queries, elements)
 
 
 class TestPerturb:
@@ -333,25 +332,19 @@ class TestSampleDistribution:
 def oracle_pencil(mats, lookup):
     """Scalar assembly: each element is its constant plus its terms in order,
     each term the coefficient times its query values left to right."""
-    out = []
-    for terms, consts in ((mats.s_terms, mats.s_const), (mats.h_terms, mats.h_const)):
-        mat = np.zeros((mats.m, mats.m), dtype=complex)
-        for (i, j), entry in terms.items():
-            val = consts.get((i, j), 0.0)
-            for coeff, keys in entry:
-                prod = coeff
-                for k in keys:
-                    prod *= lookup(k)
-                val += prod
-            mat[i, j] = val
+    key_of = dict(zip(mats.slots, mats.queries))
+    out = np.zeros((2, mats.m, mats.m), dtype=complex)
+    for const, entry, targets in mats.elements:
+        val = const
+        for coeff, slots in entry:
+            prod = coeff
+            for k in slots:
+                prod *= lookup(key_of[k])
+            val += prod
+        for which, i, j in targets:
+            out[which, i, j] = val
             if i != j:
-                mat[j, i] = np.conj(val)
-        for (i, j), cval in consts.items():
-            if (i, j) not in terms:
-                mat[i, j] = cval
-                if i != j:
-                    mat[j, i] = np.conj(cval)
-        out.append(mat)
+                out[which, j, i] = np.conj(val)
     return out[0], out[1]
 
 
@@ -498,10 +491,10 @@ class TestNoVarianceBuild:
         assert [r[:5] for r in rows] == [r[:5] for r in full_rows]
         ledger, full_ledger = mats.ledger_rows(), full.ledger_rows()
         assert len(ledger) == len(full_ledger) == len(mats.queries)
-        for key, got, want in zip(mats.query_keys(), ledger, full_ledger):
+        for key, got, want in zip(list(mats.queries), ledger, full_ledger):
             assert got[:3] == want[:3]
             assert got[3] == ("" if key[1] == "dsp" else want[3])
-        assert sum(key[1] == "dsp" for key in mats.query_keys()) > 0
+        assert sum(key[1] == "dsp" for key in list(mats.queries)) > 0
 
 
 class TestShotSettings:
@@ -546,8 +539,9 @@ class TestNonFiniteSample:
     def test_nan_query_raises_instead_of_rejecting(self):
         key = (("syn",), "Z")
         queries = {key: Query(("syn",), "Z", complex(float("nan"), 0.0), 0.04)}
-        terms = {(0, 0): [(1.0, (key,))], (0, 1): [(0.1, (key,))], (1, 1): [(1.0, ())]}
-        h_terms = {(0, 0): [(-1.0, ())], (0, 1): [], (1, 1): [(-2.0, ())]}
-        mats = SubspaceMatrices("power", 2, queries, terms, h_terms, {}, {})
+        elements = [(0.0, [(1.0, (key,))], [(0, 0, 0)]), (0.0, [(0.1, (key,))], [(0, 0, 1)]),
+                    (0.0, [(1.0, ())], [(0, 1, 1)]), (0.0, [(-1.0, ())], [(1, 0, 0)]),
+                    (0.0, [], [(1, 0, 1)]), (0.0, [(-2.0, ())], [(1, 1, 1)])]
+        mats = SubspaceMatrices("power", 2, queries, elements)
         with pytest.raises(NonFinitePencilError):
             sample_distribution(mats, ShotConfig(ns=1e6, n_samples=4), (-10.0, 0.0))

@@ -296,7 +296,7 @@ class TestQueryPlans:
         for spec, arg in cases:
             mats = build(spec, arg, PAULI)
             plan = plan_queries(spec, reuse=True)
-            assert set(plan.queries) == set(mats.query_keys())
+            assert set(plan.queries) == set(mats.queries)
         # dc: plan uses a synthetic shared block key, so compare per-block sets
         spec = SubspaceSpec("dc", 3, h, partition=part)
         mats = build(spec, [sub, sub], PAULI)
@@ -351,8 +351,8 @@ class TestLeadingBlock:
         assert got.m == want.m == m
         for name in ("s", "h", "var_s", "var_h"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
-        assert got.query_keys() == want.query_keys()
-        for key in want.query_keys():
+        assert list(got.queries) == list(want.queries)
+        for key in list(want.queries):
             assert got.queries[key].value == want.queries[key].value
             assert got.queries[key].var == want.queries[key].var
         assert got.ledger_rows() == want.ledger_rows()
@@ -364,6 +364,49 @@ class TestLeadingBlock:
         for m in (0, 4):
             with pytest.raises(ConfigError):
                 mats.leading(m)
+
+
+class TestElements:
+    """The builders' elements are the pencil's only form."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(kind=st.sampled_from(["power", "fault", "dc"]),
+           bso=st.booleans(),
+           big=st.integers(1, 6),
+           data=st.data())
+    def test_each_element_stored_once_and_shared_by_leading(self, kind, bso, big, data):
+        h = build_ising(path(4), 4)
+        rng = np.random.default_rng(big)
+        if kind == "dc":
+            spec = SubspaceSpec("dc", big, h, partition=SystemPartition(((0, 1), (2, 3))),
+                                boundary_state_only=bso)
+            arg = [build_ansatz(2, 1, rng.uniform(-np.pi, np.pi, 8), path(2)) for _ in range(2)]
+        else:
+            spec = SubspaceSpec(kind, big, h, **({"boundary_state_only": bso}
+                                                 if kind == "power" else {}))
+            arg = build_ansatz(4, 1, rng.uniform(-np.pi, np.pi, 16), path(4))
+        mats = build(spec, arg, PAULI, with_variances=False)
+        targets = [t for _, _, ts in mats.elements for t in ts]
+        assert sorted(targets) == [(w, i, j) for w in (0, 1)
+                                   for i in range(big) for j in range(i, big)]
+        assert all(ts for _, _, ts in mats.elements)
+
+        m = data.draw(st.integers(1, big), label="m")
+        part = mats.leading(m)
+        terms_of = {id(terms): (terms, ts) for _, terms, ts in mats.elements}
+        for _, terms, ts in part.elements:
+            parent_terms, parent_ts = terms_of[id(terms)]
+            assert terms is parent_terms
+            assert ts == [t for t in parent_ts if t[2] < m] and ts
+        assert sorted(t for _, _, ts in part.elements for t in ts) == [
+            (w, i, j) for w in (0, 1) for i in range(m) for j in range(i, m)]
+        for name in ("value", "var"):
+            got, parent = getattr(part, name), getattr(mats, name)
+            assert got is parent and (parent.size == 0 or np.shares_memory(got, parent))
+        keys = list(mats.queries)
+        assert part.slots == sorted({k for _, terms, _ in part.elements
+                                     for _, slots in terms for k in slots})
+        assert list(part.queries) == [keys[k] for k in part.slots]
 
 
 # (Q without reuse, Q with reuse) per (kind, M): the counts that
@@ -456,7 +499,7 @@ def test_channel_free_dual_is_the_state(monkeypatch, kind, noise):
     assert len(duals) == (1 if kind == "power" else 3)
     for name in ("s", "h", "var_s", "var_h"):
         assert np.array_equal(getattr(reused, name), getattr(forced, name)), name
-    assert reused.ledger.keys == forced.ledger.keys
-    assert np.array_equal(reused.ledger.value, forced.ledger.value)
-    assert np.array_equal(reused.ledger.var, forced.ledger.var, equal_nan=True)
+    assert list(reused.queries) == list(forced.queries)
+    assert np.array_equal(reused.value, forced.value)
+    assert np.array_equal(reused.var, forced.var, equal_nan=True)
     assert reused.queries == forced.queries
