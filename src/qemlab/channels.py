@@ -177,6 +177,8 @@ class NoiseModel:
         if self.kind not in ("none", "coherent_drift"):
             _check_rate(self.p1)
             _check_rate(self.p2)
+        elif self.kind == "coherent_drift" and not 0.0 <= self.p1 < np.inf:
+            raise NoiseRateError(f"drift angle bound {self.p1} is not a finite number >= 0")
 
     @property
     def p2(self) -> float:
@@ -189,9 +191,6 @@ class NoiseModel:
         scaled = replace(self, p1=lam * self.p1)
         if self.kind == "thermal_relaxation":
             scaled = replace(scaled, gate_time=lam * self.gate_time)
-        if scaled.kind not in ("none", "coherent_drift"):
-            _check_rate(scaled.p1)
-            _check_rate(scaled.p2)
         return scaled
 
     def channels_for_gate(self, qubits: tuple[int, ...], generators: tuple[str, ...],

@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import models
-from .channels import NOISE_KINDS
 from .circuits import attach_noise, build_ansatz, dual_state, run as run_circuit
 from .errors import ConfigError
 from .experiments import SCENARIOS, VQE_DEFAULTS, check_config, checked_noise_model, \
@@ -115,11 +114,10 @@ def _cmd_oracle(args) -> int:
     if len(args.obs) != n or not set(args.obs) <= set("IXYZ"):
         raise ConfigError(f"--obs {args.obs!r} must be {n} letters from IXYZ, "
                           f"one per qubit of {args.graph!r}")
-    if args.noise_kind not in NOISE_KINDS:
-        raise ConfigError(f"unknown --noise-kind {args.noise_kind!r}; have {sorted(NOISE_KINDS)}")
     check_count("--layers", args.layers)
     check_count("--seed", args.seed)
-    noise = checked_noise_model("--p1", args.noise_kind, args.p1, 1)
+    noise = checked_noise_model(f"--noise-kind {args.noise_kind!r} at --p1 {args.p1!r}",
+                                args.noise_kind, args.p1)
     if args.params_file:
         params = read_params(args.params_file, n, args.layers)
     else:

@@ -2,10 +2,14 @@
 
 Each scenario declares the config keys it reads, with their defaults, in one
 table (``SCENARIOS``).  ``check_config`` checks a parsed config against that
-table before any work, and the scenario function reads the read-only result
-and returns a mapping of output name to (header, rows).  Everything is
-deterministic under the config seed; float formatting is fixed so identical
-configs produce byte-identical files.  Plotting is left to external tools.
+table and then builds, before any work, every value object the config names
+(graph, partition, noise models, subspace specs, shot configs, parameters),
+each by its own constructor; so what is valid is defined once, by those
+constructors.  The scenario function reads the read-only result and its
+built objects and returns a mapping of output name to (header, rows).
+Everything is deterministic under the config seed; float formatting is fixed
+so identical configs produce byte-identical files.  Plotting is left to
+external tools.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from . import models
-from .channels import NOISE_KINDS, TWO_QUBIT_RATIO, NoiseModel, noiseless
+from .channels import TWO_QUBIT_RATIO, NoiseModel, noiseless
 from .circuits import (
     attach_noise,
     build_ansatz,
@@ -94,83 +98,58 @@ _NOISE = {"kind": "stochastic_pauli"}
 _ONE_P1 = {**_NOISE, "p1": 2e-6}
 _SAMPLES = {"n_samples": 1000}
 
-_CHOICES = {"graph": models.GRAPHS, "partition": models.PARTITIONS,
-            "noise.kind": NOISE_KINDS, "noise_kinds": NOISE_KINDS,
-            "subspace.kind": KINDS, "kinds": KINDS}
-_AT_LEAST_ONE = ("subspace.m_values", "m_values", "power_m", "dc_m", "n_seeds")
-_MAY_BE_EMPTY = ("power_m", "dc_m")  # either one alone still yields rows
 _TYPES = {float: ((int, float), "a number"), str: (str, "a string"),
           bool: (bool, "true or false"), type(None): ((str, type(None)), "a path or null")}
 
 
 def check_config(raw):
-    """raw checked against its scenario's table, defaults filled in.
+    """raw checked against its scenario's table, defaults filled in, and the
+    value objects it names built before any work (``values``).
 
-    A default's type is the type its key takes: an int is a non-negative
-    integer, a float any number, None a path or null, and a list default
-    types its entries.  Returns read-only attribute objects (a nested
-    mapping is one more), with lists as tuples.  Raises ConfigError naming
-    the dotted path of a key the scenario does not read, a value of another
-    type, an unknown kind, graph or partition, an M or seed count below 1, an
-    empty list (power_m and dc_m only when both are), a partition that does
-    not cover the graph where a divided basis is built or counted, or a noise
-    rate that leaves [0, 1] in any noise model the scenario builds: a fault
-    basis's amplified to its largest M, and the p1 each error budget sets at
-    each depth, included.
+    Returns read-only attribute objects (a nested mapping is one more), with
+    lists as tuples, plus the field ``values``.  A default's type is the type
+    its key takes: an int is a non-negative integer, a float any number, None
+    a path or null, and a list default types its entries.  Raises ConfigError
+    naming the dotted path of a key the scenario does not read, a value of
+    another type, an empty list (power_m and dc_m only when both are), an
+    n_seeds below 1, or a value that a value object's constructor rejects.
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
-    if name not in SCENARIOS:
+    if not isinstance(name, str) or name not in SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}; have {sorted(SCENARIOS)}")
-    cfg = _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "")
-    if hasattr(cfg, "dc_m") and not (cfg.power_m or cfg.dc_m):
-        raise ConfigError("power_m and dc_m are both empty, which leaves no result rows")
-    kinds = (getattr(getattr(cfg, "subspace", None), "kind", None), *getattr(cfg, "kinds", ()))
-    if "dc" in kinds or getattr(cfg, "dc_m", ()):  # builds or counts a divided basis
-        covers, n = models.partition(cfg.partition).n, models.graph(cfg.graph)[0]
-        if covers != n:
-            raise ConfigError(f"partition {cfg.partition!r} covers {covers} qubits, "
-                              f"but graph {cfg.graph!r} has {n}")
-    noise = getattr(cfg, "noise", None)
-    if noise is not None:
-        many = hasattr(noise, "p1_values")
-        rates = noise.p1_values if many else (noise.p1,)
-        fault = getattr(getattr(cfg, "subspace", None), "kind", None) == "fault"
-        lam = max(cfg.subspace.m_values, default=1) if fault else 1
-        for kind in cfg.noise_kinds if hasattr(cfg, "noise_kinds") else (noise.kind,):
-            for p1 in rates:
-                checked_noise_model("noise.p1_values" if many else "noise.p1", kind, p1, lam)
-    if hasattr(cfg, "error_budgets"):
-        n, edges = models.graph(cfg.graph)
-        for budget in cfg.error_budgets:
-            for layers in cfg.depths:
-                checked_noise_model(f"error_budgets {budget!r} at depth {layers} sets p1",
-                                    "stochastic_pauli", budget_p1(budget, layers, n, len(edges)), 1)
-    return cfg
+    empty = []  # the dotted path of each empty list, in table order
+    cfg = _section(raw, {"scenario": name, **SCENARIOS[name][1]}, "", empty)
+    if len(empty) > hasattr(cfg, "dc_m"):  # either cost list alone still yields rows
+        both = "both " if hasattr(cfg, "dc_m") else ""
+        raise ConfigError(f"{' and '.join(empty)} must not {both}be empty")
+    if getattr(cfg, "n_seeds", 1) < 1:
+        raise ConfigError(f"n_seeds must be at least 1, got {cfg.n_seeds!r}")
+    return namedtuple("Config", (*cfg._fields, "values"))(*cfg, values(cfg))
 
 
-def _section(raw, table: dict, prefix: str):
+def _section(raw, table: dict, prefix: str, empty: list):
     if not isinstance(raw, dict):
         raise ConfigError(f"{prefix[:-1]} must be a mapping, got {raw!r}")
     for key in raw:
         if key not in table:
             raise ConfigError(f"unknown key {prefix}{key}; expected one of {sorted(table)}")
-    values = {}
+    fields = {}
     for key, default in table.items():
         path, v = prefix + key, raw.get(key, default)
         if isinstance(default, dict):
-            v = _section(v, default, path + ".")
+            v = _section(v, default, path + ".", empty)
         else:
             _check_value(path, v, default)
-        values[key] = tuple(v) if isinstance(v, list) else v
-    return namedtuple("Section", values)(**values)
+        if v == []:
+            empty.append(path)
+        fields[key] = tuple(v) if isinstance(v, list) else v
+    return namedtuple("Section", fields)(**fields)
 
 
 def _check_value(path: str, v, default) -> None:
     many = isinstance(default, list)
     if many and not isinstance(v, list):
         raise ConfigError(f"{path} must be a list, got {v!r}")
-    if many and not v and path not in _MAY_BE_EMPTY:
-        raise ConfigError(f"{path} must not be empty")
     proto = default[0] if many else default
     for x in v if many else (v,):
         if type(proto) is int:
@@ -179,29 +158,80 @@ def _check_value(path: str, v, default) -> None:
             types, what = _TYPES[type(proto)]
             if not isinstance(x, types) or isinstance(x, bool) != isinstance(proto, bool):
                 raise ConfigError(f"{path} must be {what}, got {x!r}")
-        if path in _CHOICES and x not in _CHOICES[path]:
-            raise ConfigError(f"unknown {path} {x!r}; have {sorted(_CHOICES[path])}")
-        if path in _AT_LEAST_ONE and x < 1:
-            raise ConfigError(f"{path} must be at least 1, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
-# shared preparation
+# the value objects a checked config names
+
+Values = namedtuple("Values", "n edges h partition params noise specs shots")
 
 
-def _noise_model(kind: str, p1: float) -> NoiseModel:
-    if kind == "none" or p1 == 0.0:
-        return noiseless()
-    return NoiseModel(kind=kind, p1=p1)
-
-
-def checked_noise_model(key: str, kind: str, p1: float, lam: int) -> NoiseModel:
-    """The (kind, p1) model amplified by lam; ConfigError naming key if a rate leaves [0, 1]."""
+def checked(key: str, make: Callable, *args, **kw):
+    """make(*args, **kw), a ValueError it raises turned into a ConfigError naming key."""
     try:
-        return _noise_model(kind, p1).amplified(float(lam))
-    except NoiseRateError as ex:
-        at = f" at the fault basis's amplification {lam}" if lam != 1 else ""
-        raise ConfigError(f"{key} {p1!r} gives {kind} noise with {ex}{at}") from ex
+        return make(*args, **kw)
+    except ValueError as ex:
+        raise ConfigError(f"{key}: {ex}") from ex
+
+
+def checked_noise_model(key: str, kind: str, p1: float, lam: float = 1.0) -> NoiseModel:
+    """The (kind, p1) model amplified by lam, noiseless where kind is none or p1
+    is 0; ConfigError naming key for an unknown kind or a rate outside [0, 1]."""
+    model = checked(key, lambda: NoiseModel(kind, p1).amplified(lam))
+    return noiseless() if kind == "none" or p1 == 0.0 else model
+
+
+def values(cfg) -> Values:
+    """Every value object the checked table cfg names, each built by its own constructor.
+
+    The graph (n, edges), its Hamiltonian h, the partition, the params read
+    from vqe.params_file (or None), the noise model of each p1, (kind, p1) or
+    (budget, depth), the SubspaceSpec of each (kind, M) and the ShotConfig of
+    each ns; a fault basis's noise model is checked amplified to its largest M.
+    """
+    n, edges = checked("graph", models.graph, cfg.graph)
+    h = build_ising(edges, n)
+    part = checked("partition", models.partition, cfg.partition) \
+        if hasattr(cfg, "partition") else None
+    vqe = getattr(cfg, "vqe", None)
+    params = checked("vqe.params_file", read_params, vqe.params_file, n, vqe.layers) \
+        if vqe and vqe.params_file else None
+    sub, specs = getattr(cfg, "subspace", None), {}
+    bases = [(f"subspace.kind {sub.kind!r} at subspace.m_values {m}", sub.kind, m)
+             for m in getattr(sub, "m_values", ())]
+    bases += [(f"kinds {k!r} at m_values {m}", k, m)
+              for k in getattr(cfg, "kinds", ()) for m in cfg.m_values]
+    bases += [(f"{k}_m {m}", k, m) for k in ("power", "dc") for m in getattr(cfg, f"{k}_m", ())]
+    for key, kind, m in bases:
+        dc = kind == "dc"  # only the divided basis reads the partition and the boundary flag
+        specs[kind, m] = checked(key, SubspaceSpec, kind, m, h, partition=part if dc else None,
+                                 boundary_state_only=dc and sub.boundary_state_only)
+    noise = {}
+    if hasattr(cfg, "noise_kinds"):  # each model as given, relaxation at p1 = 0 included
+        for kind in cfg.noise_kinds:
+            for p1 in cfg.noise.p1_values:
+                noise[kind, p1] = checked(f"noise_kinds {kind!r} at noise.p1_values {p1!r}",
+                                          NoiseModel, kind, p1)
+    elif hasattr(cfg, "noise"):
+        lam = max(sub.m_values) if sub.kind == "fault" else 1
+        rates = "noise.p1_values" if hasattr(cfg.noise, "p1_values") else "noise.p1"
+        for p1 in getattr(cfg.noise, "p1_values", None) or (cfg.noise.p1,):
+            key = f"noise.kind {cfg.noise.kind!r} at {rates} {p1!r}"
+            noise[p1] = checked_noise_model(key, cfg.noise.kind, p1)
+            if lam > 1:  # the fault basis amplifies it up to its largest M
+                checked_noise_model(f"{key} amplified to M {lam}", cfg.noise.kind, p1, lam)
+    for budget in getattr(cfg, "error_budgets", ()):
+        for layers in cfg.depths:
+            noise[budget, layers] = checked(
+                f"error_budgets {budget!r} at depths {layers}", NoiseModel,
+                "stochastic_pauli", budget_p1(budget, layers, n, len(edges)))
+    shots = {}
+    if hasattr(cfg, "shots"):
+        budgets = "shots.ns_values" if hasattr(cfg.shots, "ns_values") else "shots.ns"
+        for ns in getattr(cfg.shots, "ns_values", None) or (cfg.shots.ns,):
+            shots[ns] = checked(f"{budgets} {ns!r} with shots.n_samples {cfg.shots.n_samples}",
+                                ShotConfig, ns, cfg.shots.n_samples, cfg.seed)
+    return Values(n, edges, h, part, params, noise, specs, shots)
 
 
 def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
@@ -225,33 +255,21 @@ def read_params(params_file: str, n: int, layers: int) -> np.ndarray:
     return params
 
 
-def _vqe_params(vqe, n: int, h, edges, params_file=None):
-    """Ansatz parameters read from params_file, or trained by VQE."""
-    if params_file:
-        return read_params(params_file, n, vqe.layers)
+def _trained(vqe, n: int, h, edges) -> np.ndarray:
+    """Ansatz parameters trained by VQE."""
     return optimize(n, vqe.layers, h, iters=vqe.iters, seed=vqe.seed, edges=edges).params
-
-
-def subspace_spec(kind: str, m: int, h, partition: str,
-                  boundary_state_only: bool) -> SubspaceSpec:
-    """Basis spec for (kind, M); only the divided basis reads the last two."""
-    if kind != "dc":
-        return SubspaceSpec(kind, m, h)
-    return SubspaceSpec(kind, m, h, partition=models.partition(partition),
-                        boundary_state_only=boundary_state_only)
 
 
 class Problem:
     """Everything derived from the graph/ansatz part of a checked config."""
 
     def __init__(self, cfg):
-        self.cfg = cfg
-        self.n, self.edges = models.graph(cfg.graph)
-        self.h = build_ising(self.edges, self.n)
+        self.cfg, v = cfg, cfg.values
+        self.n, self.edges, self.h = v.n, v.edges, v.h
         self.layers = cfg.vqe.layers
         self.e_true, _ = exact_ground(self.h)
         self.window = energy_window(self.e_true)
-        self.params = _vqe_params(cfg.vqe, self.n, self.h, self.edges, cfg.vqe.params_file)
+        self.params = _trained(cfg.vqe, v.n, v.h, v.edges) if v.params is None else v.params
         self.ansatz = build_ansatz(self.n, self.layers, self.params, self.edges)
         psi = ansatz_state(self.n, self.layers, self.edges, self.params)
         self.vqe_energy = float(np.real(np.vdot(psi, self.h.matrix() @ psi)))
@@ -260,12 +278,11 @@ class Problem:
 
     def block_ansatzes(self):
         if self._blocks is None:
-            part = models.partition(self.cfg.partition)
             subs = []
             states = []
-            for block in part.blocks:
+            for block in self.cfg.values.partition.blocks:
                 h_b, sub_edges = models.block_subproblem(self.edges, block)
-                params = _vqe_params(self.cfg.vqe, len(block), h_b, sub_edges)
+                params = _trained(self.cfg.vqe, len(block), h_b, sub_edges)
                 subs.append(build_ansatz(len(block), self.layers, params, sub_edges))
                 psi = ansatz_state(len(block), self.layers, sub_edges, params)
                 states.append(np.outer(psi, psi.conj()))
@@ -283,15 +300,11 @@ class Problem:
         _, sep_energy = self.block_ansatzes()
         return sep_energy - self.e_true
 
-    def spec(self, kind: str, m: int) -> SubspaceSpec:
-        return subspace_spec(kind, m, self.h, self.cfg.partition,
-                             self.cfg.subspace.boundary_state_only)
-
     def build(self, kind: str, m_values, noise: NoiseModel, with_variances=True) -> list:
         """(M, pencil) for each M, sliced from one build at the largest."""
         if not m_values:
             return []
-        spec = self.spec(kind, max(m_values))
+        spec = self.cfg.values.specs[kind, max(m_values)]
         arg = self.block_ansatzes()[0] if kind == "dc" else self.ansatz
         mats = build(spec, arg, noise, seed=self.cfg.seed, with_variances=with_variances)
         return [(m, mats.leading(m)) for m in m_values]
@@ -318,7 +331,7 @@ def scenario_bias_vs_m(cfg) -> dict:
     mat_rows = []
     ledger_rows = []
     for p1 in cfg.noise.p1_values:
-        noise = _noise_model(cfg.noise.kind, p1)
+        noise = cfg.values.noise[p1]
         raw = (prob.separable_bias() + prob.e_true if kind == "dc" and p1 == 0
                else prob.raw_noisy_energy(kind, noise))
         for m, mats in prob.build(kind, m_values, noise, with_variances=dump):
@@ -349,19 +362,15 @@ def scenario_bias_vs_m(cfg) -> dict:
 
 def scenario_shots(cfg) -> dict:
     """Energy distribution moments over a shot-budget grid."""
-    ns_values = cfg.shots.ns_values
-    shot_cfgs = [ShotConfig(ns=ns, n_samples=cfg.shots.n_samples, seed=cfg.seed)
-                 for ns in ns_values]
     prob = Problem(cfg)
-    noise = _noise_model(cfg.noise.kind, cfg.noise.p1)
     kind = cfg.subspace.kind
     rows = []
-    for m, mats in prob.build(kind, cfg.subspace.m_values, noise):
+    for m, mats in prob.build(kind, cfg.subspace.m_values, cfg.values.noise[cfg.noise.p1]):
         q = len(mats.queries)
         exact_sol = solve_pencil(mats.s, mats.h, prob.window, THRESHOLD)
         lambda_min = max(exact_sol.lambda_min_raw, 1e-300)
-        for ns, shot_cfg in zip(ns_values, shot_cfgs):
-            dist = sample_distribution(mats, shot_cfg, prob.window)
+        for ns in cfg.shots.ns_values:
+            dist = sample_distribution(mats, cfg.values.shots[ns], prob.window)
             ub = 4.0 * prob.h.weight() * q / lambda_min / np.sqrt(ns)
             rows.append((kind, m, ns, dist.mean, dist.stddev,
                          dist.mean - prob.e_true, dist.rejections, q,
@@ -372,13 +381,11 @@ def scenario_shots(cfg) -> dict:
 
 
 def scenario_histogram(cfg) -> dict:
-    shot_cfg = ShotConfig(ns=cfg.shots.ns, n_samples=cfg.shots.n_samples, seed=cfg.seed)
     prob = Problem(cfg)
-    noise = _noise_model(cfg.noise.kind, cfg.noise.p1)
     kind = cfg.subspace.kind
     rows = []
-    for m, mats in prob.build(kind, cfg.subspace.m_values, noise):
-        dist = sample_distribution(mats, shot_cfg, prob.window)
+    for m, mats in prob.build(kind, cfg.subspace.m_values, cfg.values.noise[cfg.noise.p1]):
+        dist = sample_distribution(mats, cfg.values.shots[cfg.shots.ns], prob.window)
         for idx, e in enumerate(dist.samples):
             rows.append((kind, m, idx, e))
     header = ("kind", "m", "sample_idx", "energy")
@@ -391,14 +398,11 @@ def scenario_queries(cfg) -> dict:
     Needs only the Hamiltonian and the partition, so no VQE and no pencil:
     ``plan_queries`` counts from the term lists alone.
     """
-    n, edges = models.graph(cfg.graph)
-    h = build_ising(edges, n)
     rows = []
     for kind in cfg.kinds:
         for m in cfg.m_values:
-            spec = subspace_spec(kind, m, h, cfg.partition, cfg.subspace.boundary_state_only)
             for reuse in (False, True):
-                rows.append((kind, m, int(reuse), plan_queries(spec, reuse).q))
+                rows.append((kind, m, int(reuse), plan_queries(cfg.values.specs[kind, m], reuse).q))
     return {"queries": (("kind", "m", "reuse", "q"), rows)}
 
 
@@ -426,7 +430,7 @@ def scenario_esd_vs_dsp(cfg) -> dict:
     rows = []
     for nk in cfg.noise_kinds:
         for p1 in cfg.noise.p1_values:
-            nm = NoiseModel(kind=nk, p1=p1)
+            nm = cfg.values.noise[nk, p1]
             circ = attach_noise(prob.ansatz, nm, seed=cfg.seed)
             dsp = DspEvaluator(circ, gadget_noise=nm, gadget_seed=cfg.seed)
             num = 0.0
@@ -455,22 +459,21 @@ def budget_p1(budget: float, layers: int, n: int, n_edges: int) -> float:
 
 def scenario_trace_distance(cfg) -> dict:
     """Dual-state gap against circuit depth at fixed whole-circuit error."""
-    n, edges = models.graph(cfg.graph)
+    n, edges = cfg.values.n, cfg.values.edges
     rows = []
     for budget in cfg.error_budgets:
         for layers in cfg.depths:
-            p1 = budget_p1(budget, layers, n, len(edges))
+            noise = cfg.values.noise[budget, layers]
             d_dual, d_prod = [], []
             for seed in range(cfg.n_seeds):
                 rng = np.random.default_rng([cfg.seed, seed, layers])
                 params = rng.uniform(-np.pi, np.pi, 2 * n * (layers + 1))
                 base = build_ansatz(n, layers, params, edges)
-                noise = NoiseModel(kind="stochastic_pauli", p1=p1)
                 circ = attach_noise(base, noise)
                 rho, bar = run(circ), dual_state(circ)
                 d_dual.append(trace_distance(rho, bar))
                 d_prod.append(trace_distance(rho @ rho, 0.5 * (bar @ rho + rho @ bar)))
-            rows.append((budget, layers, p1, float(np.mean(d_dual)),
+            rows.append((budget, layers, noise.p1, float(np.mean(d_dual)),
                          float(np.mean(d_prod)), expected_errors(circ)))
     header = ("error_budget", "layers", "p1", "mean_dist_dual", "mean_dist_product",
               "expected_errors")

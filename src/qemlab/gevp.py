@@ -182,9 +182,9 @@ def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
                                           reduced.basis[None], window)
     i = int(pick[0])
     if i < 0:
-        lo, hi = window
-        raise SelectionFailureError(
-            f"no eigenvalue in window [{lo:.6g}, {hi:.6g}]")
+        (lo, hi), (m, r) = window, reduced.basis.shape
+        raise SelectionFailureError(f"no eigenvalue in window [{lo:.6g}, {hi:.6g}] of the "
+                                    f"size-{m} pencil at retained dimension {r}")
     e, beta = vals[0, i], betas[0, :, i]
 
     s_red = np.diag(reduced.s_eigvals.astype(complex))

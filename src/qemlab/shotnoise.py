@@ -195,7 +195,7 @@ def sample_distribution(matrices, cfg: ShotConfig, window: tuple[float, float],
     arr = np.concatenate(energies)
     solved = ~np.isnan(arr)
     if not np.any(solved):
-        raise EmptyDistributionError("every sample was rejected")
+        raise EmptyDistributionError(f"every sample was rejected at M {matrices.m}, "
+                                     f"ns {cfg.ns:g}, n_samples {cfg.n_samples}")
     arr = arr[solved]
-    return EnergyDistribution(arr, float(arr.mean()), float(arr.std()),
-                              int(np.sum(~solved)))
+    return EnergyDistribution(arr, float(arr.mean()), float(arr.std()), int(np.sum(~solved)))

@@ -1,14 +1,23 @@
+import builtins
+import contextlib
+import io
 import itertools
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qemlab import errors, experiments
+from qemlab.channels import NOISE_KINDS
 from qemlab.cli import main
 from qemlab.experiments import check_config, run_experiment
+from qemlab.subspace import KINDS
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -302,6 +311,26 @@ class TestCliEntry:
         assert "NaN or infinite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("params, what", [
+        ([0.1] * 31, "shape (31,)"),  # path-4 at 3 layers needs 32
+        ([[0.1] * 32], "shape (1, 32)"),
+    ])
+    def test_wrong_shape_params_file_exits_one_before_any_work(self, tmp_path, capsys,
+                                                              monkeypatch, params, what):
+        def no_work(*a, **k):
+            raise AssertionError("a params file of the wrong shape is rejected before any work")
+
+        monkeypatch.setattr("qemlab.experiments.optimize", no_work)
+        monkeypatch.setattr("qemlab.experiments.exact_ground", no_work)
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_cfg(vqe={"layers": 3, "params_file": str(path)})))
+        assert main(["run", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert "vqe.params_file" in err and what in err
+        assert not (tmp_path / "out").exists()
+
     def test_oracle_missing_params_file_exit_code(self, tmp_path):
         rc = main(["oracle", "--obs", "ZZII", "--params-file", str(tmp_path / "missing.json")])
         assert rc == 2
@@ -344,6 +373,18 @@ class TestCliEntry:
          "error_budgets"),
         ("run", {"scenario": "cost-metric", "graph": "path-4", "partition": "half-2-2",
                  "power_m": [], "dc_m": []}, "power_m and dc_m"),
+        # a shot budget or sample count that ShotConfig rejects
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"m_values": [2]}, shots={"ns_values": [0]}),
+         "shots.ns_values"),
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"m_values": [2]}, shots={"ns_values": [-1e6]}),
+         "shots.ns_values"),
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"m_values": [2]}, shots={"n_samples": 0}),
+         "shots.n_samples"),
+        ("run", small_cfg(scenario="histogram", noise={"p1": 2e-4},
+                          subspace={"m_values": [2]}, shots={"ns": 0}), "shots.ns"),
     ])
     def test_malformed_config_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         command, cfg, path):
@@ -371,6 +412,9 @@ class TestCliEntry:
         ("run", {"scenario": "esd-vs-dsp", "graph": "path-3", "noise": {"p1_values": [0.2]},
                  "noise_kinds": ["none", "thermal_relaxation"]}, "noise.p1_values"),
         ("sweep", small_cfg(grid={"noise.p1_values": [[1e-4], [2.0]]}), "noise.p1_values"),
+        # a drift angle is drawn from [0, p1], so a negative bound has no range to draw from
+        ("run", {"scenario": "esd-vs-dsp", "graph": "path-3", "noise": {"p1_values": [-1.0]},
+                 "noise_kinds": ["coherent_drift"]}, "noise.p1_values"),
     ])
     def test_out_of_range_noise_rate_exits_one_before_any_work(self, tmp_path, capsys,
                                                                monkeypatch, command, cfg, path):
@@ -474,3 +518,132 @@ class TestCliEntry:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# property: a config mutated at one dotted key fails before any work or runs
+
+CHOICES = {"scenario", "graph", "partition", "noise.kind", "subspace.kind", "kinds", "noise_kinds"}
+RATES = {"noise.p1", "noise.p1_values"}
+COUNTED = ("optimize", "exact_ground", "run", "dual_state")
+
+
+@st.composite
+def tiny_configs(draw):
+    """One scenario and a small valid config from its table (vqe.params_file left out)."""
+    def some(values):
+        return draw(st.lists(st.sampled_from(values), min_size=1, max_size=2, unique=True))
+
+    scenario = draw(st.sampled_from(sorted(experiments.SCENARIOS)))
+    cfg = {"scenario": scenario, "seed": draw(st.integers(0, 9)),
+           "graph": draw(st.sampled_from(["path-3", "path-4"]))}
+    table = experiments.SCENARIOS[scenario][1]
+    if "vqe" in table:
+        cfg["vqe"] = {"layers": 1, "iters": draw(st.integers(0, 5)),
+                      "seed": draw(st.integers(0, 9))}
+    if "partition" in table:
+        cfg["partition"] = "half-2-2"
+        cfg["subspace"] = {"boundary_state_only": draw(st.booleans())}
+    if scenario in ("bias-vs-m", "stddev-vs-shots", "histogram"):
+        cfg["subspace"].update(kind=draw(st.sampled_from(KINDS)), m_values=some([1, 2, 3]))
+        cfg["noise"] = {"kind": draw(st.sampled_from(NOISE_KINDS))}
+        if scenario == "bias-vs-m":
+            cfg["noise"]["p1_values"] = some([0.0, 1e-4, 2e-3])
+            cfg["dump_matrices"] = draw(st.booleans())
+        else:
+            cfg["noise"]["p1"] = draw(st.sampled_from([0.0, 1e-4, 2e-3]))
+            cfg["shots"] = {"n_samples": draw(st.integers(1, 20))}
+            # every budget clears one shot per query, which stays a check at run time
+            if scenario == "histogram":
+                cfg["shots"]["ns"] = draw(st.sampled_from([1e6, 1e8]))
+            else:
+                cfg["shots"]["ns_values"] = some([1e6, 1e8])
+    elif scenario == "queries":
+        cfg.update(kinds=some(KINDS), m_values=some([1, 2, 3]))
+    elif scenario == "cost-metric":
+        cfg.update(power_m=some([1, 2, 3]), dc_m=some([1, 2]))
+    elif scenario == "esd-vs-dsp":
+        cfg["graph"] = "path-3"
+        cfg.update(noise={"p1_values": some([0.0, 1e-3])}, noise_kinds=some(NOISE_KINDS))
+    else:
+        cfg.update(depths=some([1, 2]), error_budgets=some([0.5, 1.0]),
+                   n_seeds=draw(st.integers(1, 2)))
+    if cfg.get("subspace", {}).get("kind") == "dc" or "dc" in cfg.get("kinds", ()) or "dc_m" in cfg:
+        cfg["graph"] = "path-4"  # a divided basis needs a partition that covers the graph
+    return cfg
+
+
+def _paths(cfg: dict, prefix: str = ""):
+    """(dotted path, value) of every key in cfg, nested mappings and their keys."""
+    for key, v in cfg.items():
+        yield prefix + key, v
+        if isinstance(v, dict):
+            yield from _paths(v, f"{prefix}{key}.")
+
+
+def _mutants(path: str, v) -> list:
+    """(name the error must carry, new value or None for a sibling key) of each mutation."""
+    wrong = {dict: 1, list: "x", str: 1, bool: 1, int: 1.5, float: "x"}
+    parent = path.rpartition(".")[0]
+    out = [(f"{parent}.bogus_key" if parent else "bogus_key", None), (path, wrong[type(v)])]
+    many = isinstance(v, list)
+    entry = v[0] if many else v
+    if many:
+        out += [(path, []), (path, [wrong[type(entry)]])]
+    values = [0, -1] if isinstance(entry, (int, float)) and not isinstance(entry, bool) else []
+    values += [2.0] if path in RATES else []
+    values += ["bogus"] if path in CHOICES else []
+    return out + [(path, [x] if many else x) for x in values]
+
+
+@st.composite
+def mutated_configs(draw):
+    cfg = draw(tiny_configs())
+    path, v = draw(st.sampled_from(sorted(_paths(cfg), key=lambda p: p[0])))
+    named, new = draw(st.sampled_from(_mutants(path, v)))
+    bad = json.loads(json.dumps(cfg))
+    *parents, key = path.split(".")
+    node = bad
+    for p in parents:
+        node = node[p]
+    if new is None:
+        node["bogus_key"] = 1
+    else:
+        node[key] = new
+    return cfg, bad, named
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(mutated_configs())
+def test_mutated_config_fails_before_any_work_or_runs(case):
+    cfg, bad, named = case
+    check_config(json.loads(json.dumps(cfg)))  # the unmutated draw is valid
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*a, **k):
+            calls.append(name)
+            return fn(*a, **k)
+        return wrapper
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.ExitStack() as stack:
+        for name in COUNTED:  # counted, not blocked, since a valid mutant runs
+            stack.enter_context(mock.patch.object(
+                experiments, name, counted(name, getattr(experiments, name))))
+        cfg_path, out = os.path.join(tmp, "cfg.json"), os.path.join(tmp, "out")
+        with open(cfg_path, "w") as fh:
+            json.dump(bad, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", cfg_path, "--out-dir", out])
+        err = err.getvalue()
+        if rc == 1:
+            assert err.startswith("config error:") and named in err, (err, named)
+            assert not calls, calls
+            assert not os.path.exists(out)
+        elif rc == 2:
+            kind = err.split(": ")[1]
+            found = getattr(errors, kind, None) or getattr(builtins, kind, None)
+            assert isinstance(found, type) and issubclass(found, ArithmeticError), err
+        else:
+            assert rc == 0

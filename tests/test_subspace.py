@@ -18,7 +18,7 @@ from qemlab.pauli import (
     term_matrix,
 )
 from qemlab.purification import DspEvaluator, dsp_expectation
-from qemlab.experiments import check_config, scenario_cost_metric, subspace_spec
+from qemlab.experiments import check_config, scenario_cost_metric
 from qemlab.subspace import SubspaceSpec, build, plan_queries, term_expansion
 from qemlab.vqe import optimize
 
@@ -312,9 +312,8 @@ class TestQueryPlans:
         _, rows = scenario_cost_metric(cfg)["cost_metric"]
         assert [(kind, m) for kind, m, *_ in rows] == [("power", 2), ("power", 3),
                                                         ("dc", 2), ("dc", 3)]
-        h = build_ising(path(4), 4)
         for kind, m, _, q, _, _ in rows:
-            spec = subspace_spec(kind, m, h, "half-2-2", False)
+            spec = cfg.values.specs[kind, m]
             assert q == plan_queries(spec, reuse=True).q, (kind, m)
 
 
@@ -425,13 +424,11 @@ def test_fig_queries_counts_unchanged():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     with open(os.path.join(root, "configs", "fig-queries.json")) as fh:
         cfg = json.load(fh)
-    n, edges = models.graph(cfg["graph"])
-    h = build_ising(edges, n)
+    specs = check_config(cfg).values.specs
     got = {}
     for kind in cfg["kinds"]:
         for m in cfg["m_values"]:
-            spec = subspace_spec(kind, m, h, cfg["partition"],
-                                 cfg["subspace"]["boundary_state_only"])
+            spec = specs[kind, m]
             got[(kind, m)] = (plan_queries(spec, reuse=False).q,
                               plan_queries(spec, reuse=True).q)
     assert got == FIG_QUERIES_Q

@@ -72,3 +72,22 @@ def test_no_test_only_methods_in_src():
                for node in cls.body if isinstance(node, ast.FunctionDef)
                and not (node.name.startswith("__") and node.name.endswith("__"))}
     assert not _unused(defined, used), "used only outside src/; move to tests/oracles.py"
+
+
+# The value objects that ``experiments.values`` builds from a checked config.
+BUILT_BY_VALUES = {"NoiseModel", "ShotConfig", "SubspaceSpec", "read_params",
+                   "models.graph", "models.partition"}
+
+
+def test_scenarios_build_no_value_objects():
+    # a scenario and Problem read the objects check_config built, so each
+    # config rule lives in one constructor and runs before any work
+    tree = ast.parse((ROOT / "src" / "qemlab" / "experiments.py").read_text())
+    funcs = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name.startswith("scenario_")]
+    funcs += [node for cls in tree.body if isinstance(cls, ast.ClassDef) and cls.name == "Problem"
+              for node in cls.body if isinstance(node, ast.FunctionDef)]
+    assert len(funcs) > 7, "no scenario functions or Problem methods found"
+    builds = {(func.name, ast.unparse(call.func)) for func in funcs for call in ast.walk(func)
+              if isinstance(call, ast.Call) and ast.unparse(call.func) in BUILT_BY_VALUES}
+    assert not builds, "build it in experiments.values and read it from cfg.values"
