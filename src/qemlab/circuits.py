@@ -207,13 +207,16 @@ class Circuit:
         return (op for op in self.ops if isinstance(op, Channel))
 
     def dump(self) -> str:
-        """One op per line, for debugging."""
+        """One op per line, exact: an angle prints by ``repr`` and a u matrix
+        by its bytes, so equal dumps mean bit-identical circuits."""
         lines = []
         for op in self.ops:
             if isinstance(op, Gate):
-                extra = f" angle={op.angle:.6g}" if op.angle is not None else ""
+                extra = f" angle={float(op.angle)!r}" if op.angle is not None else ""
                 if op.name == "cpauli":
                     extra += f" letters={op.payload}"
+                elif op.name == "u":
+                    extra += f" matrix={op.matrix().tobytes().hex()}"
                 lines.append(f"gate {op.name} {list(op.qubits)}{extra}")
             else:
                 tag = " dual" if op.dualized else ""

@@ -145,22 +145,23 @@ def _widths(matrices, cfg: ShotConfig) -> np.ndarray:
     """The noise width of each query the pencil reads, in slot order."""
     if not matrices.with_variances:
         raise ConfigError("pencil was built without variances, which shot noise needs")
-    q = len(matrices.slots)
+    q = len(matrices.queries)
     if q == 0:
         return np.zeros(0)
     if cfg.ns < q:
         raise ConfigError(f"shot budget {cfg.ns} below one shot per query ({q})")
-    return np.sqrt(matrices.var[matrices.slots] / (cfg.ns / q))
+    return np.sqrt(matrices.var[list(matrices.queries.values())] / (cfg.ns / q))
 
 
 def _draw(matrices, sd: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
     """Stacks of perturbed S and H, one sample per generator."""
+    slots = list(matrices.queries.values())
     re = np.stack([rng.normal(0.0, sd) for rng in rngs], axis=1)
-    re += matrices.value.real[matrices.slots, None]
+    re += matrices.value.real[slots, None]
     im = (matrices.value.imag + 0.0).tolist()  # as complex + float
     n = re.shape[1]  # one sample reads plain floats, sparing numpy's call overhead
     rows = [None] * len(im)  # a slot the pencil does not read stays None
-    for k, row in zip(matrices.slots, list(re) if n > 1 else re[:, 0].tolist()):
+    for k, row in zip(slots, list(re) if n > 1 else re[:, 0].tolist()):
         rows[k] = row
     return matrices.assemble(rows, im, n)
 

@@ -5,9 +5,11 @@ products of *query values*, a query being one (prepared state, Pauli
 observable) pair.  The ledger of unique queries is what shot-noise
 perturbation and measurement-cost counting operate on: a built pencil's Q
 is its ledger size.  A builder emits the pencil as its elements, one per
-distinct term list with every matrix element that holds it, and
-``SubspaceMatrices`` lowers them once to term lists over query slots.  Its
-one ``assemble`` builds the exact pencil and every stack of noisy samples,
+distinct term list with every matrix element that holds it, and the
+(value, var) reading of each query key.  ``SubspaceMatrices`` keeps the
+ledger in one form: ``queries`` maps each key to its slot, ``value`` and
+``var`` hold the readings by slot, and the elements are lowered once to term
+lists over slots.  Its one ``assemble`` builds the exact pencil and every stack of noisy samples,
 so the infinite-shot limit reproduces the exact matrices by construction.
 
 Fault basis:   the state at software-amplified noise rates lambda_k = k.
@@ -24,7 +26,7 @@ assembles without preparing any state.  Every expansion of one Hamiltonian
 reads one ``PowerTable``, so each power is formed once.  Element (i, j) of
 either basis does not depend on M, so one build at the largest M serves
 every smaller one through ``leading``, which shares the build's term lists
-and slot arrays.
+and reading arrays.
 
 A builder first collects its query keys, then reads them with one
 ``expect_paulis`` call per prepared state.  A circuit without channels is
@@ -38,6 +40,7 @@ from __future__ import annotations
 import copy
 import functools
 import hashlib
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -87,14 +90,6 @@ class SubspaceSpec:
         return (tuple(range(self.hamiltonian.n)),)
 
 
-@dataclass(frozen=True)
-class Query:
-    state: tuple
-    axes: str
-    value: complex
-    var: float | None  # None: a DSP reading on a build without variances
-
-
 @dataclass
 class SubspaceMatrices:
     """The pencil, its per-element variances (None if not asked for), and
@@ -102,14 +97,15 @@ class SubspaceMatrices:
 
     ``elements`` holds one (const, [(coeff, keys)], [(which, i, j), ...]) per
     distinct term list, with every stored element i <= j that holds it, which
-    0 for S and 1 for H.  The constructor orders ``queries`` by ``repr`` and
-    lowers each term's keys to slots, slot k being query k of that order:
-    ``value`` and ``var`` (NaN where a query carries no variance) are indexed
-    by slot, and ``slots`` lists the slots this pencil reads."""
+    0 for S and 1 for H.  A builder hands over ``queries`` as each key's
+    (value, var) reading, var None where not computed.  The constructor keeps
+    one form of the ledger: ``queries`` maps each key to its slot, in slot
+    order (the ``repr`` order of the keys), ``value`` and ``var`` (NaN where
+    a query carries no variance) are the readings indexed by slot, and each
+    term's keys are lowered to slots."""
 
-    kind: str
     m: int
-    queries: dict[QueryKey, Query]
+    queries: dict[QueryKey, int]
     elements: list[Element]
     with_variances: bool = True
     s: np.ndarray = field(init=False)
@@ -118,19 +114,16 @@ class SubspaceMatrices:
     var_h: np.ndarray | None = field(init=False)
     value: np.ndarray = field(init=False)
     var: np.ndarray = field(init=False)
-    slots: list[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        self.queries = {k: self.queries[k] for k in sorted(self.queries, key=repr)}
-        index = {k: q for q, k in enumerate(self.queries)}
+        readings = self.queries
+        self.queries = slot = {k: q for q, k in enumerate(sorted(readings, key=repr))}
         # lowered in place, so each key-form list goes as its slot form comes
         for n, (const, terms, targets) in enumerate(self.elements):
-            self.elements[n] = (complex(const), [(complex(c), tuple(map(index.__getitem__, ks)))
+            self.elements[n] = (complex(const), [(complex(c), tuple(map(slot.__getitem__, ks)))
                                                  for c, ks in terms], targets)
-        self.slots = list(index.values())
-        qs = self.queries.values()
-        self.value = np.array([q.value for q in qs], dtype=complex)
-        self.var = np.array([q.var for q in qs], dtype=float)
+        self.value = np.array([readings[k][0] for k in slot], dtype=complex)
+        self.var = np.array([readings[k][1] for k in slot], dtype=float)
         s, h = self.assemble(self.value.real.tolist(), self.value.imag.tolist())
         self.s, self.h = s[0], h[0]
         self.var_s, self.var_h = self._variances() if self.with_variances else (None, None)
@@ -164,7 +157,8 @@ class SubspaceMatrices:
         Equal to a fresh build at m: the same matrices, variances and ledger,
         so shot-noise draws and query counts stay per-m.  It shares this
         pencil's term lists and ``value``/``var`` arrays, and keeps the
-        elements with a target inside the block and the slots they read.
+        elements with a target inside the block and the ``queries`` entries
+        of the slots they read.
         """
         if not 1 <= m <= self.m:
             raise ConfigError(f"leading block {m} outside 1..{self.m}")
@@ -172,9 +166,8 @@ class SubspaceMatrices:
         out.m = m
         out.elements = [(const, terms, inside) for const, terms, targets in self.elements
                         if (inside := [t for t in targets if t[2] < m])]
-        by_slot = dict(zip(self.slots, self.queries.items()))
-        out.slots = sorted({k for _, terms, _ in out.elements for _, slots in terms for k in slots})
-        out.queries = dict(map(by_slot.__getitem__, out.slots))
+        read = {k for _, terms, _ in out.elements for _, slots in terms for k in slots}
+        out.queries = {key: k for key, k in self.queries.items() if k in read}
         for name in ("s", "h", "var_s", "var_h"):
             mat = getattr(self, name)
             setattr(out, name, None if mat is None else mat[:m, :m].copy())
@@ -205,10 +198,9 @@ class SubspaceMatrices:
 
     def ledger_rows(self) -> list[tuple]:
         """CSV rows: state, axes, value, var (empty where not computed)."""
-        rows = []
-        for q in self.queries.values():
-            rows.append((repr(q.state), q.axes, q.value.real, "" if q.var is None else q.var))
-        return rows
+        re, var = self.value.real.tolist(), self.var.tolist()
+        return [(repr(key[:-1]), key[-1], re[k], "" if math.isnan(var[k]) else var[k])
+                for key, k in self.queries.items()]
 
 
 _LETTERS = np.array(list("IXZY"))
@@ -387,14 +379,14 @@ def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: in
         return key
 
     elements = _fault_terms(spec.m, spec.hamiltonian, pair_key)
-    queries: dict[QueryKey, Query] = {}
+    readings: dict[QueryKey, tuple] = {}
     for (i, j), keys in reads.items():
         axes = [k[3] for k in keys]
         br = bars[j] @ rhos[i]
         values = expect_paulis(0.5 * (br + br.conj().T), axes)
         var = var_dsp_many(rhos[i], bars[j], axes) if with_variances else [None] * len(axes)
-        queries.update((k, Query(k[:3], *q)) for k, q in zip(keys, zip(axes, values, var)))
-    return SubspaceMatrices("fault", spec.m, queries, elements, with_variances)
+        readings.update(zip(keys, zip(values, var)))
+    return SubspaceMatrices(spec.m, readings, elements, with_variances)
 
 
 def _dual(circ: Circuit, rho: np.ndarray) -> np.ndarray:
@@ -449,7 +441,7 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
 
     elements = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
                            [complex(np.trace(b)) for b in bars])
-    queries: dict[QueryKey, Query] = {}
+    readings: dict[QueryKey, tuple] = {}
     for (which, l), keys in reads.items():
         axes = [k[-1] for k in keys]
         values = expect_paulis(states[which][l], axes)
@@ -459,8 +451,8 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
             var = var_dsp_many(rhos[l], bars[l], axes, rbs[l])
         else:
             var = [None] * len(axes)
-        queries.update((k, Query(k[:-1], *q)) for k, q in zip(keys, zip(axes, values, var)))
-    return SubspaceMatrices(spec.kind, spec.m, queries, elements, with_variances)
+        readings.update(zip(keys, zip(values, var)))
+    return SubspaceMatrices(spec.m, readings, elements, with_variances)
 
 
 def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,

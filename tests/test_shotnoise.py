@@ -29,7 +29,7 @@ from qemlab.shotnoise import (
     var_product,
     var_product_chain,
 )
-from qemlab.subspace import Query, SubspaceMatrices, SubspaceSpec, build
+from qemlab.subspace import SubspaceMatrices, SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
 
 from oracles import dsp_circuit, sandwich_pauli
@@ -122,12 +122,13 @@ class TestVarDspMany:
                 pair = {("fault", i, j): (run(circs[i]), dual_state(circs[j]))
                         for i in range(3) for j in range(3)}
         checked = 0
-        for q in mats.queries.values():
-            if q.state in pair:
-                assert q.var == oracle_var_dsp(*pair[q.state], q.axes), (q.state, q.axes)
+        for key, k in mats.queries.items():
+            state, axes = key[:-1], key[-1]
+            if state in pair:
+                assert mats.var[k] == oracle_var_dsp(*pair[state], axes), (state, axes)
                 checked += 1
             else:
-                assert q.var == var_pauli_state(float(np.real(q.value)))
+                assert mats.var[k] == var_pauli_state(float(np.real(mats.value[k])))
         assert checked >= 20
 
 
@@ -230,11 +231,11 @@ class TestVarProduct:
 def synthetic_matrices():
     """One query shared by four elements, for the shared-draw contract."""
     key = (("syn",), "Z")
-    queries = {key: Query(("syn",), "Z", 0.5 + 0.0j, 0.04)}
+    queries = {key: (0.5 + 0.0j, 0.04)}
     elements = [(0.0, [(1.0, (key,))], [(0, 0, 0)]), (0.0, [(2.0, (key,))], [(0, 0, 1)]),
                 (0.0, [(3.0, (key,))], [(0, 1, 1)]), (0.0, [(4.0, (key,))], [(1, 0, 0)]),
                 (0.0, [], [(1, 0, 1), (1, 1, 1)])]
-    return SubspaceMatrices("power", 2, queries, elements)
+    return SubspaceMatrices(2, queries, elements)
 
 
 class TestPerturb:
@@ -278,7 +279,7 @@ class TestPerturb:
         emp = float(np.std(draws))
         key01 = ("fault", 0, 1, "III")
         key10 = ("fault", 1, 0, "III")
-        var = 0.25 * (mats.queries[key01].var + mats.queries[key10].var)
+        var = 0.25 * (mats.var[mats.queries[key01]] + mats.var[mats.queries[key10]])
         want = np.sqrt(var / (ns / q))
         assert emp == pytest.approx(want, rel=0.05)
 
@@ -332,7 +333,7 @@ class TestSampleDistribution:
 def oracle_pencil(mats, lookup):
     """Scalar assembly: each element is its constant plus its terms in order,
     each term the coefficient times its query values left to right."""
-    key_of = dict(zip(mats.slots, mats.queries))
+    key_of = {k: key for key, k in mats.queries.items()}
     out = np.zeros((2, mats.m, mats.m), dtype=complex)
     for const, entry, targets in mats.elements:
         val = const
@@ -354,8 +355,8 @@ def oracle_perturb(mats, cfg, rng):
     spq = cfg.ns / max(len(keys), 1)
 
     def noisy(key):
-        qu = mats.queries[key]
-        return qu.value + rng.normal(0.0, np.sqrt(qu.var / spq))
+        k = mats.queries[key]
+        return complex(mats.value[k]) + rng.normal(0.0, np.sqrt(float(mats.var[k]) / spq))
 
     values = {key: noisy(key) for key in keys}
     return oracle_pencil(mats, values.__getitem__)
@@ -397,7 +398,7 @@ class TestCompiledLedger:
         for kind in ("power", "fault", "dc"):
             for noisy in (False, True):
                 mats, _ = oracle_case(kind, noisy)
-                s, h = oracle_pencil(mats, lambda k: mats.queries[k].value)
+                s, h = oracle_pencil(mats, lambda k: complex(mats.value[mats.queries[k]]))
                 assert np.array_equal(mats.s, s) and np.array_equal(mats.h, h)
                 assert np.array_equal(np.signbit(mats.s.imag), np.signbit(s.imag))
 
@@ -538,10 +539,10 @@ class TestShotSettings:
 class TestNonFiniteSample:
     def test_nan_query_raises_instead_of_rejecting(self):
         key = (("syn",), "Z")
-        queries = {key: Query(("syn",), "Z", complex(float("nan"), 0.0), 0.04)}
+        queries = {key: (complex(float("nan"), 0.0), 0.04)}
         elements = [(0.0, [(1.0, (key,))], [(0, 0, 0)]), (0.0, [(0.1, (key,))], [(0, 0, 1)]),
                     (0.0, [(1.0, ())], [(0, 1, 1)]), (0.0, [(-1.0, ())], [(1, 0, 0)]),
                     (0.0, [], [(1, 0, 1)]), (0.0, [(-2.0, ())], [(1, 1, 1)])]
-        mats = SubspaceMatrices("power", 2, queries, elements)
+        mats = SubspaceMatrices(2, queries, elements)
         with pytest.raises(NonFinitePencilError):
             sample_distribution(mats, ShotConfig(ns=1e6, n_samples=4), (-10.0, 0.0))

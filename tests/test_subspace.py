@@ -1,6 +1,7 @@
 import json
 import os
 from collections import OrderedDict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from qemlab import models, pauli, subspace
 from qemlab.channels import NoiseModel, noiseless
-from qemlab.circuits import attach_noise, build_ansatz, dual_state, reversed_circuit, run
+from qemlab.circuits import (
+    Circuit,
+    Gate,
+    attach_noise,
+    build_ansatz,
+    dual_state,
+    reversed_circuit,
+    run,
+)
 from qemlab.errors import ConfigError
 from qemlab.pauli import (
     PauliTerm,
@@ -39,11 +48,12 @@ def trained_ansatz(n, layers, h, seed=3, iters=60):
 def assert_dsp_queries_match_circuits(mats, evaluators):
     """Every DSP query of the ledger against the numerator of the uncompute
     circuit for its state; evaluators maps a ledger state id to a DspEvaluator."""
-    dsp = [q for q in mats.queries.values() if q.state[0] == "fault" or q.state[1] == "dsp"]
-    assert dsp and {q.state for q in dsp} == set(evaluators)
-    for q in dsp:
-        want = evaluators[q.state].numerator(PauliTerm(q.axes, 1.0))
-        assert abs(q.value - want) <= 1e-8, (q.state, q.axes)
+    dsp = [(key[:-1], key[-1], mats.value[k]) for key, k in mats.queries.items()
+           if key[0] == "fault" or key[1] == "dsp"]
+    assert dsp and {state for state, _, _ in dsp} == set(evaluators)
+    for state, axes, value in dsp:
+        want = evaluators[state].numerator(PauliTerm(axes, 1.0))
+        assert abs(value - want) <= 1e-8, (state, axes)
 
 
 class TestPowerBuild:
@@ -181,24 +191,33 @@ class TestDcBuild:
         h, part, sub = self._setup()
         mats = build(SubspaceSpec("dc", 2, h, partition=part), [sub, sub], PAULI)
         circ = attach_noise(sub, PAULI)
-        (state,) = {q.state for q in mats.queries.values() if q.state[1] == "dsp"}
+        (state,) = {key[:-1] for key in mats.queries if key[1] == "dsp"}
         assert_dsp_queries_match_circuits(mats, {state: DspEvaluator(circ)})
 
     def test_identical_blocks_share_queries(self):
         # bit-identical block circuits are one prepared state in the ledger;
-        # blocks with other parameters are two
+        # blocks with other parameters are two, however close the parameters
         h, part, sub = self._setup()
         other = build_ansatz(2, 2, np.random.default_rng(6).uniform(-np.pi, np.pi, 12),
                              path(2))
+        last = sub.ops[-1]
+        near = Circuit(2, sub.ops[:-1] + [replace(last, angle=last.angle + 1e-9)])
+        twin = Circuit(2, [op if op.angle is None else replace(op, angle=float(op.angle))
+                           for op in sub.ops])
+        u_one, u_near = (Circuit(2, sub.ops + [Gate("u", (0,), payload=np.diag([1.0, phase]))])
+                         for phase in (1.0, np.exp(1e-9j)))
         spec = SubspaceSpec("dc", 3, h, partition=part)
         same = build(spec, [sub, sub], PAULI)
-        distinct = build(spec, [sub, other], PAULI)
 
         def states(mats):
-            return {q.state for q in mats.queries.values()}
+            return {key[:-1] for key in mats.queries}
 
-        assert len(states(same)) == 3 and len(states(distinct)) == 6
-        assert len(same.queries) < len(distinct.queries)
+        assert len(states(same)) == 3
+        assert len(states(build(spec, [sub, twin], PAULI))) == 3
+        for pair in ([sub, other], [sub, near], [u_one, u_near]):
+            distinct = build(spec, pair, PAULI)
+            assert len(states(distinct)) == 6
+            assert len(same.queries) < len(distinct.queries)
         assert len(same.queries) == plan_queries(spec, reuse=True).q
 
     @pytest.mark.parametrize("noise", [noiseless(), PAULI],
@@ -352,8 +371,8 @@ class TestLeadingBlock:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert list(got.queries) == list(want.queries)
         for key in list(want.queries):
-            assert got.queries[key].value == want.queries[key].value
-            assert got.queries[key].var == want.queries[key].var
+            assert got.value[got.queries[key]] == want.value[want.queries[key]]
+            assert got.var[got.queries[key]] == want.var[want.queries[key]]
         assert got.ledger_rows() == want.ledger_rows()
 
     def test_slice_bounds(self):
@@ -385,6 +404,9 @@ class TestElements:
                                                  if kind == "power" else {}))
             arg = build_ansatz(4, 1, rng.uniform(-np.pi, np.pi, 16), path(4))
         mats = build(spec, arg, PAULI, with_variances=False)
+        keys = list(mats.queries)
+        assert keys == sorted(keys, key=repr)
+        assert list(mats.queries.values()) == list(range(len(keys)))
         targets = [t for _, _, ts in mats.elements for t in ts]
         assert sorted(targets) == [(w, i, j) for w in (0, 1)
                                    for i in range(big) for j in range(i, big)]
@@ -402,10 +424,9 @@ class TestElements:
         for name in ("value", "var"):
             got, parent = getattr(part, name), getattr(mats, name)
             assert got is parent and (parent.size == 0 or np.shares_memory(got, parent))
-        keys = list(mats.queries)
-        assert part.slots == sorted({k for _, terms, _ in part.elements
-                                     for _, slots in terms for k in slots})
-        assert list(part.queries) == [keys[k] for k in part.slots]
+        read = {k for _, terms, _ in part.elements for _, slots in terms for k in slots}
+        assert list(part.queries.items()) == [(key, k) for key, k in mats.queries.items()
+                                              if k in read]
 
 
 # (Q without reuse, Q with reuse) per (kind, M): the counts that
