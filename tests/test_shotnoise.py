@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qemlab import shotnoise, subspace
-from qemlab.channels import NoiseModel, noiseless
+from qemlab.channels import Channel, NoiseModel, noiseless
 from qemlab.circuits import attach_noise, build_ansatz, dual_state, run
 from qemlab.cli import main
 from qemlab.errors import (
@@ -16,6 +17,7 @@ from qemlab.errors import (
     EmptySubspaceError,
     NonFinitePencilError,
     SelectionFailureError,
+    SizeMismatchError,
 )
 from qemlab.gevp import energy_window, solve_pencil
 from qemlab.pauli import PauliTerm, SystemPartition, build_ising, expect_pauli, term_matrix
@@ -57,6 +59,13 @@ def random_noisy_circuit(rng, n, depth, noise, seed=0):
     return attach_noise(c, noise, seed=seed)
 
 
+def random_density(rng, n):
+    d = 1 << n
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho)
+
+
 def oracle_var_dsp(rho, bar, axes, rb=None):
     """The scalar variance: one dense sandwich and trace product per string."""
     if rb is None:
@@ -67,12 +76,39 @@ def oracle_var_dsp(rho, bar, axes, rb=None):
     return float(max(second - mean * mean, 0.0))
 
 
+def oracle_var_dsp_many(rho, bar, axes_list, rb=None):
+    return [oracle_var_dsp(rho, bar, axes, rb) for axes in axes_list]
+
+
+# ``var_dsp_many`` reaches Tr[rho P bar P] through 3 n butterfly stages and
+# one product, where the oracle takes one pairwise sum of d^2 products.  Each
+# stage rounds an entry by at most half an ulp, and for states the entries
+# stay of order one (|(H R)[y, k]| <= sum_i |rho[i, i^k]| <= 1 by
+# Cauchy-Schwarz, likewise H Q), so to first order a variance moves by about
+# (3 n + 1) u, u = 2^-53: 2.8e-15 at n = 8.  1e-14 covers that with margin;
+# the largest deviation measured is 2.2e-16.
+VAR_TOL = 1e-14
+
 NOISE_KINDS = ["stochastic_pauli", "global_depolarizing", "local_depolarizing",
                "amplitude_damping", "thermal_relaxation", "coherent_drift"]
 
 
 def masks_to_axes(x, z, n):
     return "".join("IXZY"[((x >> q) & 1) + 2 * ((z >> q) & 1)] for q in range(n))
+
+
+def fenced_circuit(rng, n, kind, fence, seed):
+    """Two random noisy halves with an optional global depolarizing fence between."""
+    noise = NoiseModel(kind=kind, p1=0.02)
+    c = random_noisy_circuit(rng, n, 2 * n + 1, noise, seed=seed)
+    if fence == "register":
+        c.add(Channel("global_depolarizing", (), (0.1,)))
+    elif fence == "scoped":
+        scope = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        c.add(Channel("global_depolarizing", tuple(sorted(int(q) for q in scope)), (0.1,)))
+    for op in random_noisy_circuit(rng, n, 2 * n + 1, noise, seed=seed + 1).ops:
+        c.add(op)
+    return c
 
 
 class TestVarDspMany:
@@ -91,9 +127,36 @@ class TestVarDspMany:
                             for x in rng.integers(d, size=n_masks)
                             for z in rng.choice(d, size=min(per_mask, d), replace=False)]
         axes = list(dict.fromkeys(axes))
-        want = [oracle_var_dsp(rho, bar, a) for a in axes]
-        assert np.array_equal(var_dsp_many(rho, bar, axes), want)
-        assert np.array_equal([var_dsp(rho, bar, a) for a in axes], want)
+        got = var_dsp_many(rho, bar, axes)
+        np.testing.assert_allclose(got, oracle_var_dsp_many(rho, bar, axes), rtol=0, atol=VAR_TOL)
+        # each string's transform column and mean read the same bits in any batch
+        assert [var_dsp(rho, bar, a) for a in axes] == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), kind=st.sampled_from(NOISE_KINDS),
+           fence=st.sampled_from([None, "register", "scoped"]), seed=st.integers(0, 2**31 - 1))
+    def test_every_string_equals_oracle(self, n, kind, fence, seed):
+        rng = np.random.default_rng(seed)
+        c = fenced_circuit(rng, n, kind, fence, seed)
+        rho, bar = run(c), dual_state(c)
+        d = 1 << n
+        axes = [masks_to_axes(x, z, n) for x in range(d) for z in range(d)]
+        got = var_dsp_many(rho, bar, axes)
+        np.testing.assert_allclose(got, oracle_var_dsp_many(rho, bar, axes), rtol=0, atol=VAR_TOL)
+
+    def test_path8_pair_equals_oracle(self):
+        rng = np.random.default_rng(11)
+        ansatz = build_ansatz(8, 2, rng.uniform(-np.pi, np.pi, 48), path(8))
+        c = attach_noise(ansatz, NoiseModel(kind="stochastic_pauli", p1=2e-4), seed=3)
+        rho, bar = run(c), dual_state(c)
+        d = 1 << 8
+        x = rng.integers(d, size=60)
+        axes = list(dict.fromkeys(masks_to_axes(int(xx), int(z), 8)
+                                  for xx in x for z in rng.integers(d, size=4)))
+        rb = rho @ bar
+        got = var_dsp_many(rho, bar, axes, rb)
+        np.testing.assert_allclose(got, oracle_var_dsp_many(rho, bar, axes, rb),
+                                   rtol=0, atol=VAR_TOL)
 
     @pytest.mark.parametrize("kind", ["power", "fault", "dc"])
     def test_ledger_variances_equal_oracle(self, kind):
@@ -125,11 +188,76 @@ class TestVarDspMany:
         for key, k in mats.queries.items():
             state, axes = key[:-1], key[-1]
             if state in pair:
-                assert mats.var[k] == oracle_var_dsp(*pair[state], axes), (state, axes)
+                assert abs(mats.var[k] - oracle_var_dsp(*pair[state], axes)) <= VAR_TOL, \
+                    (state, axes)
                 checked += 1
             else:
                 assert mats.var[k] == var_pauli_state(float(np.real(mats.value[k])))
         assert checked >= 20
+
+    def test_peak_memory_two_dense_arrays(self):
+        # no d x d array: R and Q go a block of columns at a time, and only
+        # C's rows at the strings' X masks are kept
+        n = 8
+        d = 1 << n
+        rng = np.random.default_rng(4)
+        rho, bar = random_density(rng, n), random_density(rng, n)
+        rb = rho @ bar
+        axes = list(dict.fromkeys(masks_to_axes(int(x), int(z), n)
+                                  for x, z in rng.integers(d, size=(400, 2))))
+        var_dsp_many(rho, bar, axes, rb)  # lazy imports and caches settle first
+        tracemalloc.start()
+        try:
+            var_dsp_many(rho, bar, axes, rb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * d * d * 16 + 160 * 1024, peak
+
+    def test_empty_list_touches_nothing(self):
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"read {name} of a state with no strings to read")
+
+        assert var_dsp_many(Untouchable(), Untouchable(), []) == []
+
+    @pytest.mark.parametrize("shapes,axes", [
+        (((4, 4), (8, 8), None), ["ZZ"]),
+        (((4, 4), (4, 4), (8, 8)), ["ZZ"]),
+        (((4, 4), (4, 4), None), ["ZZZ"]),
+        (((4, 4), (4, 4), None), ["ZZ", "X"]),
+        (((4, 4), (4, 2), None), ["XY"]),
+    ])
+    def test_mismatched_shapes_raise(self, shapes, axes):
+        rho, bar, rb = (None if s is None else np.eye(*s, dtype=complex) for s in shapes)
+        with pytest.raises(SizeMismatchError) as info:
+            var_dsp_many(rho, bar, axes, rb)
+        for s in shapes:
+            if s is not None:
+                assert str(s) in str(info.value)
+
+    @pytest.mark.parametrize("scenario,shots", [
+        ("stddev-vs-shots", {"ns_values": [1e6, 1e9], "n_samples": 40}),
+        ("histogram", {"ns": 1e8, "n_samples": 40}),
+    ])
+    def test_outputs_equal_dense_oracle_run(self, tmp_path, monkeypatch, scenario, shots):
+        # a last-bit change of a variance that reached a printed digit shows here
+        cfg = {"scenario": scenario, "seed": 3, "graph": "path-4",
+               "vqe": {"layers": 2, "iters": 60, "seed": 2},
+               "noise": {"kind": "stochastic_pauli", "p1": 2e-4},
+               "subspace": {"kind": "power", "m_values": [2, 3]}, "shots": shots}
+        path_cfg = tmp_path / "cfg.json"
+        path_cfg.write_text(json.dumps(cfg))
+        outs = []
+        for which in ("transform", "oracle"):
+            if which == "oracle":
+                monkeypatch.setattr(subspace, "var_dsp_many", oracle_var_dsp_many)
+            out = tmp_path / which
+            assert main(["run", "--config", str(path_cfg), "--out-dir", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                         if p.suffix == ".csv" or p.name == "manifest.json"})
+        assert "manifest.json" in outs[0] and len(outs[0]) >= 2
+        assert outs[0] == outs[1]
 
 
 class TestVarDsp:
