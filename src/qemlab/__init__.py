@@ -2,7 +2,7 @@
 
 Dense density-matrix simulation of noisy layered circuits, uncompute-based
 purification estimators, subspace pencils (power, fault-amplified, and
-divided constructions), a regularized generalized-eigenvalue solver,
+divided constructions), a thresholded generalized-eigenvalue solver,
 finite-shot modeling, and sampling-cost metrics, wrapped in a config-driven
 CSV experiment harness.
 """
@@ -10,7 +10,7 @@ CSV experiment harness.
 from .channels import Channel, NoiseModel, noiseless
 from .circuits import Circuit, Gate, apply, attach_noise, build_ansatz, dual_circuit, \
     dual_state, reversed_circuit, run, trace_distance
-from .gevp import GevpSolution, energy_window, regularize, solve, solve_pencil
+from .gevp import GevpSolution, energy_window, solve_pencil
 from .pauli import PauliSum, PauliTerm, SystemPartition, build_ising, factorize, sum_mul
 from .purification import GeneralFactor, dsp_expectation, esd_expectation, \
     execute_plan, plan_general, re_purification

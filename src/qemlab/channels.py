@@ -14,10 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NoiseRateError
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+from .pauli import PAULI_MATRICES
 
 #: X/Y/Z error split of the stochastic Pauli channel.
 PAULI_SPLIT = (0.2, 0.2, 0.6)
@@ -120,9 +117,9 @@ def single_qubit_kraus(ch: Channel) -> list[np.ndarray]:
         p, px, py, pz = ch.params
         ops = [
             math.sqrt(1.0 - p) * np.eye(2, dtype=complex),
-            math.sqrt(p * px) * _X,
-            math.sqrt(p * py) * _Y,
-            math.sqrt(p * pz) * _Z,
+            math.sqrt(p * px) * PAULI_MATRICES["X"],
+            math.sqrt(p * py) * PAULI_MATRICES["Y"],
+            math.sqrt(p * pz) * PAULI_MATRICES["Z"],
         ]
     elif ch.kind == "amplitude_damping":
         p = ch.params[0]

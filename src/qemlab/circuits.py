@@ -66,13 +66,12 @@ from numpy.lib.stride_tricks import as_strided
 
 from .channels import Channel, NoiseModel, single_qubit_kraus
 from .errors import RegisterCapError, SizeMismatchError
+from .pauli import PAULI_MATRICES, term_matrix
 
 MAX_QUBITS = 10
 
 _H = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / math.sqrt(2.0)
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
+_X, _Y, _Z = (PAULI_MATRICES[c] for c in "XYZ")
 _S = np.diag([1.0, 1.0j]).astype(complex)
 _V = 0.5 * np.array([[1.0 + 1.0j, 1.0 - 1.0j], [1.0 - 1.0j, 1.0 + 1.0j]], dtype=complex)
 
@@ -167,7 +166,6 @@ def gate_matrix(g: Gate) -> np.ndarray:
         m[[5, 6]] = m[[6, 5]]
         return m
     if g.name == "cpauli":
-        from .pauli import term_matrix
         sub = term_matrix(str(g.payload)[::-1])  # payload letters listed MSB-first
         return _controlled(sub)
     if g.name == "u":

@@ -40,7 +40,7 @@ def _load_config(path: str) -> dict:
 def _cmd_vqe(args) -> int:
     n, edges = models.graph(args.graph)
     h = build_ising(edges, n)
-    res = optimize(n, args.layers, h, iters=args.iters, seed=args.seed)
+    res = optimize(n, args.layers, h, iters=args.iters, seed=args.seed, edges=edges)
     e_true, _ = exact_ground(h)
     payload = list(map(float, res.params))
     os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)

@@ -15,8 +15,9 @@ of the ascending overlap eigenvalues, so the samples are grouped by r and
 each group is projected and solved with one stacked ``matmul`` and one
 ``eigh``; the window selection is an array operation, and only a tie falls
 back to a loop.  Batched ``matmul`` and ``eigh`` call the same routine per
-matrix, so the rounding is that of one pencil solved alone, and
-``regularize`` and ``solve`` are the one-pencil case of the same code.
+matrix, so the rounding is that of one pencil solved alone.  The one-pencil
+``solve_pencil`` runs the same steps on a stack of one, then normalizes the
+selected coefficient vector and fixes its global phase.
 """
 
 from __future__ import annotations
@@ -27,19 +28,6 @@ import numpy as np
 
 from .errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
     SelectionFailureError
-
-
-@dataclass
-class ReducedPencil:
-    """Output of ``regularize``: the pencil on the retained span."""
-
-    s_eigvals: np.ndarray      # retained eigenvalues of the scaled overlap
-    h_reduced: np.ndarray      # projected Hamiltonian matrix
-    basis: np.ndarray          # columns: retained eigenvectors (scaled frame)
-    dscale: np.ndarray         # per-index 1/sqrt(S_ii) factors
-    retained_dim: int
-    lambda_min_raw: float      # smallest eigenvalue of the raw overlap
-    lambda_min_scaled: float   # smallest eigenvalue of the unit-diagonal overlap
 
 
 @dataclass
@@ -144,14 +132,19 @@ def _lowest_in_window(s_vals: np.ndarray, h_red: np.ndarray, basis: np.ndarray,
     return pick, vals, beta
 
 
-def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
-    """Project the pencil onto the well-conditioned span of the overlap.
+def solve_pencil(s: np.ndarray, h: np.ndarray, window: tuple[float, float],
+                 threshold: float) -> GevpSolution:
+    """Minimal in-window eigenvalue of the pencil on the well-conditioned span
+    of its overlap.
 
     The overlap is scaled to a unit diagonal first; eigenvalues of the scaled
-    matrix above threshold * lambda_max are retained.  Indices whose diagonal
-    entry is not positive are discarded outright.  A NaN or infinite entry
-    raises NonFinitePencilError, a non-hermitian overlap
-    NonHermitianOverlapError.
+    matrix above threshold * lambda_max are retained, and indices whose
+    diagonal entry is not positive are discarded outright.  Eigenvalues
+    outside the window are discarded; ties within 1e-12 go to the candidate
+    whose coefficient vector leans hardest on the first basis element.  A
+    NaN or infinite entry raises NonFinitePencilError, a non-hermitian
+    overlap NonHermitianOverlapError, an empty truncation EmptySubspaceError
+    and an empty window SelectionFailureError.
     """
     s = np.asarray(s, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -167,32 +160,19 @@ def regularize(s: np.ndarray, h: np.ndarray, threshold: float) -> ReducedPencil:
         raise EmptySubspaceError(
             f"no overlap eigenvalue above threshold {threshold:.3e}")
     s_vals, h_red, basis = _retain(vals, vecs, h_t, r)
-    return ReducedPencil(s_vals[0], h_red[0], basis[0], dscale[0], r,
-                         lambda_min_raw, float(vals[0][0]))
-
-
-def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
-    """Minimal in-window eigenvalue of the reduced pencil.
-
-    Eigenvalues outside the window are discarded; ties within 1e-12 go to the
-    candidate whose coefficient vector leans hardest on the first basis
-    element.  Raises SelectionFailureError when nothing lands in the window.
-    """
-    pick, vals, betas = _lowest_in_window(reduced.s_eigvals[None], reduced.h_reduced[None],
-                                          reduced.basis[None], window)
+    pick, energies, betas = _lowest_in_window(s_vals, h_red, basis, window)
     i = int(pick[0])
     if i < 0:
-        (lo, hi), (m, r) = window, reduced.basis.shape
+        lo, hi = window
         raise SelectionFailureError(f"no eigenvalue in window [{lo:.6g}, {hi:.6g}] of the "
                                     f"size-{m} pencil at retained dimension {r}")
-    e, beta = vals[0, i], betas[0, :, i]
+    beta = betas[0, :, i]
 
-    s_red = np.diag(reduced.s_eigvals.astype(complex))
-    alpha_prime = reduced.basis @ beta
-    alpha = reduced.dscale * alpha_prime
+    alpha_prime = basis[0] @ beta
+    alpha = dscale[0] * alpha_prime
     # beta = w y has beta^dag S_red beta = 1 only up to rounding; dropping the
     # renormalization would move alpha's last digits
-    norm = np.real(np.vdot(beta, s_red @ beta))
+    norm = np.real(np.vdot(beta, np.diag(s_vals[0].astype(complex)) @ beta))
     if norm > 0:
         alpha = alpha / np.sqrt(norm)
         alpha_prime = alpha_prime / np.sqrt(norm)
@@ -202,14 +182,8 @@ def solve(reduced: ReducedPencil, window: tuple[float, float]) -> GevpSolution:
         phase = alpha[k] / abs(alpha[k])
         alpha = alpha / phase
         alpha_prime = alpha_prime / phase
-    return GevpSolution(float(e), alpha, alpha_prime, reduced.retained_dim,
-                        reduced.lambda_min_raw, reduced.lambda_min_scaled)
-
-
-def solve_pencil(s: np.ndarray, h: np.ndarray, window: tuple[float, float],
-                 threshold: float) -> GevpSolution:
-    """Convenience wrapper: regularize then solve."""
-    return solve(regularize(s, h, threshold), window)
+    return GevpSolution(float(energies[0, i]), alpha, alpha_prime, r, lambda_min_raw,
+                        float(vals[0, 0]))
 
 
 def stack_energies(s: np.ndarray, h: np.ndarray, window: tuple[float, float],

@@ -37,12 +37,15 @@ from .errors import PartitionError, RegisterCapError, SizeMismatchError
 
 DROP_TOL = 1e-12
 
-_MAT = {
+#: The one-qubit Pauli matrices by letter; read-only.
+PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
     "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 }
+for _m in PAULI_MATRICES.values():
+    _m.flags.writeable = False
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -314,7 +317,7 @@ def term_matrix(axes: str) -> np.ndarray:
     """Unit-coefficient dense matrix for an axes pattern (little-endian)."""
     m = np.array([[1.0 + 0.0j]])
     for q in range(len(axes) - 1, -1, -1):
-        m = np.kron(m, _MAT[axes[q]])
+        m = np.kron(m, PAULI_MATRICES[axes[q]])
     return m
 
 

@@ -44,7 +44,6 @@ from .channels import NoiseModel
 from .circuits import (
     Circuit,
     Gate,
-    MAX_QUBITS,
     _evolve,
     _partial_trace,
     apply,
@@ -52,7 +51,7 @@ from .circuits import (
     run,
     zero_state,
 )
-from .errors import DegenerateNormalizationError, RegisterCapError
+from .errors import DegenerateNormalizationError
 from .pauli import PauliTerm
 
 
@@ -144,8 +143,6 @@ class _Builder:
     """Accumulates the full-register instruction stream for one estimator."""
 
     def __init__(self, total: int, gadget_noise: NoiseModel | None, seed: int = 0):
-        if total > MAX_QUBITS:
-            raise RegisterCapError(f"{total} qubits exceeds the dense cap of {MAX_QUBITS}")
         self.circ = Circuit(total)
         self.noise = gadget_noise
         self.rng = np.random.default_rng(seed)

@@ -92,8 +92,7 @@ class SubspaceSpec:
 
 @dataclass
 class SubspaceMatrices:
-    """The pencil, its per-element variances (None if not asked for), and
-    the query ledger it reads.
+    """The pencil and the query ledger it reads.
 
     ``elements`` holds one (const, [(coeff, keys)], [(which, i, j), ...]) per
     distinct term list, with every stored element i <= j that holds it, which
@@ -102,7 +101,9 @@ class SubspaceMatrices:
     one form of the ledger: ``queries`` maps each key to its slot, in slot
     order (the ``repr`` order of the keys), ``value`` and ``var`` (NaN where
     a query carries no variance) are the readings indexed by slot, and each
-    term's keys are lowered to slots."""
+    term's keys are lowered to slots.  The per-element variances are read
+    from the ledger only where ``matrix_rows`` prints them, on a build with
+    variances."""
 
     m: int
     queries: dict[QueryKey, int]
@@ -110,8 +111,6 @@ class SubspaceMatrices:
     with_variances: bool = True
     s: np.ndarray = field(init=False)
     h: np.ndarray = field(init=False)
-    var_s: np.ndarray | None = field(init=False)
-    var_h: np.ndarray | None = field(init=False)
     value: np.ndarray = field(init=False)
     var: np.ndarray = field(init=False)
 
@@ -126,7 +125,6 @@ class SubspaceMatrices:
         self.var = np.array([readings[k][1] for k in slot], dtype=float)
         s, h = self.assemble(self.value.real.tolist(), self.value.imag.tolist())
         self.s, self.h = s[0], h[0]
-        self.var_s, self.var_h = self._variances() if self.with_variances else (None, None)
 
     def assemble(self, re: Sequence, im: Sequence, n: int = 1
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -168,13 +166,12 @@ class SubspaceMatrices:
                         if (inside := [t for t in targets if t[2] < m])]
         read = {k for _, terms, _ in out.elements for _, slots in terms for k in slots}
         out.queries = {key: k for key, k in self.queries.items() if k in read}
-        for name in ("s", "h", "var_s", "var_h"):
-            mat = getattr(self, name)
-            setattr(out, name, None if mat is None else mat[:m, :m].copy())
+        out.s, out.h = self.s[:m, :m].copy(), self.h[:m, :m].copy()
         return out
 
     def _variances(self) -> tuple[np.ndarray, np.ndarray]:
-        """var_s and var_h; each term list is summed once, for all its targets."""
+        """Element variances of S and H; each term list is summed once, for
+        all its targets."""
         re, var = self.value.real.tolist(), self.var.tolist()
         out = np.zeros((2, self.m, self.m))
         for _, terms, targets in self.elements:
@@ -188,8 +185,9 @@ class SubspaceMatrices:
 
     def matrix_rows(self) -> list[tuple]:
         """CSV rows: which, i, j, re, im, var (empty on a build without variances)."""
+        variances = self._variances() if self.with_variances else (None, None)
         rows = []
-        for name, mat, var in (("S", self.s, self.var_s), ("H", self.h, self.var_h)):
+        for name, mat, var in zip("SH", (self.s, self.h), variances):
             for i in range(self.m):
                 for j in range(self.m):
                     rows.append((name, i + 1, j + 1, mat[i, j].real, mat[i, j].imag,

@@ -35,17 +35,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import _contract, build_ansatz, rotation, zero_vector
+from .circuits import MAX_QUBITS, _contract, build_ansatz, rotation, zero_vector
 from .errors import ConfigError, RegisterCapError
-from .pauli import PauliSum
+from .pauli import PAULI_MATRICES, PauliSum
 
 #: Gradient norm at which ``optimize`` stops.
 GRAD_TOL = 1e-9
 
-_PAULI_VEC = {
-    "rx": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "rz": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
+_PAULI_VEC = {"rx": PAULI_MATRICES["X"], "rz": PAULI_MATRICES["Z"]}
 
 
 def check_count(key: str, v) -> None:
@@ -62,8 +59,8 @@ def check_sizes(layers, iters, seed) -> None:
 
 def exact_ground(h: PauliSum) -> tuple[float, np.ndarray]:
     """Dense diagonalization: minimal eigenvalue and its eigenvector."""
-    if h.n > 10:
-        raise RegisterCapError("dense diagonalization capped at 10 qubits")
+    if h.n > MAX_QUBITS:
+        raise RegisterCapError(f"dense diagonalization capped at {MAX_QUBITS} qubits")
     vals, vecs = np.linalg.eigh(h.matrix())
     return float(vals[0]), vecs[:, 0].copy()  # a copy, so vecs is not kept alive
 

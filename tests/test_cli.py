@@ -13,11 +13,13 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qemlab import errors, experiments
+from qemlab import errors, experiments, models
 from qemlab.channels import NOISE_KINDS
 from qemlab.cli import main
 from qemlab.experiments import check_config, run_experiment
+from qemlab.pauli import build_ising
 from qemlab.subspace import KINDS
+from qemlab.vqe import optimize
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -177,6 +179,16 @@ class TestCliEntry:
                    str(tmp_path / "out")])
         assert rc == 0
         assert (tmp_path / "out" / "bias_vs_m.csv").exists()
+
+    def test_vqe_trains_the_ansatz_of_its_graph(self, tmp_path):
+        # the saved parameters are those of the cluster-edge ansatz, not the path one
+        params_path = str(tmp_path / "params.json")
+        rc = main(["vqe", "--graph", "cluster-2d-8", "--layers", "1", "--iters", "30",
+                   "--seed", "3", "--out", params_path])
+        assert rc == 0
+        n, edges = models.graph("cluster-2d-8")
+        want = optimize(n, 1, build_ising(edges, n), iters=30, seed=3, edges=edges)
+        assert json.load(open(params_path)) == list(map(float, want.params))
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "bad.json"

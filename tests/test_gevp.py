@@ -1,3 +1,4 @@
+import dataclasses
 import pathlib
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import build_ansatz
 from qemlab.errors import EmptySubspaceError, NonFinitePencilError, NonHermitianOverlapError, \
     SelectionFailureError
-from qemlab.gevp import energy_window, regularize, solve, solve_pencil, stack_energies
+from qemlab.gevp import energy_window, solve_pencil, stack_energies
 from qemlab.pauli import build_ising
 from qemlab.subspace import SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
@@ -22,12 +23,16 @@ def path(n):
     return [(i, i + 1) for i in range(n - 1)]
 
 
+#: A window wide enough to hold every eigenvalue of the small pencils below.
+WIDE = (-1e9, 1e9)
+
+
 class TestRegularize:
     def test_identity_full_rank(self):
         s = np.eye(3, dtype=complex)
         h = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        red = regularize(s, h, threshold=0.5)
-        assert red.retained_dim == 3
+        sol = solve_pencil(s, h, WIDE, threshold=0.5)
+        assert sol.retained_dim == 3
 
     def test_duplicated_row_drops_one(self):
         v = np.array([1.0, 0.5, 0.25])
@@ -36,18 +41,18 @@ class TestRegularize:
         s[:, 2] = s[:, 1]
         s[2, 2] = s[1, 1]
         h = np.eye(3)
-        red = regularize(s, h, threshold=1e-6)
-        assert red.retained_dim == 2
+        sol = solve_pencil(s, h, WIDE, threshold=1e-6)
+        assert sol.retained_dim == 2
 
     def test_all_below_threshold(self):
         s = np.eye(2) * 1e-30
         with pytest.raises(EmptySubspaceError):
-            regularize(s, np.eye(2), threshold=2.0)
+            solve_pencil(s, np.eye(2), WIDE, threshold=2.0)
 
     def test_raw_lambda_min_recorded(self):
         s = np.diag([4.0, 0.01])
-        red = regularize(s, np.eye(2), threshold=1e-8)
-        assert red.lambda_min_raw == pytest.approx(0.01)
+        sol = solve_pencil(s, np.eye(2), WIDE, threshold=1e-8)
+        assert sol.lambda_min_raw == pytest.approx(0.01)
 
     @pytest.mark.parametrize("which,bad", [("s", np.nan), ("s", np.inf), ("h", np.nan),
                                            ("h", -np.inf)])
@@ -57,12 +62,12 @@ class TestRegularize:
         mats = {"s": np.eye(2, dtype=complex), "h": np.diag([-2.0, -1.0]).astype(complex)}
         mats[which][0, 1] = bad
         with pytest.raises(NonFinitePencilError):
-            regularize(mats["s"], mats["h"], threshold=1e-8)
+            solve_pencil(mats["s"], mats["h"], WIDE, threshold=1e-8)
 
     def test_non_hermitian_overlap_is_typed(self):
         s = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
         with pytest.raises(NonHermitianOverlapError) as info:
-            regularize(s, np.eye(2), threshold=1e-8)
+            solve_pencil(s, np.eye(2), WIDE, threshold=1e-8)
         assert isinstance(info.value, ValueError)
 
     def test_scaled_lambda_min_recorded(self):
@@ -70,12 +75,12 @@ class TestRegularize:
         # unit-diagonal overlap [[1, 1/2], [1/2, 1]] has floor 1/2
         s = np.array([[4.0, 1.0], [1.0, 1.0]])
         h = np.diag([-2.0, -1.0])
-        red = regularize(s, h, threshold=1e-8)
-        assert red.lambda_min_raw == pytest.approx((5.0 - np.sqrt(13.0)) / 2.0)
-        assert red.lambda_min_scaled == pytest.approx(0.5)
-        sol = solve(red, (-10.0, 0.0))
-        assert sol.lambda_min_raw == red.lambda_min_raw
-        assert sol.lambda_min_scaled == red.lambda_min_scaled
+        sol = solve_pencil(s, h, (-10.0, 0.0), threshold=1e-8)
+        assert sol.lambda_min_raw == pytest.approx((5.0 - np.sqrt(13.0)) / 2.0)
+        assert sol.lambda_min_scaled == pytest.approx(0.5)
+        lambda_min_raw, lambda_min_scaled = oracle_regularize(s, h, 1e-8)[5:]
+        assert sol.lambda_min_raw == lambda_min_raw
+        assert sol.lambda_min_scaled == lambda_min_scaled
 
 
 class TestSolve:
@@ -109,13 +114,13 @@ class TestSolve:
         s = a @ a.T + 4.0 * np.eye(4)
         b = rng.standard_normal((4, 4))
         h = 0.5 * (b + b.T)
-        red = regularize(s, h, threshold=1e-12)
+        s_eigvals, h_reduced, basis = oracle_regularize(s, h, 1e-12)[:3]
         lo = float(np.min(np.real(scipy.linalg.eigvals(h, s)))) - 1.0
-        sol = solve(red, (lo, lo + 100.0))
-        s_red = np.diag(red.s_eigvals)
-        beta = red.basis.conj().T @ (sol.alpha_prime)
-        resid = np.linalg.norm(red.h_reduced @ beta - sol.energy * s_red @ beta)
-        assert resid <= 1e-8 * np.linalg.norm(red.h_reduced)
+        sol = solve_pencil(s, h, (lo, lo + 100.0), threshold=1e-12)
+        s_red = np.diag(s_eigvals)
+        beta = basis.conj().T @ (sol.alpha_prime)
+        resid = np.linalg.norm(h_reduced @ beta - sol.energy * s_red @ beta)
+        assert resid <= 1e-8 * np.linalg.norm(h_reduced)
         norm = np.real(sol.alpha.conj() @ s @ sol.alpha)
         assert norm == pytest.approx(1.0, abs=1e-8)
 
@@ -183,7 +188,8 @@ class TestOnSubspaceMatrices:
 
 
 # ---------------------------------------------------------------------------
-# the one-pencil regularize + solve, frozen as the oracle of the stacked solve
+# the one-pencil regularize + solve, frozen as the oracle of solve_pencil and
+# of the stacked solve
 
 
 def oracle_regularize(s, h, threshold):
@@ -301,8 +307,60 @@ def pencil_of_rank(rng, m, r):
     return 0.5 * (s + s.conj().T), h
 
 
+def one_pencil_message(msg, m, retained, threshold, window):
+    """The message ``solve_pencil`` raises where the frozen oracle raises msg:
+    it numbers the pencil as the only one of its stack and names the cut or
+    the window that came out empty."""
+    msg = msg.replace("pencil has", "pencil 0 of 1 has").replace("overlap not", "overlap 0 of 1 not")
+    if msg == "no overlap eigenvalue above threshold":
+        return f"{msg} {threshold:.3e}"
+    if msg == "no eigenvalue in window":
+        lo, hi = window
+        return f"{msg} [{lo:.6g}, {hi:.6g}] of the size-{m} pencil at retained dimension {retained}"
+    return msg
+
+
+class TestOnePencilSolve:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), m=st.integers(1, 5),
+           style=st.sampled_from(STYLES),
+           window=st.sampled_from([WIDE, WIDE, (-8.0, -4.0), (1.0, 2.0)]))
+    def test_equals_frozen_oracle(self, seed, m, style, window):
+        # every field byte-equal, or the same error type and message; one
+        # pencil in five is damaged, and a cut above 1 can leave no eigenvalue
+        # of the unit-diagonal overlap
+        rng = np.random.default_rng(seed)
+        s, h = random_pencil(rng, m, style)
+        damage = int(rng.integers(10))
+        if damage == 0:
+            i, j = (int(k) for k in rng.integers(m, size=2))
+            (s if rng.random() < 0.5 else h)[i, j] = [np.nan, np.inf, -np.inf][int(rng.integers(3))]
+        elif damage == 1:
+            s[0, m - 1] += 1j * np.abs(s).max()
+        threshold = 10.0 ** rng.uniform(-12.0, 1.0)
+        red = None
+        try:
+            red = oracle_regularize(s, h, threshold)
+            energy, alpha, alpha_prime = oracle_solve(red, window)
+        except (NonFinitePencilError, NonHermitianOverlapError, EmptySubspaceError,
+                SelectionFailureError) as exc:
+            with pytest.raises(type(exc)) as info:
+                solve_pencil(s, h, window, threshold)
+            assert type(info.value) is type(exc)
+            retained = None if red is None else red[4]
+            assert str(info.value) == one_pencil_message(str(exc), m, retained, threshold, window)
+            return
+        sol = solve_pencil(s, h, window, threshold)
+        want = (energy, alpha, alpha_prime) + red[4:]
+        got = [getattr(sol, f.name) for f in dataclasses.fields(sol)]
+        assert len(got) == len(want)
+        for got_f, want_f in zip(got, want):
+            assert type(got_f) is type(want_f)
+            assert np.asarray(got_f).tobytes() == np.asarray(want_f).tobytes()
+
+
 class TestStackedSolve:
-    """stack_energies and regularize/solve against the frozen one-pencil code."""
+    """stack_energies and solve_pencil against the frozen one-pencil code."""
 
     def test_leaves_numpy_ma_unimported(self):
         # np.unique imports numpy.ma on its first call, about 15 ms of every sampled run
@@ -337,20 +395,18 @@ class TestStackedSolve:
                 want_red = oracle_regularize(sk, hk, threshold)
             except EmptySubspaceError:
                 with pytest.raises(EmptySubspaceError):
-                    regularize(sk, hk, threshold)
+                    solve_pencil(sk, hk, window, threshold)
                 continue
-            red = regularize(sk, hk, threshold)
-            for got_f, want_f in zip((red.s_eigvals, red.h_reduced, red.basis, red.dscale,
-                                      red.retained_dim, red.lambda_min_raw,
-                                      red.lambda_min_scaled), want_red):
-                assert np.array_equal(got_f, want_f)
             try:
                 want_sol = oracle_solve(want_red, window)
             except SelectionFailureError:
                 with pytest.raises(SelectionFailureError):
-                    solve(red, window)
+                    solve_pencil(sk, hk, window, threshold)
                 continue
-            sol = solve(red, window)
+            sol = solve_pencil(sk, hk, window, threshold)
+            for got_f, want_f in zip((sol.retained_dim, sol.lambda_min_raw,
+                                      sol.lambda_min_scaled), want_red[4:]):
+                assert np.array_equal(got_f, want_f)
             assert sol.energy == want_sol[0]
             assert np.array_equal(sol.alpha, want_sol[1])
             assert np.array_equal(sol.alpha_prime, want_sol[2])
@@ -479,12 +535,12 @@ class TestAgainstScipy:
         s, h = random_pencil(np.random.default_rng(seed), m, style)
         if style == "no_positive_diagonal" or (style == "dead_index" and m == 1):
             with pytest.raises(EmptySubspaceError):
-                regularize(s, h, 10.0 ** log_threshold)
+                solve_pencil(s, h, WIDE, 10.0 ** log_threshold)
             return
-        red = regularize(s, h, 10.0 ** log_threshold)
-        sol = solve(red, (-1e9, 1e9))
-        beta = red.basis.conj().T @ sol.alpha_prime
-        s_red, h_red = np.diag(red.s_eigvals), red.h_reduced
+        s_eigvals, h_red, basis = oracle_regularize(s, h, 10.0 ** log_threshold)[:3]
+        sol = solve_pencil(s, h, WIDE, 10.0 ** log_threshold)
+        beta = basis.conj().T @ sol.alpha_prime
+        s_red = np.diag(s_eigvals)
         resid = np.linalg.norm(h_red @ beta - sol.energy * s_red @ beta)
         assert resid <= 1e-9 * (np.linalg.norm(h_red) + abs(sol.energy) * np.linalg.norm(s_red))
         assert np.real(np.vdot(beta, s_red @ beta)) == pytest.approx(1.0, abs=1e-9)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qemlab import pauli
+from qemlab.circuits import Gate, gate_matrix
 from qemlab.errors import PartitionError, RegisterCapError, SizeMismatchError
 from qemlab.pauli import (
     PauliSum,
@@ -149,6 +150,13 @@ class TestSumMatrix:
     @given(pauli_sums())
     def test_bit_equal_to_kron_sum(self, h):
         assert_bit_equal(h.matrix(), kron_sum_matrix(h))
+
+    def test_one_read_only_copy_of_the_pauli_matrices(self):
+        # the gates, the Pauli channel and the rotation generators read this table
+        for letter, mat in pauli.PAULI_MATRICES.items():
+            assert np.array_equal(mat, PAULI_1Q[letter]) and not mat.flags.writeable
+        for name in "xyz":
+            assert gate_matrix(Gate(name, (0,))) is pauli.PAULI_MATRICES[name.upper()]
 
 
 class TestSumPow:

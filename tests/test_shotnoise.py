@@ -599,9 +599,9 @@ class TestNoVarianceBuild:
         ansatz = build_ansatz(3, 1, np.full(12, 0.3), path(3))
         mats = build(SubspaceSpec("power", 3, h), ansatz, PAULI, with_variances=False)
         assert not mats.with_variances
-        assert mats.var_s is None and mats.var_h is None
+        assert all(r[5] == "" for r in mats.matrix_rows())
         part = mats.leading(2)
-        assert part.var_s is None and not part.with_variances
+        assert all(r[5] == "" for r in part.matrix_rows()) and not part.with_variances
         cfg = ShotConfig(ns=1e8, n_samples=5)
         for target in (mats, part):
             with pytest.raises(ConfigError):
