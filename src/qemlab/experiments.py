@@ -15,6 +15,7 @@ external tools.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import os
@@ -274,20 +275,22 @@ class Problem:
         psi = ansatz_state(self.n, self.layers, self.edges, self.params)
         self.vqe_energy = float(np.real(np.vdot(psi, self.h.matrix() @ psi)))
         self.vqe_bias = self.vqe_energy - self.e_true
-        self._blocks = None
 
-    def block_ansatzes(self):
-        if self._blocks is None:
-            subs = []
-            states = []
-            for block in self.cfg.values.partition.blocks:
-                h_b, sub_edges = models.block_subproblem(self.edges, block)
-                params = _trained(self.cfg.vqe, len(block), h_b, sub_edges)
-                subs.append(build_ansatz(len(block), self.layers, params, sub_edges))
-                psi = ansatz_state(len(block), self.layers, sub_edges, params)
-                states.append(np.outer(psi, psi.conj()))
-            self._blocks = (subs, self._product_energy(states))
-        return self._blocks
+    @functools.cached_property
+    def _block_parts(self) -> tuple[list, list]:
+        """Each block's ansatz and noiseless state, trained once."""
+        subs = []
+        states = []
+        for block in self.cfg.values.partition.blocks:
+            h_b, sub_edges = models.block_subproblem(self.edges, block)
+            params = _trained(self.cfg.vqe, len(block), h_b, sub_edges)
+            subs.append(build_ansatz(len(block), self.layers, params, sub_edges))
+            psi = ansatz_state(len(block), self.layers, sub_edges, params)
+            states.append(np.outer(psi, psi.conj()))
+        return subs, states
+
+    def block_ansatzes(self) -> list:
+        return self._block_parts[0]
 
     def _product_energy(self, states) -> float:
         """Tr[(states[-1] (x) ... (x) states[0]) H], block 0 on the low qubits."""
@@ -296,24 +299,27 @@ class Problem:
             full = np.kron(full, st)
         return float(np.real(np.trace(full @ self.h.matrix())))
 
+    @functools.cached_property
+    def _separable_energy(self) -> float:
+        """The product state's energy, formed on the first ``separable_bias`` call."""
+        return self._product_energy(self._block_parts[1])
+
     def separable_bias(self) -> float:
-        _, sep_energy = self.block_ansatzes()
-        return sep_energy - self.e_true
+        return self._separable_energy - self.e_true
 
     def build(self, kind: str, m_values, noise: NoiseModel, with_variances=True) -> list:
         """(M, pencil) for each M, sliced from one build at the largest."""
         if not m_values:
             return []
         spec = self.cfg.values.specs[kind, max(m_values)]
-        arg = self.block_ansatzes()[0] if kind == "dc" else self.ansatz
+        arg = self.block_ansatzes() if kind == "dc" else self.ansatz
         mats = build(spec, arg, noise, seed=self.cfg.seed, with_variances=with_variances)
         return [(m, mats.leading(m)) for m in m_values]
 
     def raw_noisy_energy(self, kind: str, noise: NoiseModel) -> float:
         if kind == "dc":
-            subs, _ = self.block_ansatzes()
             return self._product_energy([run(attach_noise(c, noise, seed=self.cfg.seed))
-                                         for c in subs])
+                                         for c in self.block_ansatzes()])
         rho = run(attach_noise(self.ansatz, noise, seed=self.cfg.seed))
         return float(sum(np.real(t.coeff * expect_pauli(rho, t.axes)) for t in self.h))
 

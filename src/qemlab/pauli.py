@@ -364,12 +364,24 @@ def expect_paulis(rho: np.ndarray, strings: Sequence[str]) -> list[complex]:
         raise SizeMismatchError(f"operator dim {rho.shape} vs {n} qubits")
     if any(len(axes) != n for axes in strings):
         raise SizeMismatchError("strings differ in length")
-    x, z = np.array([_axes_to_masks(axes) for axes in strings], dtype=np.int64).T
+    return _expect_masks(rho, *_string_masks(strings)).tolist()
+
+
+def _string_masks(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The X and Z masks of every string, as two int64 arrays."""
+    return np.array([_axes_to_masks(axes) for axes in strings], dtype=np.int64).T
+
+
+def _expect_masks(rho: np.ndarray, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``expect_paulis`` of the strings with these X and Z masks, as an array;
+    the caller has checked that they fit rho."""
+    d = rho.shape[0]
+    n = d.bit_length() - 1
     phase = np.array(_I_POW)[_popcount(x & z, n) & 3]
     idx = np.arange(d)
     signs = parity_signs(n)
     order = np.argsort(x, kind="stable")
-    out = np.empty(len(strings), dtype=complex)
+    out = np.empty(len(x), dtype=complex)
     rows = max(1, _READ_CHUNK // d)
     for lo in range(0, len(order), rows):
         part = order[lo:lo + rows]
@@ -377,7 +389,7 @@ def expect_paulis(rho: np.ndarray, strings: Sequence[str]) -> list[complex]:
         diagonals = rho[idx, idx ^ masks[:, None]]
         sums = np.sum(signs[idx & z[part, None]] * diagonals[inverse], axis=-1)
         out[part] = phase[part] * sums
-    return out.tolist()
+    return out
 
 
 def expect_pauli(rho: np.ndarray, axes: str) -> complex:

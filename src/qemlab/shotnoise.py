@@ -4,25 +4,31 @@ Shot statistics never enter the circuit simulations themselves.  Every
 measurement query carries an exact single-shot variance and is perturbed by
 a Gaussian of width sqrt(var / shots-per-query), the budget split equally
 over the unique queries.  Sampling reads the slots, values and term lists
-that ``SubspaceMatrices`` lowers once per build.  Sample k draws every query
-the pencil reads, in slot order, with one ``normal`` call from
-``default_rng([seed, k])``, which consumes the stream as one scalar draw per
-query would, so every matrix element that reuses a query moves with it.  A
-stack of samples is assembled in one pass over the terms and solved by
-``gevp.stack_energies``: scaling and the overlap ``eigh`` run over the stack,
-and the reduced solve over each group of samples that keep the same retained
-dimension, each sample rounding as it would alone.  The arithmetic runs
-across samples, never across terms: a sum over terms rounds in another order,
-and the ill-conditioned pencils (unit-diagonal lambda_min 1.76e-5 at M = 3 on
-path-8) carry that into the 12 digits the CSVs print.  The exact pencil is
-the same assembly over the exact values.
+that ``SubspaceMatrices`` lowers once per build.  Sample k moves the q
+queries the pencil reads, in slot order, by sd * z[:q], where z is the
+stream of standard normals of ``default_rng([seed, k])``, so every matrix
+element that reuses a query moves with it.  The normals depend on (seed, k)
+alone, so they are drawn once per build, Q of them per sample (the full
+build's ledger size), kept in ``SubspaceMatrices.normals`` and shared by
+every budget and every ``leading`` block.  The result is bit-equal to one
+``normal(0.0, sd)`` call per sample and call: numpy forms that entry by
+entry as 0.0 + sd * z from the same sequential stream, and so does the
+sampler.  A stack of samples is assembled in one pass over the terms and
+solved by ``gevp.stack_energies``: scaling and the overlap ``eigh`` run over
+the stack, and the reduced solve over each group of samples that keep the
+same retained dimension, each sample rounding as it would alone.  The
+arithmetic runs across samples, never across terms: a sum over terms rounds
+in another order, and the ill-conditioned pencils (unit-diagonal lambda_min
+1.76e-5 at M = 3 on path-8) carry that into the 12 digits the CSVs print.
+The exact pencil is the same assembly over the exact values.
 
 The DSP variances of one state pair come from one Walsh-Hadamard
 transform (``var_dsp_many``), which gives Tr[rho P bar P] for any set of
-strings in O(d^2 log d); their means are read in one ``expect_paulis``
-call.  The transform sums in another order than the dense sandwich, so a
-variance may differ from it in the last bit (by at most 2.2e-16, one ulp
-near 1, in the tests' measurements); the CSVs are unchanged.
+strings in O(d^2 log d); their means are read with the same parsed masks
+as ``expect_paulis`` reads them.  The transform sums in another order than
+the dense sandwich, so a variance may differ from it in the last bit (by at
+most 2.2e-16, one ulp near 1, in the tests' measurements); the CSVs are
+unchanged.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, EmptyDistributionError, SizeMismatchError
 from .gevp import stack_energies
-from .pauli import _axes_to_masks, expect_paulis
+from .pauli import _expect_masks, _string_masks
 
 
 def var_dsp(rho: np.ndarray, bar: np.ndarray, axes: str,
@@ -65,10 +71,11 @@ def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
     the number of strings.  C's column k needs only column k of R and Q, so
     they are built and transformed a block of columns at a time, and only
     C's rows at the strings' X masks are kept: the transform holds no d x d
-    array.  The means are read from rb (rho @ bar) by ``expect_paulis``.  The
-    transform sums in another order than the dense sandwich, so a variance
-    may differ from it in the last bit (at most 2.2e-16 measured).  Raises
-    ``SizeMismatchError`` when rho, bar, rb and the strings disagree in size.
+    array.  The means are read from rb (rho @ bar) as ``expect_paulis``
+    reads them, from the masks parsed once for both.  The transform sums in
+    another order than the dense sandwich, so a variance may differ from it
+    in the last bit (at most 2.2e-16 measured).  Raises ``SizeMismatchError``
+    when rho, bar, rb and the strings disagree in size.
     """
     if not axes_list:
         return []
@@ -83,9 +90,9 @@ def var_dsp_many(rho: np.ndarray, bar: np.ndarray, axes_list: Sequence[str],
             + f" against strings of lengths {sorted({len(a) for a in axes_list})}")
     if rb is None:
         rb = rho @ bar
-    means = np.real(expect_paulis(rb, axes_list))
+    x, z = _string_masks(axes_list)
+    means = _expect_masks(rb, x, z).real
     trace = np.real(np.trace(rb))
-    x, z = np.array([_axes_to_masks(axes) for axes in axes_list], dtype=np.int64).T
     masks, row = np.unique(x, return_inverse=True)
     cols = min(d, max(1, _BLOCK // d))
     # flat indices of R's and Q's first block; the block at column k0 (a
@@ -152,7 +159,9 @@ def var_product_chain(means_vars) -> float:
     return var
 
 
-_STACK = 1024  # samples per assembled stack, which bounds memory by slots x _STACK
+#: Samples per assembled stack, which bounds the assembly's memory by slots x
+#: _STACK; the kept normals take Q x n_samples floats per seed.
+_STACK = 1024
 
 
 @dataclass(frozen=True)
@@ -193,10 +202,13 @@ def _widths(matrices, cfg: ShotConfig) -> np.ndarray:
     return np.sqrt(matrices.var[list(matrices.queries.values())] / (cfg.ns / q))
 
 
-def _draw(matrices, sd: np.ndarray, rngs) -> tuple[np.ndarray, np.ndarray]:
-    """Stacks of perturbed S and H, one sample per generator."""
+def _draw(matrices, sd: np.ndarray, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stacks of perturbed S and H, one sample per column of normals.
+
+    Query i of sample k moves by sd[i] * normals[i, k], formed as
+    ``Generator.normal(0.0, sd)`` forms it: 0.0 + sd * z, entry by entry."""
     slots = list(matrices.queries.values())
-    re = np.stack([rng.normal(0.0, sd) for rng in rngs], axis=1)
+    re = 0.0 + sd[:, None] * normals[:len(sd)]
     re += matrices.value.real[slots, None]
     im = (matrices.value.imag + 0.0).tolist()  # as complex + float
     n = re.shape[1]  # one sample reads plain floats, sparing numpy's call overhead
@@ -213,26 +225,46 @@ def perturb(matrices, cfg: ShotConfig, rng: np.random.Generator):
     over the unique queries, and one draw per query is shared by every matrix
     element that reuses it.
     """
-    s, h = _draw(matrices, _widths(matrices, cfg), [rng])
+    sd = _widths(matrices, cfg)
+    s, h = _draw(matrices, sd, rng.standard_normal(len(sd))[:, None])
     return s[0], h[0]
+
+
+def _normals(matrices, seed: int, start: int, stop: int) -> np.ndarray:
+    """(Q, stop - start) standard normals, column k - start drawn from
+    ``default_rng([seed, k])``; Q is the full build's ledger size.
+
+    Drawn once per pencil family: kept in ``matrices.normals``, which every
+    ``leading`` block of one build shares, so each budget and each M reads
+    the same columns.  A pencil that reads q queries uses the first q rows,
+    as its q draws from the same stream would be.
+    """
+    key = (seed, start, stop)
+    z = matrices.normals.get(key)
+    if z is None:
+        z = np.stack([np.random.default_rng([seed, k]).standard_normal(len(matrices.value))
+                      for k in range(start, stop)], axis=1)
+        z.flags.writeable = False
+        matrices.normals[key] = z
+    return z
 
 
 def sample_distribution(matrices, cfg: ShotConfig, window: tuple[float, float],
                         threshold: float | None = None) -> EnergyDistribution:
     """Sample the mitigated-energy distribution under finite shots.
 
-    Sample k draws from ``default_rng([seed, k])`` and is solved as
-    ``solve_pencil`` would solve it alone; failed window selections and empty
-    truncations are counted as rejections and excluded from the moments.
+    Sample k scales the normals of ``default_rng([seed, k])``, drawn once
+    per build (``_normals``), and is solved as ``solve_pencil`` would solve
+    it alone; failed window selections and empty truncations are counted as
+    rejections and excluded from the moments.
     """
     if threshold is None:
         threshold = 10.0 / np.sqrt(cfg.ns)
     sd = _widths(matrices, cfg)
     energies = []
     for start in range(0, cfg.n_samples, _STACK):
-        rngs = [np.random.default_rng([cfg.seed, k])
-                for k in range(start, min(start + _STACK, cfg.n_samples))]
-        energies.append(stack_energies(*_draw(matrices, sd, rngs), window, threshold))
+        z = _normals(matrices, cfg.seed, start, min(start + _STACK, cfg.n_samples))
+        energies.append(stack_energies(*_draw(matrices, sd, z), window, threshold))
     arr = np.concatenate(energies)
     solved = ~np.isnan(arr)
     if not np.any(solved):

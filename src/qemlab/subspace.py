@@ -103,7 +103,9 @@ class SubspaceMatrices:
     a query carries no variance) are the readings indexed by slot, and each
     term's keys are lowered to slots.  The per-element variances are read
     from the ledger only where ``matrix_rows`` prints them, on a build with
-    variances."""
+    variances.  ``normals`` holds the shot-noise draws of this build, which
+    ``shotnoise`` makes once per (seed, first sample, last sample) and every
+    ``leading`` block reads."""
 
     m: int
     queries: dict[QueryKey, int]
@@ -113,6 +115,7 @@ class SubspaceMatrices:
     h: np.ndarray = field(init=False)
     value: np.ndarray = field(init=False)
     var: np.ndarray = field(init=False)
+    normals: dict = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         readings = self.queries
@@ -153,10 +156,10 @@ class SubspaceMatrices:
         """The leading m x m pencil, reading only the queries it needs.
 
         Equal to a fresh build at m: the same matrices, variances and ledger,
-        so shot-noise draws and query counts stay per-m.  It shares this
-        pencil's term lists and ``value``/``var`` arrays, and keeps the
-        elements with a target inside the block and the ``queries`` entries
-        of the slots they read.
+        so shot-noise samples and query counts stay per-m.  It shares this
+        pencil's term lists, its ``value``/``var`` arrays and its ``normals``,
+        and keeps the elements with a target inside the block and the
+        ``queries`` entries of the slots they read.
         """
         if not 1 <= m <= self.m:
             raise ConfigError(f"leading block {m} outside 1..{self.m}")
@@ -424,8 +427,9 @@ def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
     rhos = [run(c) for c in circs]
     bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
     rbs = [r @ b for r, b in zip(rhos, bars)]
-    states = {"rho": rhos, "dual": bars,
-              "dsp": [0.5 * (b @ r + rb) for r, b, rb in zip(rhos, bars, rbs)]}
+    states = {"rho": rhos, "dual": bars,  # with no channel b is r, so b @ r is rb
+              "dsp": [0.5 * ((rb if b is r else b @ r) + rb)
+                      for r, b, rb in zip(rhos, bars, rbs)]}
     bkeys = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
     seen: set[QueryKey] = set()
     reads: dict[tuple[str, int], list[QueryKey]] = {}  # by the block that first read them

@@ -6,8 +6,9 @@ parameter-shift rule for the adjoint gradient, a gate-by-gate statevector
 loop for the sweep plan, per-string loops for the batched Pauli algebra,
 fresh arrays per step for the two-buffer density-matrix kernel, a kron start
 state run segment by segment through that copying kernel for the
-copy-register engine's owned states, and full-register runs for the
-copy-register engine.
+copy-register engine's owned states, full-register runs for the
+copy-register engine, and fresh generators on every call for the shared
+shot-noise draws.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,8 @@ from qemlab.circuits import (
     zero_state,
     zero_vector,
 )
-from qemlab.errors import SizeMismatchError
+from qemlab.errors import EmptyDistributionError, SizeMismatchError
+from qemlab.gevp import stack_energies
 from qemlab.pauli import DROP_TOL, PauliSum, PauliTerm, _axes_to_masks, parity_signs
 from qemlab.purification import (
     _anc_xy,
@@ -39,6 +41,7 @@ from qemlab.purification import (
     _remap_ops,
     _resolve,
 )
+from qemlab.shotnoise import EnergyDistribution, _widths
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -449,3 +452,35 @@ def postselect_bound(s: np.ndarray, gamma: float, m: int) -> PostselectBound:
     bound = float(np.prod(diag) ** (1.0 / m)) if np.all(diag > 0) else float("nan")
     scaling = 16.0 * gamma * gamma * m * m / (lam_min * lam_min) if lam_min > 0 else float("inf")
     return PostselectBound(lam_min, bound, scaling)
+
+
+def per_call_sample_distribution(matrices, cfg, window, threshold=None):
+    """``shotnoise.sample_distribution`` with no draws shared between calls.
+
+    Every call makes sample k's generator ``default_rng([seed, k])`` anew and
+    draws the pencil's queries with one ``normal(0.0, sd)`` call, 1024
+    samples to a stack; the rest is the package's own assembly and solve.
+    """
+    if threshold is None:
+        threshold = 10.0 / np.sqrt(cfg.ns)
+    sd = _widths(matrices, cfg)
+    slots = list(matrices.queries.values())
+    im = (matrices.value.imag + 0.0).tolist()
+    energies = []
+    for start in range(0, cfg.n_samples, 1024):
+        rngs = [np.random.default_rng([cfg.seed, k])
+                for k in range(start, min(start + 1024, cfg.n_samples))]
+        re = np.stack([rng.normal(0.0, sd) for rng in rngs], axis=1)
+        re += matrices.value.real[slots, None]
+        n = re.shape[1]
+        rows = [None] * len(im)
+        for k, row in zip(slots, list(re) if n > 1 else re[:, 0].tolist()):
+            rows[k] = row
+        energies.append(stack_energies(*matrices.assemble(rows, im, n), window, threshold))
+    arr = np.concatenate(energies)
+    solved = ~np.isnan(arr)
+    if not np.any(solved):
+        raise EmptyDistributionError(f"every sample was rejected at M {matrices.m}, "
+                                     f"ns {cfg.ns:g}, n_samples {cfg.n_samples}")
+    arr = arr[solved]
+    return EnergyDistribution(arr, float(arr.mean()), float(arr.std()), int(np.sum(~solved)))

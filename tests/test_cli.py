@@ -147,6 +147,24 @@ class TestRunScenarios:
         for r in rows:
             assert float(r.split(",")[5]) > 0  # metric column
 
+    def test_product_energy_formed_only_where_read(self, tmp_path, monkeypatch):
+        # cost-metric never reads the separable baseline; bias-vs-m over dc
+        # reads it twice at p1 = 0 and forms it once, plus once for the
+        # noisy product state at p1 = 2e-4
+        calls = []
+        form = experiments.Problem._product_energy
+        monkeypatch.setattr(experiments.Problem, "_product_energy",
+                            lambda prob, states: calls.append(len(states)) or form(prob, states))
+        cfg = {"scenario": "cost-metric", "seed": 0, "graph": "path-4",
+               "partition": "half-2-2", "vqe": {"layers": 3, "iters": 50, "seed": 5},
+               "power_m": [2], "dc_m": [2, 3]}
+        run_experiment(cfg, str(tmp_path / "cost"))
+        assert calls == []
+        cfg = small_cfg(partition="half-2-2", noise={"p1_values": [0.0, 2e-4]},
+                        subspace={"kind": "dc", "m_values": [2]})
+        run_experiment(cfg, str(tmp_path / "bias"))
+        assert calls == [2, 2]
+
     def test_esd_vs_dsp_scenario_small(self, tmp_path):
         cfg = {
             "scenario": "esd-vs-dsp", "seed": 0, "graph": "path-3",

@@ -1,6 +1,10 @@
+import copy
 import functools
+import itertools
 import json
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,7 +38,7 @@ from qemlab.shotnoise import (
 from qemlab.subspace import SubspaceMatrices, SubspaceSpec, build
 from qemlab.vqe import exact_ground, optimize
 
-from oracles import dsp_circuit, sandwich_pauli
+from oracles import dsp_circuit, per_call_sample_distribution, sandwich_pauli
 
 PAULI = NoiseModel(kind="stochastic_pauli", p1=1e-3)
 DEPOL = NoiseModel(kind="global_depolarizing", p1=0.05)
@@ -587,6 +591,133 @@ class TestCompiledLedger:
         want = sample_distribution(fresh, cfg, window)
         assert np.array_equal(got.samples, want.samples)
         assert got.rejections == want.rejections
+
+
+def fresh_family(mats):
+    """The build mats with no shot-noise draws made yet."""
+    family = copy.copy(mats)
+    family.normals = {}
+    return family
+
+
+def same_distribution(got, want):
+    return (np.array_equal(got.samples, want.samples) and got.mean == want.mean
+            and got.stddev == want.stddev and got.rejections == want.rejections)
+
+
+class TestSharedDraws:
+    """Each sample's normals are drawn once per build and scaled for every
+    budget and every leading block: the samples equal fresh per-call draws."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(["power", "fault", "dc"]),
+           noisy=st.booleans(),
+           seed=st.integers(0, 2**31 - 1),
+           n_samples=st.integers(1, 13),
+           stack=st.integers(1, 5),
+           ms=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+           log_ns=st.lists(st.floats(4.0, 12.0), min_size=1, max_size=3),
+           frac=st.sampled_from([0.1, 0.002]))
+    @example(kind="dc", noisy=True, seed=5, n_samples=13, stack=4, ms=[3, 2, 3],
+             log_ns=[5.0, 9.0], frac=0.002)
+    def test_every_budget_and_m_equals_per_call_sampler(self, kind, noisy, seed, n_samples,
+                                                        stack, ms, log_ns, frac):
+        big, e_mid = oracle_case(kind, noisy)
+        family = fresh_family(big)
+        window = energy_window(e_mid, frac)
+        seeds = (seed, seed + 1)
+        with mock.patch.object(shotnoise, "_STACK", stack):
+            for m, x, sample_seed in itertools.product(ms, log_ns, seeds):
+                cfg = ShotConfig(ns=10.0 ** x, n_samples=n_samples, seed=sample_seed)
+                try:
+                    want = per_call_sample_distribution(big.leading(m), cfg, window)
+                except EmptyDistributionError as ex:
+                    with pytest.raises(EmptyDistributionError, match=re.escape(str(ex))):
+                        sample_distribution(family.leading(m), cfg, window)
+                    continue
+                got = sample_distribution(family.leading(m), cfg, window)
+                assert same_distribution(got, want), (m, cfg)
+        starts = range(0, n_samples, stack)
+        assert list(family.normals) == [(s, a, min(a + stack, n_samples))
+                                        for s in seeds for a in starts]
+        for z in family.normals.values():
+            assert z.shape[0] == len(big.value) and not z.flags.writeable
+
+    def test_normal_is_scaled_standard_normal(self):
+        # numpy forms normal(loc, scale) entry by entry as loc + scale * z from
+        # one sequential stream; the shared draws rely on that, bit for bit
+        rng = np.random.default_rng(2025)
+        for trial in range(300):
+            q = int(rng.integers(0, 40))
+            sd = np.abs(rng.standard_normal(q)) * 10.0 ** rng.uniform(-8, 8, q)
+            sd[rng.random(q) < 0.2] = 0.0
+            tiny = rng.random(q) < 0.1
+            sd[tiny] = 5e-324 * rng.integers(1, 2**40, int(tiny.sum()))  # subnormal
+            want = np.random.default_rng([trial, 3]).normal(0.0, sd)
+            z = np.random.default_rng([trial, 3]).standard_normal(q + 50)
+            assert (0.0 + sd * z[:q]).tobytes() == want.tobytes(), trial
+            stacked = 0.0 + sd[:, None] * np.stack([z, z], axis=1)[:q]
+            assert stacked[:, 1].tobytes() == want.tobytes(), trial
+
+    @pytest.mark.parametrize("scenario,kind", [
+        ("stddev-vs-shots", "power"), ("stddev-vs-shots", "fault"),
+        ("stddev-vs-shots", "dc"), ("histogram", "power"), ("histogram", "dc"),
+    ])
+    def test_outputs_equal_per_call_sampler_run(self, tmp_path, monkeypatch, scenario, kind):
+        shots = ({"ns_values": [1e5, 1e7, 1e9], "n_samples": 40} if scenario == "stddev-vs-shots"
+                 else {"ns": 1e7, "n_samples": 40})
+        cfg = {"scenario": scenario, "seed": 5, "graph": "path-4",
+               "vqe": {"layers": 2, "iters": 40, "seed": 3},
+               "noise": {"kind": "stochastic_pauli", "p1": 2e-4},
+               "subspace": {"kind": kind, "m_values": [2, 3]}, "shots": shots}
+        if kind == "dc":
+            cfg["partition"] = "half-2-2"
+        path_cfg = tmp_path / "cfg.json"
+        path_cfg.write_text(json.dumps(cfg))
+        outs = []
+        for which in ("shared", "per-call"):
+            if which == "per-call":
+                monkeypatch.setattr("qemlab.experiments.sample_distribution",
+                                    per_call_sample_distribution)
+            out = tmp_path / which
+            assert main(["run", "--config", str(path_cfg), "--out-dir", str(out)]) == 0
+            outs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())
+                         if p.suffix == ".csv" or p.name == "manifest.json"})
+        assert "manifest.json" in outs[0] and len(outs[0]) >= 2
+        assert outs[0] == outs[1]
+
+    def test_budget_grid_costs_the_memory_of_its_costliest_call(self):
+        # the draws are made once and kept, one float per query and sample;
+        # six budgets over two blocks peak no higher than the costliest
+        # budget sampled alone on a fresh build, which draws for itself
+        big, e_mid = oracle_case("power", True)
+        window = energy_window(e_mid)
+        n = 300
+        budgets = [1e5, 1e6, 1e7, 1e8, 1e9, 1e10]
+        sample_distribution(big.leading(2), ShotConfig(ns=1e6, n_samples=n, seed=99), window)
+        alone = []
+        for ns in budgets:
+            family = fresh_family(big)
+            tracemalloc.start()
+            try:
+                sample_distribution(family, ShotConfig(ns=ns, n_samples=n, seed=1), window)
+                alone.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        family = fresh_family(big)
+        tracemalloc.start()
+        try:
+            for ns in budgets:
+                for m in (3, 2):
+                    sample_distribution(family.leading(m),
+                                        ShotConfig(ns=ns, n_samples=n, seed=1), window)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        cache = len(big.value) * n * 8
+        assert sum(z.nbytes for z in family.normals.values()) == cache
+        assert kept <= cache + 32 * 1024, (kept, cache)
+        assert peak <= max(alone) + 32 * 1024, (peak, alone)
 
 
 class TestNoVarianceBuild:

@@ -523,3 +523,21 @@ def test_channel_free_dual_is_the_state(monkeypatch, kind, noise):
     assert np.array_equal(reused.value, forced.value)
     assert np.array_equal(reused.var, forced.var, equal_nan=True)
     assert reused.queries == forced.queries
+
+
+def test_channel_free_dsp_state_reuses_rho_bar():
+    # with no channel the dual is the state itself, and the symmetrized
+    # product b @ r + r @ b takes r @ r once; the bytes equal those of the
+    # two products formed on a distinct copy of the state
+    h = build_ising(path(4), 4)
+    ansatz = build_ansatz(4, 2, np.random.default_rng(11).uniform(-np.pi, np.pi, 24), path(4))
+    spec = SubspaceSpec("power", 3, h)
+    reused = build(spec, ansatz, noiseless(), seed=1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subspace, "_dual", lambda circ, rho: rho.copy())
+        two_products = build(spec, ansatz, noiseless(), seed=1)
+    for name in ("s", "h", "value", "var"):
+        assert getattr(reused, name).tobytes() == getattr(two_products, name).tobytes(), name
+    assert reused.queries == two_products.queries
+    assert reused.ledger_rows() == two_products.ledger_rows()
+    assert sum(key[1] == "dsp" for key in reused.queries) > 0
