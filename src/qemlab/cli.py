@@ -1,9 +1,9 @@
 """Command-line front end for the experiment harness.
 
-Subcommands: vqe (train and save parameters), run (one scenario config),
-sweep (a config with a grid of overrides), queries (measurement-count
-tables), oracle (ad-hoc trace evaluation for debugging).  Exit codes:
-0 success, 1 configuration error, 2 runtime failure.
+Subcommands: vqe (train and save parameters), run (one or more scenario
+configs, a config's grid of overrides expanded into points), queries
+(measurement-count tables), oracle (ad-hoc trace evaluation for debugging).
+Exit codes: 0 success, 1 configuration error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -52,20 +52,41 @@ def _cmd_vqe(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    written = run_experiment(cfg, args.out_dir)
-    for path in written:
+    stems = [os.path.splitext(os.path.basename(path))[0] for path in args.config]
+    if dup := sorted({stem for stem in stems if stems.count(stem) > 1}):
+        raise ConfigError(f"two configs share the stem {dup[0]!r}, which names their outputs")
+    names = stems if len(stems) > 1 else [""]  # one config writes to --out-dir itself
+    configs = [(name, _load_config(path)) for name, path in zip(names, args.config)]
+    for path in _run(configs, args.out_dir, args.seed):
         print(path)
     return 0
 
 
-def _grid_points(grid: dict) -> list[dict]:
-    keys = sorted(grid)
-    points = []
+def _run(configs: list[tuple[str, dict]], out_dir: str, seed: int | None = None) -> list[str]:
+    """Check every point of every (subdirectory, config), then run them in order."""
+    runs = []
+    for name, cfg in configs:
+        for point_dir, point in _points(cfg):
+            if seed is not None:  # after the grid's overrides
+                point["seed"] = seed
+            check_config(point)
+            runs.append((point, os.path.join(out_dir, name, point_dir)))
+    return [path for point, out in runs for path in run_experiment(point, out)]
+
+
+def _points(cfg: dict) -> list[tuple[str, dict]]:
+    """(subdirectory, config) of cfg itself, or of point-NNN per combination of its grid."""
+    if "grid" not in cfg:
+        return [("", cfg)]
+    grid = cfg.pop("grid")
+    if not (isinstance(grid, dict) and grid
+            and all(isinstance(v, list) and v for v in grid.values())):
+        raise ConfigError("grid must map dotted keys to non-empty lists of values")
+    keys, points = sorted(grid), []
     for combo in itertools.product(*(grid[k] for k in keys)):
-        points.append(dict(zip(keys, combo)))
+        points.append((f"point-{len(points):03d}", json.loads(json.dumps(cfg))))
+        for key, val in zip(keys, combo):
+            _apply_override(points[-1][1], key, val)
     return points
 
 
@@ -79,30 +100,11 @@ def _apply_override(cfg: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args.config)
-    grid = cfg.pop("grid", None)
-    if not (isinstance(grid, dict) and grid
-            and all(isinstance(v, list) for v in grid.values())):
-        raise ConfigError("sweep config needs a 'grid' mapping of dotted keys to value lists")
-    points = []
-    for point in _grid_points(grid):
-        sub = json.loads(json.dumps(cfg))
-        for key, val in point.items():
-            _apply_override(sub, key, val)
-        check_config(sub)  # every point, before the first one runs
-        points.append(sub)
-    for idx, sub in enumerate(points):
-        for path in run_experiment(sub, os.path.join(args.out_dir, f"point-{idx:03d}")):
-            print(path)
-    return 0
-
-
 def _cmd_queries(args) -> int:
     cfg = {"scenario": "queries", "graph": args.graph, "partition": args.partition,
            "kinds": args.kinds, "m_values": list(range(args.m_min, args.m_max + 1)),
            "subspace": {"boundary_state_only": args.state_only_boundary}}
-    run_experiment(cfg, args.out_dir)
+    _run([("", cfg)], args.out_dir)
     with open(os.path.join(args.out_dir, "queries.csv"), newline="") as fh:
         for kind, m, reuse, q in list(csv.reader(fh))[1:]:
             print(f"{kind:6s} M={m} reuse={reuse}: Q={q}")
@@ -148,16 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_vqe)
 
-    p = sub.add_parser("run", help="run one scenario config")
-    p.add_argument("--config", required=True)
+    p = sub.add_parser("run", help="run scenario configs, each grid point by point")
+    p.add_argument("--config", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("sweep", help="run a config over a grid of overrides")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("queries", help="emit measurement-count tables")
     p.add_argument("--graph", default=queries["graph"])

@@ -113,7 +113,8 @@ def check_config(raw):
     a path or null, and a list default types its entries.  Raises ConfigError
     naming the dotted path of a key the scenario does not read, a value of
     another type, an empty list (power_m and dc_m only when both are), an
-    n_seeds below 1, or a value that a value object's constructor rejects.
+    n_seeds below 1, a value that a value object's constructor rejects, or a
+    shot plan that fails whatever the state (``_check_shot_plan``).
     """
     name = raw.get("scenario") if isinstance(raw, dict) else None
     if not isinstance(name, str) or name not in SCENARIOS:
@@ -232,7 +233,29 @@ def values(cfg) -> Values:
         for ns in getattr(cfg.shots, "ns_values", None) or (cfg.shots.ns,):
             shots[ns] = checked(f"{budgets} {ns!r} with shots.n_samples {cfg.shots.n_samples}",
                                 ShotConfig, ns, cfg.shots.n_samples, cfg.seed)
+        _check_shot_plan(sub, h, specs[sub.kind, max(sub.m_values)], budgets, shots)
     return Values(n, edges, h, part, params, noise, specs, shots)
+
+
+def _check_shot_plan(sub, h, largest: SubspaceSpec, budgets: str, shots: dict) -> None:
+    """Reject a shot plan that fails after the build whatever the state.
+
+    The size-1 power or divided pencil is S = [[d]], H = [[c d]], c being H's
+    identity coefficient, so its one energy c lies outside the energy window,
+    a band of negative energies, wherever c >= 0.  A built pencil's Q is at
+    least the Q ``plan_queries`` counts with reuse (a build merges only
+    bit-identical blocks), and Q grows with M, so a budget below the planned
+    Q of the largest M leaves a query without a shot.
+    """
+    c = h.identity_coefficient.real
+    if sub.kind != "fault" and 1 in sub.m_values and c >= 0:
+        raise ConfigError(f"subspace.m_values holds 1: the size-1 {sub.kind} pencil's one energy "
+                          f"is H's identity coefficient {c:g}, never inside the negative "
+                          f"energy window")
+    q = plan_queries(largest, reuse=True).q
+    if low := sorted(ns for ns in shots if ns < q):
+        raise ConfigError(f"{budgets} {low[0]!r} gives less than one shot per query: "
+                          f"subspace.kind {sub.kind!r} at M {largest.m} plans Q = {q}")
 
 
 def read_params(params_file: str, n: int, layers: int) -> np.ndarray:

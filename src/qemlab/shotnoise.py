@@ -191,14 +191,22 @@ class EnergyDistribution:
 
 
 def _widths(matrices, cfg: ShotConfig) -> np.ndarray:
-    """The noise width of each query the pencil reads, in slot order."""
+    """The noise width of each query the pencil reads, in slot order.
+
+    Raises ConfigError for a budget below one shot per query.  ``check_config``
+    rejects a budget below the planned Q before any work; this check catches
+    a budget between that and a larger built Q, read where equal-size blocks
+    that ``plan_queries`` counts as one prepared state are not bit-identical.
+    """
     if not matrices.with_variances:
         raise ConfigError("pencil was built without variances, which shot noise needs")
     q = len(matrices.queries)
     if q == 0:
         return np.zeros(0)
     if cfg.ns < q:
-        raise ConfigError(f"shot budget {cfg.ns} below one shot per query ({q})")
+        raise ConfigError(f"shot budget {cfg.ns} below one shot per query of the built "
+                          f"pencil ({q}); a checked config's budgets clear its planned Q, "
+                          f"which a build exceeds where equal-size blocks differ")
     return np.sqrt(matrices.var[list(matrices.queries.values())] / (cfg.ns / q))
 
 

@@ -481,18 +481,16 @@ def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
     readings of plain states) are never queries.  Each ordered fault pair is
     its own prepared state, so no fault query repeats.  Equal-size blocks
     count as one prepared state, whereas the builder merges only
-    bit-identical block circuits; a built pencil's Q is its ledger size.
+    bit-identical block circuits, which have equal sizes; so a built pencil's
+    Q, its ledger size, is never below the planned Q with reuse.
     """
     if spec.kind == "fault":
         elements = _fault_terms(spec.m, spec.hamiltonian, lambda i, j, axes: ("fault", i, j, axes))
     else:
         nb = len(spec.blocks)
-        if len({len(b) for b in spec.blocks}) == 1:
-            block_keys = ["shared"] * nb
-        else:
-            block_keys = [str(l) for l in range(nb)]
+        sizes = [str(len(b)) for b in spec.blocks]  # equal-size blocks: one prepared state
         elements = _divided_terms(
-            spec, lambda which, l, axes: _state_id(spec.kind, which, block_keys[l]) + (axes,),
+            spec, lambda which, l, axes: _state_id(spec.kind, which, sizes[l]) + (axes,),
             [1.0] * nb, [1.0] * nb)
     unique: set[QueryKey] = set()
     occurrences = 0

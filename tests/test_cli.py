@@ -18,7 +18,7 @@ from qemlab.channels import NOISE_KINDS
 from qemlab.cli import main
 from qemlab.experiments import check_config, run_experiment
 from qemlab.pauli import build_ising
-from qemlab.subspace import KINDS
+from qemlab.subspace import KINDS, plan_queries
 from qemlab.vqe import optimize
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
@@ -380,9 +380,9 @@ class TestCliEntry:
         ("run", {"scenario": "queries", "kinds": ["power", "dcc"]}, "kinds"),
         ("run", {"scenario": "esd-vs-dsp", "noise_kinds": ["thermal"]}, "noise_kinds"),
         ("run", {"scenario": "trace-distance", "graph": "path-4", "n_seeds": 0}, "n_seeds"),
-        ("sweep", small_cfg(grid={"noise": [{"p1_values": [1e-4]}, {"p1_value": [1e-4]}]}),
+        ("run", small_cfg(grid={"noise": [{"p1_values": [1e-4]}, {"p1_value": [1e-4]}]}),
          "noise.p1_value"),
-        ("sweep", small_cfg(grid={"subspace.m_values": [[2], [0]]}), "subspace.m_values"),
+        ("run", small_cfg(grid={"subspace.m_values": [[2], [0]]}), "subspace.m_values"),
         ("run", {"scenario": "cost-metric", "graph": "path-4", "partition": "half-4-4"},
          "partition"),
         ("run", small_cfg(graph="cluster-2d-8", partition="half-2-2",
@@ -415,6 +415,23 @@ class TestCliEntry:
          "shots.n_samples"),
         ("run", small_cfg(scenario="histogram", noise={"p1": 2e-4},
                           subspace={"m_values": [2]}, shots={"ns": 0}), "shots.ns"),
+        # a sampled size-1 power or dc pencil, whose one energy is H's identity
+        # coefficient 0, outside the negative energy window
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"m_values": [1, 2]}), "subspace.m_values"),
+        ("run", small_cfg(scenario="histogram", noise={"p1": 2e-4}, partition="half-2-2",
+                          subspace={"kind": "dc", "m_values": [1]}), "subspace.m_values"),
+        # a budget below one shot per query of the planned ledger (path-4 fault at M 2: Q 32)
+        ("run", small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                          subspace={"kind": "fault", "m_values": [1, 2]},
+                          shots={"ns_values": [1e6, 31]}), "shots.ns_values"),
+        ("run", small_cfg(scenario="histogram", noise={"p1": 2e-4},
+                          subspace={"kind": "fault", "m_values": [2]}, shots={"ns": 31}),
+         "shots.ns"),
+        # a grid that is not a mapping of dotted keys to non-empty value lists
+        ("run", small_cfg(grid={"noise.p1_values": []}), "grid"),
+        ("run", small_cfg(grid=[{"seed": 1}]), "grid"),
+        ("run", small_cfg(grid={"noise.kind.p1": ["x"]}), "grid key noise.kind.p1"),
     ])
     def test_malformed_config_exits_one_before_any_work(self, tmp_path, capsys, monkeypatch,
                                                         command, cfg, path):
@@ -441,7 +458,7 @@ class TestCliEntry:
                           subspace={"m_values": [2]}), "noise.p1"),
         ("run", {"scenario": "esd-vs-dsp", "graph": "path-3", "noise": {"p1_values": [0.2]},
                  "noise_kinds": ["none", "thermal_relaxation"]}, "noise.p1_values"),
-        ("sweep", small_cfg(grid={"noise.p1_values": [[1e-4], [2.0]]}), "noise.p1_values"),
+        ("run", small_cfg(grid={"noise.p1_values": [[1e-4], [2.0]]}), "noise.p1_values"),
         # a drift angle is drawn from [0, p1], so a negative bound has no range to draw from
         ("run", {"scenario": "esd-vs-dsp", "graph": "path-3", "noise": {"p1_values": [-1.0]},
                  "noise_kinds": ["coherent_drift"]}, "noise.p1_values"),
@@ -500,15 +517,27 @@ class TestCliEntry:
 
     @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_config_passes_its_checks(self, tmp_path, monkeypatch, path):
-        # the checks alone, no simulation; sweep checks every grid point first
+        # the checks alone, no simulation; run checks every grid point first
         raw = json.loads(path.read_text())
-        if "grid" not in raw:
-            check_config(raw)
-            return
-        points = []
-        monkeypatch.setattr("qemlab.cli.run_experiment", lambda cfg, out: points.append(cfg) or [])
-        assert main(["sweep", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
-        assert len(points) == len(list(itertools.product(*raw["grid"].values())))
+        outs = []
+        monkeypatch.setattr("qemlab.cli.run_experiment", lambda raw, out: outs.append(out) or [])
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert len(outs) == len(list(itertools.product(*raw.get("grid", {"": [0]}).values())))
+
+    def test_shipped_configs_pass_their_checks_in_one_run(self, tmp_path, monkeypatch):
+        # every shipped config and grid point through one run call, each under its stem
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert len(paths) == 12
+        outs = []
+        monkeypatch.setattr("qemlab.cli.run_experiment", lambda raw, out: outs.append(out) or [])
+        assert main(["run", "--config", *map(str, paths), "--out-dir", str(tmp_path)]) == 0
+        want = []
+        for path in paths:
+            grid = json.loads(path.read_text()).get("grid")
+            points = [""] if grid is None else \
+                [f"point-{i:03d}" for i in range(len(list(itertools.product(*grid.values()))))]
+            want += [os.path.join(str(tmp_path), path.stem, point) for point in points]
+        assert list(map(os.path.normpath, outs)) == list(map(os.path.normpath, want))
 
     def test_run_takes_no_scenario_flag(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -518,12 +547,12 @@ class TestCliEntry:
         with pytest.raises(SystemExit):
             main(["run", "--config", "c.json", "--out-dir", str(tmp_path), "--threads", "2"])
 
-    def test_sweep_command(self, tmp_path):
+    def test_run_expands_a_grid(self, tmp_path):
         cfg = small_cfg()
         cfg["grid"] = {"noise.p1_values": [[1e-4], [2e-4]]}
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg))
-        rc = main(["sweep", "--config", str(cfg_path), "--out-dir",
+        rc = main(["run", "--config", str(cfg_path), "--out-dir",
                    str(tmp_path / "grid")])
         assert rc == 0
         assert (tmp_path / "grid" / "point-000" / "bias_vs_m.csv").exists()
@@ -548,6 +577,151 @@ class TestCliEntry:
         proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestShotPlanChecks:
+    @pytest.mark.parametrize("kind, partition", [("power", None), ("fault", None),
+                                                 ("dc", "half-2-2")])
+    def test_budget_at_planned_q_passes_and_one_below_fails(self, kind, partition):
+        # the planned Q of the largest M sampled is the least budget check_config takes
+        cfg = small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                        subspace={"kind": kind, "m_values": [2, 3]})
+        if partition:
+            cfg["partition"] = partition
+        q = plan_queries(check_config(cfg).values.specs[kind, 3], reuse=True).q
+        assert q > plan_queries(check_config(cfg).values.specs[kind, 2], reuse=True).q
+        cfg["shots"] = {"ns_values": [1e9, q], "n_samples": 5}
+        assert check_config(cfg).values.shots.keys() == {1e9, q}
+        cfg["shots"]["ns_values"] = [1e9, q - 1]
+        with pytest.raises(errors.ConfigError, match=f"shots.ns_values {q - 1} .* Q = {q}"):
+            check_config(cfg)
+
+    def test_size_one_pencil_is_rejected_only_where_sampled(self):
+        # bias-vs-m records M = 1 as a row; the fault basis at M = 1 is the noisy state
+        check_config(small_cfg(subspace={"kind": "power", "m_values": [1, 2]}))
+        check_config(small_cfg(scenario="histogram", noise={"p1": 2e-4},
+                               subspace={"kind": "fault", "m_values": [1]}))
+        for kind in ("power", "dc"):
+            with pytest.raises(errors.ConfigError, match="subspace.m_values holds 1"):
+                check_config(small_cfg(scenario="histogram", noise={"p1": 2e-4},
+                                       partition="half-2-2",
+                                       subspace={"kind": kind, "m_values": [2, 1]}))
+
+
+def reduced_config(stem: str, **over) -> dict:
+    """The shipped config stem on path-4 (half-2-2 where it reads a partition) at one layer."""
+    cfg = json.loads((CONFIGS / f"{stem}.json").read_text())
+    cfg["graph"] = "path-4"
+    if "partition" in cfg:
+        cfg["partition"] = "half-2-2"
+    if "vqe" in cfg:
+        cfg["vqe"].update(layers=1, iters=20)
+    for key, value in over.items():  # a mapping updates the section of its key
+        if isinstance(value, dict):
+            cfg[key].update(value)
+        else:
+            cfg[key] = value
+    return cfg
+
+
+# reduced copies of shipped configs, one with a grid: every scenario that reads
+# a process-wide memo (VQE solves, sweep plans, superoperators, term expansions)
+REDUCED = {
+    "sweep-noise-levels": {"subspace": {"m_values": [2, 3]}},
+    "fig-bias-vs-m-dc": {"subspace": {"m_values": [2, 3, 4]}},
+    "fig-histogram": {"shots": {"n_samples": 30}},
+    "appendix-esd-vs-dsp": {"noise": {"p1_values": [1e-4, 1e-2]}},
+    "fig-cost-metric": {"power_m": [2, 3], "dc_m": [2, 3, 4]},
+    "fig-bias-vs-m-fault": {"subspace": {"m_values": [1, 2, 3]}},
+}
+
+
+def _tree(root: pathlib.Path) -> dict:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+def _no_work(monkeypatch, why: str) -> None:
+    def no_work(*a, **k):
+        raise AssertionError(why)
+
+    for name in ("optimize", "exact_ground", "run", "dual_state"):
+        monkeypatch.setattr(f"qemlab.experiments.{name}", no_work)
+
+
+class TestOneRunLoop:
+    def test_one_call_writes_what_separate_processes_write(self, tmp_path):
+        paths = []
+        for stem, over in REDUCED.items():
+            path = tmp_path / "cfg" / f"{stem}.json"
+            path.parent.mkdir(exist_ok=True)
+            path.write_text(json.dumps(reduced_config(stem, **over)))
+            paths.append(path)
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        for path in paths:  # a fresh process per config
+            proc = subprocess.run([sys.executable, "-m", "qemlab.cli", "run", "--config",
+                                   str(path), "--out-dir", str(tmp_path / "apart" / path.stem)],
+                                  env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                                  text=True)
+            assert proc.returncode == 0, proc.stderr
+        want = _tree(tmp_path / "apart")
+        assert "sweep-noise-levels/point-002/bias_vs_m.csv" in want
+        assert sum(name.endswith("manifest.json") for name in want) == len(paths) + 2
+        for order, name in ((paths, "forward"), (paths[::-1], "reverse")):
+            assert main(["run", "--config", *map(str, order),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            got = _tree(tmp_path / name)
+            assert got.keys() == want.keys()
+            assert [k for k in want if got[k] != want[k]] == [], name
+
+    def test_output_layout_and_seed_follow_the_inputs(self, tmp_path, monkeypatch, capsys):
+        # one config writes to --out-dir, a grid to point-NNN, several configs
+        # each under their stem; --seed overrides every point's seed, grid's too
+        runs = []
+        monkeypatch.setattr("qemlab.cli.run_experiment",
+                            lambda raw, out: runs.append((os.path.normpath(out), raw["seed"]))
+                            or [os.path.join(out, "manifest.json")])
+        plain, grid = tmp_path / "plain.json", tmp_path / "grid.json"
+        plain.write_text(json.dumps(small_cfg(seed=3)))
+        grid.write_text(json.dumps(small_cfg(grid={"seed": [1, 2]})))
+        out = str(tmp_path / "out")
+        cases = [
+            ([plain], [], [(out, 3)]),
+            ([plain], ["--seed", "5"], [(out, 5)]),
+            ([grid], [], [(f"{out}/point-000", 1), (f"{out}/point-001", 2)]),
+            ([grid], ["--seed", "5"], [(f"{out}/point-000", 5), (f"{out}/point-001", 5)]),
+            ([grid, plain], [], [(f"{out}/grid/point-000", 1), (f"{out}/grid/point-001", 2),
+                                 (f"{out}/plain", 3)]),
+        ]
+        for paths, flags, want in cases:
+            runs.clear()
+            assert main(["run", "--config", *map(str, paths), "--out-dir", out, *flags]) == 0
+            assert runs == want, (paths, flags)
+            printed = capsys.readouterr().out.split()
+            assert printed == [os.path.join(d, "manifest.json") for d, _ in want]
+
+    def test_duplicate_stem_exits_one_with_nothing_written(self, tmp_path, capsys, monkeypatch):
+        _no_work(monkeypatch, "a duplicate stem is rejected before any work")
+        paths = [tmp_path / "a" / "cfg.json", tmp_path / "b" / "cfg.json"]
+        for path in paths:
+            path.parent.mkdir()
+            path.write_text(json.dumps(small_cfg()))
+        out = tmp_path / "out"
+        assert main(["run", "--config", *map(str, paths), "--out-dir", str(out)]) == 1
+        assert "stem 'cfg'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_point_in_last_config_exits_one_with_nothing_written(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        _no_work(monkeypatch, "every point of every config is checked before any work")
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps(small_cfg()))
+        bad.write_text(json.dumps(small_cfg(grid={"noise.p1_values": [[1e-4], [2e-4], [2.0]]})))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(good), str(bad), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "noise.p1_values 2.0" in err
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +749,10 @@ def tiny_configs(draw):
         cfg["partition"] = "half-2-2"
         cfg["subspace"] = {"boundary_state_only": draw(st.booleans())}
     if scenario in ("bias-vs-m", "stddev-vs-shots", "histogram"):
-        cfg["subspace"].update(kind=draw(st.sampled_from(KINDS)), m_values=some([1, 2, 3]))
+        kind = draw(st.sampled_from(KINDS))
+        # a sampled size-1 power or dc pencil never solves, which check_config rejects
+        sized = [1, 2, 3] if scenario == "bias-vs-m" or kind == "fault" else [2, 3]
+        cfg["subspace"].update(kind=kind, m_values=some(sized))
         cfg["noise"] = {"kind": draw(st.sampled_from(NOISE_KINDS))}
         if scenario == "bias-vs-m":
             cfg["noise"]["p1_values"] = some([0.0, 1e-4, 2e-3])
@@ -583,7 +760,7 @@ def tiny_configs(draw):
         else:
             cfg["noise"]["p1"] = draw(st.sampled_from([0.0, 1e-4, 2e-3]))
             cfg["shots"] = {"n_samples": draw(st.integers(1, 20))}
-            # every budget clears one shot per query, which stays a check at run time
+            # every budget clears one shot per query; _edge_mutants draws budgets near Q
             if scenario == "histogram":
                 cfg["shots"]["ns"] = draw(st.sampled_from([1e6, 1e8]))
             else:
@@ -626,11 +803,31 @@ def _mutants(path: str, v) -> list:
     return out + [(path, [x] if many else x) for x in values]
 
 
+def _edge_mutants(cfg: dict, path: str, v) -> list:
+    """Mutations at the edges of the shot-plan checks: an M list led by 1, and
+    budgets one below, at and one above the planned Q of the largest M sampled."""
+    if path.endswith("m_values") or path in ("power_m", "dc_m"):
+        return [(path, sorted({1, *v}))]
+    if path not in ("shots.ns", "shots.ns_values"):
+        return []
+    checked = check_config(json.loads(json.dumps(cfg)))
+    sub = checked.subspace
+    q = plan_queries(checked.values.specs[sub.kind, max(sub.m_values)], reuse=True).q
+    if path == "shots.ns":
+        return [(path, x) for x in (q - 1, q, q + 1)]
+    return [(path, [x]) for x in (q - 1, q, q + 1)] + [(path, sorted({*v, q - 1}))]
+
+
 @st.composite
 def mutated_configs(draw):
     cfg = draw(tiny_configs())
-    path, v = draw(st.sampled_from(sorted(_paths(cfg), key=lambda p: p[0])))
-    named, new = draw(st.sampled_from(_mutants(path, v)))
+    paths = sorted(_paths(cfg), key=lambda p: p[0])
+    edges = [(path, mutant) for path, v in paths for mutant in _edge_mutants(cfg, path, v)]
+    if edges and draw(st.booleans()):  # half the configs with an edge mutant take one
+        path, (named, new) = draw(st.sampled_from(edges))
+    else:
+        path, v = draw(st.sampled_from(paths))
+        named, new = draw(st.sampled_from(_mutants(path, v)))
     bad = json.loads(json.dumps(cfg))
     *parents, key = path.split(".")
     node = bad
@@ -643,7 +840,7 @@ def mutated_configs(draw):
     return cfg, bad, named
 
 
-@settings(max_examples=150, derandomize=True, deadline=None)
+@settings(max_examples=300, derandomize=True, deadline=None)
 @given(mutated_configs())
 def test_mutated_config_fails_before_any_work_or_runs(case):
     cfg, bad, named = case

@@ -336,6 +336,49 @@ class TestQueryPlans:
             assert q == plan_queries(spec, reuse=True).q, (kind, m)
 
 
+def _random_ansatz(n, seed, layers=1):
+    params = np.random.default_rng(seed).uniform(-np.pi, np.pi, 2 * n * (layers + 1))
+    return build_ansatz(n, layers, params, path(n))
+
+
+# (kind, blocks, block ansatz seeds: equal seeds give bit-identical block circuits)
+PLAN_CASES = [
+    ("power", None, (1,)),
+    ("fault", None, (1,)),
+    ("dc", ((0, 1), (2, 3)), (1, 1)),
+    ("dc", ((0, 1), (2, 3)), (1, 2)),
+    ("dc", ((0,), (1, 2, 3)), (1, 1)),
+    ("dc", ((0,), (1,), (2, 3)), (1, 1, 1)),
+    ("dc", ((0,), (1,), (2, 3)), (1, 2, 1)),
+]
+
+
+@pytest.mark.parametrize("bso", [False, True])
+@pytest.mark.parametrize("noise", [noiseless(), PAULI, NoiseModel("coherent_drift", 1e-2)],
+                         ids=["noiseless", "pauli", "drift"])
+@pytest.mark.parametrize("kind, blocks, seeds", PLAN_CASES)
+def test_planned_q_never_exceeds_built_q(kind, blocks, seeds, noise, bso):
+    # check_config rejects a shot budget below the planned Q before any work,
+    # which holds only if no build, nor any leading block of one, reads fewer
+    # queries; they are equal unless equal-size blocks differ
+    h = build_ising(path(4), 4)
+    part = SystemPartition(blocks) if blocks else None
+    spec = SubspaceSpec(kind, 4, h, partition=part, boundary_state_only=bso)
+    if kind == "dc":
+        arg = [_random_ansatz(len(b), seed) for b, seed in zip(blocks, seeds)]
+    else:
+        arg = _random_ansatz(4, seeds[0])
+    mats = build(spec, arg, noise, seed=3, with_variances=False)
+    merged = len({(len(b), seed) for b, seed in zip(blocks, seeds)}) if blocks else 1
+    sizes = len({len(b) for b in blocks}) if blocks else 1
+    for m in range(1, spec.m + 1):
+        planned = plan_queries(replace(spec, m=m), reuse=True).q
+        built = len(mats.leading(m).queries)
+        assert planned <= built, (m, planned, built)
+        if merged == sizes:  # every equal-size group is one bit-identical circuit
+            assert planned == built, (m, planned, built)
+
+
 class TestLeadingBlock:
     """One build at M_max, sliced, against a fresh build at each M."""
 

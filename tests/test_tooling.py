@@ -91,3 +91,18 @@ def test_scenarios_build_no_value_objects():
     builds = {(func.name, ast.unparse(call.func)) for func in funcs for call in ast.walk(func)
               if isinstance(call, ast.Call) and ast.unparse(call.func) in BUILT_BY_VALUES}
     assert not builds, "build it in experiments.values and read it from cfg.values"
+
+
+def test_cli_has_one_run_loop():
+    # every scenario run goes through the one loop of qemlab run: cli.py calls
+    # run_experiment on one line and defines no sweep subcommand beside it
+    tree = ast.parse((ROOT / "src" / "qemlab" / "cli.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    lines = {call.lineno for call in calls if ast.unparse(call.func) == "run_experiment"}
+    assert len(lines) == 1, f"run_experiment called on lines {sorted(lines)}"
+    parsers = [call.args[0].value for call in calls
+               if isinstance(call.func, ast.Attribute) and call.func.attr == "add_parser"
+               and call.args and isinstance(call.args[0], ast.Constant)]
+    assert "run" in parsers and "sweep" not in parsers, parsers
+    funcs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert "_cmd_sweep" not in funcs
