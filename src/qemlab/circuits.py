@@ -18,12 +18,19 @@ everything here is dense.
   block on its qubit, or, when a fence or the end comes first, into the
   multi-qubit block before it.  A noisy 2q gate with per-qubit noise is then
   one step, and an rx/rz rank rides inside the cz blocks around it;
+* merge runs on three qubits: each maximal run of consecutive blocks whose
+  qubits together span three, up to a fence, becomes one block where the
+  products it saves on the state outweigh those of composing it
+  (``_merge``).  A noisy controlled swap, seven 2q blocks, is then one step
+  on a register of 7 or more qubits; no run merges at n <= 6, and the path-8
+  brickwork has no run to merge;
 * contract: rho is held as a tensor with 2n axes (row bits, then column
   bits) and each block is one ``_contract`` over its 2k axes.  A run
   holds two d^2 buffers and allocates nothing per step: the start state it
   owns and overwrites, and one scratch buffer.  Each step copies the state,
   permuted, into the scratch buffer and multiplies back into the first, and
-  the result is copied in row-major order into the scratch buffer.
+  the result is copied in row-major order into the scratch buffer, or, when
+  only a reduced state is wanted, read by a partial trace where it lies.
 
 ``run`` and ``dual_state`` hand their fresh |0..0> to ``_evolve``, as do the
 copy-register engine and the estimators of ``purification`` with each state
@@ -34,8 +41,9 @@ and evolves the copy.
 the one statevector simulator, go through it too.  It makes the transpose
 -> reshape -> ``np.dot`` call that ``np.tensordot`` makes and returns the
 view ``np.moveaxis`` would, so it rounds bit for bit like that pair and only
-skips their per-call bookkeeping.  Fusing and folding reorder products, so
-``_evolve`` agrees with op-by-op application to rounding, not bit for bit.
+skips their per-call bookkeeping.  Fusing, folding and merging reorder
+products, so ``_evolve`` agrees with op-by-op application to rounding, not
+bit for bit.
 
 Global depolarizing, register-wide or scoped, is no local superoperator: it
 stays one affine step through ``apply_channel``, (1 - p) rho plus p times
@@ -382,7 +390,7 @@ def _fold(block: np.ndarray, s1: np.ndarray, p: int, left: bool) -> np.ndarray:
 
 
 def _compile(circuit: Circuit) -> list[tuple]:
-    """Fuse and fold the op stream into (rho axes, superoperator) steps, in order.
+    """Fuse, fold and merge the op stream into (rho axes, superoperator) steps, in order.
 
     A 1q op joins the 1q block on its qubit when that block is the latest
     step there, and opens one otherwise.  A multi-qubit op first folds in the
@@ -392,7 +400,8 @@ def _compile(circuit: Circuit) -> list[tuple]:
     meets a fence or the end instead folds from the left into the
     multi-qubit block before it.  Whatever a fold or a fusion moves past acts
     on other qubits and commutes with it.  Global depolarizing stays one
-    (None, channel) step that fences its qubits.
+    (None, channel) step that fences its qubits.  ``_merge`` then joins runs
+    of blocks on three qubits.
     """
     n = circuit.n
     steps: list = []             # [qubits, s], [None, channel] or None once folded away
@@ -444,8 +453,54 @@ def _compile(circuit: Circuit) -> list[tuple]:
             steps.append([qubits, s])
     for q in range(n):
         settle(q)
-    return [(None, st[1]) if st[0] is None else (_rho_axes(st[0], n), st[1])
-            for st in steps if st is not None]
+    return _merge([st for st in steps if st is not None], n)
+
+
+def _merge(steps: list, n: int) -> list[tuple]:
+    """The [qubits, s] and [None, channel] steps as (rho axes, superoperator)
+    steps, each maximal run that spans three qubits merged into one where
+    that pays.
+
+    Runs are taken greedily in order, each as long as its qubits together
+    span at most three, and a fence ends one.  A run's qubits are listed in
+    order of first appearance.  Its 64 x 64 block starts as the identity and
+    takes each member on its output axes, by the ``_contract`` that ``_fold``
+    makes, so a member on k qubits costs 4^k 4^6 products.  Applying a step
+    on k qubits costs 4^k 4^n, so the run is merged only when the products
+    it saves on the n-qubit state outweigh those of composing it:
+    4^n (sum 4^k - 4^3) > 4^6 sum 4^k.  A run of seven two-qubit steps pays
+    from n = 7 on, and no run pays at n <= 6.  A run on fewer qubits is left
+    as it is.
+    """
+    out: list[tuple] = []
+    run: list = []
+    span: list[int] = []
+
+    def close() -> None:
+        cost = sum(s.shape[0] for _, s in run)
+        if len(span) == 3 and 4 ** n * (cost - 64) > 4096 * cost:
+            t = np.eye(64, dtype=complex).reshape((2,) * 12)
+            for qubits, s in run:
+                p = tuple(span.index(q) for q in qubits)
+                t = _contract(t, s, p + tuple(3 + i for i in p))
+            run[:] = [(tuple(span), t.reshape(64, 64))]
+        out.extend((_rho_axes(qubits, n), s) for qubits, s in run)
+        run.clear()
+        span.clear()
+
+    for qubits, s in steps:
+        if qubits is None:
+            close()
+            out.append((None, s))
+            continue
+        new = [q for q in qubits if q not in span]
+        if len(span) + len(new) > 3:
+            close()
+            new = list(qubits)
+        run.append((qubits, s))
+        span.extend(new)
+    close()
+    return out
 
 
 def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
@@ -476,7 +531,8 @@ def apply_channel(rho: np.ndarray, ch: Channel, n: int) -> np.ndarray:
     return rho
 
 
-def _evolve(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
+def _evolve(circuit: Circuit, rho: np.ndarray,
+            keep: Sequence[int] | None = None) -> np.ndarray:
     """Run the instruction stream on rho, a state this call owns and overwrites.
 
     rho must be a C-contiguous complex (d, d) array that nothing else reads:
@@ -484,7 +540,10 @@ def _evolve(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
     Each contract step copies the state, permuted, into the scratch buffer
     and multiplies back into rho's, and a fence acts on it where it lies.
     The last result is copied in row-major order into the scratch buffer and
-    returned; rho's contents are then spent.
+    returned; rho's contents are then spent.  With keep (ascending), the
+    scratch buffer is dropped instead and the reduced state on those qubits
+    is returned, which ``_partial_trace`` reads through the last step's
+    view with the same bits as from the copy.
     """
     n = circuit.n
     d = 1 << n
@@ -492,14 +551,18 @@ def _evolve(circuit: Circuit, rho: np.ndarray) -> np.ndarray:
         raise SizeMismatchError(f"state dim {rho.shape} vs {n}-qubit circuit")
     if rho.dtype != complex or not (rho.flags.c_contiguous and rho.flags.writeable):
         raise ValueError("an evolved state must be a writeable C-contiguous complex array")
+    steps = _compile(circuit)  # its temporaries are gone before the scratch buffer comes
     shape = (2,) * (2 * n)
     t = rho.reshape(shape)
     state, scratch = rho.reshape(-1), np.empty(d * d, dtype=complex)
-    for axes, step in _compile(circuit):
+    for axes, step in steps:
         if axes is None:
             apply_channel(t, step, n)
         else:
             t = _contract(t, step, axes, into=(scratch, state))
+    if keep is not None:
+        del scratch
+        return _partial_trace(t, keep, n)
     out = scratch.reshape(shape)
     np.copyto(out, t)
     return out.reshape(d, d)

@@ -536,8 +536,9 @@ SCENARIOS: dict[str, tuple[Callable, dict]] = {
 }
 
 
-def run_experiment(raw: dict, out_dir: str) -> list[str]:
-    """Check raw against its scenario's table, run it, and write CSVs plus a manifest."""
-    cfg = check_config(raw)
+def run_experiment(raw: dict, out_dir: str, cfg=None) -> list[str]:
+    """Run raw and write CSVs plus a manifest; cfg is ``check_config(raw)``,
+    which is made here when the caller has not made it already."""
+    cfg = check_config(raw) if cfg is None else cfg
     outputs = SCENARIOS[cfg.scenario][0](cfg)
     return write_outputs(outputs, cfg, raw, out_dir)

@@ -21,10 +21,13 @@ own w qubits, the start state is the Kronecker product of the ancilla's
 |0><0| and the copies, formed by broadcast multiplies, and only the gadget
 and the uncompute blocks run on the register, each qubit the readout leaves
 free traced out after the last op on it.  The start state is handed to
-``_evolve``, which overwrites it, and each later segment's state is the
-fresh output of a partial trace, so at the largest register (9 qubits for two
-path-4 copies) two d^2 arrays are alive at once: the start state and one
-scratch buffer.  ``EsdEvaluator`` stops before the
+``_evolve``, which overwrites it and, when the segment ends in a trace,
+reads the reduced state from its last step's view, with no row-major copy.
+Each later segment's state is the fresh output of that partial trace, so at
+the largest register (9 qubits for two path-4 copies) two d^2 arrays are
+alive at once: the start state and one scratch buffer.  There, and down to 7
+qubits, ``_evolve`` runs each noisy controlled swap as one merged three-qubit
+step.  ``EsdEvaluator`` stops before the
 observable and runs each observable's controlled-Pauli tail on the ancilla
 and the copy-0 qubits it touches.  ``DspEvaluator`` computes p0 from the gadget-free pass once and
 runs the ancilla prefix (Hadamard, its noise, the compute block) once; each
@@ -94,7 +97,8 @@ def _prepare(circuit: Circuit) -> np.ndarray:
 def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
     """The ops on rho, each qubit outside keep traced out after the last op on it.
 
-    rho is owned and overwritten, as by ``_evolve``, which runs each segment.
+    rho is owned and overwritten, as by ``_evolve``, which runs each segment
+    and traces it where it ends.
 
     live lists the qubit labels rho holds, ascending (live[i] is its qubit
     i); the ops address those labels, and a register-wide channel acts on
@@ -111,13 +115,14 @@ def _run_traced(ops, rho: np.ndarray, live: Sequence[int], keep) -> np.ndarray:
     for cut in sorted({last[q] for q in live if q not in keep} | {len(ops) - 1}):
         index = {q: i for i, q in enumerate(live)}
         seg = _remap_ops(ops[start:cut + 1], index.__getitem__)
-        if seg:
-            rho = _evolve(Circuit(len(live), seg), rho)
         start = cut + 1
         kept = [i for i, q in enumerate(live) if q in keep or last[q] > cut]
         if len(kept) < len(live):
-            rho = _partial_trace(rho, kept, len(live))
+            rho = (_evolve(Circuit(len(live), seg), rho, kept) if seg
+                   else _partial_trace(rho, kept, len(live)))
             live = [live[i] for i in kept]
+        elif seg:
+            rho = _evolve(Circuit(len(live), seg), rho)
     return rho
 
 

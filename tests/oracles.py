@@ -4,7 +4,8 @@ Each one is the slow, plain form of an operation the package runs another
 way: dense traces of sandwich products for the purification circuits, the
 parameter-shift rule for the adjoint gradient, a gate-by-gate statevector
 loop for the sweep plan, per-string loops for the batched Pauli algebra,
-fresh arrays per step for the two-buffer density-matrix kernel, a kron start
+fresh arrays per step for the two-buffer density-matrix kernel, the fuse
+and fold passes alone for the compile that also merges three-qubit runs, a kron start
 state run segment by segment through that copying kernel for the
 copy-register engine's owned states, full-register runs for the
 copy-register engine, and fresh generators on every call for the shared
@@ -16,10 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from qemlab.channels import Channel
 from qemlab.circuits import (
     Circuit,
     _compile,
     _contract,
+    _fold,
+    _rho_axes,
+    _superops,
     apply,
     build_ansatz,
     dual_state,
@@ -163,17 +168,80 @@ def copying_fence(rho: np.ndarray, ch, n: int) -> np.ndarray:
     return out
 
 
-def copying_apply(circuit, rho: np.ndarray) -> np.ndarray:
+def unmerged_compile(circuit) -> list[tuple]:
+    """``circuits._compile`` as it was before runs on three qubits were merged:
+    the fuse and fold passes alone, each surviving block one step.
+
+    The reference for the merge pass, which must leave every step of a circuit
+    it does not merge bit for bit as this makes it, and must agree with these
+    steps to rounding where it merges.
+    """
+    n = circuit.n
+    steps: list = []             # [qubits, s], [None, channel] or None once folded away
+    last: dict[int, int] = {}    # qubit -> its latest step
+    before: dict[int, int] = {}  # qubit -> the step before its 1q block
+
+    def pending(q: int) -> int:
+        i = last.get(q, -1)
+        return i if i >= 0 and steps[i][0] == (q,) else -1
+
+    def settle(q: int) -> None:
+        i, j = pending(q), before.get(q, -1)
+        if i >= 0 and j >= 0 and steps[j][0] is not None:
+            steps[j][1] = _fold(steps[j][1], steps[i][1], steps[j][0].index(q), left=True)
+            steps[i], last[q] = None, j
+
+    for op in circuit.ops:
+        if isinstance(op, Channel) and op.kind == "global_depolarizing":
+            for q in op.qubits or range(n):
+                settle(q)
+                last[q] = len(steps)
+            steps.append([None, op])
+            continue
+        for qubits, s in _superops(op):
+            if len(qubits) == 1:
+                i = pending(qubits[0])
+                if i >= 0:
+                    steps[i][1] = s @ steps[i][1]
+                    continue
+                before[qubits[0]] = last.get(qubits[0], -1)
+            else:
+                base = []
+                for p, q in enumerate(qubits):
+                    i = pending(q)
+                    if i >= 0:
+                        s = _fold(s, steps[i][1], p, left=False)
+                        steps[i] = None
+                        base.append(before[q])
+                    else:
+                        base.append(last.get(q, -1))
+                i = base[0]
+                if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
+                    steps[i][1] = s @ steps[i][1]
+                    for q in qubits:
+                        last[q] = i
+                    continue
+            for q in qubits:
+                last[q] = len(steps)
+            steps.append([qubits, s])
+    for q in range(n):
+        settle(q)
+    return [(None, st[1]) if st[0] is None else (_rho_axes(st[0], n), st[1])
+            for st in steps if st is not None]
+
+
+def copying_apply(circuit, rho: np.ndarray, compile=_compile) -> np.ndarray:
     """``circuits.apply`` with fresh arrays at every step.
 
     The reference for the two-buffer ``apply``: an up-front complex copy, a
     fresh ``_contract`` output per step, and each fence on a (d, d) copy of
-    the transposed tensor.  Both must agree bit for bit.
+    the transposed tensor.  Both must agree bit for bit.  With
+    ``unmerged_compile`` it runs the steps of the fuse and fold passes alone.
     """
     n = circuit.n
     d = 1 << n
     t = rho.astype(complex, copy=True).reshape((2,) * (2 * n))
-    for axes, step in _compile(circuit):
+    for axes, step in compile(circuit):
         if axes is None:
             t = copying_fence(t.reshape(d, d), step, n).reshape((2,) * (2 * n))
         else:

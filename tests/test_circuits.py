@@ -39,6 +39,7 @@ from oracles import (
     copying_apply,
     copying_partial_trace,
     replace_with_mixed,
+    unmerged_compile,
 )
 
 
@@ -177,38 +178,84 @@ _CHANNEL_KINDS = ["stochastic_pauli", "amplitude_damping", "thermal_relaxation",
                   "local_depolarizing", "global_depolarizing", "coherent_drift"]
 
 
+def _noisy_gate(draw, c, gate):
+    """The gate added to c, followed by 0-2 channels of any kind on its qubits
+    (a global-depolarizing fence on any scope); some channels dualized."""
+    n, qs, rate = c.n, gate.qubits, st.floats(0.0, 0.3)
+    c.add(gate)
+    for _ in range(draw(st.integers(0, 2))):
+        kind = draw(st.sampled_from(_CHANNEL_KINDS))
+        where = qs[:2] if draw(st.booleans()) else qs[:1]
+        if kind == "stochastic_pauli":
+            chan = ch.stochastic_pauli(draw(rate), where, (0.1, 0.3, 0.6))
+        elif kind == "amplitude_damping":
+            chan = ch.amplitude_damping(draw(rate), where)
+        elif kind == "thermal_relaxation":
+            t1 = draw(st.floats(10e-6, 100e-6))
+            chan = ch.thermal_relaxation(t1, draw(st.floats(0.1, 2.0)) * t1, 2e-6, qs[0])
+        elif kind == "local_depolarizing":
+            chan = ch.local_depolarizing(draw(rate), where)
+        elif kind == "global_depolarizing":
+            scope = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+            chan = ch.Channel("global_depolarizing", draw(st.sampled_from([(), scope])),
+                              (draw(rate),))
+        else:
+            chan = ch.coherent_drift(tuple(
+                (draw(st.sampled_from("xz")), q, draw(st.floats(-1.0, 1.0))) for q in where))
+        c.add(chan.dual() if draw(st.booleans()) else chan)
+
+
+def _drawn_gate(draw, name, qs):
+    angle = draw(st.floats(-math.pi, math.pi)) if name in ("rx", "rz") else None
+    payload = draw(st.sampled_from("XYZ")) if name == "cpauli" else None
+    return Gate(name, qs, angle, payload)
+
+
 @st.composite
 def noisy_circuits(draw, max_n=5):
     """Gates, each followed by 0-2 channels of any kind; some channels dualized."""
     n = draw(st.integers(1, max_n))
-    rate = st.floats(0.0, 0.3)
     c = Circuit(n)
     for _ in range(draw(st.integers(1, 8))):
         name = draw(st.sampled_from([g for g, k in _GATE_ARITY.items() if k <= n]))
         qs = tuple(draw(st.permutations(range(n)))[:_GATE_ARITY[name]])
-        angle = draw(st.floats(-math.pi, math.pi)) if name in ("rx", "rz") else None
-        payload = draw(st.sampled_from("XYZ")) if name == "cpauli" else None
-        c.add(Gate(name, qs, angle, payload))
-        for _ in range(draw(st.integers(0, 2))):
-            kind = draw(st.sampled_from(_CHANNEL_KINDS))
-            where = qs[:2] if draw(st.booleans()) else qs[:1]
-            if kind == "stochastic_pauli":
-                chan = ch.stochastic_pauli(draw(rate), where, (0.1, 0.3, 0.6))
-            elif kind == "amplitude_damping":
-                chan = ch.amplitude_damping(draw(rate), where)
-            elif kind == "thermal_relaxation":
-                t1 = draw(st.floats(10e-6, 100e-6))
-                chan = ch.thermal_relaxation(t1, draw(st.floats(0.1, 2.0)) * t1, 2e-6, qs[0])
-            elif kind == "local_depolarizing":
-                chan = ch.local_depolarizing(draw(rate), where)
-            elif kind == "global_depolarizing":
-                scope = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
-                chan = ch.Channel("global_depolarizing", draw(st.sampled_from([(), scope])),
-                                  (draw(rate),))
+        _noisy_gate(draw, c, _drawn_gate(draw, name, qs))
+    return c
+
+
+def cswap_gates(anc, a, b):
+    """The seven two-qubit gates of ``purification._Builder.cswap``."""
+    builder = pur._Builder(max(anc, a, b) + 1, None)
+    builder.cswap(anc, a, b)
+    return builder.circ.ops
+
+
+@st.composite
+def three_qubit_runs(draw):
+    """Runs of noisy gates inside three qubits of 7 or 8, each a controlled-swap
+    decomposition or 4-9 random gates (mostly two-qubit), with a gate on other
+    qubits or a fence between runs."""
+    n = draw(st.integers(7, 8))
+    c = Circuit(n)
+    for _ in range(draw(st.integers(1, 3))):
+        trio = tuple(draw(st.permutations(range(n)))[:3])
+        if draw(st.booleans()):
+            gates = cswap_gates(*trio)
+        else:
+            gates = []
+            for _ in range(draw(st.integers(4, 9))):
+                name = draw(st.sampled_from(["cx", "cz", "cv", "cvdg", "swap", "cpauli",
+                                             "cx", "cz", "rx", "h"]))
+                qs = tuple(draw(st.permutations(trio)))[:1 if name in ("rx", "h") else 2]
+                gates.append(_drawn_gate(draw, name, qs))
+        for g in gates:
+            _noisy_gate(draw, c, g)
+        if draw(st.booleans()):
+            qs = tuple(draw(st.permutations(range(n)))[:2])
+            if draw(st.booleans()):
+                c.add(Gate("cz", qs))
             else:
-                chan = ch.coherent_drift(tuple(
-                    (draw(st.sampled_from("xz")), q, draw(st.floats(-1.0, 1.0))) for q in where))
-            c.add(chan.dual() if draw(st.booleans()) else chan)
+                c.add(ch.Channel("global_depolarizing", tuple(sorted(qs)), (0.1,)))
     return c
 
 
@@ -380,14 +427,70 @@ class TestFusedKernel:
         # a register that loses a copy-1 qubit after each controlled swap
         seen, gadget = [], []
         monkeypatch.setattr(pur, "run", lambda c: seen.append(c) or run(c))
-        monkeypatch.setattr(pur, "_evolve", lambda c, r: gadget.append(c) or _evolve(c, r))
+        monkeypatch.setattr(pur, "_evolve", lambda c, *a: gadget.append(c) or _evolve(c, *a))
         params = np.random.default_rng(1).uniform(-1.0, 1.0, 16)
         circ = attach_noise(build_ansatz(4, 1, params, [(0, 1), (1, 2), (2, 3)]), nm, seed=3)
         pur.EsdEvaluator(circ, 2, gadget_noise=nm, gadget_seed=5)
         assert seen == [circ]
         assert [c.n for c in gadget] == [9, 8, 7, 6]
         assert sum(len(c.ops) for c in gadget) == 114
-        assert all(len(_compile(c)) <= 7 for c in gadget)
+        # one controlled swap per segment: one merged step down to 7 qubits
+        assert [len(_compile(c)) for c in gadget] == [1, 1, 1, len(unmerged_compile(gadget[3]))]
+        assert all(len(unmerged_compile(c)) <= 7 for c in gadget)
+
+
+class TestThreeQubitMerge:
+    """``_compile`` merges runs of steps on three qubits where that pays;
+    ``unmerged_compile`` is its fuse and fold passes alone."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(three_qubit_runs(), st.integers(0, 2**32 - 1))
+    @example(Circuit(8, [op for g in cswap_gates(7, 0, 4)
+                         for op in (g, ch.thermal_relaxation(50e-6, 70e-6, 2e-7, g.qubits[0]),
+                                    ch.stochastic_pauli(1e-3, g.qubits))]), 5)
+    def test_matches_unmerged_oracle(self, circuit, seed):
+        rho = random_density(np.random.default_rng(seed), circuit.n)
+        for c in (circuit, dual_circuit(circuit)):
+            assert len(_compile(c)) <= len(unmerged_compile(c))
+            np.testing.assert_allclose(apply(c, rho), copying_apply(c, rho, unmerged_compile),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_a_controlled_swap_merges_from_seven_qubits(self, n):
+        # seven 2q steps on three qubits cost 7 * 16 * 4^n products, one merged
+        # step 64 * 4^n, and composing it 7 * 16 * 4^6
+        c = Circuit(n, cswap_gates(n - 1, 0, 1))
+        steps = _compile(c)
+        assert len(unmerged_compile(c)) == 7
+        assert len(steps) == (1 if n >= 7 else 7)
+        want = copying_apply(c, zero_state(n), unmerged_compile)
+        np.testing.assert_allclose(run(c), want, rtol=0, atol=1e-14)
+        if n >= 7:
+            assert steps[0][0] == _rho_axes((1, 0, n - 1), n)  # qubits by first appearance
+
+    def test_fence_ends_a_run(self):
+        gates = cswap_gates(7, 0, 4)
+        fence = ch.Channel("global_depolarizing", (0, 4), (0.1,))
+        assert len(_compile(Circuit(8, gates + gates))) == 1
+        steps = _compile(Circuit(8, gates + [fence] + gates))
+        assert [axes is None for axes, _ in steps] == [False, True, False]
+        # runs of 4 and 3 steps do not pay at 8 qubits, so nothing merges
+        split = Circuit(8, gates[:4] + [fence] + gates[4:])
+        assert len(_compile(split)) == len(unmerged_compile(split)) == 8
+
+    @pytest.mark.parametrize("kind", ["stochastic_pauli", "amplitude_damping",
+                                      "thermal_relaxation"])
+    def test_path8_ansatz_steps_are_unmerged(self, kind):
+        # the brickwork never keeps three qubits for two steps running, so a
+        # noisy path-8 run or dual compiles bit for bit as before
+        nm = ch.NoiseModel(kind=kind, p1=1e-3)
+        params = np.random.default_rng(11).uniform(-1.0, 1.0, 2 * 8 * 9)
+        circ = attach_noise(build_ansatz(8, 8, params, [(i, i + 1) for i in range(7)]), nm,
+                            seed=2)
+        for c in (circ, dual_circuit(circ)):
+            got, want = _compile(c), unmerged_compile(c)
+            assert [axes for axes, _ in got] == [axes for axes, _ in want]
+            assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(got, want))
 
 
 def same_bits(a, b):
@@ -507,6 +610,22 @@ class TestOwnedState:
         assert same_bits(run(circuit), copying_apply(circuit, zero))
         assert same_bits(dual_state(circuit), copying_apply(dual_circuit(circuit), zero))
         assert same_bits(run(lead), copying_apply(lead, zero))
+
+    @settings(max_examples=60, deadline=None)
+    @given(noisy_circuits(max_n=6), st.sets(st.integers(0, 9)), st.integers(0, 2**32 - 1))
+    @example(Circuit(8, [op for g in cswap_gates(7, 0, 4)
+                         for op in (g, ch.amplitude_damping(0.1, g.qubits[:1]))]), {0, 7}, 3)
+    @example(_fenced(9, [Gate("cswap", (2, 7, 1)), ch.local_depolarizing(0.1, (2, 7)),
+                         ch.Channel("global_depolarizing", (8, 3, 4), (0.3,))]), {1, 3, 8}, 9)
+    def test_traced_result_is_the_copying_path(self, circuit, keep, seed):
+        # with keep, the reduced state is read from the last step's view,
+        # not from a row-major copy, and must have the same bits
+        n = circuit.n
+        keep = sorted(q for q in keep if q < n)
+        rho = random_density(np.random.default_rng(seed), n)
+        want = copying_partial_trace(copying_apply(circuit, rho), keep, n)
+        got = _evolve(circuit, rho.copy(), keep)
+        assert np.array_equal(got, want) and same_bits(got, want)
 
     def test_rejects_a_state_it_cannot_own(self):
         c = Circuit(2, [Gate("h", (0,)), ch.Channel("global_depolarizing", (), (0.1,))])

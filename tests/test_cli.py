@@ -520,7 +520,8 @@ class TestCliEntry:
         # the checks alone, no simulation; run checks every grid point first
         raw = json.loads(path.read_text())
         outs = []
-        monkeypatch.setattr("qemlab.cli.run_experiment", lambda raw, out: outs.append(out) or [])
+        monkeypatch.setattr("qemlab.cli.run_experiment",
+                            lambda raw, out, cfg: outs.append(out) or [])
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
         assert len(outs) == len(list(itertools.product(*raw.get("grid", {"": [0]}).values())))
 
@@ -529,7 +530,8 @@ class TestCliEntry:
         paths = sorted(CONFIGS.glob("*.json"))
         assert len(paths) == 12
         outs = []
-        monkeypatch.setattr("qemlab.cli.run_experiment", lambda raw, out: outs.append(out) or [])
+        monkeypatch.setattr("qemlab.cli.run_experiment",
+                            lambda raw, out, cfg: outs.append(out) or [])
         assert main(["run", "--config", *map(str, paths), "--out-dir", str(tmp_path)]) == 0
         want = []
         for path in paths:
@@ -679,7 +681,7 @@ class TestOneRunLoop:
         # each under their stem; --seed overrides every point's seed, grid's too
         runs = []
         monkeypatch.setattr("qemlab.cli.run_experiment",
-                            lambda raw, out: runs.append((os.path.normpath(out), raw["seed"]))
+                            lambda raw, out, cfg: runs.append((os.path.normpath(out), cfg.seed))
                             or [os.path.join(out, "manifest.json")])
         plain, grid = tmp_path / "plain.json", tmp_path / "grid.json"
         plain.write_text(json.dumps(small_cfg(seed=3)))
@@ -699,6 +701,27 @@ class TestOneRunLoop:
             assert runs == want, (paths, flags)
             printed = capsys.readouterr().out.split()
             assert printed == [os.path.join(d, "manifest.json") for d, _ in want]
+
+    def test_each_point_is_checked_once(self, tmp_path, monkeypatch):
+        # run hands each point's checked config to run_experiment, which then
+        # does not check it again
+        checked, ran = [], []
+
+        def counting(raw):
+            checked.append(raw["seed"])
+            return check_config(raw)
+
+        monkeypatch.setattr("qemlab.cli.check_config", counting)
+        monkeypatch.setattr("qemlab.experiments.check_config", counting)
+        monkeypatch.setitem(experiments.SCENARIOS, "stddev-vs-shots",
+                            (lambda cfg: ran.append(cfg) or {},
+                             experiments.SCENARIOS["stddev-vs-shots"][1]))
+        path = tmp_path / "shots.json"
+        path.write_text(json.dumps(small_cfg(scenario="stddev-vs-shots", noise={"p1": 2e-4},
+                                             subspace={"kind": "power", "m_values": [2, 3]},
+                                             grid={"seed": [1, 2]})))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 0
+        assert checked == [1, 2] and [cfg.seed for cfg in ran] == [1, 2]
 
     def test_duplicate_stem_exits_one_with_nothing_written(self, tmp_path, capsys, monkeypatch):
         _no_work(monkeypatch, "a duplicate stem is rejected before any work")
@@ -804,30 +827,35 @@ def _mutants(path: str, v) -> list:
 
 
 def _edge_mutants(cfg: dict, path: str, v) -> list:
-    """Mutations at the edges of the shot-plan checks: an M list led by 1, and
-    budgets one below, at and one above the planned Q of the largest M sampled."""
+    """Mutations at the edges of the shot-plan checks, each with whether it is a
+    config error by construction: an M list led by 1, which is one where a power
+    or dc pencil is sampled, and budgets one below (one), at and one above the
+    planned Q of the largest M sampled."""
     if path.endswith("m_values") or path in ("power_m", "dc_m"):
-        return [(path, sorted({1, *v}))]
+        sampled = cfg["scenario"] in ("stddev-vs-shots", "histogram")
+        return [(path, sorted({1, *v}), sampled and cfg["subspace"]["kind"] != "fault")]
     if path not in ("shots.ns", "shots.ns_values"):
         return []
     checked = check_config(json.loads(json.dumps(cfg)))
     sub = checked.subspace
     q = plan_queries(checked.values.specs[sub.kind, max(sub.m_values)], reuse=True).q
     if path == "shots.ns":
-        return [(path, x) for x in (q - 1, q, q + 1)]
-    return [(path, [x]) for x in (q - 1, q, q + 1)] + [(path, sorted({*v, q - 1}))]
+        return [(path, x, x < q) for x in (q - 1, q, q + 1)]
+    return [(path, [x], x < q) for x in (q - 1, q, q + 1)] + [(path, sorted({*v, q - 1}), True)]
 
 
 @st.composite
 def mutated_configs(draw):
+    """(valid config, its mutant, the name the error must carry, whether the
+    mutant must exit 1)."""
     cfg = draw(tiny_configs())
     paths = sorted(_paths(cfg), key=lambda p: p[0])
     edges = [(path, mutant) for path, v in paths for mutant in _edge_mutants(cfg, path, v)]
     if edges and draw(st.booleans()):  # half the configs with an edge mutant take one
-        path, (named, new) = draw(st.sampled_from(edges))
+        path, (named, new, must_fail) = draw(st.sampled_from(edges))
     else:
         path, v = draw(st.sampled_from(paths))
-        named, new = draw(st.sampled_from(_mutants(path, v)))
+        (named, new), must_fail = draw(st.sampled_from(_mutants(path, v))), False
     bad = json.loads(json.dumps(cfg))
     *parents, key = path.split(".")
     node = bad
@@ -837,13 +865,13 @@ def mutated_configs(draw):
         node["bogus_key"] = 1
     else:
         node[key] = new
-    return cfg, bad, named
+    return cfg, bad, named, must_fail
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(mutated_configs())
 def test_mutated_config_fails_before_any_work_or_runs(case):
-    cfg, bad, named = case
+    cfg, bad, named, must_fail = case
     check_config(json.loads(json.dumps(cfg)))  # the unmutated draw is valid
     calls = []
 
@@ -864,6 +892,7 @@ def test_mutated_config_fails_before_any_work_or_runs(case):
         with contextlib.redirect_stderr(err):
             rc = main(["run", "--config", cfg_path, "--out-dir", out])
         err = err.getvalue()
+        assert rc == 1 or not must_fail, (rc, err, named)
         if rc == 1:
             assert err.startswith("config error:") and named in err, (err, named)
             assert not calls, calls

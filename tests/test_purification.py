@@ -374,7 +374,8 @@ class TestEsd:
         oracles = {m: FullRegisterEsd(c, 2, gadget_noise=m, gadget_seed=1)
                    for m in (PAULI_NOISE, DEPOL)}
         sizes = []
-        monkeypatch.setattr(pur, "_evolve", lambda circ, r: sizes.append(circ.n) or _evolve(circ, r))
+        monkeypatch.setattr(pur, "_evolve",
+                            lambda circ, *a: sizes.append(circ.n) or _evolve(circ, *a))
         ev = EsdEvaluator(c, 2, gadget_noise=PAULI_NOISE, gadget_seed=1)
         assert sizes == [9, 8, 7, 6]  # a copy-1 qubit leaves after its controlled swap
         for axes, n in (("ZZII", 3), ("IXII", 2), ("IIZZ", 3), ("XIIY", 3)):
