@@ -69,8 +69,8 @@ def _run(configs: list[tuple[str, dict]], out_dir: str, seed: int | None = None)
         for point_dir, point in _points(cfg):
             if seed is not None:  # after the grid's overrides
                 point["seed"] = seed
-            runs.append((point, os.path.join(out_dir, name, point_dir), check_config(point)))
-    return [path for point, out, cfg in runs for path in run_experiment(point, out, cfg)]
+            runs.append((check_config(point), point, os.path.join(out_dir, name, point_dir)))
+    return [path for run in runs for path in run_experiment(*run)]
 
 
 def _points(cfg: dict) -> list[tuple[str, dict]]:

@@ -536,9 +536,7 @@ SCENARIOS: dict[str, tuple[Callable, dict]] = {
 }
 
 
-def run_experiment(raw: dict, out_dir: str, cfg=None) -> list[str]:
-    """Run raw and write CSVs plus a manifest; cfg is ``check_config(raw)``,
-    which is made here when the caller has not made it already."""
-    cfg = check_config(raw) if cfg is None else cfg
+def run_experiment(cfg, raw: dict, out_dir: str) -> list[str]:
+    """Run cfg, which is ``check_config(raw)``, and write CSVs plus a manifest of raw."""
     outputs = SCENARIOS[cfg.scenario][0](cfg)
     return write_outputs(outputs, cfg, raw, out_dir)

@@ -40,7 +40,7 @@ def small_cfg(**over):
 class TestRunScenarios:
     def test_bias_vs_m_writes_csv_and_manifest(self, tmp_path):
         cfg = small_cfg()
-        written = run_experiment(cfg, str(tmp_path))
+        written = run_experiment(check_config(cfg), cfg, str(tmp_path))
         names = {os.path.basename(p) for p in written}
         assert {"bias_vs_m.csv", "reference.csv", "manifest.json"} <= names
         manifest = json.loads((tmp_path / "manifest.json").read_text())
@@ -53,8 +53,8 @@ class TestRunScenarios:
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg = small_cfg()
-        run_experiment(cfg, str(tmp_path / "a"))
-        run_experiment(cfg, str(tmp_path / "b"))
+        run_experiment(check_config(cfg), cfg, str(tmp_path / "a"))
+        run_experiment(check_config(cfg), cfg, str(tmp_path / "b"))
         for name in ("bias_vs_m.csv", "reference.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == \
                    (tmp_path / "b" / name).read_bytes()
@@ -64,7 +64,7 @@ class TestRunScenarios:
             "scenario": "queries", "seed": 0, "graph": "path-4",
             "kinds": ["power", "fault"], "m_values": [2, 3],
         }
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "queries.csv").read_text().splitlines()[1:]
         assert len(rows) == 8
         got = {tuple(r.split(",")[:3]): int(r.split(",")[3]) for r in rows}
@@ -79,7 +79,7 @@ class TestRunScenarios:
         cfg = {"scenario": "queries", "seed": 0, "graph": "path-8", "partition": "half-4-4",
                "kinds": ["power", "dc"], "m_values": [2, 3],
                "subspace": {"boundary_state_only": True}}
-        run_experiment(cfg, str(tmp_path / "scenario"))
+        run_experiment(check_config(cfg), cfg, str(tmp_path / "scenario"))
         rc = main(["queries", "--graph", "path-8", "--kinds", "power", "dc", "--m-min", "2",
                    "--m-max", "3", "--state-only-boundary", "--out-dir", str(tmp_path / "cmd")])
         assert rc == 0
@@ -91,7 +91,7 @@ class TestRunScenarios:
         cfg["subspace"] = {"kind": "power", "m_values": [2]}
         cfg["shots"] = {"ns_values": [1e6, 1e8], "n_samples": 40}
         cfg["noise"] = {"kind": "stochastic_pauli", "p1": 2e-4}
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "shots.csv").read_text().splitlines()
         assert len(rows) == 3
         std6 = float(rows[1].split(",")[4])
@@ -103,7 +103,7 @@ class TestRunScenarios:
             "scenario": "trace-distance", "seed": 0, "graph": "path-4",
             "depths": [5, 50], "error_budgets": [1.0], "n_seeds": 3,
         }
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "trace_distance.csv").read_text().splitlines()[1:]
         d5 = float(rows[0].split(",")[3])
         d50 = float(rows[1].split(",")[3])
@@ -111,12 +111,12 @@ class TestRunScenarios:
 
     def test_unknown_scenario(self, tmp_path):
         with pytest.raises(Exception):
-            run_experiment({"scenario": "nope"}, str(tmp_path))
+            check_config({"scenario": "nope"})
 
     def test_matrix_and_ledger_dump(self, tmp_path):
         cfg = small_cfg(dump_matrices=True)
         cfg["subspace"] = {"kind": "power", "m_values": [2]}
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         mat_lines = (tmp_path / "matrices.csv").read_text().splitlines()
         assert mat_lines[0] == "p1,m,which,i,j,re,im,var"
         assert len(mat_lines) == 1 + 2 * 4  # S and H, 2x2 each
@@ -129,7 +129,7 @@ class TestRunScenarios:
         cfg["subspace"] = {"kind": "power", "m_values": [2]}
         cfg["shots"] = {"ns": 1e8, "n_samples": 25}
         cfg["noise"] = {"kind": "stochastic_pauli", "p1": 2e-4}
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "histogram.csv").read_text().splitlines()[1:]
         assert len(rows) == 25
 
@@ -140,7 +140,7 @@ class TestRunScenarios:
             "vqe": {"layers": 3, "iters": 50, "seed": 5},
             "power_m": [2, 3], "dc_m": [2, 3],
         }
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "cost_metric.csv").read_text().splitlines()[1:]
         kinds = {r.split(",")[0] for r in rows}
         assert kinds == {"power", "dc"}
@@ -158,11 +158,11 @@ class TestRunScenarios:
         cfg = {"scenario": "cost-metric", "seed": 0, "graph": "path-4",
                "partition": "half-2-2", "vqe": {"layers": 3, "iters": 50, "seed": 5},
                "power_m": [2], "dc_m": [2, 3]}
-        run_experiment(cfg, str(tmp_path / "cost"))
+        run_experiment(check_config(cfg), cfg, str(tmp_path / "cost"))
         assert calls == []
         cfg = small_cfg(partition="half-2-2", noise={"p1_values": [0.0, 2e-4]},
                         subspace={"kind": "dc", "m_values": [2]})
-        run_experiment(cfg, str(tmp_path / "bias"))
+        run_experiment(check_config(cfg), cfg, str(tmp_path / "bias"))
         assert calls == [2, 2]
 
     def test_esd_vs_dsp_scenario_small(self, tmp_path):
@@ -172,7 +172,7 @@ class TestRunScenarios:
             "noise": {"p1_values": [1e-3]},
             "noise_kinds": ["stochastic_pauli"],
         }
-        run_experiment(cfg, str(tmp_path))
+        run_experiment(check_config(cfg), cfg, str(tmp_path))
         rows = (tmp_path / "esd_vs_dsp.csv").read_text().splitlines()[1:]
         assert len(rows) == 1
         _, _, d_esd, d_dsp, pur, p0 = rows[0].split(",")
@@ -521,7 +521,7 @@ class TestCliEntry:
         raw = json.loads(path.read_text())
         outs = []
         monkeypatch.setattr("qemlab.cli.run_experiment",
-                            lambda raw, out, cfg: outs.append(out) or [])
+                            lambda cfg, raw, out: outs.append(out) or [])
         assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
         assert len(outs) == len(list(itertools.product(*raw.get("grid", {"": [0]}).values())))
 
@@ -531,7 +531,7 @@ class TestCliEntry:
         assert len(paths) == 12
         outs = []
         monkeypatch.setattr("qemlab.cli.run_experiment",
-                            lambda raw, out, cfg: outs.append(out) or [])
+                            lambda cfg, raw, out: outs.append(out) or [])
         assert main(["run", "--config", *map(str, paths), "--out-dir", str(tmp_path)]) == 0
         want = []
         for path in paths:
@@ -681,7 +681,8 @@ class TestOneRunLoop:
         # each under their stem; --seed overrides every point's seed, grid's too
         runs = []
         monkeypatch.setattr("qemlab.cli.run_experiment",
-                            lambda raw, out, cfg: runs.append((os.path.normpath(out), cfg.seed))
+                            lambda cfg, raw, out:
+                            runs.append((os.path.normpath(out), raw["seed"], cfg.seed))
                             or [os.path.join(out, "manifest.json")])
         plain, grid = tmp_path / "plain.json", tmp_path / "grid.json"
         plain.write_text(json.dumps(small_cfg(seed=3)))
@@ -698,7 +699,9 @@ class TestOneRunLoop:
         for paths, flags, want in cases:
             runs.clear()
             assert main(["run", "--config", *map(str, paths), "--out-dir", out, *flags]) == 0
-            assert runs == want, (paths, flags)
+            # the seed of the raw point, which the manifest records, and of the
+            # checked config, which runs
+            assert runs == [(d, s, s) for d, s in want], (paths, flags)
             printed = capsys.readouterr().out.split()
             assert printed == [os.path.join(d, "manifest.json") for d, _ in want]
 
