@@ -35,7 +35,9 @@ class Channel:
     """One noise process attached to a circuit location.
 
     kind: one of stochastic_pauli, global_depolarizing, local_depolarizing,
-          amplitude_damping, thermal_relaxation, coherent_drift.
+          amplitude_damping, thermal_relaxation.  Each is a Kraus or affine
+          process; coherent drift is no channel but rotation gates, which
+          ``circuits.gate_noise`` attaches.
     qubits: acted-on qubits; empty tuple for a global channel.
     params: kind-specific tuple (kept hashable for reuse bookkeeping).
     dualized: apply the adjoint Kraus set instead of the channel itself.
@@ -53,14 +55,11 @@ class Channel:
 
     @property
     def rate(self) -> float:
-        """Error probability per acted-on qubit (0 for purely coherent kinds)."""
-        if self.kind in ("stochastic_pauli", "global_depolarizing",
-                         "local_depolarizing", "amplitude_damping"):
-            return float(self.params[0])
+        """Error probability per acted-on qubit."""
         if self.kind == "thermal_relaxation":
             t1, t2, tg = self.params
             return 1.0 - math.exp(-tg / t1)
-        return 0.0
+        return float(self.params[0])
 
     def expected_errors(self) -> float:
         """Expected number of error events this channel injects."""
@@ -97,12 +96,6 @@ def thermal_relaxation(t1: float, t2: float, gate_time: float, qubit: int) -> Ch
     if t2 > 2.0 * t1:
         raise ValueError("thermal relaxation requires T2 <= 2 T1")
     return Channel("thermal_relaxation", (qubit,), (float(t1), float(t2), float(gate_time)))
-
-
-def coherent_drift(rotations: tuple[tuple[str, int, float], ...]) -> Channel:
-    """Unitary drift: tuple of (generator in {x, z}, qubit, angle)."""
-    qs = tuple(sorted({q for _, q, _ in rotations}))
-    return Channel("coherent_drift", qs, tuple(rotations))
 
 
 def _check_rate(p: float) -> None:
@@ -159,9 +152,10 @@ class NoiseModel:
     attaches to each qubit of a two-qubit gate, its T1/T2 drawn per
     attachment from normal distributions around T1_MEAN/T2_MEAN with relative
     width T_SIGMA_FRAC, clipped to T2 <= 2 T1; every gate then also gets the
-    stochastic Pauli channel at its rate.  Coherent drift draws a uniform
-    angle in [0, p] per gate qubit and appends it as an extra rotation of the
-    gate's own generator.
+    stochastic Pauli channel at its rate.  Coherent drift attaches no
+    channel: ``circuits.gate_noise``, the one rule for the ops after a gate,
+    follows each gate with one rotation gate per gate qubit, rx after an rx
+    and rz otherwise, by an angle drawn uniformly from [0, p].
     """
 
     kind: str = "stochastic_pauli"
@@ -190,9 +184,12 @@ class NoiseModel:
             scaled = replace(scaled, gate_time=lam * self.gate_time)
         return scaled
 
-    def channels_for_gate(self, qubits: tuple[int, ...], generators: tuple[str, ...],
-                          rng: np.random.Generator) -> list[Channel]:
-        """Channels to append after one gate acting on the given qubits."""
+    def channels_for_gate(self, qubits: tuple[int, ...], rng: np.random.Generator) -> list[Channel]:
+        """Channels to append after one gate acting on the given qubits.
+
+        Coherent drift has none; ``circuits.gate_noise``, the one caller,
+        attaches it as rotation gates.
+        """
         if self.kind == "none":
             return []
         two = len(qubits) >= 2
@@ -219,12 +216,6 @@ class NoiseModel:
             return [local_depolarizing(p, qubits)]
         if self.kind == "amplitude_damping":
             return [amplitude_damping(p, qubits)]
-        if self.kind == "coherent_drift":
-            rots = tuple(
-                (generators[i] if i < len(generators) else "z", q, float(rng.uniform(0.0, p)))
-                for i, q in enumerate(qubits)
-            )
-            return [coherent_drift(rots)]
         raise AssertionError(self.kind)
 
 

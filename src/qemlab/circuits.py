@@ -65,7 +65,7 @@ Two derived circuits matter for purification work:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -129,14 +129,6 @@ class Gate:
         if self.name == "u":
             return Gate("u", self.qubits, payload=np.asarray(self.payload).conj().T)
         raise ValueError(f"cannot invert gate {self.name}")
-
-    def generators(self) -> tuple[str, ...]:
-        """Rotation generator letter per qubit, used by drift noise."""
-        if self.name == "rx":
-            return ("x",)
-        if self.name == "rz":
-            return ("z",)
-        return tuple("z" for _ in self.qubits)
 
 
 def rotation(name: str, angle: float) -> np.ndarray:
@@ -368,10 +360,6 @@ def _superops(op) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
     """(qubits, superoperator) pairs for a gate or a local channel."""
     if isinstance(op, Gate):
         yield op.qubits, _gate_superop(op)
-    elif op.kind == "coherent_drift":
-        for gen, q, ang in op.params:
-            yield (q,), _gate_superop(Gate("rx" if gen == "x" else "rz", (q,),
-                                           -ang if op.dualized else ang))
     else:
         yield op.qubits, _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
 
@@ -613,31 +601,40 @@ def build_ansatz(n: int, layers: int, params: Sequence[float],
     return c
 
 
+def gate_noise(model: NoiseModel, gate: Gate, rng: np.random.Generator) -> list:
+    """The ops that follow one gate under the model: the one rule for gate noise.
+
+    Coherent drift is a calibration error, not a Kraus process: one rotation
+    gate per gate qubit, in qubit order, rx after an rx and rz otherwise, by
+    an angle drawn uniformly from [0, p], p = p1 on a one-qubit gate and p2
+    otherwise (none when p is 0).  As plain gates, the uncomputation block
+    inverts them and the dual state stays equal to the state under purely
+    coherent error.  Every other model gives its channels.
+    """
+    if model.kind != "coherent_drift":
+        return model.channels_for_gate(gate.qubits, rng)
+    p = model.p1 if len(gate.qubits) == 1 else model.p2
+    if p == 0.0:
+        return []
+    name = "rx" if gate.name == "rx" else "rz"
+    return [Gate(name, (q,), float(rng.uniform(0.0, p))) for q in gate.qubits]
+
+
 def attach_noise(circuit: Circuit, model: NoiseModel, seed: int = 0) -> Circuit:
-    """Insert the model's channel(s) after every gate.
+    """Insert the ops ``gate_noise`` gives after every gate.
 
     Register-wide channels are pinned to this circuit's qubits so that later
     embedding into a larger register (extra copies, an ancilla) leaves their
-    scope unchanged.  Coherent drift is a calibration error, not a Kraus
-    process: its sampled rotations ride the circuit as plain gates, so the
-    uncomputation block inverts them and the dual state stays equal to the
-    state under purely coherent error.
+    scope unchanged.  Coherent drift rides the circuit as rotation gates.
     """
-    from dataclasses import replace as _replace
     rng = np.random.default_rng(seed)
     scope = tuple(range(circuit.n))
     out = Circuit(circuit.n)
     for op in circuit.ops:
         out.ops.append(op)
         if isinstance(op, Gate):
-            for ch in model.channels_for_gate(op.qubits, op.generators(), rng):
-                if ch.kind == "coherent_drift":
-                    for gen, q, ang in ch.params:
-                        out.ops.append(Gate("rx" if gen == "x" else "rz", (q,), ang))
-                elif ch.kind == "global_depolarizing" and not ch.qubits:
-                    out.ops.append(_replace(ch, qubits=scope))
-                else:
-                    out.ops.append(ch)
+            out.ops.extend(o if o.qubits else replace(o, qubits=scope)
+                           for o in gate_noise(model, op, rng))
     return out
 
 

@@ -70,7 +70,7 @@ def _masks_to_axes(x: int, z: int, n: int) -> str:
     for q in range(n):
         bx = (x >> q) & 1
         bz = (z >> q) & 1
-        out.append("IXZY"[bx + 2 * bz] if bx + 2 * bz != 3 else "Y")
+        out.append("IXZY"[bx + 2 * bz])
     return "".join(out)
 
 

@@ -50,6 +50,7 @@ from .circuits import (
     _evolve,
     _partial_trace,
     apply,
+    gate_noise,
     reversed_circuit,
     run,
     zero_state,
@@ -65,8 +66,8 @@ from .pauli import PauliTerm
 def _remap_ops(ops, qmap) -> list:
     """The ops with every qubit index q replaced by qmap(q).
 
-    Coherent drift carries its rotation qubits in params too, so those are
-    remapped with the channel's own qubits.  A register-wide channel (no
+    An op names its qubits in ``qubits`` alone: coherent drift is rotation
+    gates, attached by ``circuits.gate_noise``.  A register-wide channel (no
     qubits) stays register-wide.
     """
     out = []
@@ -74,9 +75,6 @@ def _remap_ops(ops, qmap) -> list:
         qubits = tuple(qmap(q) for q in op.qubits)
         if isinstance(op, Gate):
             out.append(Gate(op.name, qubits, op.angle, op.payload))
-        elif op.kind == "coherent_drift":
-            params = tuple((gen, qmap(q), ang) for gen, q, ang in op.params)
-            out.append(replace(op, qubits=qubits, params=params))
         else:
             out.append(replace(op, qubits=qubits))
     return out
@@ -157,11 +155,11 @@ class _Builder:
             self.circ.ops.append(op)
 
     def gate(self, g: Gate) -> None:
-        """A gadget gate, followed by gadget noise when configured."""
+        """A gadget gate, followed by the ops ``gate_noise`` gives under the
+        gadget noise when configured: its channels, or drift's rotation gates."""
         self.circ.add(g)
         if self.noise is not None:
-            for ch in self.noise.channels_for_gate(g.qubits, g.generators(), self.rng):
-                self.circ.ops.append(ch)
+            self.circ.ops.extend(gate_noise(self.noise, g, self.rng))
 
     def hadamard(self, q: int) -> None:
         self.gate(Gate("h", (q,)))
@@ -406,7 +404,8 @@ class EsdEvaluator:
         self._mid = _copy_register([_prepare(circ)] * n_copies, b.circ.ops, self._live)
 
     def numerator(self, obs: PauliTerm | None) -> float:
-        """<X on the ancilla> with the controlled observable appended."""
+        """Re(coeff) <X on the ancilla> with the controlled observable appended,
+        coefficient included as in ``DspEvaluator``; None reads Tr[rho^n]."""
         rho = self._mid
         if obs is not None and not obs.is_identity:
             b = _Builder(self.total, self.noise, self.seed + 1)
@@ -414,13 +413,14 @@ class EsdEvaluator:
             keep = {self.anc}.union(*(op.qubits or self._live for op in b.circ.ops))
             rho = _run_traced(b.circ.ops, rho.copy(), self._live, keep)
         n = rho.shape[0].bit_length() - 1
-        return float(np.real(_anc_xy(rho, n, range(n - 1))))
+        xy = float(np.real(_anc_xy(rho, n, range(n - 1))))
+        return xy if obs is None else float(np.real(obs.coeff)) * xy
 
     def expectation(self, obs: PauliTerm) -> float:
         den = self.numerator(None)
         if abs(den) < 1e-12:
             raise DegenerateNormalizationError(f"Tr[rho^n] estimate {den:.3e} too small")
-        return float(np.real(obs.coeff)) * self.numerator(obs) / den
+        return self.numerator(obs) / den
 
 
 def esd_expectation(circ: Circuit, n_copies: int, obs: PauliTerm,

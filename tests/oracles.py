@@ -8,8 +8,9 @@ fresh arrays per step for the two-buffer density-matrix kernel, the fuse
 and fold passes alone for the compile that also merges three-qubit runs, a kron start
 state run segment by segment through that copying kernel for the
 copy-register engine's owned states, full-register runs for the
-copy-register engine, and fresh generators on every call for the shared
-shot-noise draws.
+copy-register engine, fresh generators on every call for the shared
+shot-noise draws, and coherent drift attached as the one channel it was
+for the rule that now attaches it as rotation gates.
 """
 
 from dataclasses import dataclass
@@ -20,6 +21,7 @@ from numpy.lib.stride_tricks import as_strided
 from qemlab.channels import Channel
 from qemlab.circuits import (
     Circuit,
+    Gate,
     _compile,
     _contract,
     _fold,
@@ -249,6 +251,72 @@ def copying_apply(circuit, rho: np.ndarray, compile=_compile) -> np.ndarray:
     return t.reshape(d, d)
 
 
+def drift_channel_for_gate(model, gate, rng) -> list:
+    """The channels that followed a gate while coherent drift was a channel.
+
+    The reference for ``circuits.gate_noise``.  Every other kind gives
+    ``NoiseModel.channels_for_gate``; drift gave one
+    ``Channel("coherent_drift")`` on the gate's qubits, sorted, whose params
+    list (generator, qubit, angle) per gate qubit in qubit order: x after an
+    rx, z otherwise, each angle uniform in [0, p], none when p is 0.
+    """
+    if model.kind != "coherent_drift":
+        return model.channels_for_gate(gate.qubits, rng)
+    p = model.p2 if len(gate.qubits) >= 2 else model.p1
+    if p == 0.0:
+        return []
+    gen = "x" if gate.name == "rx" else "z"
+    rots = tuple((gen, q, float(rng.uniform(0.0, p))) for q in gate.qubits)
+    return [Channel("coherent_drift", tuple(sorted(gate.qubits)), rots)]
+
+
+def drift_channel_attach_noise(circuit, model, seed=0) -> tuple[Circuit, np.random.Generator]:
+    """``circuits.attach_noise`` as it was while coherent drift was a channel,
+    and its generator after the last draw: the channel's rotations expanded
+    into rx and rz gates, a register-wide channel pinned to the circuit."""
+    rng = np.random.default_rng(seed)
+    scope = tuple(range(circuit.n))
+    out = Circuit(circuit.n)
+    for op in circuit.ops:
+        out.ops.append(op)
+        if isinstance(op, Gate):
+            for chan in drift_channel_for_gate(model, op, rng):
+                if chan.kind == "coherent_drift":
+                    for gen, q, ang in chan.params:
+                        out.ops.append(Gate("rx" if gen == "x" else "rz", (q,), ang))
+                elif chan.kind == "global_depolarizing" and not chan.qubits:
+                    out.ops.append(Channel(chan.kind, scope, chan.params, chan.dualized))
+                else:
+                    out.ops.append(chan)
+    return out, rng
+
+
+def drift_channel_gadget(n, model, gates, seed=0) -> tuple[Circuit, np.random.Generator]:
+    """The gates as ``purification._Builder.gate`` appended them while coherent
+    drift was a channel, each followed by its channels unpinned, and the
+    generator after the last draw."""
+    rng = np.random.default_rng(seed)
+    out = Circuit(n)
+    for g in gates:
+        out.add(g)
+        out.ops.extend(drift_channel_for_gate(model, g, rng))
+    return out, rng
+
+
+def drift_channel_compile(circuit) -> list[tuple]:
+    """``circuits._compile`` of a circuit that may hold drift channels, each
+    run as ``_superops`` ran it: one rotation gate per (generator, qubit,
+    angle), in that order, its angle negated when the channel is dualized."""
+    ops = []
+    for op in circuit.ops:
+        if isinstance(op, Channel) and op.kind == "coherent_drift":
+            ops.extend(Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
+                       for gen, q, ang in op.params)
+        else:
+            ops.append(op)
+    return _compile(Circuit(circuit.n, ops))
+
+
 def kron_copy_register(states, ops, keep) -> np.ndarray:
     """The copy-register engine with a kron start state and a non-owning apply.
 
@@ -310,7 +378,8 @@ class FullRegisterEsd:
             b = _Builder(self.total, self.noise, self.seed + 1)
             b.controlled_pauli(self.anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
             rho = apply(b.circ, rho)
-        return float(np.real(_anc_xy(rho, self.total, range(self.total - 1))))
+        xy = float(np.real(_anc_xy(rho, self.total, range(self.total - 1))))
+        return xy if obs is None else float(np.real(obs.coeff)) * xy
 
 
 def dsp_whole_circuit(circ, obs, gadget_noise=None, out_circuit=None, gadget_seed=0):

@@ -25,6 +25,7 @@ from qemlab.circuits import (
     dual_state,
     expected_errors,
     gate_matrix,
+    gate_noise,
     reversed_circuit,
     run,
     trace_distance,
@@ -38,6 +39,9 @@ from oracles import (
     apply_unitary_state,
     copying_apply,
     copying_partial_trace,
+    drift_channel_attach_noise,
+    drift_channel_compile,
+    drift_channel_gadget,
     replace_with_mixed,
     unmerged_compile,
 )
@@ -137,12 +141,6 @@ def dense_kraus(op, n):
     """Kraus set of one circuit op as full-register matrices, built with ``embed``."""
     if isinstance(op, Gate):
         return [embed(gate_matrix(op), op.qubits, n)]
-    if op.kind == "coherent_drift":
-        u = np.eye(1 << n, dtype=complex)
-        for gen, q, ang in op.params:
-            g = Gate("rx" if gen == "x" else "rz", (q,), -ang if op.dualized else ang)
-            u = embed(gate_matrix(g), (q,), n) @ u
-        return [u]
     if op.kind == "local_depolarizing":
         # (1 - p) rho + p I/4^k on its k = 1 or 2 qubits, as a uniform Pauli mixture
         p, d2 = op.params[0], 4 ** len(op.qubits)
@@ -175,12 +173,13 @@ def dense_apply(circuit, rho):
 _GATE_ARITY = {"rx": 1, "rz": 1, "h": 1, "cx": 2, "cz": 2, "cv": 2, "swap": 2,
                "cswap": 3, "cpauli": 2}
 _CHANNEL_KINDS = ["stochastic_pauli", "amplitude_damping", "thermal_relaxation",
-                  "local_depolarizing", "global_depolarizing", "coherent_drift"]
+                  "local_depolarizing", "global_depolarizing"]
 
 
 def _noisy_gate(draw, c, gate):
     """The gate added to c, followed by 0-2 channels of any kind on its qubits
-    (a global-depolarizing fence on any scope); some channels dualized."""
+    (a global-depolarizing fence on any scope); some channels dualized.
+    Coherent drift is rotation gates, which ``_drawn_gate`` draws."""
     n, qs, rate = c.n, gate.qubits, st.floats(0.0, 0.3)
     c.add(gate)
     for _ in range(draw(st.integers(0, 2))):
@@ -195,13 +194,10 @@ def _noisy_gate(draw, c, gate):
             chan = ch.thermal_relaxation(t1, draw(st.floats(0.1, 2.0)) * t1, 2e-6, qs[0])
         elif kind == "local_depolarizing":
             chan = ch.local_depolarizing(draw(rate), where)
-        elif kind == "global_depolarizing":
+        else:
             scope = tuple(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
             chan = ch.Channel("global_depolarizing", draw(st.sampled_from([(), scope])),
                               (draw(rate),))
-        else:
-            chan = ch.coherent_drift(tuple(
-                (draw(st.sampled_from("xz")), q, draw(st.floats(-1.0, 1.0))) for q in where))
         c.add(chan.dual() if draw(st.booleans()) else chan)
 
 
@@ -531,7 +527,7 @@ class TestTwoBufferApply:
                          Gate("h", (6,))]), 9)
     @example(_fenced(10, [Gate("cz", (9, 0)), ch.thermal_relaxation(30e-6, 20e-6, 2e-6, 9),
                           ch.Channel("global_depolarizing", (5,), (0.4,)),
-                          Gate("cv", (5, 6)), ch.coherent_drift((("x", 5, 0.2), ("z", 6, -0.1))),
+                          Gate("cv", (5, 6)), Gate("rx", (5,), 0.2), Gate("rz", (6,), -0.1),
                           ch.Channel("global_depolarizing", (0, 1, 2, 3, 4, 6, 7, 8, 9), (0.2,)),
                           Gate("rz", (3,), -1.1)]), 10)
     def test_bit_equal_to_copying_oracle(self, circuit, seed):
@@ -732,6 +728,75 @@ class TestChannels:
         c = random_circuit(rng, 3, 10, noise=model, seed=9)
         rho = run(c)
         assert np.real(np.trace(rho @ rho)) == pytest.approx(1.0, abs=1e-10)
+
+
+@st.composite
+def noise_models(draw):
+    """A NoiseModel of any kind, amplified or not, zero rates included."""
+    model = ch.NoiseModel(kind=draw(st.sampled_from(ch.NOISE_KINDS)),
+                          p1=draw(st.just(0.0) | st.floats(1e-4, 0.03)))
+    if draw(st.booleans()):
+        model = model.amplified(draw(st.sampled_from([0.0, 2.0]) | st.floats(0.0, 3.0)))
+    return model
+
+
+@st.composite
+def gate_lists(draw):
+    """(n, gates): 1-8 one-qubit, two-qubit and controlled-Pauli gates on 2-4 qubits."""
+    n = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(["rx", "rz", "h", "cz", "cx", "cpauli"]))
+        qs = tuple(draw(st.permutations(range(n))))[:_GATE_ARITY[name]]
+        gates.append(_drawn_gate(draw, name, qs))
+    return n, gates
+
+
+def _same_steps(got, want):
+    """The same compiled steps: equal axes, equal fences, bit-equal superoperators."""
+    return [axes for axes, _ in got] == [axes for axes, _ in want] and all(
+        a == b if axes is None else np.array_equal(a, b)
+        for (axes, a), (_, b) in zip(got, want))
+
+
+class TestGateNoise:
+    """``gate_noise``, the one rule for the ops after a gate, against the
+    attachment it replaced, where coherent drift was one channel."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(noise_models(), gate_lists(), st.integers(0, 2**32 - 1))
+    @example(ch.NoiseModel(kind="coherent_drift", p1=0.05).amplified(2.0),
+             (3, [Gate("rx", (0,), 0.3), Gate("cz", (2, 0)), Gate("rz", (1,), -0.2),
+                  Gate("cpauli", (1, 2), payload="Y"), Gate("h", (2,))]), 7)
+    @example(ch.NoiseModel(kind="coherent_drift", p1=0.02).amplified(0.0),
+             (2, [Gate("rx", (0,), 0.1), Gate("cz", (0, 1))]), 1)
+    def test_same_steps_and_draws_as_the_drift_channel(self, model, circuit, seed):
+        n, gates = circuit
+        # attach_noise: the same ops, so the same steps
+        want, want_rng = drift_channel_attach_noise(Circuit(n, gates), model, seed)
+        got = attach_noise(Circuit(n, gates), model, seed)
+        assert got.dump() == want.dump()
+        assert _same_steps(_compile(got), drift_channel_compile(want))
+        rng = np.random.default_rng(seed)
+        for g in gates:
+            gate_noise(model, g, rng)
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        # the gadget builder: rotation gates where the drift channel was
+        b = pur._Builder(n, model, seed)
+        for g in gates:
+            b.gate(g)
+        want, want_rng = drift_channel_gadget(n, model, gates, seed)
+        assert _same_steps(_compile(b.circ), drift_channel_compile(want))
+        assert b.rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_drift_is_one_rotation_per_gate_qubit(self):
+        model = ch.NoiseModel(kind="coherent_drift", p1=0.05)
+        rng = np.random.default_rng(3)
+        ops = gate_noise(model, Gate("rx", (2,), 0.1), rng) + gate_noise(
+            model, Gate("cz", (1, 0)), rng)
+        assert [(g.name, g.qubits) for g in ops] == [("rx", (2,)), ("rz", (1,)), ("rz", (0,))]
+        assert 0.0 <= ops[0].angle <= 0.05 and all(0.0 <= g.angle <= 0.5 for g in ops[1:])
+        assert gate_noise(model.amplified(0.0), Gate("cz", (1, 0)), rng) == []
 
 
 class TestAnsatz:

@@ -26,6 +26,7 @@ from qemlab.circuits import (
     build_ansatz,
     dual_state,
     gate_matrix,
+    gate_noise,
     run,
     zero_state,
 )
@@ -74,15 +75,14 @@ def random_circuit(rng, n, depth, noise=None, seed=0):
 
 
 def drifted_circuit():
-    """A noisy 2-qubit circuit closed by a hand-built drift channel on both qubits.
-
-    The drift channel carries its rotation qubits in params, so a copy on
-    other qubits must move those too.  It is the only channel after its gate,
-    so the dual state does not depend on the order of a gate's channels.
-    """
+    """A noisy 2-qubit circuit closed by an rx and a cz, each followed by the
+    drift ``gate_noise`` draws under a coherent_drift model: an rx on qubit 0
+    after the rx, an rz on each qubit after the cz."""
     rng = np.random.default_rng(30)
     c = random_circuit(rng, 2, 6, PAULI_NOISE, seed=30)
-    c.ops += [Gate("h", (1,)), ch.coherent_drift((("x", 0, 0.9), ("x", 1, 0.5)))]
+    drift = NoiseModel(kind="coherent_drift", p1=0.1)
+    for g in (Gate("rx", (0,), 0.4), Gate("cz", (0, 1))):
+        c.ops += [g, *gate_noise(drift, g, rng)]
     return c
 
 
@@ -352,8 +352,28 @@ class TestEsd:
         rho = run(c)
         obs = PauliTerm("ZI")
         want = float(np.real(np.trace(rho @ rho @ obs.matrix()) / np.trace(rho @ rho)))
-        assert want == pytest.approx(0.8715, abs=1e-4)
+        assert want == pytest.approx(0.6317, abs=1e-4)
         assert esd_expectation(c, 2, obs) == pytest.approx(want, abs=1e-10)
+
+    def test_numerator_carries_the_coefficient_as_dsp_does(self):
+        # both numerators are Re(coeff) times the unit reading, identity included
+        n, edges = 2, [(0, 1)]
+        params = np.random.default_rng(31).uniform(-np.pi, np.pi, 2 * n * 3)
+        c = attach_noise(build_ansatz(n, 2, params, edges), PAULI_NOISE, seed=31)
+        rho = run(c)
+        esd, dsp = EsdEvaluator(c, 2), DspEvaluator(c)
+        purity = float(np.real(np.trace(rho @ rho)))
+        for axes in ("ZI", "XY", "II"):
+            unit_esd, unit_dsp = esd.numerator(PauliTerm(axes)), dsp.numerator(PauliTerm(axes))
+            want = float(np.real(np.trace(rho @ rho @ PauliTerm(axes).matrix())))
+            assert abs(unit_esd - want) <= 1e-12
+            for coeff in (2.0, -3.0, 0.5 + 0.7j):
+                obs = PauliTerm(axes, coeff)
+                assert esd.numerator(obs) == pytest.approx(coeff.real * unit_esd, abs=1e-15)
+                assert dsp.numerator(obs) == pytest.approx(coeff.real * unit_dsp, abs=1e-15)
+                assert esd.expectation(obs) == pytest.approx(
+                    coeff.real * want / purity, abs=1e-12)
+        assert esd.numerator(None) == pytest.approx(purity, abs=1e-12)
 
     def test_unpinned_register_wide_channel_acts_on_its_copy(self):
         rng = np.random.default_rng(26)
@@ -496,7 +516,7 @@ class TestRePurification:
         obs = PauliTerm("XZ")
         br, rb = bar @ rho, rho @ bar
         want = 0.5 * np.real(np.trace((br @ br + rb @ rb) @ obs.matrix()))
-        assert want == pytest.approx(-0.0346, abs=1e-4)
+        assert want == pytest.approx(-0.3857, abs=1e-4)
         assert re_purification(c, 2, obs) == pytest.approx(complex(want), abs=1e-10)
 
 

@@ -106,3 +106,17 @@ def test_cli_has_one_run_loop():
     assert "run" in parsers and "sweep" not in parsers, parsers
     funcs = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
     assert "_cmd_sweep" not in funcs
+
+
+def test_gate_noise_is_the_one_rule():
+    # the ops after a gate come from circuits.gate_noise alone, which turns
+    # coherent drift into rotation gates; no other line asks the model for
+    # channels, so drift has one form in every circuit
+    trees, _ = _src_trees()
+    calls = {(file, call.lineno) for file, tree in trees for call in ast.walk(tree)
+             if isinstance(call, ast.Call)
+             and ast.unparse(call.func).rpartition(".")[2] == "channels_for_gate"}
+    rule = next(node for file, tree in trees if file == "circuits.py" for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "gate_noise")
+    inside = {("circuits.py", line) for line in range(rule.lineno, rule.end_lineno + 1)}
+    assert calls and calls <= inside, f"channels_for_gate called at {sorted(calls - inside)}"
