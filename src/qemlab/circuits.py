@@ -356,12 +356,11 @@ def _gate_superop(g: Gate) -> np.ndarray:
     return _cached_gate_superop(g.name, g.angle, negative, g.payload)
 
 
-def _superops(op) -> Iterator[tuple[tuple[int, ...], np.ndarray]]:
-    """(qubits, superoperator) pairs for a gate or a local channel."""
+def _superop(op) -> np.ndarray:
+    """The superoperator of a gate or a local channel, on its qubits."""
     if isinstance(op, Gate):
-        yield op.qubits, _gate_superop(op)
-    else:
-        yield op.qubits, _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
+        return _gate_superop(op)
+    return _channel_superop(op.kind, len(op.qubits), op.params, op.dualized)
 
 
 def _fold(block: np.ndarray, s1: np.ndarray, p: int, left: bool) -> np.ndarray:
@@ -413,32 +412,32 @@ def _compile(circuit: Circuit) -> list[tuple]:
                 last[q] = len(steps)
             steps.append([None, op])
             continue
-        for qubits, s in _superops(op):
-            if len(qubits) == 1:
-                i = pending(qubits[0])
+        qubits, s = op.qubits, _superop(op)
+        if len(qubits) == 1:
+            i = pending(qubits[0])
+            if i >= 0:
+                steps[i][1] = s @ steps[i][1]
+                continue
+            before[qubits[0]] = last.get(qubits[0], -1)
+        else:
+            base = []
+            for p, q in enumerate(qubits):
+                i = pending(q)
                 if i >= 0:
-                    steps[i][1] = s @ steps[i][1]
-                    continue
-                before[qubits[0]] = last.get(qubits[0], -1)
-            else:
-                base = []
-                for p, q in enumerate(qubits):
-                    i = pending(q)
-                    if i >= 0:
-                        s = _fold(s, steps[i][1], p, left=False)
-                        steps[i] = None
-                        base.append(before[q])
-                    else:
-                        base.append(last.get(q, -1))
-                i = base[0]
-                if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
-                    steps[i][1] = s @ steps[i][1]
-                    for q in qubits:
-                        last[q] = i
-                    continue
-            for q in qubits:
-                last[q] = len(steps)
-            steps.append([qubits, s])
+                    s = _fold(s, steps[i][1], p, left=False)
+                    steps[i] = None
+                    base.append(before[q])
+                else:
+                    base.append(last.get(q, -1))
+            i = base[0]
+            if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
+                steps[i][1] = s @ steps[i][1]
+                for q in qubits:
+                    last[q] = i
+                continue
+        for q in qubits:
+            last[q] = len(steps)
+        steps.append([qubits, s])
     for q in range(n):
         settle(q)
     return _merge([st for st in steps if st is not None], n)

@@ -55,7 +55,7 @@ from .circuits import (
     run,
     zero_state,
 )
-from .errors import DegenerateNormalizationError
+from .errors import DegenerateNormalizationError, SizeMismatchError
 from .pauli import PauliTerm
 
 
@@ -283,6 +283,11 @@ def _dsp_ops(w: int, compute: list, obs: PauliTerm, uncompute: list,
     return b.circ
 
 
+def _check_width(obs: PauliTerm | None, w: int) -> None:
+    if obs is not None and obs.n != w:
+        raise SizeMismatchError(f"observable on {obs.n} qubits, register on {w}")
+
+
 def _checked_p0(p0: float) -> float:
     if p0 < 1e-12:
         raise DegenerateNormalizationError(f"p0 = {p0:.3e} too small to normalize")
@@ -305,6 +310,9 @@ class DspEvaluator:
                  out_circuit: Circuit | None = None, gadget_seed: int = 0):
         self.circ = circ
         self.out = reversed_circuit(circ) if out_circuit is None else out_circuit
+        if self.out.n != circ.n:
+            raise SizeMismatchError(f"uncompute circuit on {self.out.n} qubits, "
+                                    f"compute circuit on {circ.n}")
         self.noise = gadget_noise
         self.seed = gadget_seed
         self.compute, self.uncompute = _place(circ, 0), _place(self.out, 0)
@@ -321,6 +329,7 @@ class DspEvaluator:
 
     def numerator(self, obs: PauliTerm) -> float:
         """Tr[(dual*state + state*dual)/2 * obs], coefficient included."""
+        _check_width(obs, self.circ.n)
         coeff = complex(obs.coeff)
         if obs.is_identity:
             return float(np.real(coeff)) * self.p0
@@ -351,6 +360,7 @@ def dsp_expectation(circ: Circuit, obs: PauliTerm, mode: str = "ancilla",
     if mode == "ancilla" or obs.is_identity:
         return ev.result(obs)
     w = circ.n
+    _check_width(obs, w)
     b_pre = _Builder(w, gadget_noise, gadget_seed)
     b_pre.raw(ev.compute)
     root = b_pre.u_obs(obs, 0, inverse=True)
@@ -407,6 +417,7 @@ class EsdEvaluator:
         """Re(coeff) <X on the ancilla> with the controlled observable appended,
         coefficient included as in ``DspEvaluator``; None reads Tr[rho^n]."""
         rho = self._mid
+        _check_width(obs, self.w)
         if obs is not None and not obs.is_identity:
             b = _Builder(self.total, self.noise, self.seed + 1)
             b.controlled_pauli(self.anc, PauliTerm(obs.axes, 1.0), 0, polarity=1)
@@ -581,7 +592,11 @@ def execute_plan(plan: CircuitPlan, bra_factors: Sequence[GeneralFactor],
     """Run the planned copies on the copy-register engine; <X+iY> over the mask."""
     if len(bra_factors) != plan.n or len(ket_factors) != plan.n_prime:
         raise ValueError("factor list lengths do not match the plan")
-    w = bra_factors[0].circuit.n
+    widths = sorted({f.circuit.n for f in (*bra_factors, *ket_factors)})
+    if len(widths) > 1:
+        raise SizeMismatchError(f"factor circuits on {' and '.join(map(str, widths))} qubits")
+    w = widths[0]
+    _check_width(obs, w)
     anc = plan.copies * w
     b = _Builder(anc + 1, gadget_noise, gadget_seed)
     ins = [None if cp.in_slot is None

@@ -4,7 +4,7 @@ Every matrix element is a constant plus a sum of coefficient-weighted
 products of *query values*, a query being one (prepared state, Pauli
 observable) pair.  The ledger of unique queries is what shot-noise
 perturbation and measurement-cost counting operate on: a built pencil's Q
-is its ledger size.  A builder emits the pencil as its elements, one per
+is its ledger size.  The builder emits the pencil as its elements, one per
 distinct term list with every matrix element that holds it, and the
 (value, var) reading of each query key.  ``SubspaceMatrices`` keeps the
 ledger in one form: ``queries`` maps each key to its slot, ``value`` and
@@ -18,17 +18,19 @@ Divided basis: per-block states tensored, powers of the Hamiltonian
 Power basis:   identity plus the state times Hamiltonian powers, which is
                the divided basis over a one-block partition.
 
-So there are two builders, ``build_fault`` and ``build_divided``.  The
-latter reads the Hamiltonian powers from a ``TermExpansion``, expanded once
-per (Hamiltonian, partition) and shared by every build and by
+So there is one builder, ``build``: the basis picks the circuits it
+prepares and the state each query group reads, and one key rule, one
+element enumeration (``_elements``) and one reading loop serve all three.
+The divided terms read the Hamiltonian powers from a ``TermExpansion``,
+expanded once per (Hamiltonian, partition) and shared by every build and by
 ``plan_queries``, which counts Q from the very elements the builder
 assembles without preparing any state.  Every expansion of one Hamiltonian
 reads one ``PowerTable``, so each power is formed once.  Element (i, j) of
-either basis does not depend on M, so one build at the largest M serves
-every smaller one through ``leading``, which shares the build's term lists
-and reading arrays.
+any basis does not depend on M, so one build at the largest M serves every
+smaller one through ``leading``, which shares the build's term lists and
+reading arrays.
 
-A builder first collects its query keys, then reads them with one
+The builder first collects its query keys, then reads them with one
 ``expect_paulis`` call per prepared state.  A circuit without channels is
 its own dual circuit, so its state serves as its dual state.  Elements with
 equal i + j share one term list, which lowering, assembly and variances
@@ -96,7 +98,7 @@ class SubspaceMatrices:
 
     ``elements`` holds one (const, [(coeff, keys)], [(which, i, j), ...]) per
     distinct term list, with every stored element i <= j that holds it, which
-    0 for S and 1 for H.  A builder hands over ``queries`` as each key's
+    0 for S and 1 for H.  The builder hands over ``queries`` as each key's
     (value, var) reading, var None where not computed.  The constructor keeps
     one form of the ledger: ``queries`` maps each key to its slot, in slot
     order (the ``repr`` order of the keys), ``value`` and ``var`` (NaN where
@@ -363,33 +365,6 @@ def _divided_terms(spec: SubspaceSpec, key: Callable[[str, int, str], QueryKey],
     return elements
 
 
-def build_fault(spec: SubspaceSpec, ansatz: Circuit, noise: NoiseModel, seed: int = 0,
-                with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the noise-amplified-state basis, state k amplified by k."""
-    if spec.kind != "fault":
-        raise ConfigError("spec kind must be fault")
-    circs = [attach_noise(ansatz, noise.amplified(float(k)), seed=seed)
-             for k in range(1, spec.m + 1)]
-    rhos = [run(c) for c in circs]
-    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
-    reads: dict[tuple[int, int], dict[QueryKey, None]] = {}
-
-    def pair_key(i: int, j: int, axes: str) -> QueryKey:
-        key = ("fault", i, j, axes)
-        reads.setdefault((i, j), {})[key] = None
-        return key
-
-    elements = _fault_terms(spec.m, spec.hamiltonian, pair_key)
-    readings: dict[QueryKey, tuple] = {}
-    for (i, j), keys in reads.items():
-        axes = [k[3] for k in keys]
-        br = bars[j] @ rhos[i]
-        values = expect_paulis(0.5 * (br + br.conj().T), axes)
-        var = var_dsp_many(rhos[i], bars[j], axes) if with_variances else [None] * len(axes)
-        readings.update(zip(keys, zip(values, var)))
-    return SubspaceMatrices(spec.m, readings, elements, with_variances)
-
-
 def _dual(circ: Circuit, rho: np.ndarray) -> np.ndarray:
     """The dual state of circ, whose state is rho.  With no channel, the dual
     circuit is the circuit itself, so its dual state is rho."""
@@ -400,68 +375,83 @@ def _block_fingerprint(circ: Circuit) -> str:
     return hashlib.sha256(circ.dump().encode()).hexdigest()[:12]
 
 
-def _state_id(kind: str, which: str, block_key: str) -> tuple:
-    return ("power", which) if kind == "power" else ("dc", which, block_key)
+def _key(kind: str, tags: Sequence[str], a, b, axes: str) -> QueryKey:
+    """The one key rule.  Fault pair (a, b) = (i, j) reads ("fault", i, j,
+    axes); a power or dc state (a, b) = (which, block) reads its state id and
+    axes, the dc id naming the block by its tag."""
+    if kind == "fault":
+        return ("fault", a, b, axes)
+    return ("power", a, axes) if kind == "power" else ("dc", a, tags[b], axes)
 
 
-def build_divided(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
-                  with_variances: bool = True) -> SubspaceMatrices:
-    """Pencil for the power basis (one circuit) or the divided basis (one per block).
-
-    Two blocks that prepare bit-identical noisy circuits share their query
-    ledger entries.
-    """
-    if spec.kind not in ("power", "dc"):
-        raise ConfigError("spec kind must be power or dc")
-    if spec.kind == "power":
-        ansatzes = [ansatz]
-    else:
-        ansatzes = list(ansatz)
-        if len(ansatzes) != len(spec.blocks):
-            raise ConfigError("need one sub-ansatz per partition block")
-    for circ, block in zip(ansatzes, spec.blocks):
-        if circ.n != len(block):
-            raise ConfigError("sub-ansatz register does not match its block")
-
-    circs = [attach_noise(c, noise, seed=seed) for c in ansatzes]
-    rhos = [run(c) for c in circs]
-    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
-    rbs = [r @ b for r, b in zip(rhos, bars)]
-    states = {"rho": rhos, "dual": bars,  # with no channel b is r, so b @ r is rb
-              "dsp": [0.5 * ((rb if b is r else b @ r) + rb)
-                      for r, b, rb in zip(rhos, bars, rbs)]}
-    bkeys = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
-    seen: set[QueryKey] = set()
-    reads: dict[tuple[str, int], list[QueryKey]] = {}  # by the block that first read them
-
-    def key(which: str, l: int, axes: str) -> QueryKey:
-        k = _state_id(spec.kind, which, bkeys[l]) + (axes,)
-        if k not in seen:
-            seen.add(k)
-            reads.setdefault((which, l), []).append(k)
-        return k
-
-    elements = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
-                           [complex(np.trace(b)) for b in bars])
-    readings: dict[QueryKey, tuple] = {}
-    for (which, l), keys in reads.items():
-        axes = [k[-1] for k in keys]
-        values = expect_paulis(states[which][l], axes)
-        if which != "dsp":
-            var = [var_pauli_state(float(np.real(v))) for v in values]
-        elif with_variances:
-            var = var_dsp_many(rhos[l], bars[l], axes, rbs[l])
-        else:
-            var = [None] * len(axes)
-        readings.update(zip(keys, zip(values, var)))
-    return SubspaceMatrices(spec.m, readings, elements, with_variances)
+def _elements(spec: SubspaceSpec, key: Callable[..., QueryKey],
+              tr_r: Sequence[complex], tr_b: Sequence[complex]) -> list[Element]:
+    """The elements of the spec's basis, each query key made by key(a, b, axes)."""
+    if spec.kind == "fault":
+        return _fault_terms(spec.m, spec.hamiltonian, key)
+    return _divided_terms(spec, key, tr_r, tr_b)
 
 
 def build(spec: SubspaceSpec, ansatz, noise: NoiseModel, seed: int = 0,
           with_variances: bool = True) -> SubspaceMatrices:
-    """Dispatch on the basis family (ansatz: one circuit, or one per block)."""
-    builder = build_fault if spec.kind == "fault" else build_divided
-    return builder(spec, ansatz, noise, seed, with_variances)
+    """The pencil of any basis (ansatz: one circuit, or one per dc block).
+
+    The basis picks the circuits (the ansatz amplified by k = 1..M for
+    fault, the ansatz for power, one per block for dc) and the state each
+    query group reads: 0.5 (bar_j rho_i + h.c.) for fault pair (i, j), and
+    the state, its dual or their symmetrized product for a power or dc
+    block.  Blocks that prepare bit-identical noisy circuits share their
+    ledger entries.
+    """
+    if spec.kind == "fault":
+        circs = [attach_noise(ansatz, noise.amplified(float(k)), seed=seed)
+                 for k in range(1, spec.m + 1)]
+    else:
+        ansatzes = [ansatz] if spec.kind == "power" else list(ansatz)
+        if len(ansatzes) != len(spec.blocks):
+            raise ConfigError("need one sub-ansatz per partition block")
+        for circ, block in zip(ansatzes, spec.blocks):
+            if circ.n != len(block):
+                raise ConfigError("sub-ansatz register does not match its block")
+        circs = [attach_noise(c, noise, seed=seed) for c in ansatzes]
+    rhos = [run(c) for c in circs]
+    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
+    tags = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
+    seen: set[QueryKey] = set()
+    reads: dict[tuple, list[QueryKey]] = {}  # by the group that first read them
+
+    def key(a, b, axes: str) -> QueryKey:
+        k = _key(spec.kind, tags, a, b, axes)
+        if k not in seen:
+            seen.add(k)
+            reads.setdefault((a, b), []).append(k)
+        return k
+
+    elements = _elements(spec, key, [complex(np.trace(r)) for r in rhos],
+                         [complex(np.trace(b)) for b in bars])
+    readings: dict[QueryKey, tuple] = {}
+    for (a, b), keys in reads.items():
+        axes = [k[-1] for k in keys]
+        plain = a in ("rho", "dual")
+        if plain:
+            state = (rhos if a == "rho" else bars)[b]
+        elif spec.kind == "fault":  # pair (a, b) = (i, j)
+            r, bar, rb = rhos[a], bars[b], None
+            state = bar @ r  # rebound, so one d x d array outlives the readout
+            state = 0.5 * (state + state.conj().T)
+        else:
+            r, bar = rhos[b], bars[b]
+            rb = r @ bar  # with no channel bar is r, so bar @ r is rb
+            state = 0.5 * ((rb if bar is r else bar @ r) + rb)
+        values = expect_paulis(state, axes)
+        if plain:
+            var = [var_pauli_state(float(np.real(v))) for v in values]
+        elif with_variances:
+            var = var_dsp_many(r, bar, axes, rb)
+        else:
+            var = [None] * len(axes)
+        readings.update(zip(keys, zip(values, var)))
+    return SubspaceMatrices(spec.m, readings, elements, with_variances)
 
 
 @dataclass(frozen=True)
@@ -484,14 +474,9 @@ def plan_queries(spec: SubspaceSpec, reuse: bool) -> QueryPlan:
     bit-identical block circuits, which have equal sizes; so a built pencil's
     Q, its ledger size, is never below the planned Q with reuse.
     """
-    if spec.kind == "fault":
-        elements = _fault_terms(spec.m, spec.hamiltonian, lambda i, j, axes: ("fault", i, j, axes))
-    else:
-        nb = len(spec.blocks)
-        sizes = [str(len(b)) for b in spec.blocks]  # equal-size blocks: one prepared state
-        elements = _divided_terms(
-            spec, lambda which, l, axes: _state_id(spec.kind, which, sizes[l]) + (axes,),
-            [1.0] * nb, [1.0] * nb)
+    nb = len(spec.blocks)
+    sizes = [str(len(b)) for b in spec.blocks]  # equal-size blocks: one prepared state
+    elements = _elements(spec, functools.partial(_key, spec.kind, sizes), [1.0] * nb, [1.0] * nb)
     unique: set[QueryKey] = set()
     occurrences = 0
     for _, terms, targets in elements:

@@ -9,8 +9,10 @@ and fold passes alone for the compile that also merges three-qubit runs, a kron 
 state run segment by segment through that copying kernel for the
 copy-register engine's owned states, full-register runs for the
 copy-register engine, fresh generators on every call for the shared
-shot-noise draws, and coherent drift attached as the one channel it was
-for the rule that now attaches it as rotation gates.
+shot-noise draws, coherent drift attached as the one channel it was
+for the rule that now attaches it as rotation gates, and the two pencil
+builders, fault and divided, that ``subspace.build`` replaced.  It also
+holds ``random_circuit``, the one random-circuit draw the tests share.
 """
 
 from dataclasses import dataclass
@@ -26,8 +28,9 @@ from qemlab.circuits import (
     _contract,
     _fold,
     _rho_axes,
-    _superops,
+    _superop,
     apply,
+    attach_noise,
     build_ansatz,
     dual_state,
     reversed_circuit,
@@ -37,7 +40,14 @@ from qemlab.circuits import (
 )
 from qemlab.errors import EmptyDistributionError, SizeMismatchError
 from qemlab.gevp import stack_energies
-from qemlab.pauli import DROP_TOL, PauliSum, PauliTerm, _axes_to_masks, parity_signs
+from qemlab.pauli import (
+    DROP_TOL,
+    PauliSum,
+    PauliTerm,
+    _axes_to_masks,
+    expect_paulis,
+    parity_signs,
+)
 from qemlab.purification import (
     _anc_xy,
     _Builder,
@@ -48,7 +58,14 @@ from qemlab.purification import (
     _remap_ops,
     _resolve,
 )
-from qemlab.shotnoise import EnergyDistribution, _widths
+from qemlab.shotnoise import EnergyDistribution, _widths, var_dsp_many, var_pauli_state
+from qemlab.subspace import (
+    SubspaceMatrices,
+    _block_fingerprint,
+    _divided_terms,
+    _dual,
+    _fault_terms,
+)
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -200,32 +217,32 @@ def unmerged_compile(circuit) -> list[tuple]:
                 last[q] = len(steps)
             steps.append([None, op])
             continue
-        for qubits, s in _superops(op):
-            if len(qubits) == 1:
-                i = pending(qubits[0])
+        qubits, s = op.qubits, _superop(op)
+        if len(qubits) == 1:
+            i = pending(qubits[0])
+            if i >= 0:
+                steps[i][1] = s @ steps[i][1]
+                continue
+            before[qubits[0]] = last.get(qubits[0], -1)
+        else:
+            base = []
+            for p, q in enumerate(qubits):
+                i = pending(q)
                 if i >= 0:
-                    steps[i][1] = s @ steps[i][1]
-                    continue
-                before[qubits[0]] = last.get(qubits[0], -1)
-            else:
-                base = []
-                for p, q in enumerate(qubits):
-                    i = pending(q)
-                    if i >= 0:
-                        s = _fold(s, steps[i][1], p, left=False)
-                        steps[i] = None
-                        base.append(before[q])
-                    else:
-                        base.append(last.get(q, -1))
-                i = base[0]
-                if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
-                    steps[i][1] = s @ steps[i][1]
-                    for q in qubits:
-                        last[q] = i
-                    continue
-            for q in qubits:
-                last[q] = len(steps)
-            steps.append([qubits, s])
+                    s = _fold(s, steps[i][1], p, left=False)
+                    steps[i] = None
+                    base.append(before[q])
+                else:
+                    base.append(last.get(q, -1))
+            i = base[0]
+            if i >= 0 and steps[i][0] == qubits and all(b == i for b in base):
+                steps[i][1] = s @ steps[i][1]
+                for q in qubits:
+                    last[q] = i
+                continue
+        for q in qubits:
+            last[q] = len(steps)
+        steps.append([qubits, s])
     for q in range(n):
         settle(q)
     return [(None, st[1]) if st[0] is None else (_rho_axes(st[0], n), st[1])
@@ -305,7 +322,7 @@ def drift_channel_gadget(n, model, gates, seed=0) -> tuple[Circuit, np.random.Ge
 
 def drift_channel_compile(circuit) -> list[tuple]:
     """``circuits._compile`` of a circuit that may hold drift channels, each
-    run as ``_superops`` ran it: one rotation gate per (generator, qubit,
+    run as the compiler ran it: one rotation gate per (generator, qubit,
     angle), in that order, its angle negated when the channel is dualized."""
     ops = []
     for op in circuit.ops:
@@ -621,3 +638,90 @@ def per_call_sample_distribution(matrices, cfg, window, threshold=None):
                                      f"ns {cfg.ns:g}, n_samples {cfg.n_samples}")
     arr = arr[solved]
     return EnergyDistribution(arr, float(arr.mean()), float(arr.std()), int(np.sum(~solved)))
+
+
+def random_circuit(rng, n, depth, noise=None, seed=0):
+    """depth gates drawn from rng (rx, rz, h, cz, cx), noise attached after."""
+    c = Circuit(n)
+    for _ in range(depth):
+        kind = rng.choice(["rx", "rz", "h", "cz", "cx"])
+        if kind in ("cz", "cx") and n >= 2:
+            a, b = rng.choice(n, size=2, replace=False)
+            c.add(Gate(kind, (int(a), int(b))))
+        else:
+            q = int(rng.integers(n))
+            ang = float(rng.uniform(-np.pi, np.pi))
+            c.add(Gate(kind if kind in ("rx", "rz") else "h", (q,),
+                       ang if kind in ("rx", "rz") else None))
+    if noise is not None:
+        c = attach_noise(c, noise, seed=seed)
+    return c
+
+
+def two_builders(spec, ansatz, noise, seed=0, with_variances=True) -> SubspaceMatrices:
+    """``subspace.build`` as the two builders it replaced made the pencil:
+    the fault one and the divided one, each with its own key closure and
+    reading loop, over the shared term enumerations."""
+    if spec.kind == "fault":
+        return _fault_builder(spec, ansatz, noise, seed, with_variances)
+    return _divided_builder(spec, ansatz, noise, seed, with_variances)
+
+
+def _fault_builder(spec, ansatz, noise, seed, with_variances):
+    circs = [attach_noise(ansatz, noise.amplified(float(k)), seed=seed)
+             for k in range(1, spec.m + 1)]
+    rhos = [run(c) for c in circs]
+    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
+    reads: dict = {}
+
+    def pair_key(i, j, axes):
+        key = ("fault", i, j, axes)
+        reads.setdefault((i, j), {})[key] = None
+        return key
+
+    elements = _fault_terms(spec.m, spec.hamiltonian, pair_key)
+    readings: dict = {}
+    for (i, j), keys in reads.items():
+        axes = [k[3] for k in keys]
+        br = bars[j] @ rhos[i]
+        values = expect_paulis(0.5 * (br + br.conj().T), axes)
+        var = var_dsp_many(rhos[i], bars[j], axes) if with_variances else [None] * len(axes)
+        readings.update(zip(keys, zip(values, var)))
+    return SubspaceMatrices(spec.m, readings, elements, with_variances)
+
+
+def _divided_builder(spec, ansatz, noise, seed, with_variances):
+    ansatzes = [ansatz] if spec.kind == "power" else list(ansatz)
+    circs = [attach_noise(c, noise, seed=seed) for c in ansatzes]
+    rhos = [run(c) for c in circs]
+    bars = [_dual(c, rho) for c, rho in zip(circs, rhos)]
+    rbs = [r @ b for r, b in zip(rhos, bars)]
+    states = {"rho": rhos, "dual": bars,
+              "dsp": [0.5 * ((rb if b is r else b @ r) + rb)
+                      for r, b, rb in zip(rhos, bars, rbs)]}
+    bkeys = [_block_fingerprint(c) for c in circs] if spec.kind == "dc" else [""]
+    seen: set = set()
+    reads: dict = {}
+
+    def key(which, l, axes):
+        state = ("power", which) if spec.kind == "power" else ("dc", which, bkeys[l])
+        k = state + (axes,)
+        if k not in seen:
+            seen.add(k)
+            reads.setdefault((which, l), []).append(k)
+        return k
+
+    elements = _divided_terms(spec, key, [complex(np.trace(r)) for r in rhos],
+                              [complex(np.trace(b)) for b in bars])
+    readings: dict = {}
+    for (which, l), keys in reads.items():
+        axes = [k[-1] for k in keys]
+        values = expect_paulis(states[which][l], axes)
+        if which != "dsp":
+            var = [var_pauli_state(float(np.real(v))) for v in values]
+        elif with_variances:
+            var = var_dsp_many(rhos[l], bars[l], axes, rbs[l])
+        else:
+            var = [None] * len(axes)
+        readings.update(zip(keys, zip(values, var)))
+    return SubspaceMatrices(spec.m, readings, elements, with_variances)

@@ -34,7 +34,6 @@ import pytest
 from qemlab import models
 from qemlab.channels import NoiseModel, noiseless
 from qemlab.circuits import (
-    Circuit,
     Gate,
     attach_noise,
     build_ansatz,
@@ -58,7 +57,7 @@ from qemlab.shotnoise import ShotConfig, sample_distribution, var_dsp, var_produ
 from qemlab.subspace import SubspaceSpec, build, plan_queries
 from qemlab.vqe import exact_ground, optimize
 
-from oracles import dsp_circuit, planned_oracle, postselect_bound
+from oracles import dsp_circuit, planned_oracle, postselect_bound, random_circuit
 
 
 def report(num: int, ok: bool, detail: str) -> bool:
@@ -71,23 +70,6 @@ def unit_diagonal_lambda_min(s: np.ndarray) -> float:
     frame in which the solver truncates and alpha' is expressed."""
     d = 1.0 / np.sqrt(np.real(np.diag(s)))
     return float(np.linalg.eigvalsh(d[:, None] * s * d[None, :])[0])
-
-
-def random_circuit(rng, n, depth, noise=None, seed=0):
-    c = Circuit(n)
-    for _ in range(depth):
-        kind = rng.choice(["rx", "rz", "h", "cz", "cx"])
-        if kind in ("cz", "cx") and n >= 2:
-            a, b = rng.choice(n, size=2, replace=False)
-            c.add(Gate(kind, (int(a), int(b))))
-        else:
-            q = int(rng.integers(n))
-            ang = float(rng.uniform(-np.pi, np.pi))
-            c.add(Gate(kind if kind in ("rx", "rz") else "h", (q,),
-                       ang if kind in ("rx", "rz") else None))
-    if noise is not None:
-        c = attach_noise(c, noise, seed=seed)
-    return c
 
 
 def random_pauli(rng, n):

@@ -42,6 +42,7 @@ from oracles import (
     drift_channel_attach_noise,
     drift_channel_compile,
     drift_channel_gadget,
+    random_circuit,
     replace_with_mixed,
     unmerged_compile,
 )
@@ -113,24 +114,6 @@ def random_density(rng, n):
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     rho = a @ a.conj().T
     return rho / np.trace(rho)
-
-
-def random_circuit(rng, n, depth, noise=None, seed=0):
-    edges = [(i, i + 1) for i in range(n - 1)]
-    c = Circuit(n)
-    for _ in range(depth):
-        kind = rng.choice(["rx", "rz", "h", "cz", "cx"])
-        if kind in ("cz", "cx") and n >= 2:
-            a, b = rng.choice(n, size=2, replace=False)
-            c.add(Gate(kind, (int(a), int(b))))
-        else:
-            q = int(rng.integers(n))
-            ang = float(rng.uniform(-np.pi, np.pi))
-            c.add(Gate(kind if kind in ("rx", "rz") else "h", (q,),
-                       ang if kind in ("rx", "rz") else None))
-    if noise is not None:
-        c = attach_noise(c, noise, seed=seed)
-    return c
 
 
 _PAULIS = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),

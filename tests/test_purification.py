@@ -13,6 +13,7 @@ from oracles import (
     kron_copy_register,
     oracle_trace,
     planned_oracle,
+    random_circuit,
 )
 from qemlab import channels as ch
 from qemlab import purification as pur
@@ -30,7 +31,7 @@ from qemlab.circuits import (
     run,
     zero_state,
 )
-from qemlab.errors import DegenerateNormalizationError, RegisterCapError
+from qemlab.errors import DegenerateNormalizationError, RegisterCapError, SizeMismatchError
 from qemlab.pauli import PauliTerm, term_matrix
 from qemlab.purification import (
     DspEvaluator,
@@ -54,24 +55,6 @@ GADGET_NOISE = [
     NoiseModel(kind="amplitude_damping", p1=0.01),
     NoiseModel(kind="coherent_drift", p1=0.2),
 ]
-
-
-def random_circuit(rng, n, depth, noise=None, seed=0):
-    from qemlab.circuits import attach_noise
-    c = Circuit(n)
-    for _ in range(depth):
-        kind = rng.choice(["rx", "rz", "h", "cz", "cx"])
-        if kind in ("cz", "cx") and n >= 2:
-            a, b = rng.choice(n, size=2, replace=False)
-            c.add(Gate(kind, (int(a), int(b))))
-        else:
-            q = int(rng.integers(n))
-            ang = float(rng.uniform(-np.pi, np.pi))
-            c.add(Gate(kind if kind in ("rx", "rz") else "h", (q,),
-                       ang if kind in ("rx", "rz") else None))
-    if noise is not None:
-        c = attach_noise(c, noise, seed=seed)
-    return c
 
 
 def drifted_circuit():
@@ -716,3 +699,44 @@ class TestExecutePlan:
         f = GeneralFactor(random_circuit(rng, 2, 4))
         with pytest.raises(ValueError):
             execute_plan(plan, [f], [f], PauliTerm("ZI"))
+
+
+class TestRegisterWidths:
+    """A register of another width than the circuits' raises
+    ``SizeMismatchError`` naming both widths, rather than reading a wrong
+    value or failing inside numpy."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_dsp_out_circuit(self, width):
+        rng = np.random.default_rng(51)
+        c = random_circuit(rng, 2, 6, PAULI_NOISE, seed=1)
+        out = random_circuit(rng, width, 4)
+        with pytest.raises(SizeMismatchError, match=f"on {width} qubits.* on 2"):
+            dsp_expectation(c, PauliTerm("ZX"), out_circuit=out)
+        with pytest.raises(SizeMismatchError, match=f"on {width} qubits.* on 2"):
+            DspEvaluator(c, out_circuit=out)
+
+    @pytest.mark.parametrize("widths", [(2, 1), (1, 2)])
+    def test_plan_factors(self, widths):
+        rng = np.random.default_rng(52)
+        bra, ket = (GeneralFactor(random_circuit(rng, w, 4, PAULI_NOISE, seed=w))
+                    for w in widths)
+        with pytest.raises(SizeMismatchError, match="on 1 and 2 qubits"):
+            execute_plan(plan_general(1, 1), [bra], [ket], PauliTerm("Z" * widths[0]))
+
+    READERS = {
+        "dsp": lambda c, obs: DspEvaluator(c).numerator(obs),
+        "dsp-direct": lambda c, obs: dsp_expectation(c, obs, mode="direct"),
+        "esd": lambda c, obs: EsdEvaluator(c, 2).numerator(obs),
+        "plan": lambda c, obs: execute_plan(plan_general(1, 1), [GeneralFactor(c)],
+                                            [GeneralFactor(c)], obs),
+    }
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    @pytest.mark.parametrize("axes", ["Z", "ZXY", "I", "III"])
+    def test_observable(self, axes, reader):
+        rng = np.random.default_rng(53)
+        c = random_circuit(rng, 2, 6, PAULI_NOISE, seed=2)
+        with pytest.raises(SizeMismatchError,
+                           match=f"observable on {len(axes)} qubits, register on 2"):
+            self.READERS[reader](c, PauliTerm(axes, 0.5))

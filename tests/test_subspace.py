@@ -31,7 +31,7 @@ from qemlab.experiments import check_config, scenario_cost_metric
 from qemlab.subspace import SubspaceSpec, build, plan_queries, term_expansion
 from qemlab.vqe import optimize
 
-from oracles import from_masks
+from oracles import from_masks, two_builders
 
 PAULI = NoiseModel(kind="stochastic_pauli", p1=1e-3)
 
@@ -377,6 +377,42 @@ def test_planned_q_never_exceeds_built_q(kind, blocks, seeds, noise, bso):
         assert planned <= built, (m, planned, built)
         if merged == sizes:  # every equal-size group is one bit-identical circuit
             assert planned == built, (m, planned, built)
+
+
+# no noise, four channel kinds, and drift, which adds rotation gates and no channel
+BUILD_NOISE = [noiseless(), NoiseModel("stochastic_pauli", 1e-2),
+               NoiseModel("global_depolarizing", 1e-2), NoiseModel("thermal_relaxation", 1e-2),
+               NoiseModel("amplitude_damping", 1e-2), NoiseModel("coherent_drift", 5e-2)]
+# (partition, block ansatz seeds): equal seeds give bit-identical block circuits
+BUILD_BLOCKS = [("half-2-2", (1, 2)), (((0,), (1,), (2, 3)), (1, 2, 3)), ("half-2-2", (1, 1))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(subspace.KINDS),
+       noise=st.sampled_from(BUILD_NOISE),
+       m=st.integers(1, 4),
+       with_variances=st.booleans(),
+       bso=st.booleans(),
+       blocks=st.sampled_from(BUILD_BLOCKS),
+       seed=st.integers(0, 2**16))
+def test_build_equals_the_two_builders(kind, noise, m, with_variances, bso, blocks, seed):
+    # the one builder makes, bit for bit, the pencil and ledger that the
+    # separate fault and divided builders made
+    h = build_ising(path(4), 4)
+    name, seeds = blocks
+    part = models.partition(name) if isinstance(name, str) else SystemPartition(name)
+    if kind == "dc":
+        arg = [_random_ansatz(len(b), seed + s) for b, s in zip(part.blocks, seeds)]
+    else:
+        arg, part = _random_ansatz(4, seed), None
+    spec = SubspaceSpec(kind, m, h, partition=part, boundary_state_only=bso)
+    got = build(spec, arg, noise, seed=seed % 5, with_variances=with_variances)
+    want = two_builders(spec, arg, noise, seed=seed % 5, with_variances=with_variances)
+    assert got.queries == want.queries
+    assert got.elements == want.elements
+    for attr in ("s", "h", "value"):
+        assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+    assert np.array_equal(got.var, want.var, equal_nan=True)
 
 
 class TestLeadingBlock:

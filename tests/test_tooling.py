@@ -120,3 +120,19 @@ def test_gate_noise_is_the_one_rule():
                 if isinstance(node, ast.FunctionDef) and node.name == "gate_noise")
     inside = {("circuits.py", line) for line in range(rule.lineno, rule.end_lineno + 1)}
     assert calls and calls <= inside, f"channels_for_gate called at {sorted(calls - inside)}"
+
+
+def test_subspace_has_one_builder():
+    # every basis is built by subspace.build, the module's one build* function;
+    # the fault and divided term enumerations are each called on one line,
+    # inside _elements, which build and plan_queries share
+    tree = ast.parse((ROOT / "src" / "qemlab" / "subspace.py").read_text())
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    builders = [name for name in funcs if name.startswith("build")]
+    assert builders == ["build"], builders
+    pick = funcs["_elements"]
+    inside = set(range(pick.lineno, pick.end_lineno + 1))
+    for name in ("_fault_terms", "_divided_terms"):
+        lines = {call.lineno for call in ast.walk(tree)
+                 if isinstance(call, ast.Call) and ast.unparse(call.func) == name}
+        assert len(lines) == 1 and lines <= inside, (name, sorted(lines))
